@@ -14,8 +14,6 @@ the crossing time is located on the actual fundamental solution.
 
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +25,7 @@ from .errors import (
     ParameterError,
     ResolutionError,
 )
+from .output import write_atomic
 from .pdesim import GridSpec
 
 _TOP_OCTAVE_BUDGET = 0.01
@@ -447,7 +446,7 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, s=3.0, M_max=256,
     if hit is None:
         raise ExhaustedSearchError(
             "trajectory failed to cross the endpoint despite the growth "
-            "estimate; numerical inconsistency", best=best
+            "estimate; numerical inconsistency", best=(plan.M, trajectory[-1][1])
         )
     lo = max(0.0, hit - 0.5)
     hi = hit
@@ -470,14 +469,4 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, s=3.0, M_max=256,
 
 
 def export_certificate(path, cert):
-    tmp = tempfile.NamedTemporaryFile(
-        "w", dir=os.path.dirname(os.path.abspath(path)) or ".", delete=False
-    )
-    try:
-        tmp.write(cert.to_json())
-        tmp.close()
-        os.replace(tmp.name, path)
-    except BaseException:
-        tmp.close()
-        os.unlink(tmp.name)
-        raise
+    write_atomic(path, cert.to_json())

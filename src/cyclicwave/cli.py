@@ -12,8 +12,6 @@ import json
 import math
 import os
 import sys
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from functools import wraps
 
 import click
@@ -30,6 +28,7 @@ from .errors import (
     ResolutionError,
     SingularMetricError,
 )
+from .output import csv_text, write_atomic
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -38,7 +37,6 @@ EXIT_NOC_HOLDS = 4
 EXIT_NOT_DISTINGUISHED = 5
 
 _THREADS_ENV = "CYCLICWAVE_THREADS"
-_SWEEP_CHUNK = 256  # fixed so the numerics never depend on the thread count
 _COHERENCE_TOL = 1e-6
 
 
@@ -72,6 +70,8 @@ def handle_errors(fn):
 
 
 def thread_count():
+    """Validated CYCLICWAVE_THREADS; accepted for compatibility, every sweep
+    runs as one batch whatever its value."""
     raw = os.environ.get(_THREADS_ENV)
     if raw is None:
         return 1
@@ -101,21 +101,6 @@ def apply_config(ctx, config_path):
         if src is not None and src.name == "COMMANDLINE":
             continue  # explicit flags win
         ctx.params[name] = value
-
-
-def _write_json(path, obj):
-    tmp = tempfile.NamedTemporaryFile(
-        "w", dir=os.path.dirname(os.path.abspath(path)) or ".", delete=False
-    )
-    try:
-        json.dump(obj, tmp, indent=2)
-        tmp.write("\n")
-        tmp.close()
-        os.replace(tmp.name, path)
-    except BaseException:
-        tmp.close()
-        os.unlink(tmp.name)
-        raise
 
 
 def _parse_kv(text):
@@ -183,17 +168,23 @@ def parse_f_family(spec):
     family, _, params = spec.partition(":")
     kv = _parse_kv(params)
     inf = math.inf
+
+    def need(key):
+        if key not in kv:
+            raise ParameterError(f"{family} needs {key}: {spec!r}")
+        return kv[key]
+
     if family == "zero":
         return (lambda t: 0.0 * np.asarray(t, dtype=float)), (-inf, inf)
     if family == "example1":
-        alpha = kv["alpha"]
+        alpha = need("alpha")
         return (lambda t: 4.0 * alpha * np.asarray(t) / (1.0 + 2.0 * np.asarray(t) ** 2),
                 (-inf, inf))
     if family == "example2":
-        ell = kv["ell"]
+        ell = need("ell")
         return (lambda t: -ell / (2.0 * (1.0 + np.asarray(t)))), (-1.0, inf)
     if family == "example3":
-        alpha = kv["alpha"]
+        alpha = need("alpha")
         axis = int(kv.get("axis", 1))
         if axis == 1:
             return (lambda t: alpha * np.asarray(t) / (1.0 + np.asarray(t) ** 2),
@@ -203,7 +194,7 @@ def parse_f_family(spec):
                     / (1.0 + np.asarray(t) ** 4), (-inf, inf))
         raise ParameterError(f"example3 axis must be 1 or 2, got {axis}")
     if family == "example4":
-        alpha, m = kv["alpha"], kv.get("m", 3.0)
+        alpha, m = need("alpha"), kv.get("m", 3.0)
         return (lambda t: m * alpha * np.asarray(t) / (1.0 + m * np.asarray(t) ** 2),
                 (-inf, inf))
     raise ParameterError(f"unknown f family {spec!r}")
@@ -281,7 +272,6 @@ def main():
 @click.option("--lambda-max", type=float, default=60.0, show_default=True)
 @click.option("--grid", type=int, default=1000, show_default=True)
 @click.option("--tol", type=float, default=1e-11, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--config", type=click.Path(exists=True), default=None)
 @click.option("--out", type=click.Path(), required=True)
 @click.pass_context
@@ -290,39 +280,27 @@ def stability_chart(ctx, **kwargs):
     """Monodromy-trace chart plus an instability-interval JSON sidecar."""
     apply_config(ctx, kwargs.pop("config"))
     p = ctx.params
+    thread_count()
     b = coefficient_from_flags(p["constant_b"], p["epsilon"])
     pot = coeffs.hill_potential(b, p["n"])
-    lams = np.linspace(p["lambda_min"], p["lambda_max"], p["grid"])
-
-    chunks = [lams[i:i + _SWEEP_CHUNK] for i in range(0, lams.size, _SWEEP_CHUNK)]
-    workers = thread_count()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda c: floquet.trace_curve(pot, c, p["tol"]), chunks))
-    else:
-        parts = [floquet.trace_curve(pot, c, p["tol"]) for c in chunks]
-    traces = np.concatenate(parts)
-
-    intervals = floquet.scan_instability(
-        pot, (p["lambda_min"], p["lambda_max"]), grid_points=p["grid"],
-        tol=p["tol"])
+    lams = floquet.scan_grid((p["lambda_min"], p["lambda_max"]), p["grid"])
+    traces = floquet.trace_curve(pot, lams, p["tol"])
+    intervals = floquet.instability_intervals(pot, lams, traces, p["tol"])
     floquet.export_stability_chart(p["out"], lams, traces)
     sidecar = os.path.splitext(p["out"])[0] + ".json"
-    _write_json(sidecar, {
+    write_atomic(sidecar, json.dumps({
         "coefficient": "constant" if p["constant_b"] else "sqrt-sin",
         "epsilon": p["epsilon"],
         "n": p["n"],
         "lambda_range": [p["lambda_min"], p["lambda_max"]],
         "grid": p["grid"],
-        "seed": p["seed"],
         "intervals": [
             {"lambda_lo": iv.lambda_lo, "lambda_hi": iv.lambda_hi,
              "max_abs_trace": iv.max_abs_trace,
              "witness_lambda": iv.witness_lambda}
             for iv in intervals
         ],
-    })
+    }, indent=2) + "\n")
     sys.exit(EXIT_OK)
 
 
@@ -334,7 +312,6 @@ def stability_chart(ctx, **kwargs):
 @click.option("--s-max", type=float, default=3.0, show_default=True)
 @click.option("--tol", type=float, default=1e-10, show_default=True)
 @click.option("--samples", type=int, default=200, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--config", type=click.Path(exists=True), default=None)
 @click.option("--out", type=click.Path(), required=True)
 @click.pass_context
@@ -364,7 +341,6 @@ def geodesic(ctx, **kwargs):
 @click.option("--s-max", type=float, default=1e5, show_default=True)
 @click.option("--margin", type=float, default=0.1, show_default=True)
 @click.option("--tol", type=float, default=1e-12, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--config", type=click.Path(exists=True), default=None)
 @click.option("--out", type=click.Path(), default=None,
               help="verdict JSON path (stdout when omitted)")
@@ -379,17 +355,7 @@ def noc(ctx, **kwargs):
                                   domain=domain, tol=p["tol"])
     text = verdict.to_json()
     if p["out"]:
-        tmp = tempfile.NamedTemporaryFile(
-            "w", dir=os.path.dirname(os.path.abspath(p["out"])) or ".",
-            delete=False)
-        try:
-            tmp.write(text + "\n")
-            tmp.close()
-            os.replace(tmp.name, p["out"])
-        except BaseException:
-            tmp.close()
-            os.unlink(tmp.name)
-            raise
+        write_atomic(p["out"], text + "\n")
     else:
         click.echo(text)
     sys.exit(EXIT_OK)
@@ -408,7 +374,6 @@ def noc(ctx, **kwargs):
 @click.option("--simulate", type=click.Choice(["yes", "no"]), default="no",
               show_default=True)
 @click.option("--tol", type=float, default=1e-11, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--config", type=click.Path(exists=True), default=None)
 @click.option("--out", type=click.Path(), required=True,
               help="certificate JSON path")
@@ -470,33 +435,8 @@ def _simulate_certificate(b, pot, tp, cert, points=1024):
     u0 = np.full_like(x, amp)
     u1 = cert.plan.A * amp * math.exp(-float(tp.Phi(np.array([amp]))[0])) \
         * np.cos(math.sqrt(lam) * x)
-    result = pdesim.evolve_nonlinear(b, pot.n, lambda u: _f_of(tp, u),
-                                     grid, u0, u1, tp)
+    result = pdesim.evolve_nonlinear(b, pot.n, tp.f, grid, u0, u1, tp)
     return result, grid
-
-
-def _f_of(tp, u):
-    return tp.f(u)
-
-
-def _write_csv(path, header, rows):
-    import csv as _csv
-
-    tmp = tempfile.NamedTemporaryFile(
-        "w", dir=os.path.dirname(os.path.abspath(path)) or ".",
-        delete=False, newline="",
-    )
-    try:
-        writer = _csv.writer(tmp)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{x:.17g}" for x in row])
-        tmp.close()
-        os.replace(tmp.name, path)
-    except BaseException:
-        tmp.close()
-        os.unlink(tmp.name)
-        raise
 
 
 @main.command("simulate")
@@ -522,7 +462,6 @@ def _write_csv(path, header, rows):
 @click.option("--k", type=int, default=1, show_default=True,
               help="grid modes: integer mode number of the cosine data")
 @click.option("--tol", type=float, default=1e-11, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--config", type=click.Path(exists=True), default=None)
 @click.option("--out", type=click.Path(), required=True)
 @click.pass_context
@@ -537,7 +476,8 @@ def simulate(ctx, **kwargs):
     if p["mode"] == "uniform":
         samples = pdesim.evolve_uniform(
             b, p["n"], f, p["u0_val"], p["u1_val"], p["t_end"], tol=p["tol"])
-        _write_csv(p["out"], ["t", "u"], samples)
+        rows = [[f"{t:.17g}", f"{u:.17g}"] for t, u in samples]
+        write_atomic(p["out"], csv_text([["t", "u"]] + rows))
         sys.exit(EXIT_OK)
 
     L, points = p["torus_length"], p["points"]

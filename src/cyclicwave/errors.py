@@ -10,12 +10,11 @@ class ParameterError(CyclicWaveError, ValueError):
 
 
 class IntegrationFailure(CyclicWaveError, RuntimeError):
-    """Adaptive stepping failed; carries the time (and optionally lambda)."""
+    """Adaptive stepping failed; carries the time."""
 
-    def __init__(self, message, t=None, lam=None):
+    def __init__(self, message, t=None):
         super().__init__(message)
         self.t = t
-        self.lam = lam
 
 
 class QuadratureError(CyclicWaveError, RuntimeError):

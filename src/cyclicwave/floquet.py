@@ -6,16 +6,14 @@ all grid points through one vectorized adaptive integration, which keeps the
 output deterministic regardless of how the work is scheduled.
 """
 
-import csv
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._rk import integrate
 from .errors import ExhaustedSearchError, IntegrationFailure, ParameterError
+from .output import csv_text, write_atomic
 
 _B21_MIN = 1e-6
 
@@ -162,21 +160,34 @@ def trace_curve(pot, lams, tol=1e-11):
     return y[:, 0] + y[:, 3]
 
 
-def scan_instability(pot, lambda_range, grid_points, tol=1e-11):
-    """Scan |trace(lambda)| > 2 over a uniform grid; refine interval edges.
-
-    Returns sorted disjoint InstabilityIntervals (possibly empty).  Edges are
-    located by bisection on |trace| - 2 to width (hi-lo)/grid_points * 1e-3.
-    """
+def scan_grid(lambda_range, grid_points):
+    """The uniform lambda grid of a scan; validates range and size first."""
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
     if not 0.0 < lo < hi:
         raise ParameterError(f"lambda range must satisfy 0 < lo < hi, got {lo}, {hi}")
     grid_points = int(grid_points)
     if grid_points < 100:
         raise ParameterError(f"grid_points must be >= 100, got {grid_points}")
+    return np.linspace(lo, hi, grid_points)
 
-    lams = np.linspace(lo, hi, grid_points)
-    traces = trace_curve(pot, lams, tol)
+
+def scan_instability(pot, lambda_range, grid_points, tol=1e-11):
+    """Scan |trace(lambda)| > 2 over a uniform grid; refine interval edges.
+
+    Returns sorted disjoint InstabilityIntervals (possibly empty).  Edges are
+    located by bisection on |trace| - 2 to width (hi-lo)/grid_points * 1e-3.
+    """
+    lams = scan_grid(lambda_range, grid_points)
+    return instability_intervals(pot, lams, trace_curve(pot, lams, tol), tol)
+
+
+def instability_intervals(pot, lams, traces, tol=1e-11):
+    """Intervals of a scan from its grid (scan_grid) and the traces on it.
+
+    Only the bisection probes at the interval edges are integrated here, so
+    a caller that also needs the grid traces evaluates the grid once.
+    """
+    lo, hi, grid_points = float(lams[0]), float(lams[-1]), lams.size
     excess = np.abs(traces) - 2.0
     mask = excess > 0.0
 
@@ -359,24 +370,13 @@ def propagate(m, pot, lam, t, data, tol=1e-11):
 
 def export_stability_chart(path, lams, traces, boundary_tol=1e-9):
     """Write the stability chart CSV: lambda,trace,abs_trace,class."""
-    tmp = tempfile.NamedTemporaryFile(
-        "w", dir=os.path.dirname(os.path.abspath(path)) or ".",
-        delete=False, newline="",
-    )
-    try:
-        writer = csv.writer(tmp)
-        writer.writerow(["lambda", "trace", "abs_trace", "class"])
-        for lam, tr in zip(lams, traces):
-            if abs(abs(tr) - 2.0) <= boundary_tol:
-                cls = "boundary"
-            elif abs(tr) > 2.0:
-                cls = "unstable"
-            else:
-                cls = "stable"
-            writer.writerow([f"{lam:.17g}", f"{tr:.17g}", f"{abs(tr):.17g}", cls])
-        tmp.close()
-        os.replace(tmp.name, path)
-    except BaseException:
-        tmp.close()
-        os.unlink(tmp.name)
-        raise
+    rows = [["lambda", "trace", "abs_trace", "class"]]
+    for lam, tr in zip(lams, traces):
+        if abs(abs(tr) - 2.0) <= boundary_tol:
+            cls = "boundary"
+        elif abs(tr) > 2.0:
+            cls = "unstable"
+        else:
+            cls = "stable"
+        rows.append([f"{lam:.17g}", f"{tr:.17g}", f"{abs(tr):.17g}", cls])
+    write_atomic(path, csv_text(rows))

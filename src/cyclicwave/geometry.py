@@ -5,10 +5,7 @@ A MetricChart supplies h(u) and its partial derivatives; everything else
 integration, 2-D conformal Gaussian curvature) is computed from those.
 """
 
-import csv
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -16,6 +13,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IntegrationFailure, ParameterError, SingularMetricError
+from .output import csv_text, write_atomic
 
 _FD_STEP = 1e-4
 _CHART_BOUND = 1e6
@@ -217,11 +215,6 @@ class DistinguishedLine:
     f_samples: list  # [(t, f(t)), ...]
     max_residual: float
 
-    def f_interp(self, t):
-        ts = np.array([s[0] for s in self.f_samples])
-        fs = np.array([s[1] for s in self.f_samples])
-        return np.interp(t, ts, fs)
-
 
 def check_self_coherence(M, a, t_range, samples=64):
     """Test whether the ray u = a*t is covered by geodesics.
@@ -355,20 +348,6 @@ def gaussian_curvature(M, u):
 
 def export_path_csv(path, geo, m):
     """CSV export: s,u1,...,um,du1,...,dum (17 significant digits)."""
-    tmp = tempfile.NamedTemporaryFile(
-        "w", dir=os.path.dirname(os.path.abspath(path)) or ".",
-        delete=False, newline="",
-    )
-    try:
-        writer = csv.writer(tmp)
-        writer.writerow(
-            ["s"] + [f"u{i+1}" for i in range(m)] + [f"du{i+1}" for i in range(m)]
-        )
-        for row in geo.csv_rows():
-            writer.writerow([f"{x:.17g}" for x in row])
-        tmp.close()
-        os.replace(tmp.name, path)
-    except BaseException:
-        tmp.close()
-        os.unlink(tmp.name)
-        raise
+    header = ["s"] + [f"u{i+1}" for i in range(m)] + [f"du{i+1}" for i in range(m)]
+    rows = [[f"{x:.17g}" for x in row] for row in geo.csv_rows()]
+    write_atomic(path, csv_text([header] + rows))

@@ -6,17 +6,15 @@ field G(u) and stops when it approaches a finite endpoint (the proof-side
 blow-up mechanism), not when u itself looks large.
 """
 
-import csv
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ParameterError
+from .output import csv_text, write_atomic
 
 _U_CAP = 1e8
 _ENDPOINT_FRACTION = 1e-3
@@ -99,44 +97,73 @@ def _origin_index(grid):
     return (grid.points // 2,) * grid.n
 
 
+def _laplacian(k2, a):
+    return np.fft.ifftn(-k2 * np.fft.fftn(a)).real
+
+
+def _gradient(ks, a):
+    """Spectral gradient components of a; ks is grid.wavenumbers()."""
+    ah = np.fft.fftn(a)
+    out = []
+    for ax, k in enumerate(ks):
+        s = [1] * len(ks)
+        s[ax] = k.size
+        out.append(np.fft.ifftn(1j * k.reshape(s) * ah).real)
+    return out
+
+
+def _march(rhs, grid, u, ut, n_snapshots, stop=None, check_every=1):
+    """Classical RK4 on (u, u_t) from t = 0 to grid.t_end in steps of grid.dt.
+
+    rhs(t, u, u_t) returns (u_t, u_tt).  About n_snapshots evenly spaced
+    snapshots of u are kept, plus the final state while it is finite.  When
+    given, stop(u) is checked every check_every steps and on the last step,
+    and ends the run when true.  Returns (t, u, u_t, snapshots, u at the
+    origin per snapshot, stopped).
+    """
+    nsteps = int(round(grid.t_end / grid.dt))
+    snap_every = max(1, nsteps // n_snapshots)
+    origin = _origin_index(grid)
+    snapshots = [(0.0, u.copy())]
+    at_origin = [(0.0, float(u[origin]))]
+    stopped = False
+    dt = grid.dt
+    t = 0.0
+    for step in range(nsteps):
+        k1u, k1t = rhs(t, u, ut)
+        k2u, k2t = rhs(t + dt / 2, u + dt / 2 * k1u, ut + dt / 2 * k1t)
+        k3u, k3t = rhs(t + dt / 2, u + dt / 2 * k2u, ut + dt / 2 * k2t)
+        k4u, k4t = rhs(t + dt, u + dt * k3u, ut + dt * k3t)
+        u = u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
+        ut = ut + dt / 6 * (k1t + 2 * k2t + 2 * k3t + k4t)
+        t = (step + 1) * dt
+        if (step + 1) % snap_every == 0:
+            snapshots.append((t, u.copy()))
+            at_origin.append((t, float(u[origin])))
+        checked = (step + 1) % check_every == 0 or step == nsteps - 1
+        if stop is not None and checked and stop(u):
+            stopped = True
+            break
+    if snapshots[-1][0] < t and np.all(np.isfinite(u)):
+        snapshots.append((t, u.copy()))
+        at_origin.append((t, float(u[origin])))
+    return t, u, ut, snapshots, at_origin, stopped
+
+
 def evolve_linear(b, n_coeff, grid, v0, v1, n_snapshots=64):
     """Evolve v_tt - n (b'/b) v_t - b^2 Lap v = 0 on the torus."""
     grid.check_cfl(b)
     k2 = grid.k_squared()
-    v = np.array(v0, dtype=float)
-    vt = np.array(v1, dtype=float)
-    nsteps = int(round(grid.t_end / grid.dt))
-    snap_every = max(1, nsteps // n_snapshots)
-    origin = _origin_index(grid)
 
-    def lap(a):
-        return np.fft.ifftn(-k2 * np.fft.fftn(a)).real
+    def rhs(tt, vv, vvt):
+        bt = b.eval(tt)
+        return vvt, n_coeff * b.d1(tt) / bt * vvt + bt**2 * _laplacian(k2, vv)
 
-    def rate(t):
-        return n_coeff * b.d1(t) / b.eval(t)
-
-    snapshots = [(0.0, v.copy())]
-    diag_origin = [(0.0, float(v[origin]))]
-    dt = grid.dt
-    t = 0.0
-    for step in range(nsteps):
-        # RK4 on (v, vt)
-        def f(tt, vv, vvt):
-            return vvt, rate(tt) * vvt + b.eval(tt) ** 2 * lap(vv)
-
-        k1v, k1t = f(t, v, vt)
-        k2v, k2t = f(t + dt / 2, v + dt / 2 * k1v, vt + dt / 2 * k1t)
-        k3v, k3t = f(t + dt / 2, v + dt / 2 * k2v, vt + dt / 2 * k2t)
-        k4v, k4t = f(t + dt, v + dt * k3v, vt + dt * k3t)
-        v = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        vt = vt + dt / 6 * (k1t + 2 * k2t + 2 * k3t + k4t)
-        t = (step + 1) * dt
-        if (step + 1) % snap_every == 0 or step == nsteps - 1:
-            snapshots.append((t, v.copy()))
-            diag_origin.append((t, float(v[origin])))
+    t, v, vt, snapshots, at_origin, _ = _march(
+        rhs, grid, np.array(v0, dtype=float), np.array(v1, dtype=float), n_snapshots)
     diagnostics = {
         "max_abs": float(np.max(np.abs(v))),
-        "v_at_origin": diag_origin,
+        "v_at_origin": at_origin,
         "energy_like": float(np.mean(vt**2) + b.eval(t) ** 2 * _grad_energy(grid, v)),
     }
     return SimResult(snapshots=snapshots, diagnostics=diagnostics,
@@ -144,13 +171,7 @@ def evolve_linear(b, n_coeff, grid, v0, v1, n_snapshots=64):
 
 
 def _grad_energy(grid, a):
-    ah = np.fft.fftn(a)
-    total = 0.0
-    for ax, k in enumerate(grid.wavenumbers()):
-        s = [1] * grid.n
-        s[ax] = grid.points
-        total += float(np.mean(np.abs(np.fft.ifftn(1j * k.reshape(s) * ah)) ** 2))
-    return total
+    return sum(float(np.mean(g**2)) for g in _gradient(grid.wavenumbers(), a))
 
 
 def _dealias_mask(grid):
@@ -176,11 +197,6 @@ def evolve_nonlinear(b, n_coeff, f, grid, u0, u1, v_guard, n_snapshots=64,
     k2 = grid.k_squared()
     mask = _dealias_mask(grid)
     ks = grid.wavenumbers()
-    u = np.array(u0, dtype=float)
-    ut = np.array(u1, dtype=float)
-    nsteps = int(round(grid.t_end / grid.dt))
-    snap_every = max(1, nsteps // n_snapshots)
-    origin = _origin_index(grid)
 
     ep = v_guard.endpoints()
     target = ep.b if ep.b_finite else (ep.a if ep.a_finite else None)
@@ -193,64 +209,35 @@ def evolve_nonlinear(b, n_coeff, f, grid, u0, u1, v_guard, n_snapshots=64,
         else:
             u_lo = float(v_guard.H(target + _ENDPOINT_FRACTION * abs(target)))
 
-    def lap(a):
-        return np.fft.ifftn(-k2 * np.fft.fftn(a)).real
-
-    def grads(a):
-        ah = np.fft.fftn(a)
-        out = []
-        for ax, k in enumerate(ks):
-            s = [1] * grid.n
-            s[ax] = grid.points
-            out.append(np.fft.ifftn(1j * k.reshape(s) * ah).real)
-        return out
-
     def rhs(tt, uu, uut):
         bt = b.eval(tt)
-        grad2 = sum(g * g for g in grads(uu))
+        grad2 = sum(g * g for g in _gradient(ks, uu))
         nl = f(uu) * (uut**2 - bt**2 * grad2)
         nl = np.fft.ifftn(mask * np.fft.fftn(nl)).real
-        acc = n_coeff * b.d1(tt) / bt * uut + bt**2 * lap(uu) - nl
+        acc = n_coeff * b.d1(tt) / bt * uut + bt**2 * _laplacian(k2, uu) - nl
         return uut, acc
 
-    snapshots = [(0.0, u.copy())]
-    diag_origin = [(0.0, float(u[origin]))]
-    termination = "completed"
-    dt = grid.dt
-    t = 0.0
-    for step in range(nsteps):
-        k1u, k1t = rhs(t, u, ut)
-        k2u, k2t = rhs(t + dt / 2, u + dt / 2 * k1u, ut + dt / 2 * k1t)
-        k3u, k3t = rhs(t + dt / 2, u + dt / 2 * k2u, ut + dt / 2 * k2t)
-        k4u, k4t = rhs(t + dt, u + dt * k3u, ut + dt * k3t)
-        u = u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        ut = ut + dt / 6 * (k1t + 2 * k2t + 2 * k3t + k4t)
-        t = (step + 1) * dt
-        if (step + 1) % snap_every == 0:
-            snapshots.append((t, u.copy()))
-            diag_origin.append((t, float(u[origin])))
-        if (step + 1) % check_every == 0 or step == nsteps - 1:
-            umax = float(np.max(u))
-            umin = float(np.min(u))
-            if (
-                not (math.isfinite(umax) and math.isfinite(umin))
-                or max(abs(umax), abs(umin)) > _U_CAP
-                or (u_hi is not None and umax >= u_hi)
-                or (u_lo is not None and umin <= u_lo)
-            ):
-                termination = "blowup_detected"
-                break
-    if snapshots[-1][0] < t and np.all(np.isfinite(u)):
-        snapshots.append((t, u.copy()))
-        diag_origin.append((t, float(u[origin])))
+    def blown_up(uu):
+        umax = float(np.max(uu))
+        umin = float(np.min(uu))
+        return (
+            not (math.isfinite(umax) and math.isfinite(umin))
+            or max(abs(umax), abs(umin)) > _U_CAP
+            or (u_hi is not None and umax >= u_hi)
+            or (u_lo is not None and umin <= u_lo)
+        )
+
+    t, u, _, snapshots, at_origin, stopped = _march(
+        rhs, grid, np.array(u0, dtype=float), np.array(u1, dtype=float),
+        n_snapshots, stop=blown_up, check_every=check_every)
     finite = u[np.isfinite(u)]
     diagnostics = {
         "max_abs": float(np.max(np.abs(finite))) if finite.size else math.inf,
-        "u_at_origin": diag_origin,
+        "u_at_origin": at_origin,
         "t_final": t,
     }
     return SimResult(snapshots=snapshots, diagnostics=diagnostics,
-                     termination=termination)
+                     termination="blowup_detected" if stopped else "completed")
 
 
 def evolve_uniform(b, n_coeff, f, u0, u1, t_end, tol=1e-11, n_samples=400):
@@ -283,32 +270,9 @@ def export_snapshot_csv(path, grid, snapshot):
     if grid.n != 1:
         raise ParameterError("snapshot CSV export is 1-D only")
     t, u = snapshot
-    tmp = tempfile.NamedTemporaryFile(
-        "w", dir=os.path.dirname(os.path.abspath(path)) or ".",
-        delete=False, newline="",
-    )
-    try:
-        writer = csv.writer(tmp)
-        writer.writerow(["x", "u"])
-        for x, val in zip(grid.axis(), u):
-            writer.writerow([f"{x:.17g}", f"{val:.17g}"])
-        tmp.close()
-        os.replace(tmp.name, path)
-    except BaseException:
-        tmp.close()
-        os.unlink(tmp.name)
-        raise
+    rows = [[f"{x:.17g}", f"{val:.17g}"] for x, val in zip(grid.axis(), u)]
+    write_atomic(path, csv_text([["x", "u"]] + rows))
 
 
 def export_manifest(path, result, grid):
-    tmp = tempfile.NamedTemporaryFile(
-        "w", dir=os.path.dirname(os.path.abspath(path)) or ".", delete=False
-    )
-    try:
-        json.dump(result.manifest(grid), tmp, indent=2)
-        tmp.close()
-        os.replace(tmp.name, path)
-    except BaseException:
-        tmp.close()
-        os.unlink(tmp.name)
-        raise
+    write_atomic(path, json.dumps(result.manifest(grid), indent=2))

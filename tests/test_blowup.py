@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 from cyclicwave import blowup, coeffs, floquet, transform
-from cyclicwave.errors import (NotApplicableError, ParameterError,
-                               ResolutionError)
+from cyclicwave.errors import (ExhaustedSearchError, NotApplicableError,
+                               ParameterError, ResolutionError)
 from cyclicwave.pdesim import GridSpec
 
 from conftest import LAM_WITNESS
@@ -257,3 +257,10 @@ def test_certificate_json(pot3, tp1, tmp_path):
         assert key in data
     assert data["M"] == 35
     assert data["delta"] == 1e-3
+
+
+def test_certify_reports_trajectory_that_never_crosses(pot3, tp1, monkeypatch):
+    monkeypatch.setattr(blowup, "_origin_value", lambda *args: 0.0)
+    with pytest.raises(ExhaustedSearchError) as info:
+        blowup.certify_blowup(tp1, pot3, (5.0, 17.0), 1e-3)
+    assert info.value.best == (35, 0.0)

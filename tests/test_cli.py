@@ -6,14 +6,19 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 CLI = [sys.executable, "-m", "cyclicwave.cli"]
+# the subprocess runs in tmp_path, where a relative PYTHONPATH=src would
+# no longer find the package
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(args, cwd, env_extra=None):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(CLI + args, cwd=cwd, env=env,
@@ -38,6 +43,19 @@ def test_stability_chart_outputs(tmp_path):
     assert iv["lambda_lo"] == pytest.approx(5.917536903266331, rel=1e-8)
     assert iv["lambda_hi"] == pytest.approx(16.14912452889447, rel=1e-8)
     assert iv["max_abs_trace"] > 2.001
+
+
+def test_chart_csv_and_sidecar_share_one_sweep(tmp_path):
+    r = run(["stability-chart", "--epsilon", "0.5", "--n", "3",
+             "--lambda-min", "5", "--lambda-max", "17", "--grid", "600",
+             "--out", "chart.csv"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    rows = {float(lam): float(atr) for lam, _, atr, _ in
+            list(csv.reader((tmp_path / "chart.csv").open()))[1:]}
+    side = json.loads((tmp_path / "chart.json").read_text())
+    assert side["intervals"]
+    for iv in side["intervals"]:
+        assert rows[iv["witness_lambda"]] == iv["max_abs_trace"]
 
 
 def test_determinism_across_threads(tmp_path):
@@ -115,6 +133,16 @@ def test_noc_verdicts(tmp_path):
     assert json.loads(r.stdout.strip())["holds"] == "no"
     r = run(["noc", "--f", "nosuch:alpha=1"], tmp_path)
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("spec", ["example1", "example2", "example3",
+                                  "example4"])
+def test_noc_missing_f_parameter_exit_2(tmp_path, spec):
+    r = run(["noc", "--f", spec], tmp_path)
+    assert r.returncode == 2
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ParameterError"
 
 
 def test_blowup_demo_full_run(tmp_path):
