@@ -165,16 +165,53 @@ def sobolev_smallness(u0, u1, s, grid):
     return _torus_sobolev(u0(pts), grid, s + 1.0) + _torus_sobolev(u1(pts), grid, s)
 
 
-def _radial_hat(gfun, R, rho, n_r=4096):
-    """n=3 radial Fourier transform: g_hat(rho)=4 pi Int g(r) r^2 j0(rho r) dr."""
-    r = np.linspace(0.0, R, n_r)
-    g = gfun(r)
-    # j0(x) = sinc(x/pi) handles rho -> 0 smoothly
-    kern = np.sinc(np.outer(rho, r) / np.pi)
-    integ = kern * (g * r * r)
+def _simpson_weights(x):
+    """Weights w with w @ y == scipy's simpson(y, x=x) for every sample y.
+
+    The rule couples samples only within one two-interval panel (plus, for
+    an even count, the last three points through its end correction), so
+    each weight is simpson itself applied to a unit sample on a window that
+    holds every panel touching that point: five points, or the last four.
+    """
     from scipy.integrate import simpson
 
-    return 4.0 * np.pi * simpson(integ, x=r, axis=-1)
+    n = x.size
+    body = n - 3 if n % 2 == 0 else n
+    j = np.arange(body)
+    start = np.clip(j - 2 + j % 2, 0, n - 5)  # the panel(s) holding j
+    idx = start[:, None] + np.arange(5)
+    w = simpson((idx == j[:, None]).astype(float), x=x[idx], axis=-1)
+    if body == n:
+        return w
+    tail = simpson(np.eye(4)[1:], x=np.tile(x[-4:], (3, 1)), axis=-1)
+    return np.concatenate([w, tail])
+
+
+def _radial_profiles(gfuns, R, n_r):
+    """The r grid on [0, R] and the columns 4 pi g(r) r^2 w(r), w the
+    Simpson weights, one column per radial profile g."""
+    r = np.linspace(0.0, R, n_r)
+    weight = 4.0 * np.pi * r * r * _simpson_weights(r)
+    return r, np.stack([g(r) * weight for g in gfuns], axis=1)
+
+
+def _radial_hat(r, cols, rho, block=256):
+    """n=3 radial Fourier transforms g_hat(rho) = 4 pi Int g(r) r^2 j0(rho r) dr.
+
+    `r, cols` come from _radial_profiles.  The kernel j0(rho r) = sin(x)/x
+    (1 at x = 0) is built once for all profiles, `block` rho rows at a time,
+    so memory stays near block * len(r) floats whatever len(rho) is.
+    Returns shape (len(rho), number of profiles).
+    """
+    out = np.empty((rho.size, cols.shape[1]))
+    for i in range(0, rho.size, block):
+        x = np.outer(rho[i : i + block], r)
+        zero = x == 0.0
+        kern = np.sin(x)
+        np.divide(kern, x, out=kern, where=~zero)
+        kern[zero] = 1.0
+        out[i : i + block] = kern @ cols
+    return out
 
 
 def _sphere_mean_weight(s, a, bcoef):
@@ -201,19 +238,28 @@ def radial_pair_norm(g0, g1, lam, s, R, n_rho=2048, n_r=4096):
     (1 + |xi|^2)^s over spheres (the shift by +-y enters through the
     sphere-mean weight); the hat-g1(|xi-y|) hat-g1(|xi+y|) cross term is
     bounded by max|hat g1| times the same quadrature and added.
+
+    Both transforms come from one kernel per rho grid (_radial_hat).  The
+    rho range doubles until the tail of hat g0 falls below 1e-10 of its
+    maximum; ResolutionError if ten doublings do not get there.
     """
     from scipy.integrate import simpson
 
+    r, cols = _radial_profiles((g0, g1), R, n_r)
     # hat g decays on the scale 2 pi / R; extend until the tail is negligible
     rho_max = 64.0 * 2.0 * np.pi / R
     for _ in range(10):
         rho = np.linspace(1e-9, rho_max, n_rho)
-        h0 = _radial_hat(g0, R, rho, n_r)
+        h0, h1 = _radial_hat(r, cols, rho).T
         tail = np.max(np.abs(h0[-n_rho // 16 :]))
         if tail < 1e-10 * np.max(np.abs(h0)):
             break
         rho_max *= 2.0
-    h1 = _radial_hat(g1, R, rho, n_r)
+    else:
+        raise ResolutionError(
+            f"radial transform unresolved after ten doublings of the rho "
+            f"range: tail {tail:.3g} against peak {np.max(np.abs(h0)):.3g}"
+        )
 
     inv_cube = (2.0 * np.pi) ** -3
     # ||u0||_{s+1}^2 = (2pi)^-3 * 4 pi Int (1+rho^2)^{s+1} h0^2 rho^2 d rho
@@ -233,7 +279,7 @@ def radial_pair_norm(g0, g1, lam, s, R, n_rho=2048, n_r=4096):
     if lam > 0:
         wid = 2.0 * np.pi / R
         rho_b = np.linspace(math.sqrt(lam), math.sqrt(lam) + 32.0 * wid, 512)
-        h_far = _radial_hat(g1, R, rho_b, n_r)
+        h_far = _radial_hat(r, cols[:, 1:], rho_b)
         far_sup = 1.5 * float(np.max(np.abs(h_far)))
     else:
         far_sup = float(np.max(np.abs(h1)))
@@ -281,7 +327,7 @@ def exact_local_solution(plan, tp, b, pair):
     v(t,x) = G(M^-S) + A M^-S W(t) (b(t)/b(0))^{n/2} cos(x.y), valid for
     0 <= t <= M and |x| <= M^{3/2} (so the cutoff edge cannot interfere).
     `pair` is the FundamentalPair that fixes the potential, lambda and
-    tolerance; W(t) itself is evaluated through the monodromy propagator.
+    tolerance; W(t) itself is evaluated through one floquet.Propagator.
     Returns a callable raising ParameterError outside the valid region.
     """
     pot, tol = pair.pot, pair.tol
@@ -290,7 +336,8 @@ def exact_local_solution(plan, tp, b, pair):
     g0 = float(tp.G(np.array([amp]))[0])
     y = np.asarray(plan.y)
     b0 = b.eval(0.0)
-    m = floquet.monodromy(pot, plan.lam, tol=tol)
+    prop = floquet.Propagator(floquet.monodromy(pot, plan.lam, tol=tol), pot,
+                              plan.lam, tol=tol)
 
     def v(t, x):
         x = np.asarray(x, dtype=float)
@@ -299,7 +346,7 @@ def exact_local_solution(plan, tp, b, pair):
         r = np.sqrt(np.sum(x * x, axis=-1))
         if np.any(r > plan.cone_radius * (1.0 + 1e-12)):
             raise ParameterError("point outside the certified influence region")
-        w, _ = floquet.propagate(m, pot, plan.lam, t, (0.0, 1.0), tol=tol)
+        w, _ = prop(t, (0.0, 1.0))
         scale = (b.eval(t) / b0) ** (n / 2.0)
         phase = np.cos(np.tensordot(x, y, axes=([-1], [0])))
         return g0 + plan.A * amp * w * scale * phase
@@ -342,8 +389,10 @@ class BlowupCertificate:
         )
 
 
-def _origin_value(m, pot, plan, g0, b0, t, tol):
-    w, _ = floquet.propagate(m, pot, plan.lam, t, (0.0, 1.0), tol=tol)
+def _origin_value(prop, plan, g0, b0, t):
+    """v(t, 0) of the exact local solution, W(t) from the Propagator prop."""
+    w, _ = prop(t, (0.0, 1.0))
+    pot = prop.pot
     scale = (pot.b.eval(t) / b0) ** (pot.n / 2.0)
     return float(g0 + plan.A * plan.amplitude * w * scale)
 
@@ -430,7 +479,9 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, s=3.0, M_max=256,
                 "growth check failed at the smallness onset", best=(plan.M, small)
             )
 
-    # trajectory at integer and half-integer times, then first crossing
+    # trajectory at integer and half-integer times, then first crossing;
+    # one Propagator serves both, so X(1/2, 0) is integrated once
+    prop = floquet.Propagator(m, pot, lam, tol=tol)
     margin = abs(target) * 1e-9
     crossed = (lambda v: v >= target - margin) if direction > 0 else (
         lambda v: v <= target + margin
@@ -439,7 +490,7 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, s=3.0, M_max=256,
     hit = None
     for k in range(2 * plan.M + 1):
         t = k / 2.0
-        v = _origin_value(m, pot, plan, g0, b0, t, tol)
+        v = _origin_value(prop, plan, g0, b0, t)
         trajectory.append((t, v))
         if hit is None and crossed(v):
             hit = t
@@ -452,7 +503,7 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, s=3.0, M_max=256,
     hi = hit
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if crossed(_origin_value(m, pot, plan, g0, b0, mid, tol)):
+        if crossed(_origin_value(prop, plan, g0, b0, mid)):
             hi = mid
         else:
             lo = mid

@@ -83,23 +83,23 @@ class FundamentalPair:
         self.lam = lam
         self.tol = tol
 
-    def _state(self, t):
-        y0 = np.array([[1.0, 0.0, 0.0, 1.0]])  # columns (W_t, W), (V_t, V)
-        y = _integrate_system(self.pot, np.array([self.lam]), 0.0, t, y0, self.tol)[0]
-        # y = [X11, X12, X21, X22] with X(t,0) acting on (w_t, w)
-        return y
+    def matrix(self, t):
+        """X(t, 0) acting on (w_t, w): columns (W_t, W) and (V_t, V)."""
+        y0 = np.array([[1.0, 0.0, 0.0, 1.0]])
+        y = _integrate_system(self.pot, np.array([self.lam]), 0.0, t, y0, self.tol)
+        return y[0].reshape(2, 2)
 
     def W(self, t):
-        return self._state(t)[2]
+        return self.matrix(t)[1, 0]
 
     def V(self, t):
-        return self._state(t)[3]
+        return self.matrix(t)[1, 1]
 
     def W_t(self, t):
-        return self._state(t)[0]
+        return self.matrix(t)[0, 0]
 
     def V_t(self, t):
-        return self._state(t)[1]
+        return self.matrix(t)[0, 1]
 
 
 def _integrate_system(pot, lams, t0, t1, y0, tol):
@@ -232,38 +232,50 @@ def instability_intervals(pot, lams, traces, tol=1e-11):
     return sorted(intervals, key=lambda iv: iv.lambda_lo)
 
 
+def _candidates(iv, pot, tol):
+    """(lambda, monodromy) candidates inside one interval, made lazily.
+
+    The scan's witness comes first; after it, each golden-section probe of
+    |trace| is yielded as soon as it is integrated.  The two opening probes
+    only seed the section and are not candidates themselves.
+    """
+    yield iv.witness_lambda, monodromy(pot, iv.witness_lambda, tol)
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    margin = 0.02 * (iv.lambda_hi - iv.lambda_lo)
+    a, b = iv.lambda_lo + margin, iv.lambda_hi - margin
+    x1 = b - phi * (b - a)
+    x2 = a + phi * (b - a)
+    f1 = abs(monodromy(pot, x1, tol).trace)
+    f2 = abs(monodromy(pot, x2, tol).trace)
+    for _ in range(40):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + phi * (b - a)
+            m = monodromy(pot, x2, tol)
+            f2 = abs(m.trace)
+            yield x2, m
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - phi * (b - a)
+            m = monodromy(pot, x1, tol)
+            f1 = abs(m.trace)
+            yield x1, m
+
+
 def find_good_lambda(intervals, pot, tol=1e-11):
     """A lambda interior to an instability interval with usable monodromy.
 
     Requires |b21| > 1e-6 and |b22 - 1/mu| > 1e-6 (mu the signed expanding
-    multiplier).  Uses golden-section sampling of |trace| inside each
-    interval, collecting every probe as a candidate.
+    multiplier).  Per interval the candidates are the scan's witness, then
+    the golden-section probes of |trace|; each is integrated only once every
+    earlier candidate has been rejected, and its monodromy is the one
+    returned.
     """
     if not intervals:
         raise ParameterError("no instability intervals to search")
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
     best_b21 = 0.0
     for iv in intervals:
-        margin = 0.02 * (iv.lambda_hi - iv.lambda_lo)
-        a, b = iv.lambda_lo + margin, iv.lambda_hi - margin
-        candidates = [iv.witness_lambda]
-        x1 = b - phi * (b - a)
-        x2 = a + phi * (b - a)
-        f1 = abs(monodromy(pot, x1, tol).trace)
-        f2 = abs(monodromy(pot, x2, tol).trace)
-        for _ in range(40):
-            if f1 < f2:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + phi * (b - a)
-                f2 = abs(monodromy(pot, x2, tol).trace)
-                candidates.append(x2)
-            else:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - phi * (b - a)
-                f1 = abs(monodromy(pot, x1, tol).trace)
-                candidates.append(x1)
-        for lam in candidates:
-            m = monodromy(pot, lam, tol)
+        for lam, m in _candidates(iv, pot, tol):
             mult = classify(m)
             if mult.kind != "unstable":
                 continue
@@ -338,34 +350,57 @@ def printed_v_variant(m, M):
     )
 
 
+class Propagator:
+    """Solutions of the Hill system at one lambda from any data at t = 0.
+
+    x(t) = X(frac, 0) X(1, 0)^k x0 with t = k + frac: the integer periods
+    are a power of the monodromy m, and each distinct fractional map
+    X(frac, 0) is integrated once, from identity data, and kept on the
+    instance, so evaluations at the same phase of the period cost only the
+    matrix products.
+    """
+
+    def __init__(self, m, pot, lam, tol=1e-11):
+        self.m = m
+        self.pot = pot
+        self._pair = FundamentalPair(pot, lam, tol)
+        self._frac_maps = {}
+
+    def __call__(self, t, data):
+        """Solution (w, w_t) at time t >= 0 from data (w0, w0_t)."""
+        t = float(t)
+        if t < 0:
+            raise ParameterError(f"propagate requires t >= 0, got {t}")
+        w0, w0_t = data
+        x = np.array([w0_t, w0], dtype=float)
+        k = int(math.floor(t + 1e-13))
+        frac = t - k
+        if frac < 1e-13:
+            frac = 0.0
+        if k > 0:
+            m = self.m
+            mult = classify(m, boundary_tol=0.0) if abs(m.trace) > 2 else None
+            if mult is not None and k * math.log(mult.mu0) > 700.0:
+                raise OverflowError(
+                    f"monodromy power overflows at t={t} (use multi_period_values "
+                    "for mantissa/exponent form)"
+                )
+            x = np.linalg.matrix_power(m.matrix, k) @ x
+        if frac > 0.0:
+            X = self._frac_maps.get(frac)
+            if X is None:
+                X = self._frac_maps[frac] = self._pair.matrix(frac)
+            x = X @ x
+        return float(x[1]), float(x[0])
+
+
 def propagate(m, pot, lam, t, data, tol=1e-11):
     """Solution (w, w_t) at time t >= 0 from data (w0, w0_t) at t = 0.
 
-    Integer periods use the monodromy power (by repeated squaring); the
-    fractional remainder is integrated directly.
+    One evaluation of a fresh Propagator; callers that evaluate many times
+    at one lambda should keep a Propagator instead.
     """
-    t = float(t)
-    if t < 0:
-        raise ParameterError(f"propagate requires t >= 0, got {t}")
-    w0, w0_t = data
-    x = np.array([w0_t, w0], dtype=float)
-    k = int(math.floor(t + 1e-13))
-    frac = t - k
-    if frac < 1e-13:
-        frac = 0.0
-    if k > 0:
-        mult = classify(m, boundary_tol=0.0) if abs(m.trace) > 2 else None
-        if mult is not None and k * math.log(mult.mu0) > 700.0:
-            raise OverflowError(
-                f"monodromy power overflows at t={t} (use multi_period_values "
-                "for mantissa/exponent form)"
-            )
-        x = np.linalg.matrix_power(m.matrix, k) @ x
-    if frac > 0.0:
-        y0 = np.array([[x[0], 0.0, x[1], 0.0]])
-        y = _integrate_system(pot, np.array([lam]), 0.0, frac, y0, tol)[0]
-        x = np.array([y[0], y[2]])
-    return float(x[1]), float(x[0])
+    return Propagator(m, pot, lam, tol)(t, data)
 
 
 def export_stability_chart(path, lams, traces, boundary_tol=1e-9):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad, quad
+from scipy.integrate import dblquad, quad, simpson
 
 from cyclicwave import blowup, coeffs, floquet, transform
 from cyclicwave.errors import (ExhaustedSearchError, NotApplicableError,
@@ -138,6 +138,67 @@ def test_radial_vs_fft_cross_check(tp1):
         fft = blowup.sobolev_smallness(u0, u1, 0.0, grid)
         assert rad >= fft * (1.0 - 1e-9)
         assert rad <= fft * max_ratio
+
+
+def test_simpson_weights_are_scipys_rule():
+    """The weight vector reproduces simpson on every unit sample, exactly,
+    for odd and even sample counts (the even one has an end correction)."""
+    for n in (6, 7, 512, 513):
+        x = np.linspace(0.0, 37.0, n)
+        assert np.array_equal(blowup._simpson_weights(x),
+                              simpson(np.eye(n), x=x, axis=-1))
+
+
+def test_radial_hat_matches_outer_product_formula(tp1):
+    """The blocked kernel against the one-shot formula it replaced:
+    4 pi simpson(sinc(rho r / pi) g r^2, r), for a Gaussian and for the
+    plan profiles, on full and ragged row blocks."""
+    plan = blowup.default_plan(3, LAM_WITNESS, 6.5, 2)
+    amp, msq = plan.amplitude, float(plan.M) ** 2
+
+    def g_plan0(r):
+        return amp * blowup.chi_radial(r / msq)
+
+    def g_plan1(r):
+        return plan.A * g_plan0(r) * np.exp(-tp1.Phi(g_plan0(r)))
+
+    def gauss(r):
+        return np.exp(-r * r / 2.0)
+
+    for profiles, R in (((gauss,), 14.0),
+                        ((g_plan0, g_plan1), plan.support_radius)):
+        rho = np.linspace(1e-9, 64.0 * 2.0 * np.pi / R, 256)
+        r, cols = blowup._radial_profiles(profiles, R, 512)
+        for block in (256, 96):
+            got = blowup._radial_hat(r, cols, rho, block=block)
+            for col, g in zip(got.T, profiles):
+                kern = np.sinc(np.outer(rho, r) / np.pi)
+                want = 4.0 * np.pi * simpson(kern * (g(r) * r * r), x=r, axis=-1)
+                # tail values are cancellation-limited, so the scale is the peak
+                assert np.max(np.abs(col - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_radial_smallness_memory_is_blocked(tp1):
+    import tracemalloc
+
+    plan = blowup.default_plan(3, LAM_WITNESS, 6.5, 100)
+    tracemalloc.start()
+    try:
+        blowup.radial_smallness(plan, tp1, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+
+
+def test_radial_pair_norm_unresolved_spectrum_raises():
+    """An indicator profile's transform decays only like 1/rho^2, so ten
+    doublings of the rho range never reach the 1e-10 tail."""
+    def g(r):
+        return (r < 5.0).astype(float)
+
+    with pytest.raises(ResolutionError):
+        blowup.radial_pair_norm(g, g, LAM_WITNESS, 3.0, 10.0)
 
 
 def test_n1_smallness_regression(tp1):

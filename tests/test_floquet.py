@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from cyclicwave import coeffs, floquet
@@ -80,6 +82,73 @@ def test_find_good_lambda(pot3):
     assert abs(m.b21) > 1e-6
 
 
+def _count_monodromies(monkeypatch):
+    lams = []
+    real = floquet.monodromy
+
+    def counted(pot, lam, tol=1e-11):
+        lams.append(lam)
+        return real(pot, lam, tol)
+
+    monkeypatch.setattr(floquet, "monodromy", counted)
+    return lams
+
+
+def test_find_good_lambda_is_lazy(pot3, monkeypatch):
+    ivals = floquet.scan_instability(pot3, (5.0, 17.0), 400)
+    calls = _count_monodromies(monkeypatch)
+    lam, m = floquet.find_good_lambda(ivals, pot3)
+    assert lam == LAM_WITNESS
+    assert calls == [LAM_WITNESS]
+    assert m.lam == LAM_WITNESS
+
+
+def _golden_probes(iv, pot, count):
+    """The first `count` golden-section probes of |trace| in iv, the two
+    opening points excluded."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    margin = 0.02 * (iv.lambda_hi - iv.lambda_lo)
+    a, b = iv.lambda_lo + margin, iv.lambda_hi - margin
+    x1, x2 = b - phi * (b - a), a + phi * (b - a)
+    f1 = abs(floquet.monodromy(pot, x1).trace)
+    f2 = abs(floquet.monodromy(pot, x2).trace)
+    probes = []
+    while len(probes) < count:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + phi * (b - a)
+            f2 = abs(floquet.monodromy(pot, x2).trace)
+            probes.append(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - phi * (b - a)
+            f1 = abs(floquet.monodromy(pot, x1).trace)
+            probes.append(x1)
+    return probes
+
+
+def test_find_good_lambda_probes_in_golden_section_order(pot3, monkeypatch):
+    ivals = floquet.scan_instability(pot3, (5.0, 17.0), 400)
+    probes = _golden_probes(ivals[0], pot3, 3)
+    rejected = 3  # the witness and the first two probes
+    seen = []
+    real = floquet.classify
+
+    def rejecting(m, boundary_tol=1e-9):
+        seen.append(m.lam)
+        if len(seen) <= rejected:
+            return floquet.MultiplierPair(kind="stable")
+        return real(m, boundary_tol)
+
+    monkeypatch.setattr(floquet, "classify", rejecting)
+    calls = _count_monodromies(monkeypatch)
+    lam, m = floquet.find_good_lambda(ivals, pot3)
+    assert seen == [ivals[0].witness_lambda] + probes
+    assert lam == probes[-1] and m.lam == lam
+    # the witness, the two opening points and three probes; nothing more
+    assert len(calls) == 6
+
+
 def test_classify_kinds(pot3):
     stable = floquet.classify(floquet.monodromy(pot3, 3.0))
     unstable = floquet.classify(floquet.monodromy(pot3, LAM_WITNESS))
@@ -144,6 +213,32 @@ def test_propagate_linearity(pot3, mono_witness):
                            (a + 2 * c, b + 2 * d))
     assert w3[0] == pytest.approx(w1[0] + 2 * w2[0], rel=1e-9, abs=1e-12)
     assert w3[1] == pytest.approx(w1[1] + 2 * w2[1], rel=1e-9, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def shared_propagator(pot3, mono_witness):
+    return floquet.Propagator(mono_witness, pot3, LAM_WITNESS, tol=1e-12)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(t=st.floats(0.0, 12.0),
+       data=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_propagator_property(pot3, mono_witness, shared_propagator, t, data):
+    """X(frac,0) X(1,0)^k x0 against direct integration from t = 0, and a
+    Propagator that has already cached fractional maps against a fresh one."""
+    w0, w0_t = data
+    X = floquet.FundamentalPair(pot3, LAM_WITNESS, tol=1e-12).matrix(t)
+    w, wt = floquet.propagate(mono_witness, pot3, LAM_WITNESS, t, data,
+                              tol=1e-12)
+    # relative to the size of the two terms, so cancellation in the sum
+    # cannot make the bound meaningless
+    for got, (c_wt, c_w) in ((wt, X[0]), (w, X[1])):
+        scale = abs(c_wt * w0_t) + abs(c_w * w0)
+        assert abs(got - (c_wt * w0_t + c_w * w0)) <= 1e-9 * scale + 1e-12
+    # propagate is a fresh Propagator; the shared one may fill its cache on
+    # the first call and reads it on the second
+    assert shared_propagator(t, data) == (w, wt)
+    assert shared_propagator(t, data) == (w, wt)
 
 
 def test_stability_dichotomy_trace(pot3):
