@@ -10,11 +10,7 @@ class ParameterError(CyclicWaveError, ValueError):
 
 
 class IntegrationFailure(CyclicWaveError, RuntimeError):
-    """Adaptive stepping failed; carries the time."""
-
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
+    """An integration did not resolve its solution."""
 
 
 class QuadratureError(CyclicWaveError, RuntimeError):

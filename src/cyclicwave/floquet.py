@@ -1,21 +1,25 @@
 """Floquet analysis of the Hill equation y'' + (lambda*alpha(t) - q(t)) y = 0.
 
 The state vector is x = (w_t, w), so the one-period map X(1,0) has
-b21 = w(1) for initial data w(0) = 0, w_t(0) = 1.  The lambda-scan advances
-all grid points through one vectorized adaptive integration, which keeps the
-output deterministic regardless of how the work is scheduled.
+b21 = w(1) for initial data w(0) = 0, w_t(0) = 1.  Every map X(t, 0) comes
+from `_fundamental`: sixth-order Magnus steps with a closed-form 2x2
+exponential (det X = 1 by construction), as many per lambda as its error
+estimate needs, so a lambda's map does not depend on how a scan is batched.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
-from ._rk import integrate
 from .errors import ExhaustedSearchError, IntegrationFailure, ParameterError
 from .output import csv_text, write_atomic
 
 _B21_MIN = 1e-6
+_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)  # Gauss nodes
+_MAX_STEPS = 2**14  # a map still above tol here counts as unresolved
+_BLOCK = 2**13  # (step, lambda) pairs advanced together
 
 
 @dataclass(frozen=True)
@@ -73,9 +77,9 @@ class InstabilityInterval:
 class FundamentalPair:
     """Solutions W, V with W(0)=0, W_t(0)=1 and V(0)=1, V_t(0)=0.
 
-    Evaluation integrates directly from t=0 (no monodromy composition), so
-    this object doubles as the independent oracle for the closed-form
-    multi-period values.
+    The tests' independent oracle for the Magnus maps: scipy's DOP853 at
+    rtol = atol = tol, straight from t=0.  The package itself reads
+    `monodromy`, `trace_curve` and `Propagator` instead.
     """
 
     def __init__(self, pot, lam, tol=1e-11):
@@ -85,9 +89,15 @@ class FundamentalPair:
 
     def matrix(self, t):
         """X(t, 0) acting on (w_t, w): columns (W_t, W) and (V_t, V)."""
-        y0 = np.array([[1.0, 0.0, 0.0, 1.0]])
-        y = _integrate_system(self.pot, np.array([self.lam]), 0.0, t, y0, self.tol)
-        return y[0].reshape(2, 2)
+        def rhs(s, x):
+            c = self.pot.q(s) - self.lam * self.pot.alpha(s)
+            return [c * x[2], c * x[3], x[0], x[1]]
+
+        sol = solve_ivp(rhs, (0.0, float(t)), [1.0, 0.0, 0.0, 1.0],
+                        method="DOP853", rtol=self.tol, atol=self.tol)
+        if not sol.success:
+            raise IntegrationFailure(f"oracle integration failed: {sol.message}")
+        return sol.y[:, -1].reshape(2, 2)
 
     def W(self, t):
         return self.matrix(t)[1, 0]
@@ -102,41 +112,124 @@ class FundamentalPair:
         return self.matrix(t)[0, 1]
 
 
-def _integrate_system(pot, lams, t0, t1, y0, tol):
-    """Advance the 2x2 fundamental system for a batch of lambda values."""
+def _fundamental(pot, lams, t1, tol):
+    """X(t1, 0) per lambda in lams, shape (len(lams), 2, 2).
+
+    N Magnus steps, N doubled from 64 per lambda until the Richardson error
+    estimate of sixth order, max|X_N - X_{N/2}| / 63, is <= tol (1 + max|X_N|).
+    ParameterError for tol outside [1e-13, 1e-6] comes before any work;
+    IntegrationFailure when _MAX_STEPS steps do not resolve a lambda.
+    """
+    if not 1e-13 <= tol <= 1e-6:
+        raise ParameterError(f"tol must lie in [1e-13, 1e-6], got {tol}")
     lams = np.asarray(lams, dtype=float)
+    out = np.empty((lams.size, 2, 2))
+    todo = np.arange(lams.size)
+    steps = 64
+    coarse = _magnus(pot, lams, t1, steps // 2)
+    while todo.size:
+        if steps > _MAX_STEPS:
+            raise IntegrationFailure(
+                f"{_MAX_STEPS} Magnus steps leave X({t1!r}, 0) above tol={tol!r} "
+                f"at {todo.size} lambda value(s), first {float(lams[todo[0]])!r}")
+        fine = _magnus(pot, lams[todo], t1, steps)
+        err = np.max(np.abs(fine - coarse), axis=(1, 2)) / 63.0
+        done = err <= tol * (1.0 + np.max(np.abs(fine), axis=(1, 2)))
+        out[todo[done]] = fine[done]
+        todo, coarse = todo[~done], fine[~done]
+        steps *= 2
+    return out
 
-    def rhs(t, y):
-        coeff = pot.q(t) - lams * pot.alpha(t)  # shape (B,)
-        out = np.empty_like(y)
-        out[:, 0] = coeff * y[:, 2]
-        out[:, 1] = coeff * y[:, 3]
-        out[:, 2] = y[:, 0]
-        out[:, 3] = y[:, 1]
-        return out
 
-    return integrate(rhs, t0, t1, y0, rtol=tol, atol=tol)
+def _magnus(pot, lams, t1, steps):
+    """X(t1, 0) per lambda from `steps` equal Magnus steps; q and alpha are
+    sampled once, and blocks of lambda keep temporaries near _BLOCK entries.
+    """
+    h = t1 / steps
+    ts = (np.arange(steps)[:, None] + _NODES) * h  # (steps, 3)
+    q, alpha = pot.q(ts), pot.alpha(ts)
+    out = np.empty((lams.size, 2, 2))
+    size = max(1, _BLOCK // steps)
+    for i in range(0, lams.size, size):
+        # the generator at the nodes is [[0, c], [1, 0]]; c is (steps, 3, B)
+        c = q[..., None] - alpha[..., None] * lams[i:i + size]
+        # steps too long for a lambda may overflow; inf and nan never pass
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            out[i:i + size] = _product(_exp(_omega(c, h)))
+    return out
 
 
-def _monodromy_batch(pot, lams, tol):
-    lams = np.asarray(lams, dtype=float)
-    y0 = np.tile(np.array([1.0, 0.0, 0.0, 1.0]), (lams.size, 1))
-    try:
-        return _integrate_system(pot, lams, 0.0, 1.0, y0, tol)
-    except IntegrationFailure as exc:
-        raise IntegrationFailure(
-            f"monodromy integration failed at t={exc.t!r} "
-            f"(lambda batch of size {lams.size})",
-            t=exc.t,
-        ) from exc
+def _comm(x, y):
+    """[x, y] of traceless 2x2 matrices stored as (p, q, r) = [[p, q], [r, -p]]."""
+    p1, q1, r1 = x
+    p2, q2, r2 = y
+    return (q1 * r2 - q2 * r1, 2.0 * (p1 * q2 - q1 * p2), 2.0 * (r1 * p2 - p1 * r2))
+
+
+def _omega(c, h):
+    """The sixth-order Magnus exponent of each step, as (p, q, r).
+
+    With A1, A2, A3 the generator at the Gauss nodes 1/2 - sqrt(15)/10,
+    1/2, 1/2 + sqrt(15)/10 of the step (Blanes, Casas, Oteo & Ros, Phys.
+    Rep. 470, 2009):
+        a1 = h A2,  a2 = (sqrt(15) h / 3)(A3 - A1),
+        a3 = (10 h / 3)(A3 - 2 A2 + A1),
+        C1 = [a1, a2],  C2 = -(1/60)[a1, 2 a3 + C1],
+        Omega = a1 + a3/12 + (1/240)[-20 a1 - a3 + C1, a2 + C2].
+    A_i = (0, c_i, 1), so a1 = (0, h c_2, h) while a2 and a3 have only a q
+    part (held below as that part alone) and C1 = [a1, a2] only a p part.
+    """
+    c1, c2, c3 = c[:, 0], c[:, 1], c[:, 2]
+    a1 = (0.0, h * c2, h)
+    a2 = (math.sqrt(15.0) * h / 3.0) * (c3 - c1)
+    a3 = (10.0 * h / 3.0) * (c3 - 2.0 * c2 + c1)
+    C1 = -h * a2
+    C2 = tuple(v / -60.0 for v in _comm(a1, (C1, 2.0 * a3, 0.0)))
+    p, q, r = _comm((C1, -20.0 * a1[1] - a3, -20.0 * h),
+                    (C2[0], a2 + C2[1], C2[2]))
+    return p / 240.0, a1[1] + a3 / 12.0 + q / 240.0, h + r / 240.0
+
+
+def _exp(omega):
+    """Entries (a, b, c, d) of exp(Omega) = C I + S Omega for traceless Omega.
+
+    Omega^2 = delta I with delta = p^2 + qr, so C and S are cosh and
+    sinh(s)/s of s = sqrt(delta), or cos and sin(s)/s of s = sqrt(-delta);
+    det exp(Omega) = 1 by construction.
+    """
+    p, q, r = omega
+    delta = p * p + q * r
+    s = np.sqrt(np.abs(delta))
+    grows = delta >= 0.0
+    C = np.where(grows, np.cosh(s), np.cos(s))
+    S = np.where(s < 1e-4, 1.0 + delta / 6.0 + delta * delta / 120.0,
+                 np.where(grows, np.sinh(s), np.sin(s)) / s)
+    return C + S * p, S * q, S * r, C - S * p
+
+
+def _product(step):
+    """X = E_N ... E_2 E_1 of the step maps, by pairwise products.
+
+    step holds the entries (a, b, c, d) of every E_j, each (steps, B) with
+    steps a power of two; the result has shape (B, 2, 2).
+    """
+    a, b, c, d = step
+    while a.shape[0] > 1:
+        # the later step of each pair multiplies from the left
+        (a1, a2), (b1, b2), (c1, c2), (d1, d2) = (
+            (x[0::2], x[1::2]) for x in (a, b, c, d))
+        a, b, c, d = (a2 * a1 + b2 * c1, a2 * b1 + b2 * d1,
+                      c2 * a1 + d2 * c1, c2 * b1 + d2 * d1)
+    return np.stack([a[0], b[0], c[0], d[0]], axis=-1).reshape(-1, 2, 2)
 
 
 def monodromy(pot, lam, tol=1e-11):
-    """One-period map of the Hill system at lambda, |det - 1| <= 100*tol."""
-    if not 1e-13 <= tol <= 1e-6:
-        raise ParameterError(f"tol must lie in [1e-13, 1e-6], got {tol}")
-    y = _monodromy_batch(pot, [float(lam)], tol)[0]
-    return Monodromy(b11=y[0], b12=y[1], b21=y[2], b22=y[3], lam=float(lam))
+    """One-period map of the Hill system at lambda.
+
+    tol bounds its estimated error relative to 1 + max|X| (see _fundamental).
+    """
+    (b11, b12), (b21, b22) = _fundamental(pot, [float(lam)], 1.0, tol)[0]
+    return Monodromy(b11=b11, b12=b12, b21=b21, b22=b22, lam=float(lam))
 
 
 def classify(m, boundary_tol=1e-9):
@@ -156,8 +249,8 @@ def classify(m, boundary_tol=1e-9):
 
 def trace_curve(pot, lams, tol=1e-11):
     """Traces of the monodromy matrices for a grid of lambda values."""
-    y = _monodromy_batch(pot, lams, tol)
-    return y[:, 0] + y[:, 3]
+    X = _fundamental(pot, lams, 1.0, tol)
+    return X[:, 0, 0] + X[:, 1, 1]
 
 
 def scan_grid(lambda_range, grid_points):
@@ -355,15 +448,16 @@ class Propagator:
 
     x(t) = X(frac, 0) X(1, 0)^k x0 with t = k + frac: the integer periods
     are a power of the monodromy m, and each distinct fractional map
-    X(frac, 0) is integrated once, from identity data, and kept on the
-    instance, so evaluations at the same phase of the period cost only the
-    matrix products.
+    X(frac, 0) comes from the same Magnus routine as the monodromy, with
+    the same tol, and is kept on the instance, so evaluations at the same
+    phase of the period cost only the matrix products.
     """
 
     def __init__(self, m, pot, lam, tol=1e-11):
         self.m = m
         self.pot = pot
-        self._pair = FundamentalPair(pot, lam, tol)
+        self.lam = lam
+        self.tol = tol
         self._frac_maps = {}
 
     def __call__(self, t, data):
@@ -389,7 +483,8 @@ class Propagator:
         if frac > 0.0:
             X = self._frac_maps.get(frac)
             if X is None:
-                X = self._frac_maps[frac] = self._pair.matrix(frac)
+                X = self._frac_maps[frac] = _fundamental(
+                    self.pot, [self.lam], frac, self.tol)[0]
             x = X @ x
         return float(x[1]), float(x[0])
 

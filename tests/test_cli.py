@@ -84,6 +84,29 @@ def test_validation_exit_code(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+def _single_parameter_error(r):
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1, r.stderr
+    assert json.loads(lines[0])["error"] == "ParameterError"
+
+
+@pytest.mark.parametrize("tol", ["-1", "0"])
+def test_chart_invalid_tol_exit_2(tmp_path, tol):
+    r = run(chart_args("x.csv", ("--tol", tol)), tmp_path)
+    assert r.returncode == 2, r.stderr
+    _single_parameter_error(r)
+    assert not (tmp_path / "x.csv").exists()
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_blowup_demo_invalid_tol_exit_2(tmp_path):
+    r = run(["blowup-demo", "--metric", "conformal:alpha=-1,m=2",
+             "--direction", "1,1", "--tol", "0", "--out", "c.json"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    _single_parameter_error(r)
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_config_overlay_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"epsilon": 0.5, "lambda-min": 5.0,

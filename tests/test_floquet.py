@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from cyclicwave import coeffs, floquet
-from cyclicwave.errors import ParameterError
+from cyclicwave.errors import IntegrationFailure, ParameterError
 
 from conftest import LAM_WITNESS
 
@@ -199,8 +199,9 @@ def test_propagate_matches_direct(pot3, mono_witness):
     for t in (0.25, 2.5, 7.75, 12.0):
         w, wt = floquet.propagate(mono_witness, pot3, LAM_WITNESS, t,
                                   (0.0, 1.0), tol=1e-12)
-        assert w == pytest.approx(pair.W(t), rel=1e-9, abs=1e-12)
-        assert wt == pytest.approx(pair.W_t(t), rel=1e-9, abs=1e-12)
+        X = pair.matrix(t)  # W = X[1, 0] and W_t = X[0, 0] from one run
+        assert w == pytest.approx(X[1, 0], rel=1e-9, abs=1e-12)
+        assert wt == pytest.approx(X[0, 0], rel=1e-9, abs=1e-12)
 
 
 def test_propagate_linearity(pot3, mono_witness):
@@ -239,6 +240,44 @@ def test_propagator_property(pot3, mono_witness, shared_propagator, t, data):
     # the first call and reads it on the second
     assert shared_propagator(t, data) == (w, wt)
     assert shared_propagator(t, data) == (w, wt)
+
+
+# tol drawn log-uniformly over [1e-13, 1e-9]
+_TOLS = st.floats(-13.0, -9.0).map(lambda e: min(max(10.0**e, 1e-13), 1e-9))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(lam=st.floats(0.1, 60.0, exclude_min=True, exclude_max=True),
+       tol=_TOLS)
+def test_monodromy_property(pot3, lam, tol):
+    """det X(1,0) = 1 by construction, and the map agrees with the DOP853
+    oracle within 100 times its error estimate."""
+    m = floquet.monodromy(pot3, lam, tol)
+    assert abs(m.det - 1.0) <= 1e-12
+    X = floquet.FundamentalPair(pot3, lam, tol=1e-12).matrix(1.0)
+    assert np.max(np.abs(m.matrix - X)) <= 100.0 * tol * (1.0 + np.max(np.abs(X)))
+
+
+@pytest.fixture(scope="module")
+def full_curve(pot3):
+    lams = np.linspace(0.1, 60.0, 400)
+    return lams, floquet.trace_curve(pot3, lams)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(idx=st.lists(st.integers(0, 399), min_size=1, max_size=40,
+                    unique=True))
+def test_trace_curve_independent_of_batch(pot3, full_curve, idx):
+    """Any sub-batch, in any order, gives the traces of the full batch."""
+    lams, traces = full_curve
+    sub = floquet.trace_curve(pot3, lams[idx])
+    assert np.all(np.abs(sub - traces[idx]) <= 1e-13 * (1.0 + np.abs(traces[idx])))
+
+
+def test_unresolvable_lambda_raises(pot3):
+    """A lambda the step cap cannot resolve fails instead of refining on."""
+    with pytest.raises(IntegrationFailure):
+        floquet.monodromy(pot3, 1e9, tol=1e-13)
 
 
 def test_stability_dichotomy_trace(pot3):

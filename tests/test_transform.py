@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclicwave import transform
 from cyclicwave.errors import ParameterError
@@ -40,6 +42,28 @@ def test_g_is_increasing_and_odd_for_even_weight(tp1):
     assert np.all(np.diff(gs) > 0)
     # f_ray is odd, so exp(F) is even and G is odd
     assert np.allclose(gs + gs[::-1], 0.0, atol=1e-12)
+
+
+# |u| <= 1e5 keeps G(u) = atan(sqrt2 u)/sqrt2 at least 1/(2|u|) = 5e-6 from
+# its endpoint, far from where H clamps (|u| near 4.5e7).  Near the endpoint
+# H = G^-1 amplifies the rounding of v by dH/dv = 1 + 2u^2, a relative error
+# of about 2|u| eps, so from |u| ~ 1e6 on, 1e-10 is out of reach.
+_U = st.floats(-1e5, 1e5)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(u=_U)
+def test_h_inverts_g_property(tp1, u):
+    assert tp1.H(tp1.G(u)) == pytest.approx(u, rel=1e-10, abs=1e-300)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(u=_U, gap=st.floats(1e-6, 10.0))
+def test_g_strictly_increasing_property(tp1, u, gap):
+    """G(u) < G(v) for v above u by at least 1e-6 (1 + |u|), a gap that
+    changes G by far more than its rounding."""
+    v = u + gap * (1.0 + abs(u))
+    assert tp1.G(u) < tp1.G(v)
 
 
 def test_phi_and_g_closed_form(tp1):
