@@ -8,7 +8,7 @@ pushes G(u) across it before the light cone from the data's edge reaches
 the origin, so the solution cannot continue smoothly.
 
 Everything here is checked numerics, not proof: Sobolev norms are computed
-(FFT on a torus for n <= 2, semi-analytic radial quadrature for n = 3) and
+(FFT on a torus for n <= 2, a radial sine transform for n = 3) and
 the crossing time is located on the actual fundamental solution.
 """
 
@@ -29,6 +29,8 @@ from .output import write_atomic
 from .pdesim import GridSpec
 
 _TOP_OCTAVE_BUDGET = 0.01
+_RADIAL_STEPS = 4096  # r steps on [0, R] for the n=3 radial transform
+_RADIAL_PAD = 8  # ... which runs over [0, 8R], zero beyond R
 
 
 def chi(z):
@@ -165,53 +167,30 @@ def sobolev_smallness(u0, u1, s, grid):
     return _torus_sobolev(u0(pts), grid, s + 1.0) + _torus_sobolev(u1(pts), grid, s)
 
 
-def _simpson_weights(x):
-    """Weights w with w @ y == scipy's simpson(y, x=x) for every sample y.
+def _radial_hat(g, R):
+    """n=3 radial Fourier transform g_hat(rho) = (4 pi / rho) Int g(r) r sin(rho r) dr.
 
-    The rule couples samples only within one two-interval panel (plus, for
-    an even count, the last three points through its end correction), so
-    each weight is simpson itself applied to a unit sample on a window that
-    holds every panel touching that point: five points, or the last four.
+    g is supported in [0, R].  r g(r) is sampled at r_j = j h, h = R / 4096
+    (j = 1..4096), and zero-padded to [0, 8R]; one type-I sine transform
+    then gives g_hat(rho_k) = (4 pi h / rho_k) sum_j g(r_j) r_j sin(rho_k r_j)
+    at rho_k = pi k / (8R), with g_hat(0) = 4 pi h sum_j g(r_j) r_j^2.  That
+    sum is the trapezoid rule for the integral, which converges
+    exponentially for smooth compactly supported g (Trefethen & Weideman,
+    SIAM Review 56, 2014).  Returns (rho, g_hat) for k = 0 .. 8*4096 - 1.
     """
-    from scipy.integrate import simpson
+    from scipy.fft import dst
 
-    n = x.size
-    body = n - 3 if n % 2 == 0 else n
-    j = np.arange(body)
-    start = np.clip(j - 2 + j % 2, 0, n - 5)  # the panel(s) holding j
-    idx = start[:, None] + np.arange(5)
-    w = simpson((idx == j[:, None]).astype(float), x=x[idx], axis=-1)
-    if body == n:
-        return w
-    tail = simpson(np.eye(4)[1:], x=np.tile(x[-4:], (3, 1)), axis=-1)
-    return np.concatenate([w, tail])
-
-
-def _radial_profiles(gfuns, R, n_r):
-    """The r grid on [0, R] and the columns 4 pi g(r) r^2 w(r), w the
-    Simpson weights, one column per radial profile g."""
-    r = np.linspace(0.0, R, n_r)
-    weight = 4.0 * np.pi * r * r * _simpson_weights(r)
-    return r, np.stack([g(r) * weight for g in gfuns], axis=1)
-
-
-def _radial_hat(r, cols, rho, block=256):
-    """n=3 radial Fourier transforms g_hat(rho) = 4 pi Int g(r) r^2 j0(rho r) dr.
-
-    `r, cols` come from _radial_profiles.  The kernel j0(rho r) = sin(x)/x
-    (1 at x = 0) is built once for all profiles, `block` rho rows at a time,
-    so memory stays near block * len(r) floats whatever len(rho) is.
-    Returns shape (len(rho), number of profiles).
-    """
-    out = np.empty((rho.size, cols.shape[1]))
-    for i in range(0, rho.size, block):
-        x = np.outer(rho[i : i + block], r)
-        zero = x == 0.0
-        kern = np.sin(x)
-        np.divide(kern, x, out=kern, where=~zero)
-        kern[zero] = 1.0
-        out[i : i + block] = kern @ cols
-    return out
+    size = _RADIAL_PAD * _RADIAL_STEPS
+    h = R / _RADIAL_STEPS
+    r = h * np.arange(1, _RADIAL_STEPS + 1)
+    gr = np.zeros(size - 1)
+    gr[:_RADIAL_STEPS] = g(r) * r
+    rho = np.pi / (_RADIAL_PAD * R) * np.arange(size)
+    hat = np.empty(size)
+    hat[0] = 4.0 * np.pi * h * float(gr[:_RADIAL_STEPS] @ r)
+    # dst type 1 returns 2 sum_j gr_j sin(pi k j / size)
+    hat[1:] = 2.0 * np.pi * h * dst(gr, type=1) / rho[1:]
+    return rho, hat
 
 
 def _sphere_mean_weight(s, a, bcoef):
@@ -229,7 +208,7 @@ def _sphere_mean_weight(s, a, bcoef):
     return out
 
 
-def radial_pair_norm(g0, g1, lam, s, R, n_rho=2048, n_r=4096):
+def radial_pair_norm(g0, g1, lam, s, R):
     """H^{s+1} x H^s norm sum for (g0(|x|), g1(|x|) cos(x.y)) on R^3.
 
     |y|^2 = lam; both fields are supported in |x| <= R.  Each Sobolev
@@ -239,27 +218,35 @@ def radial_pair_norm(g0, g1, lam, s, R, n_rho=2048, n_r=4096):
     sphere-mean weight); the hat-g1(|xi-y|) hat-g1(|xi+y|) cross term is
     bounded by max|hat g1| times the same quadrature and added.
 
-    Both transforms come from one kernel per rho grid (_radial_hat).  The
-    rho range doubles until the tail of hat g0 falls below 1e-10 of its
-    maximum; ResolutionError if ten doublings do not get there.
+    g0 and g1 are transformed once each (_radial_hat, rho spacing
+    pi / (8R)).  The rho integrals run to the smallest cut 128 pi / R * 2^j
+    whose top sixteenth has |hat g0| below 1e-10 of its maximum;
+    ResolutionError if no such cut lies inside the transform's range.  The
+    cross-term supremum is 1.5 max|hat g1| from the last grid point at or
+    below |y| onward, or over the top sixteenth of the grid when |y| lies
+    beyond it.
     """
     from scipy.integrate import simpson
 
-    r, cols = _radial_profiles((g0, g1), R, n_r)
-    # hat g decays on the scale 2 pi / R; extend until the tail is negligible
-    rho_max = 64.0 * 2.0 * np.pi / R
-    for _ in range(10):
-        rho = np.linspace(1e-9, rho_max, n_rho)
-        h0, h1 = _radial_hat(r, cols, rho).T
-        tail = np.max(np.abs(h0[-n_rho // 16 :]))
-        if tail < 1e-10 * np.max(np.abs(h0)):
+    rho, h0 = _radial_hat(g0, R)
+    h1 = _radial_hat(g1, R)[1]
+    # hat g decays on the scale 2 pi / R; cut where the tail is negligible
+    cut = 128 * _RADIAL_PAD  # the index of rho = 128 pi / R
+    while cut < rho.size:
+        head = np.abs(h0[: cut + 1])
+        if np.max(head[15 * cut // 16 :]) < 1e-10 * np.max(head):
             break
-        rho_max *= 2.0
+        cut *= 2
     else:
         raise ResolutionError(
-            f"radial transform unresolved after ten doublings of the rho "
-            f"range: tail {tail:.3g} against peak {np.max(np.abs(h0)):.3g}"
+            f"radial transform unresolved: no cut in rho <= {rho[-1]:.6g} "
+            f"has its top sixteenth below 1e-10 of the peak"
         )
+    # the cross term's far factor (below) reads the whole transform
+    k_far = int(math.sqrt(lam) / rho[1])
+    far = h1[k_far:] if k_far < rho.size else h1[-rho.size // 16 :]
+    far_sup = 1.5 * float(np.max(np.abs(far)))
+    rho, h0, h1 = rho[: cut + 1], h0[: cut + 1], h1[: cut + 1]
 
     inv_cube = (2.0 * np.pi) ** -3
     # ||u0||_{s+1}^2 = (2pi)^-3 * 4 pi Int (1+rho^2)^{s+1} h0^2 rho^2 d rho
@@ -276,21 +263,19 @@ def radial_pair_norm(g0, g1, lam, s, R, n_rho=2048, n_r=4096):
     # cross term 2 h1(|xi-y|) h1(|xi+y|)/4: at every xi one of |xi -+ y| is
     # >= |y|, so that factor is bounded by the hat-g1 supremum beyond |y|
     # (with a safety factor); the other integrates against the weight
-    if lam > 0:
-        wid = 2.0 * np.pi / R
-        rho_b = np.linspace(math.sqrt(lam), math.sqrt(lam) + 32.0 * wid, 512)
-        h_far = _radial_hat(r, cols[:, 1:], rho_b)
-        far_sup = 1.5 * float(np.max(np.abs(h_far)))
-    else:
-        far_sup = float(np.max(np.abs(h1)))
     cross_bound = inv_cube * 4.0 * np.pi * far_sup * float(
         simpson(np.abs(h1) * rho * rho * ang, x=rho)
     )
     return math.sqrt(norm0_sq) + math.sqrt(main + cross_bound)
 
 
-def radial_smallness(plan, tp, s, n_rho=2048, n_r=4096):
-    """Semi-analytic smallness for n=3 radial-times-cosine plan data."""
+def radial_smallness(plan, tp, s):
+    """Semi-analytic smallness for n=3 radial-times-cosine plan data.
+
+    The profiles g0 = M^-S chi(r / M^2) and g1 = A g0 exp(-Phi(g0)) are
+    supported in r <= R = 2 M^2.  radial_pair_norm transforms each once on
+    the rho grid pi k / (8R) and integrates up to its cut.
+    """
     if plan.n != 3:
         raise ParameterError("radial smallness path is for n = 3")
     amp, msq = plan.amplitude, float(plan.M) ** 2
@@ -302,8 +287,7 @@ def radial_smallness(plan, tp, s, n_rho=2048, n_r=4096):
         base = g0(r)
         return plan.A * base * np.exp(-tp.Phi(base))
 
-    return radial_pair_norm(g0, g1, plan.lam, s, plan.support_radius,
-                            n_rho=n_rho, n_r=n_r)
+    return radial_pair_norm(g0, g1, plan.lam, s, plan.support_radius)
 
 
 def plan_smallness(plan, tp, s=3.0, grid_points=None):
@@ -401,6 +385,10 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, s=3.0, M_max=256,
                    tol=1e-11, grid_points=None):
     """Find the smallest M whose plan both stays under delta and crosses.
 
+    M runs up from 1 and the first M at which the growth reaches the
+    endpoint and the smallness is at most delta is taken.  Neither is
+    assumed monotone in M: smallness is computed at every M where growth
+    holds, until one passes.
     Raises NotApplicableError when the transform has no finite endpoint
     (so this construction certifies nothing), ExhaustedSearchError when no
     M <= M_max works.
@@ -437,47 +425,29 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, s=3.0, M_max=256,
         g0 = float(tp.G(np.array([float(M) ** (-S)]))[0])
         return term_log10 >= math.log10(abs(target - g0)), vals, g0
 
-    def smallness_at(M):
-        vals = floquet.multi_period_values(m, M)
-        plan = default_plan(n, lam, S, M,
-                            A=direction * math.copysign(1.0, vals.W))
-        return plan, plan_smallness(plan, tp, s=s, grid_points=grid_points)
-
-    m_growth = None
-    deficit = None
+    # ascending scan: neither growth nor smallness is assumed monotone in M
+    deficit = best = None
     for M in range(1, M_max + 1):
         ok, vals, g0 = growth_ok(M)
-        if ok:
-            m_growth = M
+        if not ok:
+            deficit = (M, vals)
+            continue
+        plan = default_plan(n, lam, S, M,
+                            A=direction * math.copysign(1.0, vals.W))
+        small = plan_smallness(plan, tp, s=s, grid_points=grid_points)
+        if small <= delta:
             break
-        deficit = (M, vals)
-    if m_growth is None:
+        best = (M, small)
+    else:
+        if best is None:
+            raise ExhaustedSearchError(
+                f"growth never reaches the endpoint for M <= {M_max}",
+                best=deficit,
+            )
         raise ExhaustedSearchError(
-            f"growth never reaches the endpoint for M <= {M_max}", best=deficit
+            f"smallness {best[1]!r} at M={best[0]} still exceeds "
+            f"delta={delta!r}", best=best
         )
-    # smallness decreases in M at fixed S, so binary-search the onset
-    plan, small = smallness_at(m_growth)
-    if small > delta:
-        lo = m_growth  # fails
-        plan_hi, small_hi = smallness_at(M_max)
-        if small_hi > delta:
-            raise ExhaustedSearchError(
-                f"smallness {small_hi!r} at M={M_max} still exceeds "
-                f"delta={delta!r}", best=(M_max, small_hi)
-            )
-        hi, plan, small = M_max, plan_hi, small_hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            plan_mid, small_mid = smallness_at(mid)
-            if small_mid <= delta:
-                hi, plan, small = mid, plan_mid, small_mid
-            else:
-                lo = mid
-        ok, _, g0 = growth_ok(plan.M)
-        if not ok:  # cannot happen once growth is monotone; guard anyway
-            raise ExhaustedSearchError(
-                "growth check failed at the smallness onset", best=(plan.M, small)
-            )
 
     # trajectory at integer and half-integer times, then first crossing;
     # one Propagator serves both, so X(1/2, 0) is integrated once

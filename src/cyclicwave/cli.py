@@ -36,7 +36,6 @@ EXIT_NUMERICAL = 3
 EXIT_NOC_HOLDS = 4
 EXIT_NOT_DISTINGUISHED = 5
 
-_THREADS_ENV = "CYCLICWAVE_THREADS"
 _COHERENCE_TOL = 1e-6
 
 
@@ -69,30 +68,20 @@ def handle_errors(fn):
     return wrapper
 
 
-def thread_count():
-    """Validated CYCLICWAVE_THREADS; accepted for compatibility, every sweep
-    runs as one batch whatever its value."""
-    raw = os.environ.get(_THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ParameterError(f"{_THREADS_ENV} must be an integer, got {raw!r}")
-    if val < 1:
-        raise ParameterError(f"{_THREADS_ENV} must be >= 1, got {val}")
-    return val
-
-
 def apply_config(ctx, config_path):
-    """Overlay a JSON config file under explicitly-passed flags."""
+    """Overlay a JSON config file under explicitly-passed flags.
+
+    Each value is converted by its option's click type, as the same value
+    given as a flag would be.
+    """
     if config_path is None:
         return
     with open(config_path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ParameterError("config file must hold a JSON object")
-    known = set(ctx.params) - {"config"}
+    known = {param.name: param for param in ctx.command.params
+             if param.name != "config"}
     for key, value in data.items():
         name = key.replace("-", "_")
         if name not in known:
@@ -100,7 +89,10 @@ def apply_config(ctx, config_path):
         src = ctx.get_parameter_source(name)
         if src is not None and src.name == "COMMANDLINE":
             continue  # explicit flags win
-        ctx.params[name] = value
+        try:
+            ctx.params[name] = known[name].type_cast_value(ctx, value)
+        except click.BadParameter as exc:
+            raise ParameterError(f"config key {key!r}: {exc.format_message()}")
 
 
 def _parse_kv(text):
@@ -280,7 +272,6 @@ def stability_chart(ctx, **kwargs):
     """Monodromy-trace chart plus an instability-interval JSON sidecar."""
     apply_config(ctx, kwargs.pop("config"))
     p = ctx.params
-    thread_count()
     b = coefficient_from_flags(p["constant_b"], p["epsilon"])
     pot = coeffs.hill_potential(b, p["n"])
     lams = floquet.scan_grid((p["lambda_min"], p["lambda_max"]), p["grid"])

@@ -105,12 +105,6 @@ class FundamentalPair:
     def V(self, t):
         return self.matrix(t)[1, 1]
 
-    def W_t(self, t):
-        return self.matrix(t)[0, 0]
-
-    def V_t(self, t):
-        return self.matrix(t)[0, 1]
-
 
 def _fundamental(pot, lams, t1, tol):
     """X(t1, 0) per lambda in lams, shape (len(lams), 2, 2).

@@ -6,8 +6,7 @@ integration, 2-D conformal Gaussian curvature) is computed from those.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp

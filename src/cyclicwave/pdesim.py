@@ -8,7 +8,7 @@ blow-up mechanism), not when u itself looks large.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -112,14 +112,13 @@ def _gradient(ks, a):
     return out
 
 
-def _march(rhs, grid, u, ut, n_snapshots, stop=None, check_every=1):
+def _march(rhs, grid, u, ut, n_snapshots, stop=None):
     """Classical RK4 on (u, u_t) from t = 0 to grid.t_end in steps of grid.dt.
 
     rhs(t, u, u_t) returns (u_t, u_tt).  About n_snapshots evenly spaced
     snapshots of u are kept, plus the final state while it is finite.  When
-    given, stop(u) is checked every check_every steps and on the last step,
-    and ends the run when true.  Returns (t, u, u_t, snapshots, u at the
-    origin per snapshot, stopped).
+    given, stop(u) is checked after every step and ends the run when true.
+    Returns (t, u, u_t, snapshots, u at the origin per snapshot, stopped).
     """
     nsteps = int(round(grid.t_end / grid.dt))
     snap_every = max(1, nsteps // n_snapshots)
@@ -140,8 +139,7 @@ def _march(rhs, grid, u, ut, n_snapshots, stop=None, check_every=1):
         if (step + 1) % snap_every == 0:
             snapshots.append((t, u.copy()))
             at_origin.append((t, float(u[origin])))
-        checked = (step + 1) % check_every == 0 or step == nsteps - 1
-        if stop is not None and checked and stop(u):
+        if stop is not None and stop(u):
             stopped = True
             break
     if snapshots[-1][0] < t and np.all(np.isfinite(u)):
@@ -185,8 +183,7 @@ def _dealias_mask(grid):
     return mask
 
 
-def evolve_nonlinear(b, n_coeff, f, grid, u0, u1, v_guard, n_snapshots=64,
-                     check_every=1):
+def evolve_nonlinear(b, n_coeff, f, grid, u0, u1, v_guard, n_snapshots=64):
     """Evolve u_tt - n(b'/b)u_t - b^2 Lap u + f(u)(u_t^2 - b^2 |grad u|^2) = 0.
 
     v_guard (a TransformPair) supplies G and the finite endpoint used for
@@ -229,7 +226,7 @@ def evolve_nonlinear(b, n_coeff, f, grid, u0, u1, v_guard, n_snapshots=64,
 
     t, u, _, snapshots, at_origin, stopped = _march(
         rhs, grid, np.array(u0, dtype=float), np.array(u1, dtype=float),
-        n_snapshots, stop=blown_up, check_every=check_every)
+        n_snapshots, stop=blown_up)
     finite = u[np.isfinite(u)]
     diagnostics = {
         "max_abs": float(np.max(np.abs(finite))) if finite.size else math.inf,

@@ -140,19 +140,10 @@ def test_radial_vs_fft_cross_check(tp1):
         assert rad <= fft * max_ratio
 
 
-def test_simpson_weights_are_scipys_rule():
-    """The weight vector reproduces simpson on every unit sample, exactly,
-    for odd and even sample counts (the even one has an end correction)."""
-    for n in (6, 7, 512, 513):
-        x = np.linspace(0.0, 37.0, n)
-        assert np.array_equal(blowup._simpson_weights(x),
-                              simpson(np.eye(n), x=x, axis=-1))
-
-
 def test_radial_hat_matches_outer_product_formula(tp1):
-    """The blocked kernel against the one-shot formula it replaced:
-    4 pi simpson(sinc(rho r / pi) g r^2, r), for a Gaussian and for the
-    plan profiles, on full and ragged row blocks."""
+    """The sine transform against 4 pi simpson(sinc(rho r / pi) g r^2, r) on
+    a fine r grid, for a Gaussian and for the plan profiles, at the first
+    257 rho of the transform's grid."""
     plan = blowup.default_plan(3, LAM_WITNESS, 6.5, 2)
     amp, msq = plan.amplitude, float(plan.M) ** 2
 
@@ -165,17 +156,25 @@ def test_radial_hat_matches_outer_product_formula(tp1):
     def gauss(r):
         return np.exp(-r * r / 2.0)
 
-    for profiles, R in (((gauss,), 14.0),
-                        ((g_plan0, g_plan1), plan.support_radius)):
-        rho = np.linspace(1e-9, 64.0 * 2.0 * np.pi / R, 256)
-        r, cols = blowup._radial_profiles(profiles, R, 512)
-        for block in (256, 96):
-            got = blowup._radial_hat(r, cols, rho, block=block)
-            for col, g in zip(got.T, profiles):
-                kern = np.sinc(np.outer(rho, r) / np.pi)
-                want = 4.0 * np.pi * simpson(kern * (g(r) * r * r), x=r, axis=-1)
-                # tail values are cancellation-limited, so the scale is the peak
-                assert np.max(np.abs(col - want)) <= 1e-12 * np.max(np.abs(want))
+    for g, R in ((gauss, 14.0), (g_plan0, plan.support_radius),
+                 (g_plan1, plan.support_radius)):
+        rho, got = blowup._radial_hat(g, R)
+        rho, got = rho[:257], got[:257]
+        r = np.linspace(0.0, R, 2**14 + 1)
+        kern = np.sinc(np.outer(rho, r) / np.pi)
+        want = 4.0 * np.pi * simpson(kern * (g(r) * r * r), x=r, axis=-1)
+        # tail values are cancellation-limited, so the scale is the peak
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("M, value", [(35, 3.853241529914803e-04),
+                                      (100, 9.773812333676975e-06)])
+def test_radial_smallness_regression(tp1, M, value):
+    """H^4 x H^3 smallness of the plan data at the reference witness, as
+    the earlier Simpson-kernel quadrature computed it."""
+    plan = blowup.default_plan(3, LAM_WITNESS, 6.5, M)
+    assert blowup.radial_smallness(plan, tp1, 3.0) == pytest.approx(value,
+                                                                     rel=1e-9)
 
 
 def test_radial_smallness_memory_is_blocked(tp1):
@@ -192,8 +191,8 @@ def test_radial_smallness_memory_is_blocked(tp1):
 
 
 def test_radial_pair_norm_unresolved_spectrum_raises():
-    """An indicator profile's transform decays only like 1/rho^2, so ten
-    doublings of the rho range never reach the 1e-10 tail."""
+    """An indicator profile's transform decays only like 1/rho^2, so no
+    cut inside the transform's rho range reaches the 1e-10 tail."""
     def g(r):
         return (r < 5.0).astype(float)
 
@@ -325,3 +324,27 @@ def test_certify_reports_trajectory_that_never_crosses(pot3, tp1, monkeypatch):
     with pytest.raises(ExhaustedSearchError) as info:
         blowup.certify_blowup(tp1, pot3, (5.0, 17.0), 1e-3)
     assert info.value.best == (35, 0.0)
+
+
+def test_certify_scans_every_m(pot3, tp1, monkeypatch):
+    """Smallness that passes at one M only, with failures on both sides of
+    it, is found by the ascending scan."""
+    def only_at_40(plan, tp, s=3.0, grid_points=None):
+        return 0.0 if plan.M == 40 else 1.0
+
+    monkeypatch.setattr(blowup, "plan_smallness", only_at_40)
+    cert = blowup.certify_blowup(tp1, pot3, (5.0, 17.0), 1e-3)
+    assert cert.plan.M == 40
+    assert cert.smallness == 0.0
+
+
+def test_certify_exhausted_search_reports_best(pot3, tp1):
+    with pytest.raises(ExhaustedSearchError) as info:
+        blowup.certify_blowup(tp1, pot3, (5.0, 17.0), 1e-12, M_max=40)
+    assert "still exceeds" in str(info.value)
+    M, small = info.value.best
+    assert M == 40 and small > 1e-12
+    with pytest.raises(ExhaustedSearchError) as info:
+        blowup.certify_blowup(tp1, pot3, (5.0, 17.0), 1e-3, M_max=3)
+    assert "growth never reaches" in str(info.value)
+    assert info.value.best[0] == 3

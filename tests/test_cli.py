@@ -68,13 +68,6 @@ def test_determinism_across_threads(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
-def test_invalid_threads_env(tmp_path):
-    r = run(chart_args("x.csv"), tmp_path, {"CYCLICWAVE_THREADS": "zero"})
-    assert r.returncode == 2
-    err = json.loads(r.stderr.strip())
-    assert err["error"] == "ParameterError"
-
-
 def test_validation_exit_code(tmp_path):
     r = run(["stability-chart", "--epsilon", "1.5", "--out", "x.csv"],
             tmp_path)
@@ -128,6 +121,45 @@ def test_config_unknown_key(tmp_path):
             tmp_path)
     assert r.returncode == 2
     assert "epsilonn" in json.loads(r.stderr.strip())["message"]
+
+
+def test_config_values_are_converted_like_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": "1e-11"}))
+    r = run(chart_args("flag.csv", ("--tol", "1e-11")), tmp_path)
+    assert r.returncode == 0, r.stderr
+    r = run(chart_args("cfg.csv", ("--config", str(cfg))), tmp_path)
+    assert r.returncode == 0, r.stderr
+    for ext in (".csv", ".json"):
+        assert ((tmp_path / f"cfg{ext}").read_bytes()
+                == (tmp_path / f"flag{ext}").read_bytes())
+
+
+def test_config_string_false_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"constant-b": "false", "epsilon": 0.5}))
+    r = run(["stability-chart", "--lambda-min", "5", "--lambda-max", "17",
+             "--grid", "200", "--config", str(cfg), "--out", "c.csv"],
+            tmp_path)
+    assert r.returncode == 0, r.stderr
+    side = json.loads((tmp_path / "c.json").read_text())
+    assert side["coefficient"] == "sqrt-sin"
+    assert len(side["intervals"]) == 1
+
+
+@pytest.mark.parametrize("command, key", [("stability-chart", "tol"),
+                                          ("blowup-demo", "delta")])
+def test_config_bad_value_exit_2(tmp_path, command, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "abc"}))
+    args = (chart_args("x.csv") if command == "stability-chart" else
+            ["blowup-demo", "--metric", "conformal:alpha=-1,m=2",
+             "--out", "x.json"])
+    r = run(args + ["--config", str(cfg)], tmp_path)
+    assert r.returncode == 2, r.stderr
+    _single_parameter_error(r)
+    assert key in json.loads(r.stderr)["message"]
+    assert not any(tmp_path.glob("x.*"))
 
 
 def test_geodesic_matches_closed_form(tmp_path):
