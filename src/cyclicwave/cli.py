@@ -89,6 +89,10 @@ def apply_config(ctx, config_path):
         src = ctx.get_parameter_source(name)
         if src is not None and src.name == "COMMANDLINE":
             continue  # explicit flags win
+        # click's INT casts a JSON float with int(), which truncates
+        if (isinstance(known[name].type, click.types.IntParamType)
+                and isinstance(value, float) and not value.is_integer()):
+            raise ParameterError(f"config key {key!r}: {value!r} is not a valid integer")
         try:
             ctx.params[name] = known[name].type_cast_value(ctx, value)
         except click.BadParameter as exc:
@@ -250,7 +254,25 @@ def line_domain(metric, a):
     return (edge(-1.0), edge(+1.0))
 
 
-@click.group()
+class _JsonErrorGroup(click.Group):
+    """A click group whose usage errors (bad flag values, unknown or missing
+    options) exit 2 with one JSON line on stderr, like every other failure.
+    Help, exit codes and aborts behave as in click's standalone mode."""
+
+    def main(self, *args, standalone_mode=True, **kwargs):
+        if not standalone_mode:
+            return super().main(*args, standalone_mode=False, **kwargs)
+        try:
+            code = super().main(*args, standalone_mode=False, **kwargs)
+        except click.ClickException as exc:
+            _fail(EXIT_VALIDATION, ParameterError(exc.format_message()))
+        except click.Abort:
+            click.echo("Aborted!", err=True)
+            sys.exit(1)
+        sys.exit(code)
+
+
+@click.group(cls=_JsonErrorGroup, no_args_is_help=False)
 def main():
     """Numerical toolkit for wave-map blow-up on time-periodic spacetimes."""
 

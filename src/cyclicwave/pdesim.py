@@ -1,9 +1,13 @@
 """Direct spectral evolution on a periodic torus, for oracle cross-checks.
 
 Method of lines: Fourier Laplacian/gradient in space, classical RK4 in time
-on the first-order system.  The nonlinear solver watches the transformed
-field G(u) and stops when it approaches a finite endpoint (the proof-side
-blow-up mechanism), not when u itself looks large.
+on the first-order system.  The field is real, so every transform is a real
+one (rfftn/irfftn) on the half spectrum.  A nonlinear stage makes 4 calls:
+one rfftn of u, one batched irfftn giving grad u and Lap u together, and one
+rfftn/irfftn pair applying the 2/3 dealiasing mask to the nonlinear term.
+The nonlinear solver watches the transformed field G(u) and stops when it
+approaches a finite endpoint (the proof-side blow-up mechanism), not when u
+itself looks large.
 """
 
 import json
@@ -11,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ParameterError
 from .output import csv_text, write_atomic
@@ -51,20 +54,9 @@ class GridSpec:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
-    def wavenumbers(self):
-        """List of n arrays of angular wavenumbers 2*pi*k/L per axis."""
-        k = np.fft.fftfreq(self.points, d=self.dx) * 2.0 * np.pi
-        return [k] * self.n
-
     def k_squared(self):
-        ks = self.wavenumbers()
-        shape = [1] * self.n
-        total = np.zeros((self.points,) * self.n)
-        for ax, k in enumerate(ks):
-            s = shape.copy()
-            s[ax] = self.points
-            total = total + k.reshape(s) ** 2
-        return total
+        """|k|^2 on the full spectrum of np.fft.fftn, k = 2*pi*m/L."""
+        return sum(k**2 for k in _axis_wavenumbers(self, half=False))
 
     def check_cfl(self, b):
         bmax = float(np.max(b.eval(np.linspace(0.0, 1.0, 2048))))
@@ -97,19 +89,44 @@ def _origin_index(grid):
     return (grid.points // 2,) * grid.n
 
 
-def _laplacian(k2, a):
-    return np.fft.ifftn(-k2 * np.fft.fftn(a)).real
-
-
-def _gradient(ks, a):
-    """Spectral gradient components of a; ks is grid.wavenumbers()."""
-    ah = np.fft.fftn(a)
+def _axis_wavenumbers(grid, half):
+    """Per-axis angular wavenumbers 2*pi*m/L, shaped to broadcast over the
+    spectrum: the np.fft.rfftn layout when half, else np.fft.fftn."""
+    n = grid.n
     out = []
-    for ax, k in enumerate(ks):
-        s = [1] * len(ks)
-        s[ax] = k.size
-        out.append(np.fft.ifftn(1j * k.reshape(s) * ah).real)
+    for ax in range(n):
+        freq = np.fft.rfftfreq if half and ax == n - 1 else np.fft.fftfreq
+        k = freq(grid.points, d=grid.dx) * 2.0 * np.pi
+        out.append(np.expand_dims(k, tuple(a for a in range(n) if a != ax)))
     return out
+
+
+class _Spectrum:
+    """Half-spectrum operators of a real field on the grid, built once per run.
+
+    ops stacks (i k_1, ..., i k_n, -|k|^2), so one batched inverse transform
+    gives the gradient and the Laplacian together.  A first derivative drops
+    its own Nyquist mode, whose contribution is imaginary for a real field.
+    mask keeps the modes with every |m_j| <= points/3 (the 2/3 rule).
+    """
+
+    def __init__(self, grid):
+        nyq = grid.points // 2  # index of the Nyquist mode along each axis
+        ks = _axis_wavenumbers(grid, half=True)
+        grad = [1j * k for k in ks]
+        for d in grad:
+            d.flat[nyq] = 0.0
+        k2 = sum(k**2 for k in ks)
+        self.ops = np.stack(np.broadcast_arrays(*grad, -k2))
+        self.mask = np.logical_and.reduce(np.broadcast_arrays(
+            *(np.abs(k) <= abs(k.flat[nyq]) * 2.0 / 3.0 for k in ks)))
+        self.shape = (grid.points,) * grid.n
+        self.axes = tuple(range(-grid.n, 0))
+
+    def apply(self, op, a):
+        """op(D) a as a real field, or one field per entry of a stacked op:
+        one rfftn of a and one (batched) irfftn."""
+        return np.fft.irfftn(op * np.fft.rfftn(a), s=self.shape, axes=self.axes)
 
 
 def _march(rhs, grid, u, ut, n_snapshots, stop=None):
@@ -151,36 +168,26 @@ def _march(rhs, grid, u, ut, n_snapshots, stop=None):
 def evolve_linear(b, n_coeff, grid, v0, v1, n_snapshots=64):
     """Evolve v_tt - n (b'/b) v_t - b^2 Lap v = 0 on the torus."""
     grid.check_cfl(b)
-    k2 = grid.k_squared()
+    spec = _Spectrum(grid)
+    lap = spec.ops[-1]
 
     def rhs(tt, vv, vvt):
         bt = b.eval(tt)
-        return vvt, n_coeff * b.d1(tt) / bt * vvt + bt**2 * _laplacian(k2, vv)
+        return vvt, n_coeff * b.d1(tt) / bt * vvt + bt**2 * spec.apply(lap, vv)
 
     t, v, vt, snapshots, at_origin, _ = _march(
         rhs, grid, np.array(v0, dtype=float), np.array(v1, dtype=float), n_snapshots)
     diagnostics = {
         "max_abs": float(np.max(np.abs(v))),
         "v_at_origin": at_origin,
-        "energy_like": float(np.mean(vt**2) + b.eval(t) ** 2 * _grad_energy(grid, v)),
+        "energy_like": float(np.mean(vt**2) + b.eval(t) ** 2 * _grad_energy(spec, v)),
     }
     return SimResult(snapshots=snapshots, diagnostics=diagnostics,
                      termination="completed")
 
 
-def _grad_energy(grid, a):
-    return sum(float(np.mean(g**2)) for g in _gradient(grid.wavenumbers(), a))
-
-
-def _dealias_mask(grid):
-    k = np.fft.fftfreq(grid.points) * grid.points
-    keep1 = np.abs(k) <= grid.points / 3.0
-    mask = np.ones((grid.points,) * grid.n, dtype=bool)
-    for ax in range(grid.n):
-        s = [1] * grid.n
-        s[ax] = grid.points
-        mask &= keep1.reshape(s)
-    return mask
+def _grad_energy(spec, a):
+    return sum(float(np.mean(g**2)) for g in spec.apply(spec.ops[:-1], a))
 
 
 def evolve_nonlinear(b, n_coeff, f, grid, u0, u1, v_guard, n_snapshots=64):
@@ -191,9 +198,7 @@ def evolve_nonlinear(b, n_coeff, f, grid, u0, u1, v_guard, n_snapshots=64):
     1e-3 of the endpoint, or when |u| exceeds 1e8.
     """
     grid.check_cfl(b)
-    k2 = grid.k_squared()
-    mask = _dealias_mask(grid)
-    ks = grid.wavenumbers()
+    spec = _Spectrum(grid)
 
     ep = v_guard.endpoints()
     target = ep.b if ep.b_finite else (ep.a if ep.a_finite else None)
@@ -208,10 +213,10 @@ def evolve_nonlinear(b, n_coeff, f, grid, u0, u1, v_guard, n_snapshots=64):
 
     def rhs(tt, uu, uut):
         bt = b.eval(tt)
-        grad2 = sum(g * g for g in _gradient(ks, uu))
-        nl = f(uu) * (uut**2 - bt**2 * grad2)
-        nl = np.fft.ifftn(mask * np.fft.fftn(nl)).real
-        acc = n_coeff * b.d1(tt) / bt * uut + bt**2 * _laplacian(k2, uu) - nl
+        *grad, lap = spec.apply(spec.ops, uu)
+        grad2 = sum(g * g for g in grad)
+        nl = spec.apply(spec.mask, f(uu) * (uut**2 - bt**2 * grad2))
+        acc = n_coeff * b.d1(tt) / bt * uut + bt**2 * lap - nl
         return uut, acc
 
     def blown_up(uu):
@@ -243,6 +248,7 @@ def evolve_uniform(b, n_coeff, f, u0, u1, t_end, tol=1e-11, n_samples=400):
     Returns [(t, u(t)), ...]; truncates (with the last finite sample) if u
     leaves the invertibility domain, i.e. blows up.
     """
+    from scipy.integrate import solve_ivp
 
     def rhs(t, y):
         return [y[1], n_coeff * b.d1(t) / b.eval(t) * y[1] - f(y[0]) * y[1] ** 2]

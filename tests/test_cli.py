@@ -162,6 +162,54 @@ def test_config_bad_value_exit_2(tmp_path, command, key):
     assert not any(tmp_path.glob("x.*"))
 
 
+def test_config_non_integral_int_exit_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": 200.7}))
+    r = run(["stability-chart", "--epsilon", "0.5", "--lambda-min", "5",
+             "--lambda-max", "17", "--config", str(cfg), "--out", "x.csv"],
+            tmp_path)
+    assert r.returncode == 2, r.stderr
+    _single_parameter_error(r)
+    assert "grid" in json.loads(r.stderr)["message"]
+    assert not any(tmp_path.glob("x.*"))
+
+
+@pytest.mark.parametrize("args", [
+    ["stability-chart", "--epsilon", "0.5", "--grid", "200.7", "--out", "x.csv"],
+    ["simulate", "--mode", "bogus", "--out", "x.csv"],
+    ["stability-chart", "--epsilon", "0.5", "--bogus", "--out", "x.csv"],
+    ["stability-chart", "--epsilon", "0.5"],
+    ["no-such-command"],
+    [],
+], ids=["int-flag", "choice", "unknown-option", "missing-option",
+        "unknown-command", "no-command"])
+def test_usage_error_is_one_json_line(tmp_path, args):
+    r = run(args, tmp_path)
+    assert r.returncode == 2, r.stderr
+    _single_parameter_error(r)
+    assert not any(tmp_path.glob("x.*"))
+
+
+def test_click_main_in_process(tmp_path, capsys, monkeypatch):
+    """The group's own main, as an embedding caller runs it: help still
+    prints usage and exits 0, a usage error exits 2 with one JSON line."""
+    from cyclicwave import cli
+
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main.main(args=["simulate", "--help"], prog_name="cyclicwave",
+                      standalone_mode=True)
+    assert exc.value.code == 0
+    assert "Usage:" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.main.main(args=["simulate", "--mode", "bogus", "--out", "x.csv"],
+                      prog_name="cyclicwave", standalone_mode=True)
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ParameterError"
+
+
 def test_geodesic_matches_closed_form(tmp_path):
     r = run(["geodesic", "--metric", "conformal:alpha=-1,m=2",
              "--u0", "0,0", "--direction", "1,1", "--s-max", "3",

@@ -8,6 +8,7 @@ from scipy.integrate import quad, solve_ivp
 from cyclicwave import coeffs, pdesim, transform
 from cyclicwave.errors import ParameterError
 
+import spectral_reference
 from conftest import f_ray
 
 # Crossing time of int_0^t b^3 = pi/(2 sqrt 2) for b = sqrt(1+0.5 sin 2 pi t),
@@ -151,6 +152,36 @@ def test_nonlinear_blowup_detection(b05, tp1):
     assert res.termination == "blowup_detected"
     assert res.diagnostics["t_final"] < 6.0
     assert math.isfinite(res.diagnostics["max_abs"])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_real_transforms_match_complex_reference(b05, tp1, n):
+    """Both torus solvers on the half spectrum against the full complex-FFT
+    right-hand sides marched by the same RK4 loop.  Random data put energy
+    in every mode, the Nyquist modes of each axis included."""
+    points = 16
+    dt = 0.2 * (2 * math.pi / points) / 1.25
+    grid = pdesim.GridSpec(n=n, L=2 * math.pi, points=points, dt=dt,
+                           t_end=20 * dt)
+    rng = np.random.default_rng(n)
+    u0 = 0.05 + 0.02 * rng.standard_normal((points,) * n)
+    u1 = 0.02 * rng.standard_normal((points,) * n)
+    nonlin = pdesim.evolve_nonlinear(b05, 3, tp1.f, grid, u0, u1, tp1,
+                                     n_snapshots=5)
+    lin = pdesim.evolve_linear(b05, 3, grid, u0, u1, n_snapshots=5)
+    for res, rhs in [
+        (nonlin, spectral_reference.nonlinear_rhs(b05, 3, tp1.f, grid)),
+        (lin, spectral_reference.linear_rhs(b05, 3, grid)),
+    ]:
+        t, v, vt, snaps, _, _ = pdesim._march(rhs, grid, u0, u1, 5)
+        assert res.termination == "completed"
+        assert [s for s, _ in res.snapshots] == [s for s, _ in snaps]
+        for (_, a), (_, c) in zip(res.snapshots, snaps):
+            assert np.max(np.abs(a - c)) < 1e-13
+    # t, v, vt are now the end state of the linear reference run
+    energy = float(np.mean(vt**2)
+                   + b05.eval(t) ** 2 * spectral_reference.grad_energy(grid, v))
+    assert lin.diagnostics["energy_like"] == pytest.approx(energy, rel=1e-13)
 
 
 def test_cfl_guard(b05):
