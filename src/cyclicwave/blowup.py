@@ -305,16 +305,15 @@ def plan_smallness(plan, tp, s=3.0, grid_points=None):
 # Exact local solution and certification
 # ---------------------------------------------------------------------------
 
-def exact_local_solution(plan, tp, b, pair):
+def exact_local_solution(plan, tp, b, pot, tol):
     """The transformed field v(t, x) inside the influence region.
 
     v(t,x) = G(M^-S) + A M^-S W(t) (b(t)/b(0))^{n/2} cos(x.y), valid for
     0 <= t <= M and |x| <= M^{3/2} (so the cutoff edge cannot interfere).
-    `pair` is the FundamentalPair that fixes the potential, lambda and
-    tolerance; W(t) itself is evaluated through one floquet.Propagator.
+    W(t) solves the Hill system of `pot` at plan.lam and is evaluated
+    through one floquet.Propagator at tolerance `tol`.
     Returns a callable raising ParameterError outside the valid region.
     """
-    pot, tol = pair.pot, pair.tol
     n = pot.n
     amp = plan.amplitude
     g0 = float(tp.G(np.array([amp]))[0])

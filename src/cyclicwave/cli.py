@@ -3,9 +3,10 @@ blow-up certificates and direct simulations.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 the
 global-existence (NOC) condition holds so no blow-up is certified, 5 the
-requested direction is not a distinguished geodesic.  Every nonzero exit
-writes a single-line JSON error to stderr.  Outputs are written atomically;
-identical configuration yields byte-identical files.
+requested direction is not a distinguished geodesic, 130 interrupted
+(Ctrl-C).  Every nonzero exit writes a single-line JSON error to stderr.
+Outputs are written atomically; identical configuration yields
+byte-identical files.
 """
 
 import json
@@ -35,11 +36,16 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_NOC_HOLDS = 4
 EXIT_NOT_DISTINGUISHED = 5
+EXIT_ABORTED = 130  # 128 + SIGINT, as a shell reports an interrupted command
 
 _COHERENCE_TOL = 1e-6
 
 
 class NotDistinguishedError(CyclicWaveError):
+    pass
+
+
+class Aborted(CyclicWaveError):
     pass
 
 
@@ -64,6 +70,9 @@ def handle_errors(fn):
                 SingularMetricError, ExhaustedSearchError, OverflowError,
                 FloatingPointError) as exc:
             _fail(EXIT_NUMERICAL, exc)
+        except KeyboardInterrupt:
+            # caught here, before click echoes a blank line and aborts
+            _fail(EXIT_ABORTED, Aborted("interrupted"))
 
     return wrapper
 
@@ -256,8 +265,9 @@ def line_domain(metric, a):
 
 class _JsonErrorGroup(click.Group):
     """A click group whose usage errors (bad flag values, unknown or missing
-    options) exit 2 with one JSON line on stderr, like every other failure.
-    Help, exit codes and aborts behave as in click's standalone mode."""
+    options) exit 2 and aborts exit 130, each with one JSON line on stderr,
+    like every other failure.  Help and exit codes behave as in click's
+    standalone mode."""
 
     def main(self, *args, standalone_mode=True, **kwargs):
         if not standalone_mode:
@@ -267,8 +277,7 @@ class _JsonErrorGroup(click.Group):
         except click.ClickException as exc:
             _fail(EXIT_VALIDATION, ParameterError(exc.format_message()))
         except click.Abort:
-            click.echo("Aborted!", err=True)
-            sys.exit(1)
+            _fail(EXIT_ABORTED, Aborted("interrupted"))
         sys.exit(code)
 
 

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .errors import ParameterError
 
@@ -98,6 +97,8 @@ def from_samples(values):
     `values[i]` is b(i/len(values)); a degree-5 periodic spline supplies the
     evaluator and its analytic derivatives.
     """
+    from scipy.interpolate import make_interp_spline
+
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 256:
         raise ParameterError(

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ExhaustedSearchError, IntegrationFailure, ParameterError
 from .output import csv_text, write_atomic
@@ -72,38 +71,6 @@ class InstabilityInterval:
     lambda_hi: float
     max_abs_trace: float
     witness_lambda: float
-
-
-class FundamentalPair:
-    """Solutions W, V with W(0)=0, W_t(0)=1 and V(0)=1, V_t(0)=0.
-
-    The tests' independent oracle for the Magnus maps: scipy's DOP853 at
-    rtol = atol = tol, straight from t=0.  The package itself reads
-    `monodromy`, `trace_curve` and `Propagator` instead.
-    """
-
-    def __init__(self, pot, lam, tol=1e-11):
-        self.pot = pot
-        self.lam = lam
-        self.tol = tol
-
-    def matrix(self, t):
-        """X(t, 0) acting on (w_t, w): columns (W_t, W) and (V_t, V)."""
-        def rhs(s, x):
-            c = self.pot.q(s) - self.lam * self.pot.alpha(s)
-            return [c * x[2], c * x[3], x[0], x[1]]
-
-        sol = solve_ivp(rhs, (0.0, float(t)), [1.0, 0.0, 0.0, 1.0],
-                        method="DOP853", rtol=self.tol, atol=self.tol)
-        if not sol.success:
-            raise IntegrationFailure(f"oracle integration failed: {sol.message}")
-        return sol.y[:, -1].reshape(2, 2)
-
-    def W(self, t):
-        return self.matrix(t)[1, 0]
-
-    def V(self, t):
-        return self.matrix(t)[1, 1]
 
 
 def _fundamental(pot, lams, t1, tol):
@@ -397,8 +364,7 @@ def multi_period_values(m, M):
         W(M) = b21 (mu^M - mu^-M) / (mu - 1/mu)
         V(M) = (mu^M (b22 - 1/mu) - mu^-M (b22 - mu)) / (mu - 1/mu)
 
-    A commonly quoted variant of V with a leading minus sign fails the
-    M=1 reduction V(1) = b22; see printed_v_variant.
+    At M = 1 they reduce to W(1) = b21 and V(1) = b22.
     """
     M = int(M)
     if M < 1:
@@ -425,16 +391,6 @@ def multi_period_values(m, M):
     W = m.b21 * (muM - 1.0 / muM) / delta
     V = (muM * (m.b22 - 1.0 / mu) - (m.b22 - mu) / muM) / delta
     return MultiPeriodValues(W=W, V=V)
-
-
-def printed_v_variant(m, M):
-    """Sign-flipped variant of V(M) kept as a diagnostic cross-check."""
-    mult = classify(m)
-    mu = mult.expanding
-    delta = mu - 1.0 / mu
-    return -(mu**M) * (m.b22 - 1.0 / mu) / delta + mu ** (-M) * m.b21 * m.b12 / (
-        (mu - m.b11) * delta
-    )
 
 
 class Propagator:

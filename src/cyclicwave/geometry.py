@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import IntegrationFailure, ParameterError, SingularMetricError
 from .output import csv_text, write_atomic
@@ -256,6 +255,8 @@ class GeodesicPath:
 
 def geodesic_full(M, u0, v0, s_max, tol=1e-10, n_samples=200):
     """Integrate the full geodesic system; h-speed conservation is checked."""
+    from scipy.integrate import solve_ivp
+
     u0 = np.asarray(u0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     if not np.any(v0 != 0.0):
@@ -302,6 +303,8 @@ def geodesic_reduced(f, xi_hat, s_max, tol=1e-10, u_init=0.0, n_samples=200):
     xi_hat is the initial chart speed (from the unit-speed relation when
     called out of the distinguished-line workflow).
     """
+    from scipy.integrate import solve_ivp
+
     if xi_hat == 0.0:
         raise ParameterError("xi_hat must be nonzero")
 

@@ -12,8 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import EndpointProximityWarning, ParameterError, QuadratureError
 
@@ -39,6 +37,8 @@ class _Side:
 
     def reach(self, target_abs):
         """Extend the dense solution to |s| >= target_abs (or termination)."""
+        from scipy.integrate import solve_ivp
+
         while self.frontier[0] < target_abs and self.terminated is None:
             s0, phi0, g0 = self.frontier
             s1 = max(16.0, min(max(4.0 * s0, 2.0 * target_abs), target_abs))
@@ -158,6 +158,8 @@ class TransformPair:
 
     def H(self, v):
         """Inverse of G; clamps near finite endpoints with a warning."""
+        from scipy.optimize import brentq
+
         v = float(v)
         if v == 0.0:
             return 0.0

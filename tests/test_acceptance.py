@@ -15,6 +15,7 @@ from cyclicwave import blowup, coeffs, floquet, geometry, pdesim, transform
 from cyclicwave.errors import NotApplicableError
 
 from conftest import LAM_WITNESS, f_ray
+from dop853_reference import FundamentalPair
 
 B_G = math.pi / (2.0 * math.sqrt(2.0))
 # Frozen full-range instability intervals (eps=0.5, n=3, 4000 grid points).
@@ -62,7 +63,7 @@ def test_criterion_3_multi_period_closed_forms(pot3):
     """W(10), V(10) closed forms vs direct 10-period integration, rel 1e-8,
     at the witness lambda."""
     m = floquet.monodromy(pot3, LAM_WITNESS, tol=1e-12)
-    pair = floquet.FundamentalPair(pot3, LAM_WITNESS, tol=1e-12)
+    pair = FundamentalPair(pot3, LAM_WITNESS, tol=1e-12)
     vals = floquet.multi_period_values(m, 10)
     assert vals.W == pytest.approx(pair.W(10.0), rel=1e-8)
     assert vals.V == pytest.approx(pair.V(10.0), rel=1e-8)

@@ -218,13 +218,12 @@ def test_resolution_error_on_coarse_grid(tp1):
 
 @pytest.fixture(scope="module")
 def local_solution(pot3, b05, tp1):
-    pair = floquet.FundamentalPair(pot3, LAM_WITNESS, tol=1e-12)
     plan = blowup.default_plan(3, LAM_WITNESS, 6.5, 8)
-    return plan, pair, blowup.exact_local_solution(plan, tp1, b05, pair)
+    return plan, blowup.exact_local_solution(plan, tp1, b05, pot3, 1e-12)
 
 
 def test_local_solution_initial_values(local_solution, tp1):
-    plan, pair, sol = local_solution
+    plan, sol = local_solution
     amp = plan.amplitude
     assert sol(0.0, np.zeros(3)) == pytest.approx(float(tp1.G(amp)),
                                                   rel=1e-12)
@@ -241,7 +240,7 @@ def test_local_solution_initial_values(local_solution, tp1):
 
 
 def test_local_solution_multi_period_value(local_solution, tp1, pot3):
-    plan, pair, sol = local_solution
+    plan, sol = local_solution
     m = floquet.monodromy(pot3, LAM_WITNESS, tol=1e-12)
     W_M = floquet.multi_period_values(m, plan.M).W
     expect = float(tp1.G(plan.amplitude)) + plan.A * plan.amplitude * W_M
@@ -253,7 +252,7 @@ def test_local_solution_satisfies_pde(local_solution, b05, tp1):
 
     Inside the cone v(t,x) = G(amp) + D(t) cos(x.y), so the Laplacian is
     available in closed form: Lap v = -lam * (v - G(amp))."""
-    plan, pair, sol = local_solution
+    plan, sol = local_solution
     x = np.array([0.3, -0.2, 0.5])
     lam = plan.lam
     level = float(tp1.G(plan.amplitude))
@@ -272,7 +271,7 @@ def test_local_solution_satisfies_pde(local_solution, b05, tp1):
 
 
 def test_local_solution_domain_checks(local_solution):
-    plan, pair, sol = local_solution
+    plan, sol = local_solution
     with pytest.raises(ParameterError):
         sol(-0.5, np.zeros(3))
     with pytest.raises(ParameterError):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 
 CLI = [sys.executable, "-m", "cyclicwave.cli"]
@@ -16,12 +17,12 @@ CLI = [sys.executable, "-m", "cyclicwave.cli"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run(args, cwd, env_extra=None):
+def run(args, cwd, env_extra=None, command=CLI):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
-    return subprocess.run(CLI + args, cwd=cwd, env=env,
+    return subprocess.run(command + args, cwd=cwd, env=env,
                           capture_output=True, text=True)
 
 
@@ -208,6 +209,58 @@ def test_click_main_in_process(tmp_path, capsys, monkeypatch):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ParameterError"
+
+
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, click.Abort],
+                         ids=["KeyboardInterrupt", "click.Abort"])
+def test_interrupt_is_one_json_line(tmp_path, capsys, monkeypatch, interrupt):
+    """Ctrl-C during a command, and click's own Abort, exit 130 with one
+    JSON line on stderr and write no output."""
+    from cyclicwave import cli
+
+    def interrupted(*args, **kwargs):
+        raise interrupt
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.floquet, "trace_curve", interrupted)
+    with pytest.raises(SystemExit) as exc:
+        cli.main.main(args=chart_args("x.csv"), prog_name="cyclicwave",
+                      standalone_mode=True)
+    assert exc.value.code == 130
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert json.loads(err)["error"] == "Aborted"
+    assert not any(tmp_path.glob("x.*"))
+
+
+_SCIPY_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+seen = {}
+import cyclicwave
+seen["import cyclicwave"] = scipy_modules()
+import cyclicwave.cli
+seen["import cyclicwave.cli"] = scipy_modules()
+try:
+    cyclicwave.cli.main.main(args=sys.argv[1:], prog_name="cyclicwave")
+except SystemExit as exc:
+    seen["exit"] = exc.code
+seen["stability-chart"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    """The package, the CLI and a whole stability chart need only numpy and
+    click; scipy is imported by the functions that call it."""
+    r = run(chart_args("chart.csv"), tmp_path,
+            command=[sys.executable, "-c", _SCIPY_PROBE])
+    assert r.returncode == 0, r.stderr
+    seen = json.loads(r.stdout.splitlines()[-1])
+    assert seen == {"import cyclicwave": [], "import cyclicwave.cli": [],
+                    "exit": 0, "stability-chart": []}
+    assert (tmp_path / "chart.csv").is_file()
 
 
 def test_geodesic_matches_closed_form(tmp_path):

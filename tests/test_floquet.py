@@ -11,6 +11,7 @@ from cyclicwave import coeffs, floquet
 from cyclicwave.errors import IntegrationFailure, ParameterError
 
 from conftest import LAM_WITNESS
+from dop853_reference import FundamentalPair
 
 # Frozen instability intervals for sqrt-sin eps=0.5, n=3 over (5, 17),
 # 200 scan points (bisection-refined, so grid independent past ~100 pts).
@@ -161,7 +162,7 @@ def test_classify_kinds(pot3):
 def test_multi_period_closed_form(pot3, mono_witness):
     """W(10), V(10) from the multiplier closed forms against direct
     10-period integration of the fundamental pair."""
-    pair = floquet.FundamentalPair(pot3, LAM_WITNESS, tol=1e-12)
+    pair = FundamentalPair(pot3, LAM_WITNESS, tol=1e-12)
     vals = floquet.multi_period_values(mono_witness, 10)
     assert vals.log10_scale == 0.0
     assert vals.W == pytest.approx(pair.W(10.0), rel=1e-8)
@@ -172,14 +173,6 @@ def test_multi_period_m1_reduction(mono_witness):
     vals = floquet.multi_period_values(mono_witness, 1)
     assert vals.W == pytest.approx(mono_witness.b21, rel=1e-12)
     assert vals.V == pytest.approx(mono_witness.b22, rel=1e-12)
-
-
-def test_printed_variant_is_wrong(mono_witness):
-    """The sign-flipped V variant fails the M=1 reduction V(1) = b22."""
-    v1 = floquet.printed_v_variant(mono_witness, 1)
-    assert abs(v1 - mono_witness.b22) > 1e-3
-    assert floquet.multi_period_values(mono_witness, 1).V == pytest.approx(
-        mono_witness.b22, rel=1e-12)
 
 
 def test_multi_period_overflow_guard(mono_witness):
@@ -195,7 +188,7 @@ def test_multi_period_overflow_guard(mono_witness):
 
 
 def test_propagate_matches_direct(pot3, mono_witness):
-    pair = floquet.FundamentalPair(pot3, LAM_WITNESS, tol=1e-12)
+    pair = FundamentalPair(pot3, LAM_WITNESS, tol=1e-12)
     for t in (0.25, 2.5, 7.75, 12.0):
         w, wt = floquet.propagate(mono_witness, pot3, LAM_WITNESS, t,
                                   (0.0, 1.0), tol=1e-12)
@@ -228,7 +221,7 @@ def test_propagator_property(pot3, mono_witness, shared_propagator, t, data):
     """X(frac,0) X(1,0)^k x0 against direct integration from t = 0, and a
     Propagator that has already cached fractional maps against a fresh one."""
     w0, w0_t = data
-    X = floquet.FundamentalPair(pot3, LAM_WITNESS, tol=1e-12).matrix(t)
+    X = FundamentalPair(pot3, LAM_WITNESS, tol=1e-12).matrix(t)
     w, wt = floquet.propagate(mono_witness, pot3, LAM_WITNESS, t, data,
                               tol=1e-12)
     # relative to the size of the two terms, so cancellation in the sum
@@ -254,7 +247,7 @@ def test_monodromy_property(pot3, lam, tol):
     oracle within 100 times its error estimate."""
     m = floquet.monodromy(pot3, lam, tol)
     assert abs(m.det - 1.0) <= 1e-12
-    X = floquet.FundamentalPair(pot3, lam, tol=1e-12).matrix(1.0)
+    X = FundamentalPair(pot3, lam, tol=1e-12).matrix(1.0)
     assert np.max(np.abs(m.matrix - X)) <= 100.0 * tol * (1.0 + np.max(np.abs(X)))
 
 
