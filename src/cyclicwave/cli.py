@@ -1,19 +1,18 @@
 """Command-line surface: stability charts, geodesics, NOC verdicts,
 blow-up certificates and direct simulations.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 the
-global-existence (NOC) condition holds so no blow-up is certified, 5 the
-requested direction is not a distinguished geodesic, 130 interrupted
-(Ctrl-C).  Every nonzero exit writes a single-line JSON error to stderr.
-Outputs are written atomically; identical configuration yields
-byte-identical files.
+Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 both
+endpoints of the transform G are infinite (the global-existence condition
+holds), so no blow-up is certified, 5 the requested direction is not a
+distinguished geodesic, 130 interrupted (Ctrl-C).  Every nonzero exit
+writes a single-line JSON error to stderr.  Outputs are written
+atomically; identical configuration yields byte-identical files.
 """
 
 import json
 import math
 import os
 import sys
-from functools import wraps
 
 import click
 import numpy as np
@@ -53,28 +52,6 @@ def _fail(code, exc):
     line = json.dumps({"error": type(exc).__name__, "message": str(exc)})
     click.echo(line, err=True)
     sys.exit(code)
-
-
-def handle_errors(fn):
-    @wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except NotApplicableError as exc:
-            _fail(EXIT_NOC_HOLDS, exc)
-        except NotDistinguishedError as exc:
-            _fail(EXIT_NOT_DISTINGUISHED, exc)
-        except (ParameterError, ValueError) as exc:
-            _fail(EXIT_VALIDATION, exc)
-        except (IntegrationFailure, QuadratureError, ResolutionError,
-                SingularMetricError, ExhaustedSearchError, OverflowError,
-                FloatingPointError) as exc:
-            _fail(EXIT_NUMERICAL, exc)
-        except KeyboardInterrupt:
-            # caught here, before click echoes a blank line and aborts
-            _fail(EXIT_ABORTED, Aborted("interrupted"))
-
-    return wrapper
 
 
 def apply_config(ctx, config_path):
@@ -213,30 +190,6 @@ def coefficient_from_flags(constant_b, epsilon):
     return coeffs.make_builtin("sqrt-sin", eps=epsilon)
 
 
-def line_nonlinearity(metric, a):
-    """f along the ray t*a, in the log-derivative normalization.
-
-    f(t) is the derivative of ln h along the ray (twice the least-squares
-    coherence factor for conformal charts); metrics with closed-form
-    hscalar supply a vectorized evaluator.
-    """
-    a = np.asarray(a, dtype=float)
-    if hasattr(metric, "ray_log_derivative"):
-        return metric.ray_log_derivative(a)
-    norm2 = float(a @ a)
-
-    def f(t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t_arr)
-        for i, tv in enumerate(t_arr):
-            gamma = geometry.christoffel(metric, a * tv).gamma
-            c = np.einsum("ijk,j,k->i", gamma, a, a)
-            out[i] = 2.0 * float(a @ c) / norm2
-        return out if np.ndim(t) else float(out[0])
-
-    return f
-
-
 def line_domain(metric, a):
     """The t-interval on which t*a stays inside the metric chart."""
     if metric.domain is None:
@@ -264,10 +217,29 @@ def line_domain(metric, a):
 
 
 class _JsonErrorGroup(click.Group):
-    """A click group whose usage errors (bad flag values, unknown or missing
-    options) exit 2 and aborts exit 130, each with one JSON line on stderr,
-    like every other failure.  Help and exit codes behave as in click's
+    """A click group that maps every failure, usage errors (bad flag
+    values, unknown or missing options) included, to its exit code and one
+    JSON line on stderr.  Help and exit codes behave as in click's
     standalone mode."""
+
+    def invoke(self, ctx):
+        # click parses the subcommand's options inside Group.invoke, so an
+        # interrupt there is caught here too, before click echoes a blank
+        # line and aborts
+        try:
+            return super().invoke(ctx)
+        except NotApplicableError as exc:
+            _fail(EXIT_NOC_HOLDS, exc)
+        except NotDistinguishedError as exc:
+            _fail(EXIT_NOT_DISTINGUISHED, exc)
+        except (ParameterError, ValueError) as exc:
+            _fail(EXIT_VALIDATION, exc)
+        except (IntegrationFailure, QuadratureError, ResolutionError,
+                SingularMetricError, ExhaustedSearchError, OverflowError,
+                FloatingPointError) as exc:
+            _fail(EXIT_NUMERICAL, exc)
+        except KeyboardInterrupt:
+            _fail(EXIT_ABORTED, Aborted("interrupted"))
 
     def main(self, *args, standalone_mode=True, **kwargs):
         if not standalone_mode:
@@ -298,7 +270,6 @@ def main():
 @click.option("--config", type=click.Path(exists=True), default=None)
 @click.option("--out", type=click.Path(), required=True)
 @click.pass_context
-@handle_errors
 def stability_chart(ctx, **kwargs):
     """Monodromy-trace chart plus an instability-interval JSON sidecar."""
     apply_config(ctx, kwargs.pop("config"))
@@ -337,7 +308,6 @@ def stability_chart(ctx, **kwargs):
 @click.option("--config", type=click.Path(exists=True), default=None)
 @click.option("--out", type=click.Path(), required=True)
 @click.pass_context
-@handle_errors
 def geodesic(ctx, **kwargs):
     """Integrate a unit-speed geodesic and export the path CSV."""
     apply_config(ctx, kwargs.pop("config"))
@@ -367,7 +337,6 @@ def geodesic(ctx, **kwargs):
 @click.option("--out", type=click.Path(), default=None,
               help="verdict JSON path (stdout when omitted)")
 @click.pass_context
-@handle_errors
 def noc(ctx, **kwargs):
     """Classify the global-existence integral condition for a named f."""
     apply_config(ctx, kwargs.pop("config"))
@@ -400,9 +369,9 @@ def noc(ctx, **kwargs):
 @click.option("--out", type=click.Path(), required=True,
               help="certificate JSON path")
 @click.pass_context
-@handle_errors
 def blowup_demo(ctx, **kwargs):
-    """Full pipeline: coherence check, NOC verdict, blow-up certificate."""
+    """Full pipeline: coherence check, then the blow-up certificate, which
+    exits 4 when the transform has no finite endpoint."""
     apply_config(ctx, kwargs.pop("config"))
     p = ctx.params
     metric = parse_metric(p["metric"])
@@ -417,14 +386,7 @@ def blowup_demo(ctx, **kwargs):
             f"direction is not a distinguished geodesic "
             f"(coherence residual {line.max_residual:.3g} > {_COHERENCE_TOL})"
         )
-    f = line_nonlinearity(metric, a)
-
-    verdict = transform.noc_check(f, domain=domain)
-    if verdict.holds == "yes":
-        raise NotApplicableError(
-            "non-collapse integral condition holds; no blow-up certified "
-            f"(verdict: {verdict.to_json()})"
-        )
+    f = metric.ray_log_derivative(a)
 
     b = coefficient_from_flags(False, p["epsilon"])
     pot = coeffs.hill_potential(b, p["n"])
@@ -487,7 +449,6 @@ def _simulate_certificate(b, pot, tp, cert, points=1024):
 @click.option("--config", type=click.Path(exists=True), default=None)
 @click.option("--out", type=click.Path(), required=True)
 @click.pass_context
-@handle_errors
 def simulate(ctx, **kwargs):
     """Direct evolution: full torus solver or the spatially-uniform ODE."""
     apply_config(ctx, kwargs.pop("config"))

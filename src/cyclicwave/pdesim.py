@@ -79,14 +79,8 @@ class SimResult:
                      "dt": grid.dt, "t_end": grid.t_end},
             "termination": self.termination,
             "t_final": self.snapshots[-1][0] if self.snapshots else None,
-            "diagnostics": {
-                k: v for k, v in self.diagnostics.items() if np.isscalar(v)
-            },
+            "diagnostics": self.diagnostics,
         }
-
-
-def _origin_index(grid):
-    return (grid.points // 2,) * grid.n
 
 
 def _axis_wavenumbers(grid, half):
@@ -135,13 +129,11 @@ def _march(rhs, grid, u, ut, n_snapshots, stop=None):
     rhs(t, u, u_t) returns (u_t, u_tt).  About n_snapshots evenly spaced
     snapshots of u are kept, plus the final state while it is finite.  When
     given, stop(u) is checked after every step and ends the run when true.
-    Returns (t, u, u_t, snapshots, u at the origin per snapshot, stopped).
+    Returns (t, u, u_t, snapshots, stopped).
     """
     nsteps = int(round(grid.t_end / grid.dt))
     snap_every = max(1, nsteps // n_snapshots)
-    origin = _origin_index(grid)
     snapshots = [(0.0, u.copy())]
-    at_origin = [(0.0, float(u[origin]))]
     stopped = False
     dt = grid.dt
     t = 0.0
@@ -155,14 +147,12 @@ def _march(rhs, grid, u, ut, n_snapshots, stop=None):
         t = (step + 1) * dt
         if (step + 1) % snap_every == 0:
             snapshots.append((t, u.copy()))
-            at_origin.append((t, float(u[origin])))
         if stop is not None and stop(u):
             stopped = True
             break
     if snapshots[-1][0] < t and np.all(np.isfinite(u)):
         snapshots.append((t, u.copy()))
-        at_origin.append((t, float(u[origin])))
-    return t, u, ut, snapshots, at_origin, stopped
+    return t, u, ut, snapshots, stopped
 
 
 def evolve_linear(b, n_coeff, grid, v0, v1, n_snapshots=64):
@@ -175,11 +165,10 @@ def evolve_linear(b, n_coeff, grid, v0, v1, n_snapshots=64):
         bt = b.eval(tt)
         return vvt, n_coeff * b.d1(tt) / bt * vvt + bt**2 * spec.apply(lap, vv)
 
-    t, v, vt, snapshots, at_origin, _ = _march(
+    t, v, vt, snapshots, _ = _march(
         rhs, grid, np.array(v0, dtype=float), np.array(v1, dtype=float), n_snapshots)
     diagnostics = {
         "max_abs": float(np.max(np.abs(v))),
-        "v_at_origin": at_origin,
         "energy_like": float(np.mean(vt**2) + b.eval(t) ** 2 * _grad_energy(spec, v)),
     }
     return SimResult(snapshots=snapshots, diagnostics=diagnostics,
@@ -229,13 +218,12 @@ def evolve_nonlinear(b, n_coeff, f, grid, u0, u1, v_guard, n_snapshots=64):
             or (u_lo is not None and umin <= u_lo)
         )
 
-    t, u, _, snapshots, at_origin, stopped = _march(
+    t, u, _, snapshots, stopped = _march(
         rhs, grid, np.array(u0, dtype=float), np.array(u1, dtype=float),
         n_snapshots, stop=blown_up)
     finite = u[np.isfinite(u)]
     diagnostics = {
         "max_abs": float(np.max(np.abs(finite))) if finite.size else math.inf,
-        "u_at_origin": at_origin,
         "t_final": t,
     }
     return SimResult(snapshots=snapshots, diagnostics=diagnostics,

@@ -2,8 +2,10 @@
 
 G(u) = int_0^u F(s) ds with F(s) = exp(int_0^s f(r) dr).  A finite endpoint
 of G's range is the blow-up mechanism, so the endpoint classification is the
-load-bearing part: it never certifies convergence or divergence inside an
-explicit inconclusive band.
+load-bearing part.  One per-side test decides whether int F converges on a
+side: the fitted exponent of F in the tail, or at a finite domain edge.
+TransformPair.endpoints reads its sign; noc_check reads it with an explicit
+inconclusive band and never certifies convergence or divergence inside it.
 """
 
 import json
@@ -231,43 +233,50 @@ def _one_endpoint(side, s_max):
     reported bound is the difference between the extrapolations anchored at
     s_max and s_max/2.
     """
-    side.reach(s_max)
-    if side.terminated == "overflow" or side.terminated == "g-cap":
+    p, excess = _side_exponent(side, s_max)
+    if excess <= 0.0:
         return math.inf, False, math.inf
     if side.terminated == "domain":
-        s_edge = side.frontier[0]
-        # approach the finite edge: G is either finite there or grows without
-        # bound; probe the local exponent of F
-        p, _ = _local_exponent(side)
-        g_edge = side.frontier[2]
-        if p <= -1.0:
-            return math.inf, False, math.inf
         # the integrand behaves like C*dist^p near the edge; integrate the
         # remaining sliver of width d analytically from the frontier value
-        phi_edge = side.frontier[1]
+        s_edge, phi_edge, g_edge = side.frontier
         d = abs(abs(side.edge) - s_edge)
-        tail = math.exp(min(phi_edge, _PHI_CAP)) * d / (1.0 + p)
+        tail = math.exp(min(phi_edge, _PHI_CAP)) * d / excess
         # redo the correction anchored at twice the distance for an error bar
-        s_half = s_edge - d
-        phi_h, g_h = side.eval(np.array([s_half]))
-        tail_h = math.exp(min(phi_h[0], _PHI_CAP)) * 2.0 * d / (1.0 + p)
+        phi_h, g_h = side.eval(np.array([s_edge - d]))
+        tail_h = math.exp(min(phi_h[0], _PHI_CAP)) * 2.0 * d / excess
         err = abs((abs(g_edge) + tail) - (abs(g_h[0]) + tail_h)) + 1e-12
         return abs(g_edge) + tail, True, err
 
-    def extrapolate(s):
+    def extrapolate(s, p):
         phi, g = side.eval(np.array([s]))
-        p, _ = _tail_exponent(side, s)
-        if p >= -1.0:
-            return None
-        tail = math.exp(min(phi[0], _PHI_CAP)) * s / (-1.0 - p)
-        return abs(g[0]) + tail
+        return abs(g[0]) + math.exp(min(phi[0], _PHI_CAP)) * s / (-1.0 - p)
 
-    full = extrapolate(s_max)
-    if full is None:
-        return math.inf, False, math.inf
-    half = extrapolate(s_max / 2.0)
-    err = abs(full - half) if half is not None else math.inf
+    full = extrapolate(s_max, p)
+    p_half, excess_half = _side_exponent(side, s_max / 2.0)
+    err = math.inf
+    if excess_half > 0.0:
+        err = abs(full - extrapolate(s_max / 2.0, p_half))
     return full, True, err
+
+
+def _side_exponent(side, s_max):
+    """(p, excess): the exponent of F on one side, and how far it lies on
+    the integrable side of -1.
+
+    excess > 0 iff int F converges on that side.  At a finite domain edge F
+    behaves like dist^p, so excess = p + 1; in the tail F behaves like s^p,
+    so excess = -1 - p.  A side whose F or G overflowed diverges outright:
+    p = inf, excess = -inf.
+    """
+    side.reach(s_max)
+    if side.terminated in ("overflow", "g-cap"):
+        return math.inf, -math.inf
+    if side.terminated == "domain":
+        p = _local_exponent(side)
+        return p, p + 1.0
+    p = _tail_exponent(side, s_max)
+    return p, -1.0 - p
 
 
 def _tail_exponent(side, s_hi, decades=2.0, npts=33):
@@ -275,9 +284,7 @@ def _tail_exponent(side, s_hi, decades=2.0, npts=33):
     ss = np.logspace(math.log10(s_hi) - decades, math.log10(s_hi), npts)
     side.reach(s_hi)
     phi, _ = side.eval(ss)
-    x = np.log(ss)
-    slope, resid = _linefit(x, phi)
-    return slope, resid
+    return _slope(np.log(ss), phi)
 
 
 def _local_exponent(side, npts=25):
@@ -289,17 +296,14 @@ def _local_exponent(side, npts=25):
     """
     edge_abs = abs(side.edge)
     d = np.logspace(-8, -2, npts) * max(1.0, edge_abs)
-    ss = edge_abs - d
-    phi, _ = side.eval(ss)
-    slope, resid = _linefit(np.log(d), phi)
-    return slope, resid
+    phi, _ = side.eval(edge_abs - d)
+    return _slope(np.log(d), phi)
 
 
-def _linefit(x, y):
+def _slope(x, y):
+    """Least-squares slope of y against x."""
     A = np.vstack([x, np.ones_like(x)]).T
-    coef, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    resid = float(np.sqrt(res[0] / len(x))) if res.size else 0.0
-    return float(coef[0]), resid
+    return float(np.linalg.lstsq(A, y, rcond=None)[0][0])
 
 
 def build_transform(f, tol=1e-12, domain=(-math.inf, math.inf)):
@@ -337,11 +341,13 @@ class NOCVerdict:
 def noc_check(f, s_max=1e5, margin=0.1, domain=(-math.inf, math.inf), tol=1e-12):
     """Classify divergence of int_0^inf F and int_-inf^0 F.
 
-    Per side: the tail exponent p of F from log-log regression decides;
-    divergent if p > -1 + margin, convergent if p < -1 - margin, else
-    inconclusive.  A finite domain edge flips the test to local
-    integrability at the edge.  F overflow on a side means that side
-    diverges outright.
+    Per side this reads the same integrability test as
+    TransformPair.endpoints (the tail exponent of F, or its local exponent
+    at a finite domain edge; an overflowed side diverges outright), with
+    an inconclusive band: convergent when the exponent lies more than
+    margin on the integrable side of -1, divergent when more than margin
+    on the other side.  The blow-up pipeline does not call this: a
+    certificate needs a finite endpoint, which endpoints() decides.
     """
     if s_max < 1e4:
         raise ParameterError(f"s_max must be >= 1e4, got {s_max}")
@@ -360,21 +366,9 @@ def noc_check(f, s_max=1e5, margin=0.1, domain=(-math.inf, math.inf), tol=1e-12)
 
 
 def _side_verdict(side, s_max, margin):
-    side.reach(s_max)
-    if side.terminated in ("overflow", "g-cap"):
-        # F (or its integral) overflowed: divergence with overflow note
-        return "divergent", math.inf
-    if side.terminated == "domain":
-        # finite edge: integrable iff local exponent > -1
-        p, _ = _local_exponent(side)
-        if p < -1.0 - margin:
-            return "divergent", p
-        if p > -1.0 + margin:
-            return "convergent", p
-        return "inconclusive", p
-    p, _ = _tail_exponent(side, s_max)
-    if p > -1.0 + margin:
-        return "divergent", p
-    if p < -1.0 - margin:
+    p, excess = _side_exponent(side, s_max)
+    if excess > margin:
         return "convergent", p
+    if excess < -margin:
+        return "divergent", p
     return "inconclusive", p

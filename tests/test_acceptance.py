@@ -150,48 +150,70 @@ def test_criterion_5_geometry():
     assert drift < 1e-8
 
 
+def _ex1(alpha):
+    return lambda t: 4 * alpha * np.asarray(t, float) / (
+        1 + 2 * np.asarray(t, float) ** 2), (-math.inf, math.inf)
+
+
+def _ex2(ell):
+    return lambda t: -ell / (2 * (1 + np.asarray(t, float))), \
+        (-1.0, math.inf)
+
+
+def _ex3a(alpha):
+    return lambda t: alpha * np.asarray(t, float) / (
+        1 + np.asarray(t, float) ** 2), (-math.inf, math.inf)
+
+
+def _ex3b(alpha):
+    return lambda t: 2 * alpha * np.asarray(t, float) ** 3 / (
+        1 + np.asarray(t, float) ** 4), (-math.inf, math.inf)
+
+
+def _ex4(alpha, m=3):
+    return lambda t: m * alpha * np.asarray(t, float) / (
+        1 + m * np.asarray(t, float) ** 2), (-math.inf, math.inf)
+
+
+# The four families at distance 0.25 on both sides of each threshold:
+# (family, parameter, expected forward, backward, holds)
+NOC_CASES = [
+    (_ex1, -0.75, "convergent", "convergent", "no"),
+    (_ex1, -0.25, "divergent", "divergent", "yes"),
+    (_ex2, 2.25, "convergent", "divergent", "no"),
+    (_ex2, 1.75, "divergent", "convergent", "no"),
+    (_ex3a, -1.25, "convergent", "convergent", "no"),
+    (_ex3a, -0.75, "divergent", "divergent", "yes"),
+    (_ex3b, -0.75, "convergent", "convergent", "no"),
+    (_ex3b, -0.25, "divergent", "divergent", "yes"),
+    (_ex4, -1.25, "convergent", "convergent", "no"),
+    (_ex4, -0.75, "divergent", "divergent", "yes"),
+]
+
+
 def test_criterion_6_noc_thresholds():
     """Verdicts on all four families, sampling the threshold parameter at
     distance 0.25 on both sides; zero misclassifications, no inconclusive
     outside the 0.05 band."""
-    def ex1(alpha):
-        return lambda t: 4 * alpha * np.asarray(t, float) / (
-            1 + 2 * np.asarray(t, float) ** 2), (-math.inf, math.inf)
-
-    def ex2(ell):
-        return lambda t: -ell / (2 * (1 + np.asarray(t, float))), \
-            (-1.0, math.inf)
-
-    def ex3a(alpha):
-        return lambda t: alpha * np.asarray(t, float) / (
-            1 + np.asarray(t, float) ** 2), (-math.inf, math.inf)
-
-    def ex3b(alpha):
-        return lambda t: 2 * alpha * np.asarray(t, float) ** 3 / (
-            1 + np.asarray(t, float) ** 4), (-math.inf, math.inf)
-
-    def ex4(alpha, m=3):
-        return lambda t: m * alpha * np.asarray(t, float) / (
-            1 + m * np.asarray(t, float) ** 2), (-math.inf, math.inf)
-
-    # (family, parameter, expected forward, backward, holds)
-    cases = [
-        (ex1, -0.75, "convergent", "convergent", "no"),
-        (ex1, -0.25, "divergent", "divergent", "yes"),
-        (ex2, 2.25, "convergent", "divergent", "no"),
-        (ex2, 1.75, "divergent", "convergent", "no"),
-        (ex3a, -1.25, "convergent", "convergent", "no"),
-        (ex3a, -0.75, "divergent", "divergent", "yes"),
-        (ex3b, -0.75, "convergent", "convergent", "no"),
-        (ex3b, -0.25, "divergent", "divergent", "yes"),
-        (ex4, -1.25, "convergent", "convergent", "no"),
-        (ex4, -0.75, "divergent", "divergent", "yes"),
-    ]
-    for fam, p, fwd, bwd, holds in cases:
+    for fam, p, fwd, bwd, holds in NOC_CASES:
         f, dom = fam(p)
         v = transform.noc_check(f, domain=dom)
         assert (v.forward, v.backward, v.holds) == (fwd, bwd, holds), \
             (fam.__name__, p, v)
+
+
+def test_noc_verdict_agrees_with_endpoints():
+    """On the criterion-6 families the verdict holds exactly when both
+    endpoints of G are infinite, and every convergent side has a finite
+    endpoint: the certificate's endpoint check alone decides exit 4."""
+    for fam, p, *_ in NOC_CASES:
+        f, dom = fam(p)
+        v = transform.noc_check(f, domain=dom)
+        ep = transform.build_transform(f, domain=dom).endpoints()
+        case = (fam.__name__, p, v, ep)
+        assert (v.holds == "yes") == (not ep.b_finite and not ep.a_finite), case
+        assert v.forward != "convergent" or ep.b_finite, case
+        assert v.backward != "convergent" or ep.a_finite, case
 
 
 def test_criterion_7_certificate_for_every_delta(cert, pot3, tp1):

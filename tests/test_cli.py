@@ -211,18 +211,23 @@ def test_click_main_in_process(tmp_path, capsys, monkeypatch):
     assert json.loads(lines[0])["error"] == "ParameterError"
 
 
-@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, click.Abort],
-                         ids=["KeyboardInterrupt", "click.Abort"])
-def test_interrupt_is_one_json_line(tmp_path, capsys, monkeypatch, interrupt):
-    """Ctrl-C during a command, and click's own Abort, exit 130 with one
-    JSON line on stderr and write no output."""
+@pytest.mark.parametrize("target, interrupt", [
+    ("cyclicwave.floquet.trace_curve", KeyboardInterrupt),
+    ("cyclicwave.floquet.trace_curve", click.Abort),
+    ("click.types.FloatParamType.convert", KeyboardInterrupt),
+], ids=["KeyboardInterrupt", "click.Abort", "KeyboardInterrupt-parsing"])
+def test_interrupt_is_one_json_line(tmp_path, capsys, monkeypatch, target,
+                                    interrupt):
+    """Ctrl-C during a command or while click parses its options, and
+    click's own Abort, exit 130 with one JSON line on stderr and write no
+    output."""
     from cyclicwave import cli
 
     def interrupted(*args, **kwargs):
         raise interrupt
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli.floquet, "trace_curve", interrupted)
+    monkeypatch.setattr(target, interrupted)
     with pytest.raises(SystemExit) as exc:
         cli.main.main(args=chart_args("x.csv"), prog_name="cyclicwave",
                       standalone_mode=True)
@@ -312,6 +317,30 @@ def test_blowup_demo_full_run(tmp_path):
                                         abs=1e-8)
     assert cert["t_star"] == pytest.approx(32.1072635173914, rel=1e-6)
     assert cert["smallness"] <= cert["delta"]
+
+
+def test_blowup_demo_integrates_one_transform(tmp_path, monkeypatch):
+    """blowup-demo integrates G once: the certificate's own endpoint check
+    decides whether a finite endpoint exists, with no second TransformPair
+    for a separate verdict."""
+    from cyclicwave import cli, transform
+
+    built = []
+    init = transform.TransformPair.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(transform.TransformPair, "__init__", counted)
+    with pytest.raises(SystemExit) as exc:
+        cli.main.main(args=["blowup-demo", "--metric", "conformal:alpha=-1,m=2",
+                            "--lambda-min", "5", "--lambda-max", "17",
+                            "--out", "cert.json"], prog_name="cyclicwave")
+    assert exc.value.code == 0
+    assert len(built) == 1
+    assert (tmp_path / "cert.json").is_file()
 
 
 def test_blowup_demo_noc_holds_exit_4(tmp_path):

@@ -173,7 +173,7 @@ def test_real_transforms_match_complex_reference(b05, tp1, n):
         (nonlin, spectral_reference.nonlinear_rhs(b05, 3, tp1.f, grid)),
         (lin, spectral_reference.linear_rhs(b05, 3, grid)),
     ]:
-        t, v, vt, snaps, _, _ = pdesim._march(rhs, grid, u0, u1, 5)
+        t, v, vt, snaps, _ = pdesim._march(rhs, grid, u0, u1, 5)
         assert res.termination == "completed"
         assert [s for s, _ in res.snapshots] == [s for s, _ in snaps]
         for (_, a), (_, c) in zip(res.snapshots, snaps):
