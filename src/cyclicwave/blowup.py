@@ -392,16 +392,13 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, s=3.0, M_max=256,
     (so this construction certifies nothing), ExhaustedSearchError when no
     M <= M_max works.
     """
-    ep = tp.endpoints()
-    if ep.b_finite:
-        target, direction = ep.b, 1.0
-    elif ep.a_finite:
-        target, direction = ep.a, -1.0
-    else:
+    target = tp.endpoints().target
+    if target is None:
         raise NotApplicableError(
             "both transform endpoints are infinite: the global-existence "
             "condition holds and no blow-up is certified"
         )
+    direction = math.copysign(1.0, target)  # b > 0 > a
     n = pot.n
     if S is None:
         S = 2.0 * n + 0.5

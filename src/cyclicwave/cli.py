@@ -1,7 +1,7 @@
 """Command-line surface: stability charts, geodesics, NOC verdicts,
 blow-up certificates and direct simulations.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 both
+Exit codes: 0 success, 2 validation or I/O error, 3 numerical failure, 4 both
 endpoints of the transform G are infinite (the global-existence condition
 holds), so no blow-up is certified, 5 the requested direction is not a
 distinguished geodesic, 130 interrupted (Ctrl-C).  Every nonzero exit
@@ -9,6 +9,7 @@ writes a single-line JSON error to stderr.  Outputs are written
 atomically; identical configuration yields byte-identical files.
 """
 
+import inspect
 import json
 import math
 import os
@@ -54,132 +55,123 @@ def _fail(code, exc):
     sys.exit(code)
 
 
-def apply_config(ctx, config_path):
-    """Overlay a JSON config file under explicitly-passed flags.
+def _load_config(ctx, _param, path):
+    """Make a JSON config file's values the command's option defaults.
 
-    Each value is converted by its option's click type, as the same value
-    given as a flag would be.
+    click then converts each value as it converts the same flag, lets
+    explicit flags win, and counts the values toward required options.
     """
-    if config_path is None:
+    if path is None:
         return
-    with open(config_path) as fh:
+    with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ParameterError("config file must hold a JSON object")
     known = {param.name: param for param in ctx.command.params
              if param.name != "config"}
+    defaults = {}
     for key, value in data.items():
         name = key.replace("-", "_")
         if name not in known:
             raise ParameterError(f"unknown config key {key!r}")
-        src = ctx.get_parameter_source(name)
-        if src is not None and src.name == "COMMANDLINE":
-            continue  # explicit flags win
         # click's INT casts a JSON float with int(), which truncates
         if (isinstance(known[name].type, click.types.IntParamType)
                 and isinstance(value, float) and not value.is_integer()):
             raise ParameterError(f"config key {key!r}: {value!r} is not a valid integer")
-        try:
-            ctx.params[name] = known[name].type_cast_value(ctx, value)
-        except click.BadParameter as exc:
-            raise ParameterError(f"config key {key!r}: {exc.format_message()}")
+        defaults[name] = value
+    ctx.default_map = defaults
 
 
-def _parse_kv(text):
-    out = {}
-    if not text:
-        return out
-    for part in text.split(","):
-        if "=" not in part:
+config_option = click.option(
+    "--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
+    expose_value=False, callback=_load_config)
+
+
+def parse_family(spec, families, kind):
+    """Build what a `name:key=value,...` spec names in a family table.
+
+    A family is its builder, and the builder's signature states the keys:
+    a parameter without a default is a required key, one with a default an
+    optional key, and one whose default is an int an integer key.  Values
+    are real numbers.  An unknown family or key, a missing key and a
+    non-integral value for an integer key are each a ParameterError.
+    """
+    name, _, params = spec.partition(":")
+    if name not in families:
+        raise ParameterError(f"unknown {kind} family {name!r}")
+    keys = inspect.signature(families[name]).parameters
+    given = {}
+    for part in params.split(",") if params else ():
+        key, eq, text = part.partition("=")
+        key = key.strip()
+        if not eq:
             raise ParameterError(f"expected key=value, got {part!r}")
-        k, v = part.split("=", 1)
-        out[k.strip()] = float(v)
-    return out
+        if key not in keys:
+            raise ParameterError(f"{name} has no key {key!r}: {spec!r}")
+        value = float(text)
+        if isinstance(keys[key].default, int):
+            if not value.is_integer():
+                raise ParameterError(f"{name} key {key!r} must be an integer, got {text!r}")
+            value = int(value)
+        given[key] = value
+    missing = [key for key, param in keys.items()
+               if param.default is param.empty and key not in given]
+    if missing:
+        raise ParameterError(f"{name} needs {', '.join(missing)}: {spec!r}")
+    return families[name](**given)
 
 
-def parse_metric(spec):
-    """Metric families: conformal, quartic, halfplane, perturbed."""
-    family, _, params = spec.partition(":")
-    kv = _parse_kv(params)
-    if family == "conformal":
-        alpha = kv.pop("alpha", None)
-        m = int(kv.pop("m", 2))
-        if kv or alpha is None:
-            raise ParameterError(f"conformal needs alpha (and optional m): {spec!r}")
-        return geometry.conformal_power(alpha, powers=(2,) * m)
-    if family == "quartic":
-        alpha = kv.pop("alpha", None)
-        if kv or alpha is None:
-            raise ParameterError(f"quartic needs alpha: {spec!r}")
-        return geometry.conformal_power(alpha, powers=(2, 4))
-    if family == "halfplane":
-        ell = kv.pop("ell", None)
-        if kv or ell is None:
-            raise ParameterError(f"halfplane needs ell: {spec!r}")
-        return geometry.half_plane_power(ell)
-    if family == "perturbed":
-        alpha = kv.pop("alpha", None)
-        m = int(kv.pop("m", 2))
-        c = kv.pop("c", 0.1)
-        if kv or alpha is None:
-            raise ParameterError(f"perturbed needs alpha (optional m, c): {spec!r}")
-        base = geometry.conformal_power(alpha, powers=(2,) * m)
+def _perturbed(alpha, m=2, c=0.1):
+    base = geometry.conformal_power(alpha, powers=(2,) * m)
 
-        def H(u):
-            u = np.asarray(u, dtype=float)
-            diff = u[:, None] - u[None, :]
-            return c * diff**2 / (1.0 + float(u @ u))
+    def H(u):
+        u = np.asarray(u, dtype=float)
+        diff = u[:, None] - u[None, :]
+        return c * diff**2 / (1.0 + float(u @ u))
 
-        metric = geometry.DiagonalPerturbedMetric(m, base.hscalar, H)
-        # H and its gradient vanish on the diagonal, so the line
-        # nonlinearity is that of the conformal part
-        metric.ray_log_derivative = base.ray_log_derivative
-        return metric
-    raise ParameterError(f"unknown metric family {family!r}")
+    metric = geometry.DiagonalPerturbedMetric(m, base.hscalar, H)
+    # H and its gradient vanish on the diagonal, so the line
+    # nonlinearity is that of the conformal part
+    metric.ray_log_derivative = base.ray_log_derivative
+    return metric
 
 
-def parse_vector(text, m=None):
+METRICS = {
+    "conformal": lambda alpha, m=2: geometry.conformal_power(alpha, powers=(2,) * m),
+    "quartic": lambda alpha: geometry.conformal_power(alpha, powers=(2, 4)),
+    "halfplane": geometry.half_plane_power,
+    "perturbed": _perturbed,
+}
+
+
+def parse_vector(text, m):
     vals = [float(x) for x in text.split(",")]
-    if m is not None and len(vals) != m:
+    if len(vals) != m:
         raise ParameterError(f"expected {m} components, got {len(vals)}: {text!r}")
     return np.array(vals)
 
 
-def parse_f_family(spec):
-    """Named nonlinearity families; returns (f, domain)."""
-    family, _, params = spec.partition(":")
-    kv = _parse_kv(params)
-    inf = math.inf
+def _on_array(g, domain=(-math.inf, math.inf)):
+    """(f, domain) of a nonlinearity: f converts its argument to a float
+    array once and applies g to it."""
+    return (lambda t: g(np.asarray(t, dtype=float))), domain
 
-    def need(key):
-        if key not in kv:
-            raise ParameterError(f"{family} needs {key}: {spec!r}")
-        return kv[key]
 
-    if family == "zero":
-        return (lambda t: 0.0 * np.asarray(t, dtype=float)), (-inf, inf)
-    if family == "example1":
-        alpha = need("alpha")
-        return (lambda t: 4.0 * alpha * np.asarray(t) / (1.0 + 2.0 * np.asarray(t) ** 2),
-                (-inf, inf))
-    if family == "example2":
-        ell = need("ell")
-        return (lambda t: -ell / (2.0 * (1.0 + np.asarray(t)))), (-1.0, inf)
-    if family == "example3":
-        alpha = need("alpha")
-        axis = int(kv.get("axis", 1))
-        if axis == 1:
-            return (lambda t: alpha * np.asarray(t) / (1.0 + np.asarray(t) ** 2),
-                    (-inf, inf))
-        if axis == 2:
-            return (lambda t: 2.0 * alpha * np.asarray(t) ** 3
-                    / (1.0 + np.asarray(t) ** 4), (-inf, inf))
-        raise ParameterError(f"example3 axis must be 1 or 2, got {axis}")
-    if family == "example4":
-        alpha, m = need("alpha"), kv.get("m", 3.0)
-        return (lambda t: m * alpha * np.asarray(t) / (1.0 + m * np.asarray(t) ** 2),
-                (-inf, inf))
-    raise ParameterError(f"unknown f family {spec!r}")
+def _example3(alpha, axis=1):
+    if axis == 1:
+        return _on_array(lambda t: alpha * t / (1.0 + t**2))
+    if axis == 2:
+        return _on_array(lambda t: 2.0 * alpha * t**3 / (1.0 + t**4))
+    raise ParameterError(f"example3 axis must be 1 or 2, got {axis}")
+
+
+F_FAMILIES = {
+    "zero": lambda: _on_array(lambda t: 0.0 * t),
+    "example1": lambda alpha: _on_array(lambda t: 4.0 * alpha * t / (1.0 + 2.0 * t**2)),
+    "example2": lambda ell: _on_array(lambda t: -ell / (2.0 * (1.0 + t)), (-1.0, math.inf)),
+    "example3": _example3,
+    "example4": lambda alpha, m=3.0: _on_array(lambda t: m * alpha * t / (1.0 + m * t**2)),
+}
 
 
 def coefficient_from_flags(constant_b, epsilon):
@@ -232,7 +224,7 @@ class _JsonErrorGroup(click.Group):
             _fail(EXIT_NOC_HOLDS, exc)
         except NotDistinguishedError as exc:
             _fail(EXIT_NOT_DISTINGUISHED, exc)
-        except (ParameterError, ValueError) as exc:
+        except (ParameterError, ValueError, OSError) as exc:
             _fail(EXIT_VALIDATION, exc)
         except (IntegrationFailure, QuadratureError, ResolutionError,
                 SingularMetricError, ExhaustedSearchError, OverflowError,
@@ -250,7 +242,7 @@ class _JsonErrorGroup(click.Group):
             _fail(EXIT_VALIDATION, ParameterError(exc.format_message()))
         except click.Abort:
             _fail(EXIT_ABORTED, Aborted("interrupted"))
-        sys.exit(code)
+        sys.exit(code or EXIT_OK)
 
 
 @click.group(cls=_JsonErrorGroup, no_args_is_help=False)
@@ -267,13 +259,10 @@ def main():
 @click.option("--lambda-max", type=float, default=60.0, show_default=True)
 @click.option("--grid", type=int, default=1000, show_default=True)
 @click.option("--tol", type=float, default=1e-11, show_default=True)
-@click.option("--config", type=click.Path(exists=True), default=None)
+@config_option
 @click.option("--out", type=click.Path(), required=True)
-@click.pass_context
-def stability_chart(ctx, **kwargs):
+def stability_chart(**p):
     """Monodromy-trace chart plus an instability-interval JSON sidecar."""
-    apply_config(ctx, kwargs.pop("config"))
-    p = ctx.params
     b = coefficient_from_flags(p["constant_b"], p["epsilon"])
     pot = coeffs.hill_potential(b, p["n"])
     lams = floquet.scan_grid((p["lambda_min"], p["lambda_max"]), p["grid"])
@@ -294,7 +283,6 @@ def stability_chart(ctx, **kwargs):
             for iv in intervals
         ],
     }, indent=2) + "\n")
-    sys.exit(EXIT_OK)
 
 
 @main.command("geodesic")
@@ -305,14 +293,11 @@ def stability_chart(ctx, **kwargs):
 @click.option("--s-max", type=float, default=3.0, show_default=True)
 @click.option("--tol", type=float, default=1e-10, show_default=True)
 @click.option("--samples", type=int, default=200, show_default=True)
-@click.option("--config", type=click.Path(exists=True), default=None)
+@config_option
 @click.option("--out", type=click.Path(), required=True)
-@click.pass_context
-def geodesic(ctx, **kwargs):
+def geodesic(**p):
     """Integrate a unit-speed geodesic and export the path CSV."""
-    apply_config(ctx, kwargs.pop("config"))
-    p = ctx.params
-    metric = parse_metric(p["metric"])
+    metric = parse_family(p["metric"], METRICS, "metric")
     u0 = (parse_vector(p["u0"], metric.m) if p["u0"]
           else np.zeros(metric.m))
     d = (parse_vector(p["direction"], metric.m) if p["direction"]
@@ -324,7 +309,6 @@ def geodesic(ctx, **kwargs):
     path = geometry.geodesic_full(metric, u0, v0, p["s_max"], tol=p["tol"],
                                   n_samples=p["samples"])
     geometry.export_path_csv(p["out"], path, metric.m)
-    sys.exit(EXIT_OK)
 
 
 @main.command("noc")
@@ -333,15 +317,12 @@ def geodesic(ctx, **kwargs):
 @click.option("--s-max", type=float, default=1e5, show_default=True)
 @click.option("--margin", type=float, default=0.1, show_default=True)
 @click.option("--tol", type=float, default=1e-12, show_default=True)
-@click.option("--config", type=click.Path(exists=True), default=None)
+@config_option
 @click.option("--out", type=click.Path(), default=None,
               help="verdict JSON path (stdout when omitted)")
-@click.pass_context
-def noc(ctx, **kwargs):
+def noc(**p):
     """Classify the global-existence integral condition for a named f."""
-    apply_config(ctx, kwargs.pop("config"))
-    p = ctx.params
-    f, domain = parse_f_family(p["f_spec"])
+    f, domain = parse_family(p["f_spec"], F_FAMILIES, "f")
     verdict = transform.noc_check(f, s_max=p["s_max"], margin=p["margin"],
                                   domain=domain, tol=p["tol"])
     text = verdict.to_json()
@@ -349,7 +330,6 @@ def noc(ctx, **kwargs):
         write_atomic(p["out"], text + "\n")
     else:
         click.echo(text)
-    sys.exit(EXIT_OK)
 
 
 @main.command("blowup-demo")
@@ -365,16 +345,13 @@ def noc(ctx, **kwargs):
 @click.option("--simulate", type=click.Choice(["yes", "no"]), default="no",
               show_default=True)
 @click.option("--tol", type=float, default=1e-11, show_default=True)
-@click.option("--config", type=click.Path(exists=True), default=None)
+@config_option
 @click.option("--out", type=click.Path(), required=True,
               help="certificate JSON path")
-@click.pass_context
-def blowup_demo(ctx, **kwargs):
+def blowup_demo(**p):
     """Full pipeline: coherence check, then the blow-up certificate, which
     exits 4 when the transform has no finite endpoint."""
-    apply_config(ctx, kwargs.pop("config"))
-    p = ctx.params
-    metric = parse_metric(p["metric"])
+    metric = parse_family(p["metric"], METRICS, "metric")
     a = (parse_vector(p["direction"], metric.m) if p["direction"]
          else np.ones(metric.m))
 
@@ -400,16 +377,14 @@ def blowup_demo(ctx, **kwargs):
         result, grid = _simulate_certificate(b, pot, tp, cert)
         manifest_path = os.path.splitext(p["out"])[0] + ".sim.json"
         pdesim.export_manifest(manifest_path, result, grid)
-    sys.exit(EXIT_OK)
 
 
 def _simulate_certificate(b, pot, tp, cert, points=1024):
     """1-D torus run of the certified scenario (plane wave, no cutoff)."""
     lam = cert.plan.lam
     L = 2.0 * math.pi / math.sqrt(lam)
-    bmax = float(np.max(b.eval(np.linspace(0.0, 1.0, 2048))))
     dx = L / points
-    dt_cap = 0.45 * dx / bmax
+    dt_cap = 0.45 * dx / pdesim.max_b(b)
     steps_per_unit = int(math.ceil(1.0 / dt_cap))
     dt = 1.0 / steps_per_unit
     t_end = min(cert.plan.M, math.ceil(cert.t_star * 1.2))
@@ -446,30 +421,23 @@ def _simulate_certificate(b, pot, tp, cert, points=1024):
 @click.option("--k", type=int, default=1, show_default=True,
               help="grid modes: integer mode number of the cosine data")
 @click.option("--tol", type=float, default=1e-11, show_default=True)
-@click.option("--config", type=click.Path(exists=True), default=None)
+@config_option
 @click.option("--out", type=click.Path(), required=True)
-@click.pass_context
-def simulate(ctx, **kwargs):
+def simulate(**p):
     """Direct evolution: full torus solver or the spatially-uniform ODE."""
-    apply_config(ctx, kwargs.pop("config"))
-    p = ctx.params
     b = coefficient_from_flags(p["constant_b"], p["epsilon"])
-    f, domain = parse_f_family(p["f_spec"])
+    f, domain = parse_family(p["f_spec"], F_FAMILIES, "f")
 
     if p["mode"] == "uniform":
         samples = pdesim.evolve_uniform(
             b, p["n"], f, p["u0_val"], p["u1_val"], p["t_end"], tol=p["tol"])
         rows = [[f"{t:.17g}", f"{u:.17g}"] for t, u in samples]
         write_atomic(p["out"], csv_text([["t", "u"]] + rows))
-        sys.exit(EXIT_OK)
+        return
 
     L, points = p["torus_length"], p["points"]
     dx = L / points
-    if p["dt"] is None:
-        bmax = float(np.max(b.eval(np.linspace(0.0, 1.0, 2048))))
-        dt = 0.45 * dx / bmax
-    else:
-        dt = p["dt"]
+    dt = 0.45 * dx / pdesim.max_b(b) if p["dt"] is None else p["dt"]
     grid = pdesim.GridSpec(n=1, L=L, points=points, dt=dt, t_end=p["t_end"])
     x = grid.axis()
     v0 = p["offset"] + p["amplitude"] * np.cos(2.0 * np.pi * p["k"] * x / L)
@@ -481,7 +449,6 @@ def simulate(ctx, **kwargs):
         result = pdesim.evolve_nonlinear(b, p["n"], f, grid, v0, v1, tp)
     pdesim.export_snapshot_csv(p["out"], grid, result.snapshots[-1])
     pdesim.export_manifest(os.path.splitext(p["out"])[0] + ".json", result, grid)
-    sys.exit(EXIT_OK)
 
 
 if __name__ == "__main__":

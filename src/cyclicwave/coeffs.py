@@ -24,11 +24,6 @@ class PeriodicCoefficient:
     eval: Callable = field(repr=False)
     d1: Callable = field(repr=False)
     d2: Callable = field(repr=False)
-    kind: str = "builtin-closed-form"
-    period: float = 1.0
-
-    def __call__(self, t):
-        return self.eval(t)
 
 
 def make_builtin(name, **params):
@@ -115,9 +110,7 @@ def from_samples(values):
     def wrap(s):
         return lambda t: s(np.mod(np.asarray(t, dtype=float), 1.0))
 
-    return PeriodicCoefficient(
-        eval=wrap(spl), d1=wrap(d1), d2=wrap(d2), kind="user-tabulated"
-    )
+    return PeriodicCoefficient(eval=wrap(spl), d1=wrap(d1), d2=wrap(d2))
 
 
 @dataclass(frozen=True)

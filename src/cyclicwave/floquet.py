@@ -50,14 +50,12 @@ class MultiplierPair:
 
     For the unstable class, mu0 > 1 is the magnitude of the expanding
     multiplier and sign is the common sign of both multipliers (the actual
-    eigenvalues are sign*mu0 and sign/mu0).  For the stable class, angle is
-    the rotation angle of the unit-circle pair.
+    eigenvalues are sign*mu0 and sign/mu0).
     """
 
     kind: str  # 'stable' | 'unstable' | 'boundary'
     mu0: float | None = None
     sign: int = 1
-    angle: float | None = None
 
     @property
     def expanding(self):
@@ -205,7 +203,7 @@ def classify(m, boundary_tol=1e-9):
     if abs(tr) > 2.0:
         mu0 = (abs(tr) + math.sqrt(tr * tr - 4.0)) / 2.0
         return MultiplierPair(kind="unstable", mu0=mu0, sign=1 if tr > 0 else -1)
-    return MultiplierPair(kind="stable", angle=math.acos(tr / 2.0))
+    return MultiplierPair(kind="stable")
 
 
 def trace_curve(pot, lams, tol=1e-11):

@@ -40,8 +40,6 @@ class MetricChart:
     derivatives; the generic fallback is 4th-order central differences.
     """
 
-    family = "custom"
-
     def __init__(self, m, h, dh=None, domain=None):
         self.m = int(m)
         self._h = h
@@ -62,8 +60,6 @@ class MetricChart:
 
 class ConformalMetric(MetricChart):
     """h_ij(u) = hscalar(u) * delta_ij."""
-
-    family = "conformal"
 
     def __init__(self, m, hscalar, grad=None, laplacian_log=None, domain=None):
         self.hscalar = hscalar
@@ -86,6 +82,8 @@ class ConformalMetric(MetricChart):
 def conformal_power(alpha, powers=(2, 2)):
     """Conformal factor h = (1 + sum_i u_i^{p_i})^alpha with even p_i."""
     powers = tuple(int(p) for p in powers)
+    if not powers:
+        raise ParameterError("powers must be non-empty: the metric needs m >= 1")
     if any(p < 2 or p % 2 for p in powers):
         raise ParameterError(f"powers must be even integers >= 2, got {powers}")
     m = len(powers)
@@ -162,8 +160,6 @@ def half_plane_power(ell):
 class DiagonalPerturbedMetric(MetricChart):
     """h_ik(u) = hscalar(u) * (delta_ik + H_ik(u)) with ||H|| < 1."""
 
-    family = "diagonal-perturbed"
-
     def __init__(self, m, hscalar, H, grad=None, domain=None):
         self.hscalar = hscalar
         self.grad_hscalar = grad
@@ -209,7 +205,6 @@ def christoffel(M, u):
 
 @dataclass(frozen=True)
 class DistinguishedLine:
-    a: np.ndarray
     f_samples: list  # [(t, f(t)), ...]
     max_residual: float
 
@@ -239,7 +234,7 @@ def check_self_coherence(M, a, t_range, samples=64):
         f_t = float(a @ c) / norm2
         worst = max(worst, float(np.max(np.abs(c - a * f_t))))
         out.append((float(t), f_t))
-    return DistinguishedLine(a=a, f_samples=out, max_residual=worst)
+    return DistinguishedLine(f_samples=out, max_residual=worst)
 
 
 @dataclass(frozen=True)

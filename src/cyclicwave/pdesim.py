@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import IntegrationFailure, ParameterError
 from .output import csv_text, write_atomic
 
 _U_CAP = 1e8
@@ -59,12 +59,16 @@ class GridSpec:
         return sum(k**2 for k in _axis_wavenumbers(self, half=False))
 
     def check_cfl(self, b):
-        bmax = float(np.max(b.eval(np.linspace(0.0, 1.0, 2048))))
-        limit = 0.5 * self.dx / bmax
+        limit = 0.5 * self.dx / max_b(b)
         if self.dt <= 0 or self.dt > limit:
             raise ParameterError(
                 f"CFL violation: dt={self.dt} exceeds 0.5*dx/max b = {limit:.6g}"
             )
+
+
+def max_b(b):
+    """max b over one period, from 2048 samples: the speed in every CFL rule."""
+    return float(np.max(b.eval(np.linspace(0.0, 1.0, 2048))))
 
 
 @dataclass
@@ -189,8 +193,7 @@ def evolve_nonlinear(b, n_coeff, f, grid, u0, u1, v_guard, n_snapshots=64):
     grid.check_cfl(b)
     spec = _Spectrum(grid)
 
-    ep = v_guard.endpoints()
-    target = ep.b if ep.b_finite else (ep.a if ep.a_finite else None)
+    target = v_guard.endpoints().target
     # G is strictly increasing, so proximity of G(u) to the endpoint is
     # equivalent to a scalar bound on u itself; invert the level once.
     u_hi = u_lo = None
@@ -234,7 +237,8 @@ def evolve_uniform(b, n_coeff, f, u0, u1, t_end, tol=1e-11, n_samples=400):
     """Spatially uniform solution: u'' - n(b'/b)u' + f(u)(u')^2 = 0.
 
     Returns [(t, u(t)), ...]; truncates (with the last finite sample) if u
-    leaves the invertibility domain, i.e. blows up.
+    leaves the invertibility domain, i.e. blows up.  Raises
+    IntegrationFailure when the solver fails before t_end.
     """
     from scipy.integrate import solve_ivp
 
@@ -250,6 +254,8 @@ def evolve_uniform(b, n_coeff, f, u0, u1, t_end, tol=1e-11, n_samples=400):
         rtol=tol, atol=tol, t_eval=np.linspace(0.0, t_end, n_samples),
         events=escape,
     )
+    if not sol.success:
+        raise IntegrationFailure(f"uniform integration failed: {sol.message}")
     out = [(float(t), float(u)) for t, u in zip(sol.t, sol.y[0])]
     if sol.status == 1 and sol.t_events[0].size:
         out.append((float(sol.t_events[0][0]), float(sol.y_events[0][0][0])))

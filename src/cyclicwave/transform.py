@@ -43,9 +43,7 @@ class _Side:
 
         while self.frontier[0] < target_abs and self.terminated is None:
             s0, phi0, g0 = self.frontier
-            s1 = max(16.0, min(max(4.0 * s0, 2.0 * target_abs), target_abs))
-            if s1 <= s0:
-                s1 = 2.0 * s0
+            s1 = max(16.0, target_abs)
             t0, t1 = self.direction * s0, self.direction * s1
             if math.isfinite(self.edge):
                 # approach a finite edge geometrically: each chunk shrinks
@@ -94,7 +92,6 @@ class _Side:
         s_abs = np.asarray(s_abs, dtype=float)
         phi = np.empty_like(s_abs)
         g = np.empty_like(s_abs)
-        lo = 0.0
         remaining = np.ones(s_abs.shape, dtype=bool)
         for hi, dense in self.chunks:
             take = remaining & (s_abs <= hi + 1e-12)
@@ -103,7 +100,6 @@ class _Side:
                 phi[take] = vals[0]
                 g[take] = vals[1]
                 remaining[take] = False
-            lo = hi
         if np.any(remaining):
             # clamp beyond the frontier (terminated sides only)
             _, phi_f, g_f = self.frontier
@@ -224,6 +220,12 @@ class Endpoints:
     a_err: float
     b_err: float
     s_max: float
+
+    @property
+    def target(self):
+        """The finite endpoint a blow-up runs toward: b if finite, else a,
+        else None."""
+        return self.b if self.b_finite else (self.a if self.a_finite else None)
 
 
 def _one_endpoint(side, s_max):

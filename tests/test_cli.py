@@ -115,6 +115,22 @@ def test_config_overlay_and_flag_precedence(tmp_path):
         16.14912452889447, abs=2e-4)
 
 
+def test_config_alone_supplies_every_option(tmp_path):
+    """Config values are option defaults, so a config file with no flags
+    can supply a required option such as --out."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epsilon": 0.5, "constant-b": False, "n": 3,
+                               "lambda-min": 5, "lambda-max": 17, "grid": 200,
+                               "tol": 1e-11, "out": "cfg.csv"}))
+    r = run(chart_args("flag.csv"), tmp_path)
+    assert r.returncode == 0, r.stderr
+    r = run(["stability-chart", "--config", str(cfg)], tmp_path)
+    assert r.returncode == 0, r.stderr
+    for ext in (".csv", ".json"):
+        assert ((tmp_path / f"cfg{ext}").read_bytes()
+                == (tmp_path / f"flag{ext}").read_bytes())
+
+
 def test_config_unknown_key(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"epsilonn": 0.5}))
@@ -189,6 +205,20 @@ def test_usage_error_is_one_json_line(tmp_path, args):
     assert r.returncode == 2, r.stderr
     _single_parameter_error(r)
     assert not any(tmp_path.glob("x.*"))
+
+
+@pytest.mark.parametrize("args", [
+    chart_args("x.csv", ("--config", "cfgdir")),
+    chart_args("missing/x.csv"),
+], ids=["config-is-directory", "out-in-missing-directory"])
+def test_io_error_is_one_json_line(tmp_path, args):
+    (tmp_path / "cfgdir").mkdir()
+    r = run(args, tmp_path)
+    assert r.returncode == 2, r.stderr
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1, r.stderr
+    assert "error" in json.loads(lines[0])
+    assert [p.name for p in tmp_path.iterdir()] == ["cfgdir"]
 
 
 def test_click_main_in_process(tmp_path, capsys, monkeypatch):
@@ -297,13 +327,28 @@ def test_noc_verdicts(tmp_path):
 
 
 @pytest.mark.parametrize("spec", ["example1", "example2", "example3",
-                                  "example4"])
+                                  "example4", "example1:alpha=-1,bogus=3",
+                                  "zero:alpha=1", "example3:alpha=-1,axis=1.5"])
 def test_noc_missing_f_parameter_exit_2(tmp_path, spec):
     r = run(["noc", "--f", spec], tmp_path)
     assert r.returncode == 2
     lines = r.stderr.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ParameterError"
+
+
+@pytest.mark.parametrize("spec, named", [
+    ("conformal:alpha=-1,m=2.7", "'m'"),
+    ("conformal:alpha=-1,m=0", "m >= 1"),
+], ids=["non-integral-m", "m-zero"])
+def test_geodesic_bad_metric_parameter_exit_2(tmp_path, spec, named):
+    """An integer family key must be integral and a metric needs m >= 1;
+    the one JSON line names the key at fault."""
+    r = run(["geodesic", "--metric", spec, "--out", "g.csv"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    _single_parameter_error(r)
+    assert named in json.loads(r.stderr)["message"]
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_blowup_demo_full_run(tmp_path):

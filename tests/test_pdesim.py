@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from cyclicwave import coeffs, pdesim, transform
-from cyclicwave.errors import ParameterError
+from cyclicwave.errors import IntegrationFailure, ParameterError
 
 import spectral_reference
 from conftest import f_ray
@@ -67,6 +67,16 @@ def test_uniform_nonlinear_blowup_time(b05):
     t_last, u_last = res[-1]
     assert abs(u_last) > 1e7
     assert t_last == pytest.approx(T_CROSS, abs=1e-6)
+
+
+def test_uniform_failed_integration_raises(b05):
+    """A solver failure before t_end is an error, not a short sample list;
+    only the blow-up escape event ends a run early."""
+    def f_nan(u):
+        return math.nan if u > 0.3 else 0.0
+
+    with pytest.raises(IntegrationFailure):
+        pdesim.evolve_uniform(b05, 3, f_nan, 0.0, 1.0, 2.0)
 
 
 def test_uniform_matches_grid_run(b05, tp1):
