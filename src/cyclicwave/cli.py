@@ -87,6 +87,17 @@ config_option = click.option(
     expose_value=False, callback=_load_config)
 
 
+def _check_out(_ctx, _param, path):
+    """Reject an output path in a missing directory before any work."""
+    if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ParameterError(f"cannot write {path!r}: its directory does not exist")
+    return path
+
+
+def out_option(**kwargs):
+    return click.option("--out", type=click.Path(), callback=_check_out, **kwargs)
+
+
 def parse_family(spec, families, kind):
     """Build what a `name:key=value,...` spec names in a family table.
 
@@ -122,18 +133,14 @@ def parse_family(spec, families, kind):
 
 
 def _perturbed(alpha, m=2, c=0.1):
-    base = geometry.conformal_power(alpha, powers=(2,) * m)
-
+    # H and its gradient vanish on the diagonal, so the diagonal keeps the
+    # conformal part's nonlinearity
     def H(u):
         u = np.asarray(u, dtype=float)
         diff = u[:, None] - u[None, :]
         return c * diff**2 / (1.0 + float(u @ u))
 
-    metric = geometry.DiagonalPerturbedMetric(m, base.hscalar, H)
-    # H and its gradient vanish on the diagonal, so the line
-    # nonlinearity is that of the conformal part
-    metric.ray_log_derivative = base.ray_log_derivative
-    return metric
+    return geometry.conformal_power(alpha, powers=(2,) * m).perturbed(H)
 
 
 METRICS = {
@@ -260,7 +267,7 @@ def main():
 @click.option("--grid", type=int, default=1000, show_default=True)
 @click.option("--tol", type=float, default=1e-11, show_default=True)
 @config_option
-@click.option("--out", type=click.Path(), required=True)
+@out_option(required=True)
 def stability_chart(**p):
     """Monodromy-trace chart plus an instability-interval JSON sidecar."""
     b = coefficient_from_flags(p["constant_b"], p["epsilon"])
@@ -294,7 +301,7 @@ def stability_chart(**p):
 @click.option("--tol", type=float, default=1e-10, show_default=True)
 @click.option("--samples", type=int, default=200, show_default=True)
 @config_option
-@click.option("--out", type=click.Path(), required=True)
+@out_option(required=True)
 def geodesic(**p):
     """Integrate a unit-speed geodesic and export the path CSV."""
     metric = parse_family(p["metric"], METRICS, "metric")
@@ -318,8 +325,7 @@ def geodesic(**p):
 @click.option("--margin", type=float, default=0.1, show_default=True)
 @click.option("--tol", type=float, default=1e-12, show_default=True)
 @config_option
-@click.option("--out", type=click.Path(), default=None,
-              help="verdict JSON path (stdout when omitted)")
+@out_option(default=None, help="verdict JSON path (stdout when omitted)")
 def noc(**p):
     """Classify the global-existence integral condition for a named f."""
     f, domain = parse_family(p["f_spec"], F_FAMILIES, "f")
@@ -346,8 +352,7 @@ def noc(**p):
               show_default=True)
 @click.option("--tol", type=float, default=1e-11, show_default=True)
 @config_option
-@click.option("--out", type=click.Path(), required=True,
-              help="certificate JSON path")
+@out_option(required=True, help="certificate JSON path")
 def blowup_demo(**p):
     """Full pipeline: coherence check, then the blow-up certificate, which
     exits 4 when the transform has no finite endpoint."""
@@ -422,7 +427,7 @@ def _simulate_certificate(b, pot, tp, cert, points=1024):
               help="grid modes: integer mode number of the cosine data")
 @click.option("--tol", type=float, default=1e-11, show_default=True)
 @config_option
-@click.option("--out", type=click.Path(), required=True)
+@out_option(required=True)
 def simulate(**p):
     """Direct evolution: full torus solver or the spatially-uniform ODE."""
     b = coefficient_from_flags(p["constant_b"], p["epsilon"])

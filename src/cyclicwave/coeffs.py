@@ -47,7 +47,7 @@ def make_builtin(name, **params):
 
         return PeriodicCoefficient(eval=const(c), d1=const(0.0), d2=const(0.0))
     if name == "sqrt-sin":
-        eps = float(params.pop("eps", params.pop("epsilon", np.nan)))
+        eps = float(params.pop("eps", np.nan))
         if params:
             raise ParameterError(f"unknown parameters for 'sqrt-sin': {params}")
         if not (0.0 < eps < 1.0):

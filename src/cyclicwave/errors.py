@@ -16,18 +16,9 @@ class IntegrationFailure(CyclicWaveError, RuntimeError):
 class QuadratureError(CyclicWaveError, RuntimeError):
     """Quadrature did not converge on some interval."""
 
-    def __init__(self, message, interval=None):
-        super().__init__(message)
-        self.interval = interval
-
 
 class SingularMetricError(CyclicWaveError, RuntimeError):
-    """Metric is numerically singular; carries a condition estimate."""
-
-    def __init__(self, message, cond=None, at=None):
-        super().__init__(message)
-        self.cond = cond
-        self.at = at
+    """Metric is numerically singular at a point."""
 
 
 class ResolutionError(CyclicWaveError, RuntimeError):

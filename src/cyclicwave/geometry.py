@@ -1,11 +1,12 @@
 """Target-manifold metrics, Christoffel symbols, geodesics and curvature.
 
-A MetricChart supplies h(u) and its partial derivatives; everything else
-(Christoffel symbols, the straight-line self-coherence test, geodesic
-integration, 2-D conformal Gaussian curvature) is computed from those.
+A Metric is h(u) = hscalar(u) * (I + H(u)): a conformal factor with its
+closed-form gradient, log-Laplacian and ray log-derivative, and an optional
+perturbation H.  Everything else (Christoffel symbols, the straight-line
+self-coherence test, geodesic integration, 2-D conformal Gaussian
+curvature) is computed from h and its partial derivatives.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,66 +18,54 @@ _FD_STEP = 1e-4
 _CHART_BOUND = 1e6
 
 
-def _fd_grad(fn, u, step=_FD_STEP):
-    """4th-order central difference gradient of a scalar or matrix function."""
-    u = np.asarray(u, dtype=float)
-    out = []
-    for k in range(u.size):
-        e = np.zeros_like(u)
-        e[k] = step
-        out.append(
-            (
-                -fn(u + 2 * e) + 8 * fn(u + e) - 8 * fn(u - e) + fn(u - 2 * e)
-            ) / (12 * step)
-        )
-    return out
+class Metric:
+    """h(u) = hscalar(u) * (I + H(u)) on R^m, or on the open subset where
+    the predicate `domain` holds.
 
-
-class MetricChart:
-    """Riemannian metric in a global chart on R^m (or an open subset).
-
-    h(u) returns the m x m matrix; dh(u, k) its partial derivative with
-    respect to u^k.  Subclasses with closed-form h provide analytic
-    derivatives; the generic fallback is 4th-order central differences.
+    grad(u) is the gradient of hscalar, lap_log(u) the Laplacian of
+    ln hscalar, and ray_log_derivative(a) the vectorized t -> d/dt ln
+    hscalar(t*a) along the ray through a.  Without H, dh is analytic; with
+    H, it is a 4th-order central difference of h.
     """
 
-    def __init__(self, m, h, dh=None, domain=None):
+    def __init__(self, m, hscalar, grad, lap_log, ray_log_derivative,
+                 domain=None, H=None):
         self.m = int(m)
-        self._h = h
-        self._dh = dh
-        self.domain = domain  # optional predicate u -> bool
+        self.hscalar = hscalar
+        self.grad = grad
+        self.lap_log = lap_log
+        self.ray_log_derivative = ray_log_derivative
+        self.domain = domain
+        self.H = H
 
     def h(self, u):
-        return np.asarray(self._h(np.asarray(u, dtype=float)), dtype=float)
+        u = np.asarray(u, dtype=float)
+        if self.H is None:
+            return self.hscalar(u) * np.eye(self.m)
+        return self.hscalar(u) * (np.eye(self.m) + np.asarray(self.H(u), dtype=float))
 
     def dh(self, u, k):
-        if self._dh is not None:
-            return np.asarray(self._dh(np.asarray(u, dtype=float), k), dtype=float)
-        return _fd_grad(self.h, u)[k]
+        """Partial derivative of h with respect to u^k."""
+        u = np.asarray(u, dtype=float)
+        if self.H is None:
+            return self.grad(u)[k] * np.eye(self.m)
+        e = np.zeros_like(u)
+        e[k] = _FD_STEP
+        return (
+            -self.h(u + 2 * e) + 8 * self.h(u + e) - 8 * self.h(u - e) + self.h(u - 2 * e)
+        ) / (12 * _FD_STEP)
 
     def in_domain(self, u):
         return True if self.domain is None else bool(self.domain(np.asarray(u)))
 
+    def perturbed(self, H):
+        """The same conformal part times (I + H).
 
-class ConformalMetric(MetricChart):
-    """h_ij(u) = hscalar(u) * delta_ij."""
-
-    def __init__(self, m, hscalar, grad=None, laplacian_log=None, domain=None):
-        self.hscalar = hscalar
-        self.grad_hscalar = grad
-        self.laplacian_log = laplacian_log  # analytic Laplacian of ln hscalar
-        super().__init__(m, h=None, domain=domain)
-
-    def h(self, u):
-        return self.hscalar(np.asarray(u, dtype=float)) * np.eye(self.m)
-
-    def dh(self, u, k):
-        u = np.asarray(u, dtype=float)
-        if self.grad_hscalar is not None:
-            g = self.grad_hscalar(u)[k]
-        else:
-            g = _fd_grad(self.hscalar, u)[k]
-        return g * np.eye(self.m)
+        The ray log-derivative stays that of the conformal part, which is
+        the line's nonlinearity wherever H and its gradient vanish on it.
+        """
+        return Metric(self.m, self.hscalar, self.grad, self.lap_log,
+                      self.ray_log_derivative, domain=self.domain, H=H)
 
 
 def conformal_power(alpha, powers=(2, 2)):
@@ -107,8 +96,6 @@ def conformal_power(alpha, powers=(2, 2)):
         d2 = p * (p - 1.0) * u ** (p - 2.0)
         return alpha * float(np.sum(d2 / s - (d1 / s) ** 2))
 
-    metric = ConformalMetric(m, hs, grad=grad, laplacian_log=lap_log)
-
     def ray_log_derivative(a):
         """Vectorized d/dt ln h(t*a) for the ray through direction a."""
         a = np.asarray(a, dtype=float)
@@ -122,8 +109,7 @@ def conformal_power(alpha, powers=(2, 2)):
 
         return f
 
-    metric.ray_log_derivative = ray_log_derivative
-    return metric
+    return Metric(m, hs, grad, lap_log, ray_log_derivative)
 
 
 def half_plane_power(ell):
@@ -139,10 +125,6 @@ def half_plane_power(ell):
     def lap_log(u):
         return ell / (1.0 + u[1]) ** 2
 
-    metric = ConformalMetric(
-        2, hs, grad=grad, laplacian_log=lap_log, domain=lambda u: u[1] > -1.0
-    )
-
     def ray_log_derivative(a):
         a = np.asarray(a, dtype=float)
         a2 = float(a[1])
@@ -153,31 +135,8 @@ def half_plane_power(ell):
 
         return f
 
-    metric.ray_log_derivative = ray_log_derivative
-    return metric
-
-
-class DiagonalPerturbedMetric(MetricChart):
-    """h_ik(u) = hscalar(u) * (delta_ik + H_ik(u)) with ||H|| < 1."""
-
-    def __init__(self, m, hscalar, H, grad=None, domain=None):
-        self.hscalar = hscalar
-        self.grad_hscalar = grad
-        self.H = H
-        super().__init__(m, h=None, domain=domain)
-
-    def h(self, u):
-        u = np.asarray(u, dtype=float)
-        return self.hscalar(u) * (np.eye(self.m) + np.asarray(self.H(u), dtype=float))
-
-    def dh(self, u, k):
-        return _fd_grad(self.h, u)[k]
-
-
-@dataclass(frozen=True)
-class ChristoffelValue:
-    u: np.ndarray
-    gamma: np.ndarray  # gamma[i, j, k] = Gamma^i_{jk}
+    return Metric(2, hs, grad, lap_log, ray_log_derivative,
+                  domain=lambda u: u[1] > -1.0)
 
 
 def christoffel(M, u):
@@ -189,18 +148,14 @@ def christoffel(M, u):
     dh = np.stack([M.dh(u, k) for k in range(M.m)])  # dh[l, :, :] = d_l h
     try:
         hinv = np.linalg.inv(h)
-        cond = np.linalg.cond(h)
-        if cond > 1e12 or not np.all(np.isfinite(hinv)):
+        if np.linalg.cond(h) > 1e12 or not np.all(np.isfinite(hinv)):
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
-        raise SingularMetricError(
-            f"metric singular at u={u.tolist()}",
-            cond=float(np.linalg.cond(h)), at=u,
-        ) from None
+        raise SingularMetricError(f"metric singular at u={u.tolist()}") from None
     # dh[j, k, l] = d_j h_{kl}; expr[j, k, l] = d_j h_{kl} + d_k h_{jl} - d_l h_{kj}
     expr = dh + dh.transpose(1, 0, 2) - dh.transpose(2, 1, 0)
-    gamma = 0.5 * np.einsum("il,jkl->ijk", hinv, expr)
-    return ChristoffelValue(u=u, gamma=gamma)
+    # gamma[i, j, k] = Gamma^i_{jk}
+    return 0.5 * np.einsum("il,jkl->ijk", hinv, expr)
 
 
 @dataclass(frozen=True)
@@ -229,7 +184,7 @@ def check_self_coherence(M, a, t_range, samples=64):
         u = a * t
         if not M.in_domain(u):
             raise ParameterError(f"line leaves the metric domain at t={t}")
-        gamma = christoffel(M, u).gamma
+        gamma = christoffel(M, u)
         c = np.einsum("ijk,j,k->i", gamma, a, a)
         f_t = float(a @ c) / norm2
         worst = max(worst, float(np.max(np.abs(c - a * f_t))))
@@ -241,11 +196,6 @@ def check_self_coherence(M, a, t_range, samples=64):
 class GeodesicPath:
     samples: list  # [(s, u, udot), ...]
     speed: float
-    truncated: bool = False
-
-    def csv_rows(self):
-        for s, u, du in self.samples:
-            yield [s, *u.tolist(), *du.tolist()]
 
 
 def geodesic_full(M, u0, v0, s_max, tol=1e-10, n_samples=200):
@@ -260,7 +210,7 @@ def geodesic_full(M, u0, v0, s_max, tol=1e-10, n_samples=200):
 
     def rhs(s, y):
         u, du = y[:m], y[m:]
-        gamma = christoffel(M, u).gamma
+        gamma = christoffel(M, u)
         acc = -np.einsum("ijk,j,k->i", gamma, du, du)
         return np.concatenate([du, acc])
 
@@ -280,7 +230,7 @@ def geodesic_full(M, u0, v0, s_max, tol=1e-10, n_samples=200):
         for i, s in enumerate(sol.t)
     ]
     speed0 = float(v0 @ M.h(u0) @ v0)
-    return GeodesicPath(samples=samples, speed=speed0, truncated=sol.status == 1)
+    return GeodesicPath(samples=samples, speed=speed0)
 
 
 def h_speed_drift(M, path):
@@ -322,29 +272,15 @@ def geodesic_reduced(f, xi_hat, s_max, tol=1e-10, u_init=0.0, n_samples=200):
 
 def gaussian_curvature(M, u):
     """K = -(1/h) * Laplacian(ln h) for a 2-D conformal chart."""
-    if not isinstance(M, ConformalMetric) or M.m != 2:
+    if M.H is not None or M.m != 2:
         raise ParameterError("Gaussian curvature requires a 2-D conformal metric")
     u = np.asarray(u, dtype=float)
-    if M.laplacian_log is not None:
-        lap = M.laplacian_log(u)
-    else:
-        def loh(x):
-            return math.log(M.hscalar(x))
-
-        step = _FD_STEP
-        lap = 0.0
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = step
-            lap += (
-                -loh(u + 2 * e) + 16 * loh(u + e) - 30 * loh(u)
-                + 16 * loh(u - e) - loh(u - 2 * e)
-            ) / (12 * step**2)
-    return -lap / M.hscalar(u)
+    return -M.lap_log(u) / M.hscalar(u)
 
 
 def export_path_csv(path, geo, m):
     """CSV export: s,u1,...,um,du1,...,dum (17 significant digits)."""
     header = ["s"] + [f"u{i+1}" for i in range(m)] + [f"du{i+1}" for i in range(m)]
-    rows = [[f"{x:.17g}" for x in row] for row in geo.csv_rows()]
+    rows = [[f"{x:.17g}" for x in (s, *u.tolist(), *du.tolist())]
+            for s, u, du in geo.samples]
     write_atomic(path, csv_text([header] + rows))

@@ -79,8 +79,7 @@ class _Side:
             )
             if not sol.success and sol.status != 1:
                 raise QuadratureError(
-                    f"cumulative quadrature failed on ({t0}, {t1}): {sol.message}",
-                    interval=(t0, t1),
+                    f"cumulative quadrature failed on ({t0}, {t1}): {sol.message}"
                 )
             self.chunks.append((abs(sol.t[-1]), sol.sol))
             self.frontier = (abs(sol.t[-1]), sol.y[0, -1], sol.y[1, -1])

@@ -23,7 +23,7 @@ def f_ray(t):
 
 @pytest.fixture(scope="session")
 def b05():
-    return coeffs.make_builtin("sqrt-sin", epsilon=0.5)
+    return coeffs.make_builtin("sqrt-sin", eps=0.5)
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ def _sympy_sqrt_sin(eps):
 
 def test_builtin_derivatives_match_cas():
     eps = 0.5
-    bnum = coeffs.make_builtin("sqrt-sin", epsilon=eps)
+    bnum = coeffs.make_builtin("sqrt-sin", eps=eps)
     t, b = _sympy_sqrt_sin(eps)
     d1 = sp.lambdify(t, sp.diff(b, t), "numpy")
     d2 = sp.lambdify(t, sp.diff(b, t, 2), "numpy")
@@ -147,7 +147,7 @@ def test_from_samples_roundtrip(b05):
 
 def test_parameter_validation():
     with pytest.raises(ParameterError):
-        coeffs.make_builtin("sqrt-sin", epsilon=1.5)
+        coeffs.make_builtin("sqrt-sin", eps=1.5)
     with pytest.raises(ParameterError):
         coeffs.make_builtin("constant", c=-1.0)
     with pytest.raises(ParameterError):

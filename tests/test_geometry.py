@@ -31,17 +31,28 @@ def _christoffel_fd(M, u, eps=1e-6):
     return gamma
 
 
+def _off_diagonal(c):
+    """H_ij = c (u_i - u_j)^2 / (1 + |u|^2): zero with zero gradient on
+    the diagonal."""
+    def H(u):
+        u = np.asarray(u, dtype=float)
+        return c * (u[:, None] - u[None, :]) ** 2 / (1.0 + float(u @ u))
+
+    return H
+
+
 @pytest.mark.parametrize("make", [
     lambda: geometry.conformal_power(-1.0, (2, 2)),
     lambda: geometry.conformal_power(-0.6, (2, 4)),
     lambda: geometry.half_plane_power(3.0),
+    lambda: geometry.conformal_power(-1.0, (2, 2)).perturbed(_off_diagonal(0.3)),
 ])
 def test_christoffel_against_finite_differences(make):
     M = make()
     rng = np.random.default_rng(5)
     for _ in range(5):
         u = rng.uniform(0.1, 1.2, size=2)
-        got = geometry.christoffel(M, u).gamma
+        got = geometry.christoffel(M, u)
         ref = _christoffel_fd(M, u)
         assert np.allclose(got, ref, rtol=1e-6, atol=1e-8)
 
@@ -61,7 +72,7 @@ def test_christoffel_conformal_closed_form():
             for k in range(m):
                 ref[i, j, k] = ((i == j) * grad[k] + (i == k) * grad[j]
                                 - (j == k) * grad[i]) / (2 * phi)
-    assert np.allclose(geometry.christoffel(M, u).gamma, ref,
+    assert np.allclose(geometry.christoffel(M, u), ref,
                        rtol=1e-10, atol=1e-12)
 
 
@@ -133,7 +144,7 @@ def test_perturbed_diagonal_metric():
                     out[i, j] = c * (u[i] - u[j]) ** 2 / den
         return out
 
-    M = geometry.DiagonalPerturbedMetric(m, base.hscalar, H)
+    M = base.perturbed(H)
     a = np.ones(m)
     line = geometry.check_self_coherence(M, a, (0.0, 2.0))
     assert line.max_residual < 1e-8
@@ -214,6 +225,15 @@ def test_gaussian_curvature_closed_forms():
                         + 6 * vv ** 2 + 1) * (uu ** 2 + vv ** 4 + 1) ** (-alpha - 2)
     got = geometry.gaussian_curvature(M, np.array([uu, vv]))
     assert got == pytest.approx(ref, rel=1e-8)
+
+
+def test_gaussian_curvature_needs_2d_conformal():
+    perturbed = geometry.conformal_power(-1.0, (2, 2)).perturbed(_off_diagonal(0.1))
+    with pytest.raises(ParameterError):
+        geometry.gaussian_curvature(perturbed, np.array([0.3, 0.5]))
+    with pytest.raises(ParameterError):
+        geometry.gaussian_curvature(geometry.conformal_power(-1.0, (2, 2, 2)),
+                                    np.array([0.3, 0.5, 0.1]))
 
 
 def test_domain_validation():
