@@ -33,15 +33,9 @@ _RADIAL_STEPS = 4096  # r steps on [0, R] for the n=3 radial transform
 _RADIAL_PAD = 8  # ... which runs over [0, 8R], zero beyond R
 
 
-def chi(z):
-    """Radial cutoff: 1 on |z|<=1, smooth bump down to 0 at |z|=2."""
-    z = np.asarray(z, dtype=float)
-    r = np.sqrt(np.sum(z * z, axis=-1)) if z.ndim else np.abs(z)
-    return chi_radial(r)
-
-
 def chi_radial(r):
-    """The cutoff as a function of the radius |z|.
+    """Radial cutoff as a function of the radius r = |z|: 1 on r <= 1,
+    smooth down to 0 at r = 2.
 
     The transition on (1, 2) is the standard partition-of-unity profile
     g(2-r)/(g(2-r)+g(r-1)) with g(s) = exp(-1/s), which is flat (all
@@ -113,22 +107,35 @@ def default_plan(n, lam, S, M, A=1.0):
     return BlowupPlan(n=n, lam=lam, S=S, M=int(M), A=float(A), y=tuple(y))
 
 
+def seed_profiles(plan, tp):
+    """The radial profiles g0 = M^-S chi(r / M^2) and g1 = A g0 exp(-Phi(g0))
+    of the plan's data, supported in r <= R = 2 M^2."""
+    amp, msq = plan.amplitude, float(plan.M) ** 2
+
+    def g0(r):
+        return amp * chi_radial(r / msq)
+
+    def g1(r):
+        base = g0(r)
+        return plan.A * base * np.exp(-tp.Phi(base))
+
+    return g0, g1
+
+
 def make_data(plan, tp):
-    """Return (u0, u1): callables on point arrays of shape (..., n)."""
-    amp = plan.amplitude
-    msq = float(plan.M) ** 2
+    """Return (u0, u1) = (g0(|x|), g1(|x|) cos(x.y)): callables on point
+    arrays of shape (..., n)."""
+    g0, g1 = seed_profiles(plan, tp)
     y = np.asarray(plan.y)
 
     def u0(x):
         x = np.asarray(x, dtype=float)
-        r = np.sqrt(np.sum(x * x, axis=-1))
-        return amp * chi_radial(r / msq)
+        return g0(np.sqrt(np.sum(x * x, axis=-1)))
 
     def u1(x):
         x = np.asarray(x, dtype=float)
-        base = u0(x)
         phase = np.cos(np.tensordot(x, y, axes=([-1], [0])))
-        return plan.A * base * np.exp(-tp.Phi(base)) * phase
+        return g1(np.sqrt(np.sum(x * x, axis=-1))) * phase
 
     return u0, u1
 
@@ -272,21 +279,12 @@ def radial_pair_norm(g0, g1, lam, s, R):
 def radial_smallness(plan, tp, s):
     """Semi-analytic smallness for n=3 radial-times-cosine plan data.
 
-    The profiles g0 = M^-S chi(r / M^2) and g1 = A g0 exp(-Phi(g0)) are
-    supported in r <= R = 2 M^2.  radial_pair_norm transforms each once on
-    the rho grid pi k / (8R) and integrates up to its cut.
+    radial_pair_norm transforms each of the seed_profiles once on the rho
+    grid pi k / (8R) and integrates up to its cut.
     """
     if plan.n != 3:
         raise ParameterError("radial smallness path is for n = 3")
-    amp, msq = plan.amplitude, float(plan.M) ** 2
-
-    def g0(r):
-        return amp * chi_radial(r / msq)
-
-    def g1(r):
-        base = g0(r)
-        return plan.A * base * np.exp(-tp.Phi(base))
-
+    g0, g1 = seed_profiles(plan, tp)
     return radial_pair_norm(g0, g1, plan.lam, s, plan.support_radius)
 
 
@@ -305,22 +303,23 @@ def plan_smallness(plan, tp, s=3.0, grid_points=None):
 # Exact local solution and certification
 # ---------------------------------------------------------------------------
 
-def exact_local_solution(plan, tp, b, pot, tol):
+def exact_local_solution(plan, tp, prop):
     """The transformed field v(t, x) inside the influence region.
 
     v(t,x) = G(M^-S) + A M^-S W(t) (b(t)/b(0))^{n/2} cos(x.y), valid for
     0 <= t <= M and |x| <= M^{3/2} (so the cutoff edge cannot interfere).
-    W(t) solves the Hill system of `pot` at plan.lam and is evaluated
-    through one floquet.Propagator at tolerance `tol`.
+    W(t) solves the Hill system at plan.lam through the floquet.Propagator
+    `prop`, whose potential supplies b and n.
     Returns a callable raising ParameterError outside the valid region.
     """
-    n = pot.n
+    pot = prop.pot
+    if prop.lam != plan.lam or pot.n != plan.n:
+        raise ParameterError("the Propagator's lambda and n must be the plan's")
+    b, n = pot.b, pot.n
     amp = plan.amplitude
     g0 = float(tp.G(np.array([amp]))[0])
     y = np.asarray(plan.y)
     b0 = b.eval(0.0)
-    prop = floquet.Propagator(floquet.monodromy(pot, plan.lam, tol=tol), pot,
-                              plan.lam, tol=tol)
 
     def v(t, x):
         x = np.asarray(x, dtype=float)
@@ -372,14 +371,6 @@ class BlowupCertificate:
         )
 
 
-def _origin_value(prop, plan, g0, b0, t):
-    """v(t, 0) of the exact local solution, W(t) from the Propagator prop."""
-    w, _ = prop(t, (0.0, 1.0))
-    pot = prop.pot
-    scale = (pot.b.eval(t) / b0) ** (pot.n / 2.0)
-    return float(g0 + plan.A * plan.amplitude * w * scale)
-
-
 def certify_blowup(tp, pot, lam_range, delta, S=None, s=3.0, M_max=256,
                    tol=1e-11, grid_points=None):
     """Find the smallest M whose plan both stays under delta and crosses.
@@ -410,7 +401,6 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, s=3.0, M_max=256,
     lam, m = floquet.find_good_lambda(intervals, pot, tol=tol)
     pair = floquet.classify(m)
     mu_exp = pair.expanding  # signed; |mu_exp| = mu0 > 1
-    b0 = pot.b.eval(0.0)
 
     def growth_ok(M):
         """True when |A M^-S W(M)| can reach from G(M^-S) to the endpoint."""
@@ -445,20 +435,21 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, s=3.0, M_max=256,
             f"delta={delta!r}", best=best
         )
 
-    # trajectory at integer and half-integer times, then first crossing;
-    # one Propagator serves both, so X(1/2, 0) is integrated once
-    prop = floquet.Propagator(m, pot, lam, tol=tol)
+    # v(t, 0) at integer and half-integer times, then first crossing; one
+    # Propagator serves both, so X(1/2, 0) is integrated once
+    v = exact_local_solution(plan, tp, floquet.Propagator(m, pot, lam, tol=tol))
+    origin = np.zeros(n)
     margin = abs(target) * 1e-9
-    crossed = (lambda v: v >= target - margin) if direction > 0 else (
-        lambda v: v <= target + margin
+    crossed = (lambda val: val >= target - margin) if direction > 0 else (
+        lambda val: val <= target + margin
     )
     trajectory = []
     hit = None
     for k in range(2 * plan.M + 1):
         t = k / 2.0
-        v = _origin_value(prop, plan, g0, b0, t)
-        trajectory.append((t, v))
-        if hit is None and crossed(v):
+        v_t = float(v(t, origin))
+        trajectory.append((t, v_t))
+        if hit is None and crossed(v_t):
             hit = t
     if hit is None:
         raise ExhaustedSearchError(
@@ -469,7 +460,7 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, s=3.0, M_max=256,
     hi = hit
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if crossed(_origin_value(prop, plan, g0, b0, mid)):
+        if crossed(float(v(mid, origin))):
             hi = mid
         else:
             lo = mid

@@ -98,6 +98,12 @@ def out_option(**kwargs):
     return click.option("--out", type=click.Path(), callback=_check_out, **kwargs)
 
 
+def tol_option(default):
+    """--tol, rejected before any work unless it lies in [1e-13, 1e-6]."""
+    return click.option("--tol", type=float, default=default, show_default=True,
+                        callback=lambda _ctx, _param, tol: floquet.check_tol(tol))
+
+
 def parse_family(spec, families, kind):
     """Build what a `name:key=value,...` spec names in a family table.
 
@@ -265,7 +271,7 @@ def main():
 @click.option("--lambda-min", type=float, default=0.1, show_default=True)
 @click.option("--lambda-max", type=float, default=60.0, show_default=True)
 @click.option("--grid", type=int, default=1000, show_default=True)
-@click.option("--tol", type=float, default=1e-11, show_default=True)
+@tol_option(1e-11)
 @config_option
 @out_option(required=True)
 def stability_chart(**p):
@@ -298,8 +304,8 @@ def stability_chart(**p):
 @click.option("--u0", default=None, help="start point, comma-separated")
 @click.option("--direction", default=None, help="initial direction, comma-separated")
 @click.option("--s-max", type=float, default=3.0, show_default=True)
-@click.option("--tol", type=float, default=1e-10, show_default=True)
-@click.option("--samples", type=int, default=200, show_default=True)
+@tol_option(1e-10)
+@click.option("--samples", type=click.IntRange(min=2), default=200, show_default=True)
 @config_option
 @out_option(required=True)
 def geodesic(**p):
@@ -313,9 +319,9 @@ def geodesic(**p):
     if speed2 <= 0:
         raise ParameterError("direction has nonpositive metric speed")
     v0 = d / math.sqrt(speed2)
-    path = geometry.geodesic_full(metric, u0, v0, p["s_max"], tol=p["tol"],
-                                  n_samples=p["samples"])
-    geometry.export_path_csv(p["out"], path, metric.m)
+    samples = geometry.geodesic_full(metric, u0, v0, p["s_max"], tol=p["tol"],
+                                     n_samples=p["samples"])
+    geometry.export_path_csv(p["out"], samples, metric.m)
 
 
 @main.command("noc")
@@ -323,7 +329,7 @@ def geodesic(**p):
               help="nonlinearity family, e.g. example1:alpha=-1 or example2:ell=4")
 @click.option("--s-max", type=float, default=1e5, show_default=True)
 @click.option("--margin", type=float, default=0.1, show_default=True)
-@click.option("--tol", type=float, default=1e-12, show_default=True)
+@tol_option(1e-12)
 @config_option
 @out_option(default=None, help="verdict JSON path (stdout when omitted)")
 def noc(**p):
@@ -350,7 +356,7 @@ def noc(**p):
 @click.option("--lambda-max", type=float, default=60.0, show_default=True)
 @click.option("--simulate", type=click.Choice(["yes", "no"]), default="no",
               show_default=True)
-@click.option("--tol", type=float, default=1e-11, show_default=True)
+@tol_option(1e-11)
 @config_option
 @out_option(required=True, help="certificate JSON path")
 def blowup_demo(**p):
@@ -425,7 +431,7 @@ def _simulate_certificate(b, pot, tp, cert, points=1024):
 @click.option("--amplitude", type=float, default=1e-3, show_default=True)
 @click.option("--k", type=int, default=1, show_default=True,
               help="grid modes: integer mode number of the cosine data")
-@click.option("--tol", type=float, default=1e-11, show_default=True)
+@tol_option(1e-11)
 @config_option
 @out_option(required=True)
 def simulate(**p):

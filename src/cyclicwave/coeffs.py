@@ -86,33 +86,6 @@ def make_builtin(name, **params):
     raise ParameterError(f"unknown builtin coefficient {name!r}")
 
 
-def from_samples(values):
-    """Periodic coefficient from >= 256 samples of b over one period.
-
-    `values[i]` is b(i/len(values)); a degree-5 periodic spline supplies the
-    evaluator and its analytic derivatives.
-    """
-    from scipy.interpolate import make_interp_spline
-
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size < 256:
-        raise ParameterError(
-            f"tabulation must cover one period at >= 256 samples, got {values.size}"
-        )
-    if not np.all(values > 0):
-        raise ParameterError("tabulated coefficient must be positive everywhere")
-    ts = np.linspace(0.0, 1.0, values.size + 1)
-    vals = np.concatenate([values, values[:1]])
-    spl = make_interp_spline(ts, vals, k=5, bc_type="periodic")
-    d1 = spl.derivative(1)
-    d2 = spl.derivative(2)
-
-    def wrap(s):
-        return lambda t: s(np.mod(np.asarray(t, dtype=float), 1.0))
-
-    return PeriodicCoefficient(eval=wrap(spl), d1=wrap(d1), d2=wrap(d2))
-
-
 @dataclass(frozen=True)
 class HillPotential:
     """Coefficients alpha(t) = b(t)^2 and q(t) of the reduced Hill equation
@@ -133,29 +106,6 @@ class HillPotential:
         n = self.n
         r = self.b.d1(t) / self.b.eval(t)
         return (n * n / 4.0 + n / 2.0) * r * r - (n / 2.0) * self.b.d2(t) / self.b.eval(t)
-
-    def q_variant(self, t, which):
-        """Alternative printed q formulas, exposed for diagnostics only.
-
-        'intro':      (n/4)(n/4 - 1)(b'/b)^2 - (n/2) b''/b
-        'alpha-form': (n/4)[(3/2)(a'/a)^2 - a''/a] - (n/8)(n/2 - 1)(a'/a)^2
-                      with a = b^2.
-        Neither variant is consistent with the substitution v = b^{n/2} w
-        (see the substitution check in the tests); q() is.
-        """
-        n = self.n
-        bv = self.b.eval(t)
-        r = self.b.d1(t) / bv
-        dd = self.b.d2(t) / bv
-        if which == "intro":
-            return (n / 4.0) * (n / 4.0 - 1.0) * r * r - (n / 2.0) * dd
-        if which == "alpha-form":
-            ar = 2.0 * r  # alpha'/alpha
-            add = 2.0 * dd + 2.0 * r * r  # alpha''/alpha
-            return (n / 4.0) * (1.5 * ar * ar - add) - (n / 8.0) * (
-                n / 2.0 - 1.0
-            ) * ar * ar
-        raise ParameterError(f"unknown q variant {which!r}")
 
 
 def hill_potential(b, n):

@@ -71,16 +71,22 @@ class InstabilityInterval:
     witness_lambda: float
 
 
+def check_tol(tol):
+    """Return tol; ParameterError unless it lies in [1e-13, 1e-6]."""
+    if not 1e-13 <= tol <= 1e-6:
+        raise ParameterError(f"tol must lie in [1e-13, 1e-6], got {tol}")
+    return tol
+
+
 def _fundamental(pot, lams, t1, tol):
     """X(t1, 0) per lambda in lams, shape (len(lams), 2, 2).
 
     N Magnus steps, N doubled from 64 per lambda until the Richardson error
     estimate of sixth order, max|X_N - X_{N/2}| / 63, is <= tol (1 + max|X_N|).
-    ParameterError for tol outside [1e-13, 1e-6] comes before any work;
-    IntegrationFailure when _MAX_STEPS steps do not resolve a lambda.
+    check_tol comes before any work; IntegrationFailure when _MAX_STEPS
+    steps do not resolve a lambda.
     """
-    if not 1e-13 <= tol <= 1e-6:
-        raise ParameterError(f"tol must lie in [1e-13, 1e-6], got {tol}")
+    check_tol(tol)
     lams = np.asarray(lams, dtype=float)
     out = np.empty((lams.size, 2, 2))
     todo = np.arange(lams.size)

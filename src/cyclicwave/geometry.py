@@ -192,14 +192,13 @@ def check_self_coherence(M, a, t_range, samples=64):
     return DistinguishedLine(f_samples=out, max_residual=worst)
 
 
-@dataclass(frozen=True)
-class GeodesicPath:
-    samples: list  # [(s, u, udot), ...]
-    speed: float
-
-
 def geodesic_full(M, u0, v0, s_max, tol=1e-10, n_samples=200):
-    """Integrate the full geodesic system; h-speed conservation is checked."""
+    """Integrate the full geodesic system from (u0, v0) over [0, s_max].
+
+    Returns [(s, u, udot), ...] at n_samples equally spaced s.
+    IntegrationFailure when the solver fails or the path leaves the chart
+    bound |u^i| < 1e6 before s_max.
+    """
     from scipy.integrate import solve_ivp
 
     u0 = np.asarray(u0, dtype=float)
@@ -223,51 +222,16 @@ def geodesic_full(M, u0, v0, s_max, tol=1e-10, n_samples=200):
         rhs, (0.0, s_max), np.concatenate([u0, v0]), method="DOP853",
         rtol=tol, atol=tol, t_eval=ss, events=escape,
     )
-    if not sol.success and sol.status != 1:
+    if not sol.success:
         raise IntegrationFailure(f"geodesic integration failed: {sol.message}")
-    samples = [
+    if sol.status == 1:
+        raise IntegrationFailure(
+            f"geodesic left the chart (|u| reached {_CHART_BOUND:g}) at "
+            f"s={float(sol.t_events[0][0])!r}, before s_max={s_max!r}")
+    return [
         (float(s), sol.y[:m, i].copy(), sol.y[m:, i].copy())
         for i, s in enumerate(sol.t)
     ]
-    speed0 = float(v0 @ M.h(u0) @ v0)
-    return GeodesicPath(samples=samples, speed=speed0)
-
-
-def h_speed_drift(M, path):
-    """Max relative drift of the h-speed along a path (posterior check)."""
-    worst = 0.0
-    for _, u, du in path.samples:
-        sp = float(du @ M.h(u) @ du)
-        worst = max(worst, abs(sp - path.speed) / abs(path.speed))
-    return worst
-
-
-def geodesic_reduced(f, xi_hat, s_max, tol=1e-10, u_init=0.0, n_samples=200):
-    """Integrate the scalar reduced geodesic u'' + f(u) u'^2 = 0.
-
-    xi_hat is the initial chart speed (from the unit-speed relation when
-    called out of the distinguished-line workflow).
-    """
-    from scipy.integrate import solve_ivp
-
-    if xi_hat == 0.0:
-        raise ParameterError("xi_hat must be nonzero")
-
-    def rhs(s, y):
-        return [y[1], -f(y[0]) * y[1] ** 2]
-
-    def escape(s, y):
-        return _CHART_BOUND - abs(y[0])
-
-    escape.terminal = True
-    ss = np.linspace(0.0, s_max, n_samples)
-    sol = solve_ivp(
-        rhs, (0.0, s_max), [u_init, xi_hat], method="DOP853",
-        rtol=tol, atol=tol, t_eval=ss, events=escape,
-    )
-    if not sol.success and sol.status != 1:
-        raise IntegrationFailure(f"reduced geodesic failed: {sol.message}")
-    return [(float(s), float(sol.y[0, i]), float(sol.y[1, i])) for i, s in enumerate(sol.t)]
 
 
 def gaussian_curvature(M, u):
@@ -278,9 +242,9 @@ def gaussian_curvature(M, u):
     return -M.lap_log(u) / M.hscalar(u)
 
 
-def export_path_csv(path, geo, m):
+def export_path_csv(path, samples, m):
     """CSV export: s,u1,...,um,du1,...,dum (17 significant digits)."""
     header = ["s"] + [f"u{i+1}" for i in range(m)] + [f"du{i+1}" for i in range(m)]
     rows = [[f"{x:.17g}" for x in (s, *u.tolist(), *du.tolist())]
-            for s, u, du in geo.samples]
+            for s, u, du in samples]
     write_atomic(path, csv_text([header] + rows))

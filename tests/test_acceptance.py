@@ -16,6 +16,7 @@ from cyclicwave.errors import NotApplicableError
 
 from conftest import LAM_WITNESS, f_ray
 from dop853_reference import FundamentalPair
+from printed_q import q_variant
 
 B_G = math.pi / (2.0 * math.sqrt(2.0))
 # Frozen full-range instability intervals (eps=0.5, n=3, 4000 grid points).
@@ -114,7 +115,7 @@ def test_criterion_4_potential_pinned_down(b05, tmp_path):
         pot = coeffs.hill_potential(b05, n=n)
         for which in ("intro", "alpha-form"):
             res = _substitution_residual(
-                pot, lambda t: pot.q_variant(t, which), 7.3, 0.7, -0.2)
+                pot, lambda t: q_variant(pot, t, which), 7.3, 0.7, -0.2)
             report.append(f"n={n} lam=7.3000 q={which} residual={res:.3e}")
             if res > 1e-3:
                 failures += 1
@@ -132,7 +133,7 @@ def test_criterion_5_geometry():
     d = np.array([1.0, 1.0])
     v0 = d / math.sqrt(d @ M.h(np.zeros(2)) @ d)
     geo = geometry.geodesic_full(M, np.zeros(2), v0, 3.0, tol=1e-12)
-    for s, u, _ in geo.samples:
+    for s, u, _ in geo:
         assert abs(u[0] - math.sinh(s) / math.sqrt(2)) < 1e-6
         assert abs(u[1] - math.sinh(s) / math.sqrt(2)) < 1e-6
 
@@ -140,7 +141,7 @@ def test_criterion_5_geometry():
     d = np.array([0.0, 1.0])
     v0 = d / math.sqrt(d @ H.h(np.zeros(2)) @ d)
     geo = geometry.geodesic_full(H, np.zeros(2), v0, 3.0, tol=1e-12)
-    for s, u, _ in geo.samples:
+    for s, u, _ in geo:
         assert abs(u[1] - (math.exp(s) - 1.0)) < 1e-6
 
     K2 = geometry.conformal_power(-2.0, (2, 2))

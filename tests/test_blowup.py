@@ -47,8 +47,7 @@ def test_cutoff_is_flat_at_junctions():
 
 
 def test_cutoff_vector_argument():
-    z = np.array([[0.5, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, 2.5]])
-    c = blowup.chi(z)
+    c = blowup.chi_radial(np.array([0.5, 1.5, 2.5]))
     assert c[0] == 1.0 and 0.0 < c[1] < 1.0 and c[2] == 0.0
 
 
@@ -217,9 +216,11 @@ def test_resolution_error_on_coarse_grid(tp1):
 
 
 @pytest.fixture(scope="module")
-def local_solution(pot3, b05, tp1):
+def local_solution(pot3, tp1):
     plan = blowup.default_plan(3, LAM_WITNESS, 6.5, 8)
-    return plan, blowup.exact_local_solution(plan, tp1, b05, pot3, 1e-12)
+    prop = floquet.Propagator(floquet.monodromy(pot3, LAM_WITNESS, tol=1e-12),
+                              pot3, LAM_WITNESS, tol=1e-12)
+    return plan, blowup.exact_local_solution(plan, tp1, prop)
 
 
 def test_local_solution_initial_values(local_solution, tp1):
@@ -319,7 +320,8 @@ def test_certificate_json(pot3, tp1, tmp_path):
 
 
 def test_certify_reports_trajectory_that_never_crosses(pot3, tp1, monkeypatch):
-    monkeypatch.setattr(blowup, "_origin_value", lambda *args: 0.0)
+    monkeypatch.setattr(blowup, "exact_local_solution",
+                        lambda *args: lambda t, x: 0.0)
     with pytest.raises(ExhaustedSearchError) as info:
         blowup.certify_blowup(tp1, pot3, (5.0, 17.0), 1e-3)
     assert info.value.best == (35, 0.0)

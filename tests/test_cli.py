@@ -342,6 +342,92 @@ def test_geodesic_matches_closed_form(tmp_path):
                                               abs=1e-6)
 
 
+def test_geodesic_leaving_the_chart_exit_3(tmp_path):
+    """The vertical half-plane geodesic reaches infinity at s = 1: a run to
+    the default s_max = 3 exits 3 naming where the path left the chart and
+    writes nothing, while a run that stops before s = 1 exits 0 with every
+    requested sample."""
+    args = ["geodesic", "--metric", "halfplane:ell=4", "--direction", "0,1"]
+    r = run(args + ["--out", "full.csv"], tmp_path)
+    assert r.returncode == 3, r.stderr
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1, r.stderr
+    err = json.loads(lines[0])
+    assert err["error"] == "IntegrationFailure"
+    s_exit = float(err["message"].split(" s=")[1].split(",")[0])
+    assert 0.99 < s_exit < 1.0
+    assert not (tmp_path / "full.csv").exists()
+    r = run(args + ["--s-max", "0.9", "--out", "short.csv"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    rows = list(csv.reader((tmp_path / "short.csv").open()))
+    assert len(rows) == 201 and float(rows[-1][0]) == 0.9
+
+
+_WORK = {
+    "stability-chart": "cyclicwave.floquet.trace_curve",
+    "geodesic": "cyclicwave.geometry.geodesic_full",
+    "noc": "cyclicwave.transform.noc_check",
+    "blowup-demo": "cyclicwave.geometry.check_self_coherence",
+    "simulate": "cyclicwave.pdesim.evolve_uniform",
+}
+_ARGS = {
+    "stability-chart": chart_args("x.csv"),
+    "geodesic": ["geodesic", "--metric", "conformal:alpha=-1", "--out", "x.csv"],
+    "noc": ["noc", "--f", "example1:alpha=-1"],
+    "blowup-demo": ["blowup-demo", "--metric", "conformal:alpha=-1",
+                    "--out", "x.json"],
+    "simulate": ["simulate", "--mode", "uniform", "--epsilon", "0.5",
+                 "--out", "x.csv"],
+}
+
+
+def _exit_before_work(args, command, monkeypatch, capsys):
+    """Run args in-process with the command's work patched to fail if
+    called; return the one JSON error line."""
+    from cyclicwave import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{_WORK[command]} ran before the options were checked")
+
+    monkeypatch.setattr(_WORK[command], no_work)
+    with pytest.raises(SystemExit) as exc:
+        cli.main.main(args=args, prog_name="cyclicwave", standalone_mode=True)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    return json.loads(err)
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-15", "1e-5"])
+@pytest.mark.parametrize("command", list(_WORK))
+def test_tol_out_of_range_exit_2_before_work(tmp_path, capsys, monkeypatch,
+                                             command, tol):
+    """Every command checks --tol against [1e-13, 1e-6] before any work."""
+    monkeypatch.chdir(tmp_path)
+    err = _exit_before_work(_ARGS[command] + ["--tol", tol], command,
+                            monkeypatch, capsys)
+    assert err["error"] == "ParameterError"
+    assert "tol must lie in [1e-13, 1e-6]" in err["message"]
+    assert not any(tmp_path.glob("x.*"))
+
+
+def test_tol_from_config_is_checked(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"tol": 0}))
+    err = _exit_before_work(_ARGS["noc"] + ["--config", "cfg.json"], "noc",
+                            monkeypatch, capsys)
+    assert "tol must lie in [1e-13, 1e-6]" in err["message"]
+
+
+@pytest.mark.parametrize("samples", ["1", "0", "-3"])
+def test_geodesic_needs_two_samples(tmp_path, capsys, monkeypatch, samples):
+    monkeypatch.chdir(tmp_path)
+    err = _exit_before_work(_ARGS["geodesic"] + ["--samples", samples],
+                            "geodesic", monkeypatch, capsys)
+    assert err["error"] == "ParameterError" and "--samples" in err["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_noc_verdicts(tmp_path):
     r = run(["noc", "--f", "example1:alpha=-1", "--out", "v.json"], tmp_path)
     assert r.returncode == 0, r.stderr
