@@ -98,10 +98,10 @@ def out_option(**kwargs):
     return click.option("--out", type=click.Path(), callback=_check_out, **kwargs)
 
 
-def tol_option(default):
+def tol_option(default, **kwargs):
     """--tol, rejected before any work unless it lies in [1e-13, 1e-6]."""
     return click.option("--tol", type=float, default=default, show_default=True,
-                        callback=lambda _ctx, _param, tol: floquet.check_tol(tol))
+                        callback=lambda _ctx, _param, tol: floquet.check_tol(tol), **kwargs)
 
 
 def parse_family(spec, families, kind):
@@ -303,7 +303,8 @@ def stability_chart(**p):
               help="family:params, e.g. conformal:alpha=-1")
 @click.option("--u0", default=None, help="start point, comma-separated")
 @click.option("--direction", default=None, help="initial direction, comma-separated")
-@click.option("--s-max", type=float, default=3.0, show_default=True)
+@click.option("--s-max", type=click.FloatRange(min=0, min_open=True), default=3.0,
+              show_default=True)
 @tol_option(1e-10)
 @click.option("--samples", type=click.IntRange(min=2), default=200, show_default=True)
 @config_option
@@ -431,7 +432,7 @@ def _simulate_certificate(b, pot, tp, cert, points=1024):
 @click.option("--amplitude", type=float, default=1e-3, show_default=True)
 @click.option("--k", type=int, default=1, show_default=True,
               help="grid modes: integer mode number of the cosine data")
-@tol_option(1e-11)
+@tol_option(1e-11, help="uniform mode only; the grid modes step at a fixed dt")
 @config_option
 @out_option(required=True)
 def simulate(**p):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationFailure, ParameterError, SingularMetricError
+from .floquet import check_tol
 from .output import csv_text, write_atomic
 
 _FD_STEP = 1e-4
@@ -195,10 +196,11 @@ def check_self_coherence(M, a, t_range, samples=64):
 def geodesic_full(M, u0, v0, s_max, tol=1e-10, n_samples=200):
     """Integrate the full geodesic system from (u0, v0) over [0, s_max].
 
-    Returns [(s, u, udot), ...] at n_samples equally spaced s.
-    IntegrationFailure when the solver fails or the path leaves the chart
-    bound |u^i| < 1e6 before s_max.
+    Returns [(s, u, udot), ...] at n_samples equally spaced s.  ParameterError
+    unless tol lies in [1e-13, 1e-6].  IntegrationFailure when the solver
+    fails or the path leaves the chart bound |u^i| < 1e6 before s_max.
     """
+    check_tol(tol)
     from scipy.integrate import solve_ivp
 
     u0 = np.asarray(u0, dtype=float)

@@ -1,13 +1,13 @@
 """Direct spectral evolution on a periodic torus, for oracle cross-checks.
 
 Method of lines: Fourier Laplacian/gradient in space, classical RK4 in time
-on the first-order system.  The field is real, so every transform is a real
-one (rfftn/irfftn) on the half spectrum.  A nonlinear stage makes 4 calls:
-one rfftn of u, one batched irfftn giving grad u and Lap u together, and one
-rfftn/irfftn pair applying the 2/3 dealiasing mask to the nonlinear term.
-The nonlinear solver watches the transformed field G(u) and stops when it
-approaches a finite endpoint (the proof-side blow-up mechanism), not when u
-itself looks large.
+on the first-order system.  The field is real, so the state is (u^, u_t^),
+its rfftn on the half spectrum.  A linear stage is diagonal in k and makes
+no transform.  A nonlinear stage makes 2: one batched irfftn giving u, grad u
+and u_t, and one rfftn of the nonlinear term, masked in place by the 2/3
+rule; the stop check makes 1 per step.  The nonlinear solver watches the
+transformed field G(u) and stops when it approaches a finite endpoint (the
+proof-side blow-up mechanism), not when u itself looks large.
 """
 
 import json
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationFailure, ParameterError
+from .floquet import check_tol
 from .output import csv_text, write_atomic
 
 _U_CAP = 1e8
@@ -102,8 +103,9 @@ def _axis_wavenumbers(grid, half):
 class _Spectrum:
     """Half-spectrum operators of a real field on the grid, built once per run.
 
-    ops stacks (i k_1, ..., i k_n, -|k|^2), so one batched inverse transform
-    gives the gradient and the Laplacian together.  A first derivative drops
+    to_half and to_field carry a field (or a stack of them) to its rfftn and
+    back; on one axis through rfft/irfft, which skip rfftn's per-call axis
+    handling.  ops stacks (i k_1, ..., i k_n, -|k|^2).  A first derivative drops
     its own Nyquist mode, whose contribution is imaginary for a real field.
     mask keeps the modes with every |m_j| <= points/3 (the 2/3 rule).
     """
@@ -121,19 +123,21 @@ class _Spectrum:
         self.shape = (grid.points,) * grid.n
         self.axes = tuple(range(-grid.n, 0))
 
-    def apply(self, op, a):
-        """op(D) a as a real field, or one field per entry of a stacked op:
-        one rfftn of a and one (batched) irfftn."""
-        return np.fft.irfftn(op * np.fft.rfftn(a), s=self.shape, axes=self.axes)
+    def to_half(self, a):
+        return np.fft.rfft(a) if len(self.axes) == 1 else np.fft.rfftn(a, axes=self.axes)
+
+    def to_field(self, ah):
+        return (np.fft.irfft(ah, self.shape[0]) if len(self.axes) == 1
+                else np.fft.irfftn(ah, s=self.shape, axes=self.axes))
 
 
 def _march(rhs, grid, u, ut, n_snapshots, stop=None):
     """Classical RK4 on (u, u_t) from t = 0 to grid.t_end in steps of grid.dt.
 
-    rhs(t, u, u_t) returns (u_t, u_tt).  About n_snapshots evenly spaced
-    snapshots of u are kept, plus the final state while it is finite.  When
-    given, stop(u) is checked after every step and ends the run when true.
-    Returns (t, u, u_t, snapshots, stopped).
+    rhs(t, u, u_t) returns (u_t, u_tt) for whatever pair of arrays it is given.
+    About n_snapshots evenly spaced snapshots of u are kept, plus the final
+    state while it is finite.  When given, stop(u) is checked after every
+    step and ends the run when true.  Returns (t, u, u_t, snapshots, stopped).
     """
     nsteps = int(round(grid.t_end / grid.dt))
     snap_every = max(1, nsteps // n_snapshots)
@@ -163,24 +167,24 @@ def evolve_linear(b, n_coeff, grid, v0, v1, n_snapshots=64):
     """Evolve v_tt - n (b'/b) v_t - b^2 Lap v = 0 on the torus."""
     grid.check_cfl(b)
     spec = _Spectrum(grid)
-    lap = spec.ops[-1]
 
-    def rhs(tt, vv, vvt):
+    def rhs(tt, vh, vth):
         bt = b.eval(tt)
-        return vvt, n_coeff * b.d1(tt) / bt * vvt + bt**2 * spec.apply(lap, vv)
+        return vth, n_coeff * b.d1(tt) / bt * vth + bt**2 * (spec.ops[-1] * vh)
 
-    t, v, vt, snapshots, _ = _march(
-        rhs, grid, np.array(v0, dtype=float), np.array(v1, dtype=float), n_snapshots)
+    t, vh, vth, snapshots, _ = _march(
+        rhs, grid, spec.to_half(v0), spec.to_half(v1), n_snapshots)
+    vt = spec.to_field(vth)
     diagnostics = {
-        "max_abs": float(np.max(np.abs(v))),
-        "energy_like": float(np.mean(vt**2) + b.eval(t) ** 2 * _grad_energy(spec, v)),
+        "max_abs": float(np.max(np.abs(spec.to_field(vh)))),
+        "energy_like": float(np.mean(vt**2) + b.eval(t) ** 2 * _grad_energy(spec, vh)),
     }
-    return SimResult(snapshots=snapshots, diagnostics=diagnostics,
-                     termination="completed")
+    return SimResult(snapshots=[(s, spec.to_field(a)) for s, a in snapshots],
+                     diagnostics=diagnostics, termination="completed")
 
 
-def _grad_energy(spec, a):
-    return sum(float(np.mean(g**2)) for g in spec.apply(spec.ops[:-1], a))
+def _grad_energy(spec, ah):
+    return sum(float(np.mean(g**2)) for g in spec.to_field(spec.ops[:-1] * ah))
 
 
 def evolve_nonlinear(b, n_coeff, f, grid, u0, u1, v_guard, n_snapshots=64):
@@ -203,15 +207,22 @@ def evolve_nonlinear(b, n_coeff, f, grid, u0, u1, v_guard, n_snapshots=64):
         else:
             u_lo = float(v_guard.H(target + _ENDPOINT_FRACTION * abs(target)))
 
-    def rhs(tt, uu, uut):
-        bt = b.eval(tt)
-        *grad, lap = spec.apply(spec.ops, uu)
-        grad2 = sum(g * g for g in grad)
-        nl = spec.apply(spec.mask, f(uu) * (uut**2 - bt**2 * grad2))
-        acc = n_coeff * b.d1(tt) / bt * uut + bt**2 * lap - nl
-        return uut, acc
+    # (u^, i k_1 u^, ..., i k_n u^, u_t^), inverted by one irfftn per stage
+    lift = np.empty((grid.n + 2,) + spec.mask.shape, dtype=complex)
 
-    def blown_up(uu):
+    def rhs(tt, uh, uth):
+        bt = b.eval(tt)
+        lift[0], lift[-1] = uh, uth
+        np.multiply(spec.ops[:-1], uh, out=lift[1:-1])
+        uu, *grad, uut = spec.to_field(lift)
+        grad2 = sum(g * g for g in grad)
+        nl = spec.to_half(f(uu) * (uut**2 - bt**2 * grad2))
+        nl *= spec.mask
+        acc = n_coeff * b.d1(tt) / bt * uth + bt**2 * (spec.ops[-1] * uh) - nl
+        return uth, acc
+
+    def blown_up(uh):
+        uu = spec.to_field(uh)
         umax = float(np.max(uu))
         umin = float(np.min(uu))
         return (
@@ -221,15 +232,16 @@ def evolve_nonlinear(b, n_coeff, f, grid, u0, u1, v_guard, n_snapshots=64):
             or (u_lo is not None and umin <= u_lo)
         )
 
-    t, u, _, snapshots, stopped = _march(
-        rhs, grid, np.array(u0, dtype=float), np.array(u1, dtype=float),
-        n_snapshots, stop=blown_up)
+    t, uh, _, snapshots, stopped = _march(
+        rhs, grid, spec.to_half(u0), spec.to_half(u1), n_snapshots, stop=blown_up)
+    u = spec.to_field(uh)
     finite = u[np.isfinite(u)]
     diagnostics = {
         "max_abs": float(np.max(np.abs(finite))) if finite.size else math.inf,
         "t_final": t,
     }
-    return SimResult(snapshots=snapshots, diagnostics=diagnostics,
+    return SimResult(snapshots=[(s, spec.to_field(a)) for s, a in snapshots],
+                     diagnostics=diagnostics,
                      termination="blowup_detected" if stopped else "completed")
 
 
@@ -237,9 +249,11 @@ def evolve_uniform(b, n_coeff, f, u0, u1, t_end, tol=1e-11, n_samples=400):
     """Spatially uniform solution: u'' - n(b'/b)u' + f(u)(u')^2 = 0.
 
     Returns [(t, u(t)), ...]; truncates (with the last finite sample) if u
-    leaves the invertibility domain, i.e. blows up.  Raises
-    IntegrationFailure when the solver fails before t_end.
+    leaves the invertibility domain, i.e. blows up.  ParameterError unless
+    tol lies in [1e-13, 1e-6]; IntegrationFailure when the solver fails
+    before t_end.
     """
+    check_tol(tol)
     from scipy.integrate import solve_ivp
 
     def rhs(t, y):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EndpointProximityWarning, ParameterError, QuadratureError
+from .floquet import check_tol
 
 _PHI_CAP = 690.0  # exp overflow guard
 _G_CAP = 1e12
@@ -112,12 +113,13 @@ class TransformPair:
 
     Construction integrates lazily and caches dense solutions; evaluation is
     read-only afterwards.  `domain` restricts f's argument (half-plane-type
-    metrics have charts bounded below).
+    metrics have charts bounded below).  ParameterError unless tol lies in
+    [1e-13, 1e-6].
     """
 
     def __init__(self, f, tol=1e-12, domain=(-math.inf, math.inf)):
+        self.tol = check_tol(tol)
         self.f = f
-        self.tol = tol
         self.domain = domain
         if not domain[0] < 0.0 < domain[1]:
             raise ParameterError(f"domain must contain 0, got {domain}")

@@ -1,7 +1,8 @@
 """Shared fixtures: the standard coefficient, potentials and transform.
 
 Frozen regression constants live next to the tests that assert them; the
-fixtures here only cache objects that several files rebuild identically.
+fixtures here only cache objects that several files rebuild identically,
+plus one guard that several files install the same way.
 """
 import numpy as np
 import pytest
@@ -34,3 +35,12 @@ def pot3(b05):
 @pytest.fixture(scope="session")
 def tp1():
     return transform.build_transform(f_ray)
+
+
+@pytest.fixture
+def no_ode_solve(monkeypatch):
+    """Fail any scipy solve_ivp call: for checks that must come before work."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("solve_ivp ran before tol was checked")
+
+    monkeypatch.setattr("scipy.integrate.solve_ivp", no_work)

@@ -428,6 +428,15 @@ def test_geodesic_needs_two_samples(tmp_path, capsys, monkeypatch, samples):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("s_max", ["0", "-1"])
+def test_geodesic_s_max_must_be_positive(tmp_path, capsys, monkeypatch, s_max):
+    monkeypatch.chdir(tmp_path)
+    err = _exit_before_work(_ARGS["geodesic"] + ["--s-max", s_max],
+                            "geodesic", monkeypatch, capsys)
+    assert err["error"] == "ParameterError" and "--s-max" in err["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_noc_verdicts(tmp_path):
     r = run(["noc", "--f", "example1:alpha=-1", "--out", "v.json"], tmp_path)
     assert r.returncode == 0, r.stderr

@@ -200,6 +200,13 @@ def test_geodesic_h_speed_conserved():
     assert h_speed_drift(M, geo) < 1e-9
 
 
+def test_geodesic_full_tol_checked_before_work(no_ode_solve):
+    """geodesic_full checks tol as the CLI does, before the solver runs."""
+    with pytest.raises(ParameterError, match=r"tol must lie in \[1e-13, 1e-6\]"):
+        geometry.geodesic_full(geometry.conformal_power(-1.0, (2, 2)),
+                               np.zeros(2), np.ones(2), 3.0, tol=0.0)
+
+
 def test_reduced_matches_full():
     """The scalar reduced equation x'' + f(x) x'^2 = 0 reproduces the full
     geodesic along a distinguished line."""

@@ -79,6 +79,12 @@ def test_uniform_failed_integration_raises(b05):
         pdesim.evolve_uniform(b05, 3, f_nan, 0.0, 1.0, 2.0)
 
 
+def test_uniform_tol_checked_before_work(no_ode_solve, b05):
+    """evolve_uniform checks tol as the CLI does, before the solver runs."""
+    with pytest.raises(ParameterError, match=r"tol must lie in \[1e-13, 1e-6\]"):
+        pdesim.evolve_uniform(b05, 3, f_ray, 0.0, 1.0, 2.0, tol=0.0)
+
+
 def test_uniform_matches_grid_run(b05, tp1):
     """Constant data on the torus stays uniform; the grid solver must track
     the uniform ODE."""
@@ -192,6 +198,43 @@ def test_real_transforms_match_complex_reference(b05, tp1, n):
     energy = float(np.mean(vt**2)
                    + b05.eval(t) ** 2 * spectral_reference.grad_energy(grid, v))
     assert lin.diagnostics["energy_like"] == pytest.approx(energy, rel=1e-13)
+
+
+_FFT_FUNCS = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn")
+
+
+@pytest.mark.parametrize("mode,per_step", [("linear", 0), ("nonlinear", 9)])
+def test_transform_calls_per_step(monkeypatch, b05, tp1, mode, per_step):
+    """The state lives on the half spectrum: a linear step makes no
+    transform call, a nonlinear step at most 9 (2 per RK4 stage and 1 for
+    the stop check).  Two runs that differ only in t_end, with the same
+    number of snapshots, leave the per-step calls as their difference."""
+    calls = [0]
+
+    def counted(orig):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return orig(*args, **kwargs)
+        return wrapper
+
+    for name in _FFT_FUNCS:
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    runs = []
+    for t_end in (0.5, 1.0):
+        grid = _grid(64, t_end=t_end, dt_frac=0.1)
+        x = grid.coords()[..., 0]
+        u0, u1 = 0.05 + 0.02 * np.cos(x), 0.03 * np.sin(x)
+        calls[0] = 0
+        if mode == "linear":
+            res = pdesim.evolve_linear(b05, 3, grid, u0, u1, n_snapshots=4)
+        else:
+            res = pdesim.evolve_nonlinear(b05, 3, tp1.f, grid, u0, u1, tp1,
+                                          n_snapshots=4)
+        assert res.termination == "completed"
+        runs.append((round(t_end / grid.dt), len(res.snapshots), calls[0]))
+    (steps0, snaps0, calls0), (steps1, snaps1, calls1) = runs
+    assert steps1 > steps0 and snaps1 == snaps0
+    assert calls1 - calls0 <= per_step * (steps1 - steps0)
 
 
 def test_cfl_guard(b05):

@@ -147,6 +147,13 @@ def test_h_clamps_out_of_range(tp1):
     assert tp1.G(u) == pytest.approx(B_G_REF, abs=1e-6)
 
 
+def test_tol_checked_before_work(no_ode_solve):
+    """TransformPair checks tol as the CLI does, before construction's first
+    solve (which an unchecked tol=0.0 made hang)."""
+    with pytest.raises(ParameterError, match=r"tol must lie in \[1e-13, 1e-6\]"):
+        transform.TransformPair(f_ray, tol=0.0)
+
+
 def test_verdict_json_roundtrip():
     import json
 
