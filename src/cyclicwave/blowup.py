@@ -12,6 +12,7 @@ Everything here is checked numerics, not proof: Sobolev norms are computed
 the crossing time is located on the actual fundamental solution.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -215,45 +216,58 @@ def _sphere_mean_weight(s, a, bcoef):
     return out
 
 
-def radial_pair_norm(g0, g1, lam, s, R):
+def radial_head(g, R):
+    """g's radial transform (_radial_hat, rho_k = pi k / (8R)) through its
+    cut: the smallest rho = 128 pi / R * 2^j whose top sixteenth has
+    |hat g| below 1e-10 of its maximum.  ResolutionError if no such cut
+    lies inside the transform's range.
+    """
+    rho, hat = _radial_hat(g, R)
+    # hat g decays on the scale 2 pi / R; cut where the tail is negligible
+    cut = 128 * _RADIAL_PAD
+    while cut < rho.size:
+        head = np.abs(hat[: cut + 1])
+        if np.max(head[15 * cut // 16 :]) < 1e-10 * np.max(head):
+            return hat[: cut + 1]
+        cut *= 2
+    raise ResolutionError(
+        f"radial transform unresolved: no cut in rho <= {rho[-1]:.6g} "
+        f"has its top sixteenth below 1e-10 of the peak"
+    )
+
+
+@functools.cache
+def _chi_head():
+    """radial_head of chi_radial on the M = 1 grid (R = 2), made once per
+    process: every plan samples chi at the same points 2j/4096."""
+    head = radial_head(chi_radial, 2.0)
+    head.flags.writeable = False
+    return head
+
+
+def radial_pair_norm(h0, g1, lam, s, R):
     """H^{s+1} x H^s norm sum for (g0(|x|), g1(|x|) cos(x.y)) on R^3.
 
-    |y|^2 = lam; both fields are supported in |x| <= R.  Each Sobolev
-    integral reduces to a one-dimensional quadrature: g0 via the radial
-    transform directly, the modulated g1 via the exact average of
+    |y|^2 = lam; both fields are supported in |x| <= R, and h0 is g0's
+    radial_head, whose length sets the cut of every rho integral.  Each
+    Sobolev integral reduces to a one-dimensional quadrature: g0 via the
+    radial transform directly, the modulated g1 via the exact average of
     (1 + |xi|^2)^s over spheres (the shift by +-y enters through the
     sphere-mean weight); the hat-g1(|xi-y|) hat-g1(|xi+y|) cross term is
     bounded by max|hat g1| times the same quadrature and added.
 
-    g0 and g1 are transformed once each (_radial_hat, rho spacing
-    pi / (8R)).  The rho integrals run to the smallest cut 128 pi / R * 2^j
-    whose top sixteenth has |hat g0| below 1e-10 of its maximum;
-    ResolutionError if no such cut lies inside the transform's range.  The
-    cross-term supremum is 1.5 max|hat g1| from the last grid point at or
-    below |y| onward, or over the top sixteenth of the grid when |y| lies
-    beyond it.
+    g1 is transformed on every call.  The cross-term supremum is 1.5
+    max|hat g1| from the last grid point at or below |y| onward, or over
+    the top sixteenth of the grid when |y| lies beyond it.
     """
     from scipy.integrate import simpson
 
-    rho, h0 = _radial_hat(g0, R)
-    h1 = _radial_hat(g1, R)[1]
-    # hat g decays on the scale 2 pi / R; cut where the tail is negligible
-    cut = 128 * _RADIAL_PAD  # the index of rho = 128 pi / R
-    while cut < rho.size:
-        head = np.abs(h0[: cut + 1])
-        if np.max(head[15 * cut // 16 :]) < 1e-10 * np.max(head):
-            break
-        cut *= 2
-    else:
-        raise ResolutionError(
-            f"radial transform unresolved: no cut in rho <= {rho[-1]:.6g} "
-            f"has its top sixteenth below 1e-10 of the peak"
-        )
+    rho, h1 = _radial_hat(g1, R)
     # the cross term's far factor (below) reads the whole transform
     k_far = int(math.sqrt(lam) / rho[1])
     far = h1[k_far:] if k_far < rho.size else h1[-rho.size // 16 :]
     far_sup = 1.5 * float(np.max(np.abs(far)))
-    rho, h0, h1 = rho[: cut + 1], h0[: cut + 1], h1[: cut + 1]
+    rho, h1 = rho[: h0.size], h1[: h0.size]
 
     inv_cube = (2.0 * np.pi) ** -3
     # ||u0||_{s+1}^2 = (2pi)^-3 * 4 pi Int (1+rho^2)^{s+1} h0^2 rho^2 d rho
@@ -261,9 +275,7 @@ def radial_pair_norm(g0, g1, lam, s, R):
         (1.0 + rho * rho) ** (s + 1.0) * h0 * h0 * rho * rho, x=rho
     ))
     # ||u1||_s^2: hat u1(xi) = (h1(|xi - y|) + h1(|xi + y|)) / 2
-    a = 1.0 + lam + rho * rho
-    b = 2.0 * math.sqrt(lam) * rho
-    ang = _sphere_mean_weight(s, a, b)
+    ang = _sphere_mean_weight(s, 1.0 + lam + rho * rho, 2.0 * math.sqrt(lam) * rho)
     # the two |h1(|xi -+ y|)|^2/4 terms are equal by symmetry; each gives
     # (1/4) Int h1(r)^2 r^2 * 4 pi * ang(r) dr after the sphere average
     main = inv_cube * 2.0 * np.pi * float(simpson(h1 * h1 * rho * rho * ang, x=rho))
@@ -279,13 +291,16 @@ def radial_pair_norm(g0, g1, lam, s, R):
 def radial_smallness(plan, tp, s):
     """Semi-analytic smallness for n=3 radial-times-cosine plan data.
 
-    radial_pair_norm transforms each of the seed_profiles once on the rho
-    grid pi k / (8R) and integrates up to its cut.
+    g0 = M^-S chi(r / M^2) is sampled at r / M^2 = 2j/4096 for every M, so
+    its radial_head is M^-S M^6 times chi's on the M = 1 grid, made once
+    per process (_chi_head); g1 depends on M through Phi, so
+    radial_pair_norm transforms it on every call.
     """
     if plan.n != 3:
         raise ParameterError("radial smallness path is for n = 3")
-    g0, g1 = seed_profiles(plan, tp)
-    return radial_pair_norm(g0, g1, plan.lam, s, plan.support_radius)
+    _, g1 = seed_profiles(plan, tp)
+    h0 = plan.amplitude * float(plan.M) ** 6 * _chi_head()
+    return radial_pair_norm(h0, g1, plan.lam, s, plan.support_radius)
 
 
 def plan_smallness(plan, tp, s=3.0, grid_points=None):

@@ -3,8 +3,9 @@
 The state vector is x = (w_t, w), so the one-period map X(1,0) has
 b21 = w(1) for initial data w(0) = 0, w_t(0) = 1.  Every map X(t, 0) comes
 from `_fundamental`: sixth-order Magnus steps with a closed-form 2x2
-exponential (det X = 1 by construction), as many per lambda as its error
-estimate needs, so a lambda's map does not depend on how a scan is batched.
+exponential (det X = 1 by construction).  A step-count controller gives
+each lambda as many steps as its Richardson error estimate predicts it
+needs, so a lambda's map does not depend on how a scan is batched.
 """
 
 import math
@@ -81,29 +82,38 @@ def check_tol(tol):
 def _fundamental(pot, lams, t1, tol):
     """X(t1, 0) per lambda in lams, shape (len(lams), 2, 2).
 
-    N Magnus steps, N doubled from 64 per lambda until the Richardson error
-    estimate of sixth order, max|X_N - X_{N/2}| / 63, is <= tol (1 + max|X_N|).
-    check_tol comes before any work; IntegrationFailure when _MAX_STEPS
-    steps do not resolve a lambda.
+    A step-count controller (Hairer, Norsett & Wanner, Solving ODEs I, II.4)
+    starts each lambda from (C, N) = (16, 64) Magnus steps and accepts X_N
+    when the sixth-order Richardson estimate err = max|X_N - X_C| /
+    ((N/C)^6 - 1) is <= bound = tol (1 + max|X_N|).  Else X_N becomes X_C
+    and N takes the fewest doublings k >= 1 with err 2^(-6k) <= bound (k = 1
+    for a non-finite err), up to _MAX_STEPS, where a rejection raises
+    IntegrationFailure.  Lambdas that want the same N share one _magnus
+    call, so a map does not depend on its batch.  check_tol comes first.
     """
     check_tol(tol)
     lams = np.asarray(lams, dtype=float)
-    out = np.empty((lams.size, 2, 2))
-    todo = np.arange(lams.size)
-    steps = 64
-    coarse = _magnus(pot, lams, t1, steps // 2)
-    while todo.size:
-        if steps > _MAX_STEPS:
+    maps = _magnus(pot, lams, t1, 16)  # X_C per lambda, then its result
+    prev = np.full(lams.size, 16)  # C
+    want = np.full(lams.size, 64)  # the N to try next; 0 once accepted
+    while want.any():
+        steps = int(want[want > 0].min())
+        now = np.flatnonzero(want == steps)
+        fine = _magnus(pot, lams[now], t1, steps)
+        err = (np.max(np.abs(fine - maps[now]), axis=(1, 2))
+               / ((steps / prev[now]) ** 6 - 1.0))
+        bound = tol * (1.0 + np.max(np.abs(fine), axis=(1, 2)))
+        done = err <= bound
+        if steps == _MAX_STEPS and not done.all():
             raise IntegrationFailure(
                 f"{_MAX_STEPS} Magnus steps leave X({t1!r}, 0) above tol={tol!r} "
-                f"at {todo.size} lambda value(s), first {float(lams[todo[0]])!r}")
-        fine = _magnus(pot, lams[todo], t1, steps)
-        err = np.max(np.abs(fine - coarse), axis=(1, 2)) / 63.0
-        done = err <= tol * (1.0 + np.max(np.abs(fine), axis=(1, 2)))
-        out[todo[done]] = fine[done]
-        todo, coarse = todo[~done], fine[~done]
-        steps *= 2
-    return out
+                f"at lambda {float(lams[now[~done][0]])!r}")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = np.ceil(np.log2(err / bound) / 6.0)
+        k = np.clip(np.nan_to_num(k, nan=1.0, posinf=1.0), 1, 14).astype(int)
+        maps[now], prev[now] = fine, steps
+        want[now] = np.where(done, 0, np.minimum(steps << k, _MAX_STEPS))
+    return maps
 
 
 def _magnus(pot, lams, t1, steps):
@@ -246,11 +256,8 @@ def instability_intervals(pot, lams, traces, tol=1e-11):
     a caller that also needs the grid traces evaluates the grid once.
     """
     lo, hi, grid_points = float(lams[0]), float(lams[-1]), lams.size
-    excess = np.abs(traces) - 2.0
-    mask = excess > 0.0
-
     intervals = []
-    idx = np.where(mask)[0]
+    idx = np.flatnonzero(np.abs(traces) > 2.0)
     if idx.size == 0:
         return intervals
     runs = np.split(idx, np.where(np.diff(idx) != 1)[0] + 1)
@@ -267,22 +274,17 @@ def instability_intervals(pot, lams, traces, tol=1e-11):
     bnd = np.array([e[3] for e in edges])
     while edges and np.max(np.abs(bnd - a)) > width:
         mid = 0.5 * (a + bnd)
-        tmid = trace_curve(pot, mid, tol)
-        inside = np.abs(tmid) > 2.0
+        inside = np.abs(trace_curve(pot, mid, tol)) > 2.0
         bnd = np.where(inside, mid, bnd)
         a = np.where(inside, a, mid)
 
-    bounds = {}
-    for (r, side, _, _), edge in zip(edges, bnd):
-        bounds[(r, side)] = float(edge)
+    bounds = {(r, side): float(edge) for (r, side, _, _), edge in zip(edges, bnd)}
     for r, g in enumerate(runs):
-        lam_lo = bounds.get((r, "lo"), lo)
-        lam_hi = bounds.get((r, "hi"), hi)
         k = g[np.argmax(np.abs(traces[g]))]
         intervals.append(
             InstabilityInterval(
-                lambda_lo=lam_lo,
-                lambda_hi=lam_hi,
+                lambda_lo=bounds.get((r, "lo"), lo),
+                lambda_hi=bounds.get((r, "hi"), hi),
                 max_abs_trace=float(np.abs(traces[k])),
                 witness_lambda=float(lams[k]),
             )

@@ -132,27 +132,30 @@ class _Spectrum:
 
 
 def _march(rhs, grid, u, ut, n_snapshots, stop=None):
-    """Classical RK4 on (u, u_t) from t = 0 to grid.t_end in steps of grid.dt.
+    """Classical RK4 on (u, u_t) from t = 0 to grid.t_end: steps of grid.dt
+    while they fit (to within 1e-9 dt), then one step of the remainder.
 
     rhs(t, u, u_t) returns (u_t, u_tt) for whatever pair of arrays it is given.
     About n_snapshots evenly spaced snapshots of u are kept, plus the final
     state while it is finite.  When given, stop(u) is checked after every
     step and ends the run when true.  Returns (t, u, u_t, snapshots, stopped).
     """
-    nsteps = int(round(grid.t_end / grid.dt))
+    full = int(grid.t_end / grid.dt + 1e-9)
+    rest = grid.t_end - full * grid.dt
+    nsteps = full + (rest > 1e-9 * grid.dt)
     snap_every = max(1, nsteps // n_snapshots)
     snapshots = [(0.0, u.copy())]
     stopped = False
-    dt = grid.dt
     t = 0.0
     for step in range(nsteps):
+        dt = grid.dt if step < full else rest
         k1u, k1t = rhs(t, u, ut)
         k2u, k2t = rhs(t + dt / 2, u + dt / 2 * k1u, ut + dt / 2 * k1t)
         k3u, k3t = rhs(t + dt / 2, u + dt / 2 * k2u, ut + dt / 2 * k2t)
         k4u, k4t = rhs(t + dt, u + dt * k3u, ut + dt * k3t)
         u = u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
         ut = ut + dt / 6 * (k1t + 2 * k2t + 2 * k3t + k4t)
-        t = (step + 1) * dt
+        t = (step + 1) * dt if step < full else grid.t_end
         if (step + 1) % snap_every == 0:
             snapshots.append((t, u.copy()))
         if stop is not None and stop(u):

@@ -101,7 +101,7 @@ def test_radial_pair_norm_gaussian_oracle():
     quadrature of the known transform (2 pi)^{3/2} e^{-rho^2/2}."""
     lam, s, R = 16.0, 3.0, 14.0
     g = lambda r: np.exp(-r * r / 2.0)
-    got = blowup.radial_pair_norm(g, g, lam, s, R)
+    got = blowup.radial_pair_norm(blowup.radial_head(g, R), g, lam, s, R)
     ghat = lambda rho: (2 * math.pi) ** 1.5 * math.exp(-rho * rho / 2.0)
     inv = (2 * math.pi) ** -3
     sq = math.sqrt(lam)
@@ -166,6 +166,42 @@ def test_radial_hat_matches_outer_product_formula(tp1):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("M", [1, 7, 100])
+def test_scaled_chi_head_matches_direct_transform(tp1, M):
+    """g0's transform at M is M^-S M^6 times chi's on the M = 1 grid: the
+    head radial_smallness uses against a direct transform of g0, with the
+    same cut."""
+    plan = blowup.default_plan(3, LAM_WITNESS, 6.5, M)
+    g0, _ = blowup.seed_profiles(plan, tp1)
+    direct = blowup.radial_head(g0, plan.support_radius)
+    scaled = plan.amplitude * float(M) ** 6 * blowup._chi_head()
+    assert scaled.size == direct.size
+    assert np.max(np.abs(scaled - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_certify_transforms_chi_once(pot3, tp1, monkeypatch):
+    """The seed-0 certificate's whole M scan transforms chi once per
+    process; each smallness call transforms only its g1."""
+    radial_hat, plan_smallness = blowup._radial_hat, blowup.plan_smallness
+    profiles, plans = [], []
+
+    def counted_hat(g, R):
+        profiles.append(g)
+        return radial_hat(g, R)
+
+    def counted_smallness(plan, *args, **kwargs):
+        plans.append(plan)
+        return plan_smallness(plan, *args, **kwargs)
+
+    monkeypatch.setattr(blowup, "_radial_hat", counted_hat)
+    monkeypatch.setattr(blowup, "plan_smallness", counted_smallness)
+    blowup._chi_head.cache_clear()
+    cert = blowup.certify_blowup(tp1, pot3, (0.1, 60.0), 1e-5)
+    assert cert.plan.M == 100
+    assert profiles.count(blowup.chi_radial) == 1
+    assert len(profiles) == len(plans) + 1
+
+
 @pytest.mark.parametrize("M, value", [(35, 3.853241529914803e-04),
                                       (100, 9.773812333676975e-06)])
 def test_radial_smallness_regression(tp1, M, value):
@@ -196,7 +232,8 @@ def test_radial_pair_norm_unresolved_spectrum_raises():
         return (r < 5.0).astype(float)
 
     with pytest.raises(ResolutionError):
-        blowup.radial_pair_norm(g, g, LAM_WITNESS, 3.0, 10.0)
+        blowup.radial_pair_norm(blowup.radial_head(g, 10.0), g, LAM_WITNESS,
+                                3.0, 10.0)
 
 
 def test_n1_smallness_regression(tp1):

@@ -267,10 +267,47 @@ def test_trace_curve_independent_of_batch(pot3, full_curve, idx):
     assert np.all(np.abs(sub - traces[idx]) <= 1e-13 * (1.0 + np.abs(traces[idx])))
 
 
-def test_unresolvable_lambda_raises(pot3):
-    """A lambda the step cap cannot resolve fails instead of refining on."""
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(lam=st.floats(0.1, 60.0, exclude_min=True, exclude_max=True),
+       t1=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       tol=_TOLS)
+def test_fractional_map_property(pot3, lam, t1, tol):
+    """X(t1, 0) inside the period, as Propagator reads it, agrees with the
+    DOP853 oracle within 100 times its error estimate."""
+    X = floquet._fundamental(pot3, [lam], t1, tol)[0]
+    ref = FundamentalPair(pot3, lam, tol=1e-12).matrix(t1)
+    assert np.max(np.abs(X - ref)) <= 100.0 * tol * (1.0 + np.max(np.abs(ref)))
+
+
+def _count_magnus(monkeypatch):
+    """Record (steps, number of lambdas) of every _magnus call."""
+    calls = []
+    magnus = floquet._magnus
+
+    def counted(pot, lams, t1, steps):
+        calls.append((steps, np.size(lams)))
+        return magnus(pot, lams, t1, steps)
+
+    monkeypatch.setattr(floquet, "_magnus", counted)
+    return calls
+
+
+def test_controller_work_per_lambda(pot3, monkeypatch):
+    """The 4000-lambda chart grid at tol 1e-11 costs at most 336 Magnus
+    step-lambda units per lambda: 16 + 64 + 256, every lambda accepted at
+    the first step count its estimate predicts."""
+    calls = _count_magnus(monkeypatch)
+    floquet.trace_curve(pot3, np.linspace(0.1, 60.0, 4000), tol=1e-11)
+    assert sum(steps * size for steps, size in calls) <= 336 * 4000
+
+
+def test_unresolvable_lambda_raises(pot3, monkeypatch):
+    """A lambda the step cap cannot resolve fails instead of refining on,
+    and only after it has been tried at the cap."""
+    calls = _count_magnus(monkeypatch)
     with pytest.raises(IntegrationFailure):
         floquet.monodromy(pot3, 1e9, tol=1e-13)
+    assert max(steps for steps, _ in calls) == floquet._MAX_STEPS
 
 
 def test_stability_dichotomy_trace(pot3):

@@ -170,6 +170,33 @@ def test_nonlinear_blowup_detection(b05, tp1):
     assert math.isfinite(res.diagnostics["max_abs"])
 
 
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+def test_completed_run_ends_at_t_end(b05, tp1, mode):
+    """A dt that does not divide t_end: 13 full steps, then one step of the
+    remainder lands on t_end, and the state there matches a run whose dt
+    divides t_end."""
+    def run(dt):
+        grid = pdesim.GridSpec(n=1, L=2 * math.pi, points=32, dt=dt, t_end=0.5)
+        x = grid.coords()[..., 0]
+        u0, u1 = 0.05 * np.cos(x), np.zeros_like(x)
+        if mode == "linear":
+            return pdesim.evolve_linear(b05, 3, grid, u0, u1, n_snapshots=4)
+        return pdesim.evolve_nonlinear(b05, 3, tp1.f, grid, u0, u1, tp1,
+                                       n_snapshots=4)
+
+    res = run(0.0361)
+    assert res.termination == "completed"
+    # 14 steps with the remainder, so a snapshot every 14 // 4 = 3 steps
+    assert [t for t, _ in res.snapshots] == [0.0361 * k for k in range(0, 13, 3)] + [0.5]
+    if mode == "nonlinear":
+        assert res.diagnostics["t_final"] == 0.5
+    # both are RK4 solutions at t = 0.5 (about 2e-9 apart); ending 0.005
+    # late would move u by about 1e-4
+    ref = run(0.5 / 14)
+    assert ref.snapshots[-1][0] == pytest.approx(0.5, rel=1e-15)
+    assert np.max(np.abs(res.snapshots[-1][1] - ref.snapshots[-1][1])) < 1e-8
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_real_transforms_match_complex_reference(b05, tp1, n):
     """Both torus solvers on the half spectrum against the full complex-FFT
