@@ -418,7 +418,8 @@ def _simulate_certificate(b, pot, tp, cert, points=1024):
 @click.option("--n", type=int, default=3, show_default=True)
 @click.option("--f", "f_spec", default="zero", show_default=True,
               help="nonlinearity family (nonlinear/uniform modes)")
-@click.option("--t-end", type=float, default=2.0, show_default=True)
+@click.option("--t-end", type=click.FloatRange(min=0, min_open=True), default=2.0,
+              show_default=True)
 @click.option("--u0-val", type=float, default=0.0, show_default=True,
               help="uniform mode: initial value")
 @click.option("--u1-val", type=float, default=1.0, show_default=True,

@@ -1,11 +1,13 @@
 """Direct spectral evolution on a periodic torus, for oracle cross-checks.
 
 Method of lines: Fourier Laplacian/gradient in space, classical RK4 in time
-on the first-order system.  The field is real, so the state is (u^, u_t^),
-its rfftn on the half spectrum.  A linear stage is diagonal in k and makes
-no transform.  A nonlinear stage makes 2: one batched irfftn giving u, grad u
-and u_t, and one rfftn of the nonlinear term, masked in place by the 2/3
-rule; the stop check makes 1 per step.  The nonlinear solver watches the
+on the first-order system.  The field is real, so the state is one stacked
+array (u^, u_t^), its rfftn on the half spectrum, stepped in place.  A
+linear stage is diagonal in k and makes no transform.  A nonlinear stage
+makes 2: one batched irfftn giving u, grad u and u_t, and one rfftn of the
+nonlinear term, masked in place by the 2/3 rule.  The stop check after each
+step reads u from the batched inverse that the next step's first stage
+uses, so a nonlinear step makes 8.  The nonlinear solver watches the
 transformed field G(u) and stops when it approaches a finite endpoint (the
 proof-side blow-up mechanism), not when u itself looks large.
 """
@@ -130,40 +132,62 @@ class _Spectrum:
         return (np.fft.irfft(ah, self.shape[0]) if len(self.axes) == 1
                 else np.fft.irfftn(ah, s=self.shape, axes=self.axes))
 
+    def wave(self, y, c, bt2, out):
+        """out = (u_t^, c u_t^ + bt2 Lap u^) for y = (u^, u_t^): the linear
+        right-hand side, in place."""
+        np.multiply(y[1], c, out=out[0])
+        np.multiply(self.ops[-1], y[0], out=out[1])
+        out[1] *= bt2
+        out[1] += out[0]
+        out[0] = y[1]
+
 
 def _march(rhs, grid, u, ut, n_snapshots, stop=None):
     """Classical RK4 on (u, u_t) from t = 0 to grid.t_end: steps of grid.dt
     while they fit (to within 1e-9 dt), then one step of the remainder.
 
-    rhs(t, u, u_t) returns (u_t, u_tt) for whatever pair of arrays it is given.
-    About n_snapshots evenly spaced snapshots of u are kept, plus the final
-    state while it is finite.  When given, stop(u) is checked after every
-    step and ends the run when true.  Returns (t, u, u_t, snapshots, stopped).
+    The state is one stacked array y = (u, u_t), and rhs(t, y, out) writes
+    dy/dt = (u_t, u_tt) into out, an array shaped like y.  The stage slopes
+    and the stage input are made once per run; each RK4 combination is one
+    in-place call on the whole stack.  About n_snapshots evenly spaced
+    snapshots of u are kept, plus the final state while it is finite.  When
+    given, stop(y) is checked after every step and ends the run when true;
+    when false, the next call is rhs(t, y, ...) at that same state, so stop
+    may leave work there for it.  Returns (t, u, u_t, snapshots, stopped).
     """
     full = int(grid.t_end / grid.dt + 1e-9)
     rest = grid.t_end - full * grid.dt
     nsteps = full + (rest > 1e-9 * grid.dt)
     snap_every = max(1, nsteps // n_snapshots)
-    snapshots = [(0.0, u.copy())]
+    y = np.stack((u, ut))
+    k1, k2, k3, k4, ys = (np.empty_like(y) for _ in range(5))
+    snapshots = [(0.0, y[0].copy())]
     stopped = False
     t = 0.0
     for step in range(nsteps):
         dt = grid.dt if step < full else rest
-        k1u, k1t = rhs(t, u, ut)
-        k2u, k2t = rhs(t + dt / 2, u + dt / 2 * k1u, ut + dt / 2 * k1t)
-        k3u, k3t = rhs(t + dt / 2, u + dt / 2 * k2u, ut + dt / 2 * k2t)
-        k4u, k4t = rhs(t + dt, u + dt * k3u, ut + dt * k3t)
-        u = u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        ut = ut + dt / 6 * (k1t + 2 * k2t + 2 * k3t + k4t)
+        rhs(t, y, k1)
+        for k, k_next, h in ((k1, k2, dt / 2), (k2, k3, dt / 2), (k3, k4, dt)):
+            np.multiply(k, h, out=ys)
+            ys += y
+            rhs(t + h, ys, k_next)
+        # y + dt/6 * (((k1 + 2 k2) + 2 k3) + k4), grouped as RK4 is written
+        k2 *= 2
+        k1 += k2
+        k3 *= 2
+        k1 += k3
+        k1 += k4
+        k1 *= dt / 6
+        y += k1
         t = (step + 1) * dt if step < full else grid.t_end
         if (step + 1) % snap_every == 0:
-            snapshots.append((t, u.copy()))
-        if stop is not None and stop(u):
+            snapshots.append((t, y[0].copy()))
+        if stop is not None and stop(y):
             stopped = True
             break
-    if snapshots[-1][0] < t and np.all(np.isfinite(u)):
-        snapshots.append((t, u.copy()))
-    return t, u, ut, snapshots, stopped
+    if snapshots[-1][0] < t and np.all(np.isfinite(y[0])):
+        snapshots.append((t, y[0].copy()))
+    return t, y[0], y[1], snapshots, stopped
 
 
 def evolve_linear(b, n_coeff, grid, v0, v1, n_snapshots=64):
@@ -171,9 +195,9 @@ def evolve_linear(b, n_coeff, grid, v0, v1, n_snapshots=64):
     grid.check_cfl(b)
     spec = _Spectrum(grid)
 
-    def rhs(tt, vh, vth):
+    def rhs(tt, y, out):
         bt = b.eval(tt)
-        return vth, n_coeff * b.d1(tt) / bt * vth + bt**2 * (spec.ops[-1] * vh)
+        spec.wave(y, n_coeff * b.d1(tt) / bt, bt**2, out)
 
     t, vh, vth, snapshots, _ = _march(
         rhs, grid, spec.to_half(v0), spec.to_half(v1), n_snapshots)
@@ -212,22 +236,40 @@ def evolve_nonlinear(b, n_coeff, f, grid, u0, u1, v_guard, n_snapshots=64):
 
     # (u^, i k_1 u^, ..., i k_n u^, u_t^), inverted by one irfftn per stage
     lift = np.empty((grid.n + 2,) + spec.mask.shape, dtype=complex)
+    w, sq = np.empty(spec.shape), np.empty(spec.shape)
+    field = None  # the inverse of lift made by blown_up, not yet used
 
-    def rhs(tt, uh, uth):
+    def invert(y):
+        lift[0], lift[-1] = y
+        np.multiply(spec.ops[:-1], y[0], out=lift[1:-1])
+        return spec.to_field(lift)
+
+    def rhs(tt, y, out):
+        nonlocal field
+        uu, *grad, uut = invert(y) if field is None else field
+        field = None
         bt = b.eval(tt)
-        lift[0], lift[-1] = uh, uth
-        np.multiply(spec.ops[:-1], uh, out=lift[1:-1])
-        uu, *grad, uut = spec.to_field(lift)
-        grad2 = sum(g * g for g in grad)
-        nl = spec.to_half(f(uu) * (uut**2 - bt**2 * grad2))
+        bt2 = bt**2
+        # w = f(u) (u_t^2 - b^2 |grad u|^2)
+        np.multiply(grad[0], grad[0], out=w)
+        for g in grad[1:]:
+            np.multiply(g, g, out=sq)
+            np.add(w, sq, out=w)
+        np.multiply(w, bt2, out=w)
+        np.square(uut, out=sq)
+        np.subtract(sq, w, out=w)
+        np.multiply(w, f(uu), out=w)
+        nl = spec.to_half(w)
         nl *= spec.mask
-        acc = n_coeff * b.d1(tt) / bt * uth + bt**2 * (spec.ops[-1] * uh) - nl
-        return uth, acc
+        spec.wave(y, n_coeff * b.d1(tt) / bt, bt2, out)
+        out[1] -= nl
 
-    def blown_up(uh):
-        uu = spec.to_field(uh)
-        umax = float(np.max(uu))
-        umin = float(np.min(uu))
+    def blown_up(y):
+        nonlocal field
+        field = invert(y)
+        uu = field[0]
+        umax = float(uu.max())
+        umin = float(uu.min())
         return (
             not (math.isfinite(umax) and math.isfinite(umin))
             or max(abs(umax), abs(umin)) > _U_CAP

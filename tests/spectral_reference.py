@@ -1,7 +1,8 @@
 """Reference right-hand sides of the torus solvers on the full complex
 spectrum, one fftn/ifftn pair per operator, independent of pdesim's
-half-spectrum operators.  Tests march them with pdesim._march and compare
-against evolve_linear/evolve_nonlinear.
+half-spectrum operators.  Each writes (u_t, u_tt) into out for the stacked
+state y = (u, u_t), as pdesim._march expects.  Tests march them with
+pdesim._march and compare against evolve_linear/evolve_nonlinear.
 """
 import numpy as np
 
@@ -40,9 +41,11 @@ def dealias_mask(grid):
 def linear_rhs(b, n_coeff, grid):
     k2 = grid.k_squared()
 
-    def rhs(tt, vv, vvt):
+    def rhs(tt, y, out):
+        vv, vvt = y
         bt = b.eval(tt)
-        return vvt, n_coeff * b.d1(tt) / bt * vvt + bt**2 * laplacian(k2, vv)
+        out[0] = vvt
+        out[1] = n_coeff * b.d1(tt) / bt * vvt + bt**2 * laplacian(k2, vv)
 
     return rhs
 
@@ -52,13 +55,14 @@ def nonlinear_rhs(b, n_coeff, f, grid):
     mask = dealias_mask(grid)
     ks = wavenumbers(grid)
 
-    def rhs(tt, uu, uut):
+    def rhs(tt, y, out):
+        uu, uut = y
         bt = b.eval(tt)
         grad2 = sum(g * g for g in gradient(ks, uu))
         nl = f(uu) * (uut**2 - bt**2 * grad2)
         nl = np.fft.ifftn(mask * np.fft.fftn(nl)).real
-        acc = n_coeff * b.d1(tt) / bt * uut + bt**2 * laplacian(k2, uu) - nl
-        return uut, acc
+        out[0] = uut
+        out[1] = n_coeff * b.d1(tt) / bt * uut + bt**2 * laplacian(k2, uu) - nl
 
     return rhs
 

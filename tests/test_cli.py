@@ -439,6 +439,24 @@ def test_geodesic_s_max_must_be_positive(tmp_path, capsys, monkeypatch, s_max):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("t_end", ["0", "-1"])
+@pytest.mark.parametrize("mode", ["linear", "uniform"])
+def test_simulate_t_end_must_be_positive(tmp_path, capsys, monkeypatch, mode, t_end):
+    """A grid run would report a 'completed' run that never reached t_end,
+    and a uniform one would integrate backwards: both exit 2 first."""
+    monkeypatch.chdir(tmp_path)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("evolve_linear ran before --t-end was checked")
+
+    monkeypatch.setattr("cyclicwave.pdesim.evolve_linear", no_work)
+    args = ["simulate", "--mode", mode, "--epsilon", "0.5", "--points", "64",
+            "--t-end", t_end, "--out", "x.csv"]
+    err = _exit_before_work(args, "simulate", monkeypatch, capsys)
+    assert err["error"] == "ParameterError" and "--t-end" in err["message"]
+    assert not any(tmp_path.glob("x.*"))
+
+
 def test_noc_verdicts(tmp_path):
     r = run(["noc", "--f", "example1:alpha=-1", "--out", "v.json"], tmp_path)
     assert r.returncode == 0, r.stderr

@@ -8,6 +8,7 @@ from scipy.integrate import quad, solve_ivp
 from cyclicwave import coeffs, pdesim, transform
 from cyclicwave.errors import IntegrationFailure, ParameterError
 
+import rk4_reference
 import spectral_reference
 from conftest import f_ray
 
@@ -227,14 +228,50 @@ def test_real_transforms_match_complex_reference(b05, tp1, n):
     assert lin.diagnostics["energy_like"] == pytest.approx(energy, rel=1e-13)
 
 
+@pytest.mark.parametrize("case", ["linear", "nonlinear-remainder",
+                                  "nonlinear-stopped"])
+def test_in_place_stepper_is_bit_identical(b05, tp1, case):
+    """The in-place RK4 loop and right-hand sides against the allocating
+    ones they replaced (rk4_reference): every snapshot, the end time, the
+    termination and the diagnostics are equal to the last bit, on a linear
+    run, a nonlinear run ending with a remainder step and a nonlinear run
+    stopped by the G-endpoint guard."""
+    t_end, dt = (6.0, 0.0075) if case == "nonlinear-stopped" else (0.5, 0.0361)
+    grid = pdesim.GridSpec(n=1, L=2 * math.pi, points=64, dt=dt, t_end=t_end)
+    x = grid.coords()[..., 0]
+    rng = np.random.default_rng(7)
+    if case == "nonlinear-stopped":
+        u0, u1 = 0.2 + 0.02 * np.cos(x), 1.0 + 0.05 * np.sin(2 * x)
+    else:
+        u0 = 0.05 + 0.02 * rng.standard_normal(x.shape)
+        u1 = 0.02 * rng.standard_normal(x.shape)
+    if case == "linear":
+        res = pdesim.evolve_linear(b05, 3, grid, u0, u1)
+        ref = rk4_reference.evolve_linear(b05, 3, grid, u0, u1)
+    else:
+        res = pdesim.evolve_nonlinear(b05, 3, tp1.f, grid, u0, u1, tp1)
+        ref = rk4_reference.evolve_nonlinear(b05, 3, tp1.f, grid, u0, u1, tp1)
+    if case == "nonlinear-stopped":
+        assert res.termination == "blowup_detected"
+        assert res.diagnostics["max_abs"] < pdesim._U_CAP  # not the |u| cap
+    else:
+        assert res.termination == "completed"
+        assert res.snapshots[-1][0] == 0.5  # 13 steps of dt, then the rest
+    assert res.termination == ref.termination
+    assert res.diagnostics == ref.diagnostics
+    assert [t for t, _ in res.snapshots] == [t for t, _ in ref.snapshots]
+    for (_, a), (_, c) in zip(res.snapshots, ref.snapshots):
+        assert np.array_equal(a, c)
+
+
 _FFT_FUNCS = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn")
 
 
-@pytest.mark.parametrize("mode,per_step", [("linear", 0), ("nonlinear", 9)])
+@pytest.mark.parametrize("mode,per_step", [("linear", 0), ("nonlinear", 8)])
 def test_transform_calls_per_step(monkeypatch, b05, tp1, mode, per_step):
     """The state lives on the half spectrum: a linear step makes no
-    transform call, a nonlinear step at most 9 (2 per RK4 stage and 1 for
-    the stop check).  Two runs that differ only in t_end, with the same
+    transform call, a nonlinear step at most 8 (2 per RK4 stage; the stop
+    check reads the inverse that the next first stage uses).  Two runs that differ only in t_end, with the same
     number of snapshots, leave the per-step calls as their difference."""
     calls = [0]
 
