@@ -6,6 +6,9 @@ load-bearing part.  One per-side test decides whether int F converges on a
 side: the fitted exponent of F in the tail, or at a finite domain edge.
 TransformPair.endpoints reads its sign; noc_check reads it with an explicit
 inconclusive band and never certifies convergence or divergence inside it.
+
+Each side of 0 holds Phi and G as Chebyshev panels, G in mean-value form
+(_Side); H = G^-1 takes safeguarded Newton steps (derivative F) in a panel.
 """
 
 import json
@@ -20,98 +23,127 @@ from .floquet import check_tol
 
 _PHI_CAP = 690.0  # exp overflow guard
 _G_CAP = 1e12
+_DEG = 32  # Chebyshev degree of every panel interpolant
+_S_REACH = 1e9  # farthest |s| at which G and H evaluate
+_MIN_WIDTH = 1e-6  # nodes round in |s|: a narrower panel cannot meet tol
 # Relative clamp width for inverting G near a finite endpoint.  It must
 # exceed the endpoint tail-extrapolation error (~1e-10), otherwise the
-# clamped level can be unreachable by G and the bracketing search fails.
+# clamped level can lie beyond every panel and H fails.
 _ENDPOINT_CLAMP = 1e-8
 
 
 class _Side:
-    """Dense solution of [Phi, G]' = [f, exp(Phi)] on one side of 0."""
+    """Phi and G on one side of 0, as Chebyshev panels in |s|.
+
+    The first panel is [0, 1], each next one twice as wide; toward a finite
+    domain edge each covers half the remaining distance, down to a relative
+    1e-9.  On a panel, f is interpolated at degree 32 and integrated to Phi,
+    then exp(Phi) likewise to G, halving the panel until the trailing
+    coefficients of both are within tol of their largest.  Phi and G are
+    kept in mean-value form, value at s0 plus (|s| - s0) times a series, so
+    they keep their relative accuracy near 0.  A side ends after the panel
+    where Phi reaches _PHI_CAP or |G| reaches _G_CAP.
+    """
 
     def __init__(self, f, direction, tol, edge):
         self.f = f
         self.direction = direction  # +1 or -1
         self.tol = tol
         self.edge = edge  # domain edge in this direction (signed), may be inf
-        self.chunks = []  # list of (s_hi_abs, OdeSolution)
+        self.panels = []  # (s0, s1, Phi(s0), G(s0), Phi series, G series)
+        self.width = 1.0  # the width the next panel tries first
         self.frontier = (0.0, 0.0, 0.0)  # (|s|, Phi, G) at the frontier
         self.terminated = None  # None | 'overflow' | 'g-cap' | 'domain'
 
     def reach(self, target_abs):
-        """Extend the dense solution to |s| >= target_abs (or termination)."""
-        from scipy.integrate import solve_ivp
+        """Extend the panels to |s| >= target_abs (or termination)."""
+        from numpy.polynomial.chebyshev import chebval
 
+        d = self.direction
         while self.frontier[0] < target_abs and self.terminated is None:
             s0, phi0, g0 = self.frontier
-            s1 = max(16.0, target_abs)
-            t0, t1 = self.direction * s0, self.direction * s1
+            w = self.width
             if math.isfinite(self.edge):
-                # approach a finite edge geometrically: each chunk shrinks
-                # the remaining distance by at most 8x, down to a relative
-                # floor, so the quadrature never lands on the singularity
-                floor = 1e-9 * (1.0 + abs(self.edge))
-                dist0 = abs(self.edge - t0)
-                if dist0 <= 2.0 * floor:
+                dist = abs(self.edge) - s0
+                if dist <= 2e-9 * (1.0 + abs(self.edge)):  # relative floor
                     self.terminated = "domain"
                     return
-                lim = self.edge - self.direction * max(floor, dist0 / 8.0)
-                if self.direction * (t1 - lim) > 0:
-                    t1 = lim
-                    if self.direction * (t1 - t0) <= 0:
-                        self.terminated = "domain"
-                        return
-
-            def rhs(t, y):
-                return [self.f(t), math.exp(min(y[0], _PHI_CAP))]
-
-            def ev_phi(t, y):
-                return y[0] - _PHI_CAP
-
-            def ev_g(t, y):
-                return abs(y[1]) - _G_CAP
-
-            ev_phi.terminal = True
-            ev_g.terminal = True
-            sol = solve_ivp(
-                rhs, (t0, t1), [phi0, g0], method="DOP853",
-                rtol=self.tol, atol=self.tol, dense_output=True,
-                events=(ev_phi, ev_g),
-            )
-            if not sol.success and sol.status != 1:
-                raise QuadratureError(
-                    f"cumulative quadrature failed on ({t0}, {t1}): {sol.message}"
-                )
-            self.chunks.append((abs(sol.t[-1]), sol.sol))
-            self.frontier = (abs(sol.t[-1]), sol.y[0, -1], sol.y[1, -1])
-            if sol.status == 1:
-                self.terminated = "overflow" if sol.t_events[0].size else "g-cap"
+                w = min(w, 0.5 * dist)
+            while True:
+                half = 0.5 * w
+                mphi, f_ok = _mean_value(
+                    lambda x: d * self.f(d * (s0 + half * (x + 1.0))), self.tol)
+                mg, g_ok = _mean_value(lambda x: np.exp(np.minimum(
+                    phi0 + half * (x + 1.0) * chebval(x, mphi), _PHI_CAP)), self.tol)
+                phi1, g1 = phi0 + w * chebval(1.0, mphi), g0 + d * w * chebval(1.0, mg)
+                if (w < 2.0 * _MIN_WIDTH * (1.0 + s0) or f_ok and (
+                        g_ok or phi1 >= _PHI_CAP or abs(g1) >= _G_CAP)):
+                    break
+                w = half
+            self.panels.append((s0, s0 + w, phi0, g0, mphi, mg))
+            self.width = 2.0 * w
+            self.frontier = (s0 + w, phi1, g1)
+            if phi1 >= _PHI_CAP or abs(g1) >= _G_CAP:
+                self.terminated = "overflow" if phi1 >= _PHI_CAP else "g-cap"
 
     def eval(self, s_abs):
-        """(Phi, G) at |s| values (array); must be within reach."""
-        s_abs = np.asarray(s_abs, dtype=float)
-        phi = np.empty_like(s_abs)
-        g = np.empty_like(s_abs)
-        remaining = np.ones(s_abs.shape, dtype=bool)
-        for hi, dense in self.chunks:
-            take = remaining & (s_abs <= hi + 1e-12)
-            if np.any(take):
-                vals = dense(self.direction * np.minimum(s_abs[take], hi))
-                phi[take] = vals[0]
-                g[take] = vals[1]
-                remaining[take] = False
-        if np.any(remaining):
-            # clamp beyond the frontier (terminated sides only)
-            _, phi_f, g_f = self.frontier
-            phi[remaining] = phi_f
-            g[remaining] = g_f
+        """(Phi, G) at |s| values (array); must be within reach.  Beyond the
+        frontier (terminated sides only) both hold their frontier values."""
+        from numpy.polynomial.chebyshev import chebval
+
+        s_abs = np.minimum(np.asarray(s_abs, dtype=float), self.frontier[0])
+        k = np.searchsorted([p[1] for p in self.panels], s_abs)
+        phi, g = np.empty_like(s_abs), np.empty_like(s_abs)
+        for j in np.flatnonzero(np.bincount(np.ravel(k))):
+            s0, s1, phi0, g0, mphi, mg = self.panels[j]
+            on = k == j
+            ds = s_abs[on] - s0
+            x = 2.0 * ds / (s1 - s0) - 1.0
+            phi[on] = phi0 + ds * chebval(x, mphi)
+            g[on] = g0 + self.direction * ds * chebval(x, mg)
         return phi, g
+
+    def invert(self, g):
+        """|s| at which |G| = g: safeguarded Newton steps, with derivative
+        exp(Phi), on the first panel whose far end reaches g.
+        QuadratureError when no panel up to |s| = 1e9 (or the side's end)
+        reaches g."""
+        if abs(self.frontier[2]) < g:
+            self.reach(_S_REACH)
+        if abs(self.frontier[2]) < g:
+            raise QuadratureError(f"G does not reach the level {self.direction * g!r}"
+                                  f" within |u| <= {self.frontier[0]:.6g}")
+        ends = np.abs([p[3] for p in self.panels[1:]] + [self.frontier[2]])
+        lo, hi, phi0, g0 = self.panels[int(np.searchsorted(ends, g))][:4]
+        s = min(max(lo + (g - abs(g0)) * math.exp(-max(phi0, -_PHI_CAP)), lo), hi)
+        for _ in range(100):
+            phi, gs = map(float, self.eval(s))
+            r = abs(gs) - g
+            lo, hi = (lo, s) if r > 0.0 else (s, hi)
+            step = s - r * math.exp(-max(phi, -_PHI_CAP))
+            if not lo <= step <= hi:
+                step = 0.5 * (lo + hi)
+            if abs(step - s) <= 4.0 * np.finfo(float).eps * abs(s):
+                return step
+            s = step
+        return s
+
+
+def _mean_value(func, tol):
+    """(m, resolved): func's degree-_DEG Chebyshev interpolant c on [-1, 1]
+    in mean-value form, int_{-1}^x c = (1 + x) m(x), and whether c's
+    trailing coefficients lie within tol of its largest."""
+    from numpy.polynomial import chebyshev as C
+
+    c = C.chebinterpolate(func, _DEG)
+    m = C.chebdiv(C.chebint(c, lbnd=-1.0), [1.0, 1.0])[0]
+    return m, bool(np.max(np.abs(c[-2:])) <= tol * np.max(np.abs(c)))
 
 
 class TransformPair:
     """f, F = exp(int f), the strictly increasing G = int F, and H = G^-1.
 
-    Construction integrates lazily and caches dense solutions; evaluation is
+    Construction integrates lazily and caches the panels; evaluation is
     read-only afterwards.  `domain` restricts f's argument (half-plane-type
     metrics have charts bounded below).  ParameterError unless tol lies in
     [1e-13, 1e-6].
@@ -120,7 +152,6 @@ class TransformPair:
     def __init__(self, f, tol=1e-12, domain=(-math.inf, math.inf)):
         self.tol = check_tol(tol)
         self.f = f
-        self.domain = domain
         if not domain[0] < 0.0 < domain[1]:
             raise ParameterError(f"domain must contain 0, got {domain}")
         self._pos = _Side(f, +1, tol, domain[1])
@@ -131,73 +162,40 @@ class TransformPair:
 
     def Phi(self, s):
         """int_0^s f(r) dr."""
+        return self._on_sides(s, math.inf, 0)
+
+    def G(self, u):
+        """The transform itself; strictly increasing, G(0) = 0."""
+        return self._on_sides(u, _S_REACH, 1)
+
+    def _on_sides(self, s, reach, which):
+        """Phi (which=0) or G (which=1) at s, extending to |s| <= reach."""
         s = np.asarray(s, dtype=float)
         out = np.empty_like(s)
         for side, mask in ((self._pos, s >= 0), (self._neg, s < 0)):
             if np.any(mask):
                 sa = np.abs(s[mask])
-                side.reach(float(sa.max()))
-                out[mask] = side.eval(sa)[0]
-        return out if out.ndim else float(out)
-
-    def F(self, s):
-        """exp(int_0^s f)."""
-        return np.exp(np.clip(self.Phi(s), -_PHI_CAP, _PHI_CAP))
-
-    def G(self, u):
-        """The transform itself; strictly increasing, G(0) = 0."""
-        u = np.asarray(u, dtype=float)
-        out = np.empty_like(u)
-        for side, mask in ((self._pos, u >= 0), (self._neg, u < 0)):
-            if np.any(mask):
-                ua = np.abs(u[mask])
-                side.reach(float(min(ua.max(), 1e9)))
-                out[mask] = side.eval(ua)[1]
+                side.reach(float(min(sa.max(), reach)))
+                out[mask] = side.eval(sa)[which]
         return out if out.ndim else float(out)
 
     def H(self, v):
-        """Inverse of G; clamps near finite endpoints with a warning."""
-        from scipy.optimize import brentq
-
+        """Inverse of G; clamps near finite endpoints with a warning, and
+        raises QuadratureError for a level beyond G's last panel."""
         v = float(v)
         if v == 0.0:
             return 0.0
         ep = self.endpoints()
-        if v > 0 and ep.b_finite:
-            lim = ep.b - _ENDPOINT_CLAMP * max(1.0, abs(ep.b))
-            if v >= lim:
-                warnings.warn(
-                    f"H({v!r}) clamped near finite endpoint {ep.b!r}",
-                    EndpointProximityWarning,
-                )
-                v = lim
-        if v < 0 and ep.a_finite:
-            lim = ep.a + _ENDPOINT_CLAMP * max(1.0, abs(ep.a))
-            if v <= lim:
-                warnings.warn(
-                    f"H({v!r}) clamped near finite endpoint {ep.a!r}",
-                    EndpointProximityWarning,
-                )
-                v = lim
-        # monotone bracket expansion, then brentq
-        lo, hi = (0.0, 1.0) if v > 0 else (-1.0, 0.0)
-        for _ in range(200):
-            if v > 0 and self.G(hi) >= v:
-                break
-            if v < 0 and self.G(lo) <= v:
-                break
-            if v > 0:
-                hi = min(2.0 * hi, self.domain[1] - 1e-13 * (1 + abs(self.domain[1])))
-            else:
-                lo = max(2.0 * lo, self.domain[0] + 1e-13 * (1 + abs(self.domain[0])))
-        u = brentq(lambda x: self.G(x) - v, lo, hi, xtol=1e-14, rtol=8.9e-16)
-        # one safeguarded Newton polish with the exact derivative F
-        fu = self.F(u)
-        if fu > 0:
-            step = (self.G(u) - v) / fu
-            if lo <= u - step <= hi:
-                u = u - step
-        return float(u)
+        side, end, finite = ((self._pos, ep.b, ep.b_finite) if v > 0
+                             else (self._neg, ep.a, ep.a_finite))
+        g = abs(v)
+        if finite:
+            lim = abs(end) - _ENDPOINT_CLAMP * max(1.0, abs(end))
+            if g >= lim:
+                warnings.warn(f"H({v!r}) clamped near finite endpoint {end!r}",
+                              EndpointProximityWarning)
+                g = lim
+        return side.direction * side.invert(g)
 
     def endpoints(self, s_max=1e6):
         """Limits of G at the domain ends, with finiteness flags and bounds."""

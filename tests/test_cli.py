@@ -312,7 +312,7 @@ try:
     cyclicwave.cli.main.main(args=sys.argv[1:], prog_name="cyclicwave")
 except SystemExit as exc:
     seen["exit"] = exc.code
-seen["stability-chart"] = scipy_modules()
+seen["command"] = scipy_modules()
 print(json.dumps(seen))
 """
 
@@ -326,8 +326,24 @@ def test_cold_start_loads_no_scipy(tmp_path):
     assert r.returncode == 0, r.stderr
     seen = json.loads(r.stdout.splitlines()[-1])
     assert seen == {"import cyclicwave": [], "import cyclicwave.cli": [],
-                    "exit": 0, "stability-chart": []}
+                    "exit": 0, "command": []}
     assert (tmp_path / "chart.csv").is_file()
+
+
+@pytest.mark.parametrize("args", [
+    ["noc", "--f", "example1:alpha=-1", "--out", "noc.json"],
+    ["simulate", "--mode", "nonlinear", "--f", "example1:alpha=-1",
+     "--epsilon", "0.5", "--points", "64", "--t-end", "0.5", "--out", "sim.csv"],
+], ids=["noc", "simulate-nonlinear"])
+def test_transform_commands_load_no_scipy(tmp_path, args):
+    """G, H and the endpoint test run on numpy alone, so a noc verdict and
+    a nonlinear torus run load neither scipy nor numpy.ma."""
+    r = run(args, tmp_path, command=[sys.executable, "-c", _SCIPY_PROBE])
+    assert r.returncode == 0, r.stderr
+    seen = json.loads(r.stdout.splitlines()[-1])
+    assert seen == {"import cyclicwave": [], "import cyclicwave.cli": [],
+                    "exit": 0, "command": []}
+    assert (tmp_path / args[-1]).is_file()
 
 
 def test_geodesic_matches_closed_form(tmp_path):
@@ -565,6 +581,22 @@ def test_simulate_uniform(tmp_path):
     assert rows[0] == ["t", "u"]
     # this run crosses the finite endpoint: last value is huge
     assert abs(float(rows[-1][1])) > 1e6
+
+
+def test_simulate_level_beyond_g_reach_exit_3(tmp_path):
+    """For example4:alpha=-1.01 the blow-up guard's level lies beyond
+    G(1e9): a numerical limit, so the run exits 3 with one JSON line and
+    writes nothing."""
+    r = run(["simulate", "--mode", "nonlinear", "--f", "example4:alpha=-1.01",
+             "--epsilon", "0.5", "--t-end", "1", "--points", "64",
+             "--out", "x.csv"], tmp_path)
+    assert r.returncode == 3, r.stderr
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1, r.stderr
+    err = json.loads(lines[0])
+    assert err["error"] == "QuadratureError"
+    assert "level" in err["message"]
+    assert not any(tmp_path.glob("x.*"))
 
 
 def test_simulate_linear_grid(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclicwave import transform
+from cyclicwave import geometry, transform
 from cyclicwave.errors import ParameterError
 
 from conftest import f_ray
@@ -82,6 +82,18 @@ def test_endpoints_reference_value(tp1):
     assert ep.a == pytest.approx(-B_G_REF, abs=1e-9)
 
 
+@pytest.mark.parametrize("alpha", [-1.25, -1.1, -1.0, -0.9, -0.75])
+def test_endpoint_error_bar_covers_closed_form(alpha):
+    """On the diagonal ray of conformal:alpha, F = (1 + 2 s^2)^alpha and
+    int_0^inf F = sqrt(pi/8) Gamma(-alpha - 1/2) / Gamma(-alpha); each
+    endpoint lies within its own error bar (plus rounding) of that."""
+    f = geometry.conformal_power(alpha).ray_log_derivative(np.ones(2))
+    ep = transform.build_transform(f).endpoints()
+    ref = math.sqrt(math.pi / 8.0) * math.gamma(-alpha - 0.5) / math.gamma(-alpha)
+    assert abs(ep.b - ref) <= ep.b_err + 4e-15 * abs(ep.b)
+    assert abs(ep.a + ref) <= ep.a_err + 4e-15 * abs(ep.a)
+
+
 def test_endpoints_divergent():
     tp = transform.build_transform(lambda t: np.zeros_like(np.asarray(t, float)))
     ep = tp.endpoints()
@@ -147,11 +159,14 @@ def test_h_clamps_out_of_range(tp1):
     assert tp1.G(u) == pytest.approx(B_G_REF, abs=1e-6)
 
 
-def test_tol_checked_before_work(no_ode_solve):
+def test_tol_checked_before_work():
     """TransformPair checks tol as the CLI does, before construction's first
-    solve (which an unchecked tol=0.0 made hang)."""
+    panel (which an unchecked tol=0.0 made hang): f is never evaluated."""
+    def no_work(t):
+        raise AssertionError("f was evaluated before tol was checked")
+
     with pytest.raises(ParameterError, match=r"tol must lie in \[1e-13, 1e-6\]"):
-        transform.TransformPair(f_ray, tol=0.0)
+        transform.TransformPair(no_work, tol=0.0)
 
 
 def test_verdict_json_roundtrip():
