@@ -32,6 +32,7 @@ from .pdesim import GridSpec
 _TOP_OCTAVE_BUDGET = 0.01
 _RADIAL_STEPS = 4096  # r steps on [0, R] for the n=3 radial transform
 _RADIAL_PAD = 8  # ... which runs over [0, 8R], zero beyond R
+_PHI_SKIP = 2.0**-60  # |Phi(g0)| below which g1 = A g0 to a relative 1e-18
 
 
 def chi_radial(r):
@@ -186,8 +187,6 @@ def _radial_hat(g, R):
     exponentially for smooth compactly supported g (Trefethen & Weideman,
     SIAM Review 56, 2014).  Returns (rho, g_hat) for k = 0 .. 8*4096 - 1.
     """
-    from scipy.fft import dst
-
     size = _RADIAL_PAD * _RADIAL_STEPS
     h = R / _RADIAL_STEPS
     r = h * np.arange(1, _RADIAL_STEPS + 1)
@@ -196,9 +195,27 @@ def _radial_hat(g, R):
     rho = np.pi / (_RADIAL_PAD * R) * np.arange(size)
     hat = np.empty(size)
     hat[0] = 4.0 * np.pi * h * float(gr[:_RADIAL_STEPS] @ r)
-    # dst type 1 returns 2 sum_j gr_j sin(pi k j / size)
-    hat[1:] = 2.0 * np.pi * h * dst(gr, type=1) / rho[1:]
+    hat[1:] = 2.0 * np.pi * h * _dst1(gr) / rho[1:]
     return rho, hat
+
+
+def _dst1(x):
+    """Type-I sine transform 2 sum_j x_j sin(pi k j / (N + 1)), j, k = 1..N:
+    minus the imaginary part of one rfft of the odd extension
+    [0, x, 0, -x reversed], of length 2N + 2."""
+    odd = np.zeros(2 * x.size + 2)
+    odd[1 : x.size + 1] = x
+    odd[x.size + 2 :] = -x[::-1]
+    return -np.fft.rfft(odd).imag[1:-1]
+
+
+def _simpson_weights(n, h):
+    """Composite Simpson weights h/3 [1, 4, 2, 4, ..., 2, 4, 1] on n (odd)
+    equally spaced points."""
+    w = np.full(n, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return w * (h / 3.0)
 
 
 def _sphere_mean_weight(s, a, bcoef):
@@ -216,74 +233,97 @@ def _sphere_mean_weight(s, a, bcoef):
     return out
 
 
-def radial_head(g, R):
-    """g's radial transform (_radial_hat, rho_k = pi k / (8R)) through its
-    cut: the smallest rho = 128 pi / R * 2^j whose top sixteenth has
-    |hat g| below 1e-10 of its maximum.  ResolutionError if no such cut
-    lies inside the transform's range.
+def radial_head(hat):
+    """A radial transform (_radial_hat's, rho_k = pi k / (8R)) through its
+    cut: the smallest k = 1024 * 2^j (rho = 128 pi / R * 2^j) whose top
+    sixteenth has |hat| below 1e-10 of its maximum.  ResolutionError if no
+    such cut lies inside the transform's range.
     """
-    rho, hat = _radial_hat(g, R)
     # hat g decays on the scale 2 pi / R; cut where the tail is negligible
     cut = 128 * _RADIAL_PAD
-    while cut < rho.size:
+    while cut < hat.size:
         head = np.abs(hat[: cut + 1])
         if np.max(head[15 * cut // 16 :]) < 1e-10 * np.max(head):
             return hat[: cut + 1]
         cut *= 2
     raise ResolutionError(
-        f"radial transform unresolved: no cut in rho <= {rho[-1]:.6g} "
-        f"has its top sixteenth below 1e-10 of the peak"
+        f"radial transform unresolved: no cut among its {hat.size} rho "
+        f"points has its top sixteenth below 1e-10 of the peak"
     )
 
 
 @functools.cache
+def _chi_hat():
+    """chi_radial's whole radial transform on the M = 1 grid (R = 2), made
+    once per process: every plan samples chi at the same points 2j/4096."""
+    hat = _radial_hat(chi_radial, 2.0)[1]
+    hat.flags.writeable = False
+    return hat
+
+
 def _chi_head():
-    """radial_head of chi_radial on the M = 1 grid (R = 2), made once per
-    process: every plan samples chi at the same points 2j/4096."""
-    head = radial_head(chi_radial, 2.0)
-    head.flags.writeable = False
-    return head
+    """radial_head of chi's cached transform (a read-only view)."""
+    return radial_head(_chi_hat())
 
 
-def radial_pair_norm(h0, g1, lam, s, R):
+def _phi_bound(tp, amp):
+    """An upper bound on |Phi| over [0, amp], or inf when amp lies beyond
+    tp's first positive panel [0, w].
+
+    Phi there is s m(x), x = 2s/w - 1, with m a Chebyshev series; Markov's
+    bound |T_j'| <= j^2 gives |m(x)| <= |m(-1)| + (2 amp / w) sum_j j^2 |m_j|
+    on [0, amp].
+    """
+    from numpy.polynomial.chebyshev import chebval
+
+    s0, s1, _, _, mphi, _ = tp._pos.panels[0]
+    w = s1 - s0
+    if amp > w:
+        return math.inf
+    j2 = np.arange(mphi.size) ** 2.0
+    slope = 2.0 * amp / w * float(j2 @ np.abs(mphi))
+    return amp * (abs(float(chebval(-1.0, mphi))) + slope)
+
+
+def radial_pair_norm(h0, h1, lam, s, R):
     """H^{s+1} x H^s norm sum for (g0(|x|), g1(|x|) cos(x.y)) on R^3.
 
-    |y|^2 = lam; both fields are supported in |x| <= R, and h0 is g0's
-    radial_head, whose length sets the cut of every rho integral.  Each
-    Sobolev integral reduces to a one-dimensional quadrature: g0 via the
-    radial transform directly, the modulated g1 via the exact average of
-    (1 + |xi|^2)^s over spheres (the shift by +-y enters through the
-    sphere-mean weight); the hat-g1(|xi-y|) hat-g1(|xi+y|) cross term is
-    bounded by max|hat g1| times the same quadrature and added.
+    |y|^2 = lam; both fields are supported in |x| <= R.  h0 is g0's
+    radial_head, whose length sets the cut of every rho integral, and h1
+    is g1's whole radial transform (_radial_hat's, on rho_k = pi k / (8R)).
+    Each Sobolev integral reduces to a one-dimensional Simpson quadrature:
+    g0 via the radial transform directly, the modulated g1 via the exact
+    average of (1 + |xi|^2)^s over spheres (the shift by +-y enters through
+    the sphere-mean weight); the hat-g1(|xi-y|) hat-g1(|xi+y|) cross term
+    is bounded by max|hat g1| times the same quadrature and added.
 
-    g1 is transformed on every call.  The cross-term supremum is 1.5
-    max|hat g1| from the last grid point at or below |y| onward, or over
-    the top sixteenth of the grid when |y| lies beyond it.
+    The cross-term supremum is 1.5 max|hat g1| from the last grid point at
+    or below |y| onward, or over the top sixteenth of the grid when |y|
+    lies beyond it.
     """
-    from scipy.integrate import simpson
-
-    rho, h1 = _radial_hat(g1, R)
+    rho = np.pi / (_RADIAL_PAD * R) * np.arange(h1.size)
     # the cross term's far factor (below) reads the whole transform
     k_far = int(math.sqrt(lam) / rho[1])
     far = h1[k_far:] if k_far < rho.size else h1[-rho.size // 16 :]
     far_sup = 1.5 * float(np.max(np.abs(far)))
     rho, h1 = rho[: h0.size], h1[: h0.size]
+    weights = _simpson_weights(h0.size, rho[1])
 
     inv_cube = (2.0 * np.pi) ** -3
     # ||u0||_{s+1}^2 = (2pi)^-3 * 4 pi Int (1+rho^2)^{s+1} h0^2 rho^2 d rho
-    norm0_sq = inv_cube * 4.0 * np.pi * float(simpson(
-        (1.0 + rho * rho) ** (s + 1.0) * h0 * h0 * rho * rho, x=rho
-    ))
+    norm0_sq = inv_cube * 4.0 * np.pi * float(
+        weights @ ((1.0 + rho * rho) ** (s + 1.0) * h0 * h0 * rho * rho)
+    )
     # ||u1||_s^2: hat u1(xi) = (h1(|xi - y|) + h1(|xi + y|)) / 2
     ang = _sphere_mean_weight(s, 1.0 + lam + rho * rho, 2.0 * math.sqrt(lam) * rho)
     # the two |h1(|xi -+ y|)|^2/4 terms are equal by symmetry; each gives
     # (1/4) Int h1(r)^2 r^2 * 4 pi * ang(r) dr after the sphere average
-    main = inv_cube * 2.0 * np.pi * float(simpson(h1 * h1 * rho * rho * ang, x=rho))
+    main = inv_cube * 2.0 * np.pi * float(weights @ (h1 * h1 * rho * rho * ang))
     # cross term 2 h1(|xi-y|) h1(|xi+y|)/4: at every xi one of |xi -+ y| is
     # >= |y|, so that factor is bounded by the hat-g1 supremum beyond |y|
     # (with a safety factor); the other integrates against the weight
     cross_bound = inv_cube * 4.0 * np.pi * far_sup * float(
-        simpson(np.abs(h1) * rho * rho * ang, x=rho)
+        weights @ (np.abs(h1) * rho * rho * ang)
     )
     return math.sqrt(norm0_sq) + math.sqrt(main + cross_bound)
 
@@ -292,15 +332,21 @@ def radial_smallness(plan, tp, s):
     """Semi-analytic smallness for n=3 radial-times-cosine plan data.
 
     g0 = M^-S chi(r / M^2) is sampled at r / M^2 = 2j/4096 for every M, so
-    its radial_head is M^-S M^6 times chi's on the M = 1 grid, made once
-    per process (_chi_head); g1 depends on M through Phi, so
-    radial_pair_norm transforms it on every call.
+    its transform is M^-S M^6 times chi's on the M = 1 grid, made once per
+    process (_chi_hat).  g1 = A g0 exp(-Phi(g0)) takes A times that
+    transform when _phi_bound proves |Phi(g0)| <= 2^-60, which makes the
+    factor 1 to a relative 1e-18 (f(0) = 0 and M large enough); otherwise
+    g1 is transformed directly.
     """
     if plan.n != 3:
         raise ParameterError("radial smallness path is for n = 3")
-    _, g1 = seed_profiles(plan, tp)
-    h0 = plan.amplitude * float(plan.M) ** 6 * _chi_head()
-    return radial_pair_norm(h0, g1, plan.lam, s, plan.support_radius)
+    scale = plan.amplitude * float(plan.M) ** 6
+    R = plan.support_radius
+    if _phi_bound(tp, plan.amplitude) <= _PHI_SKIP:
+        h1 = plan.A * scale * _chi_hat()
+    else:
+        h1 = _radial_hat(seed_profiles(plan, tp)[1], R)[1]
+    return radial_pair_norm(scale * _chi_head(), h1, plan.lam, s, R)
 
 
 def plan_smallness(plan, tp, s=3.0, grid_points=None):
@@ -406,6 +452,12 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, s=3.0, M_max=256,
         )
     direction = math.copysign(1.0, target)  # b > 0 > a
     n = pot.n
+    if n == 1:
+        # tau = int b dt turns the n = 1 mode equation into v_tautau + lam v = 0
+        raise ExhaustedSearchError(
+            "n = 1 has no instability interval for any b or lambda range: "
+            "the trace is 2 cos(sqrt(lambda) int_0^1 b), never above 2 in "
+            "absolute value", best=None)
     if S is None:
         S = 2.0 * n + 0.5
     intervals = floquet.scan_instability(pot, lam_range, grid_points=400, tol=tol)

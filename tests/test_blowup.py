@@ -11,7 +11,7 @@ from cyclicwave.errors import (ExhaustedSearchError, NotApplicableError,
                                ParameterError, ResolutionError)
 from cyclicwave.pdesim import GridSpec
 
-from conftest import LAM_WITNESS
+from conftest import LAM_WITNESS, f_ray
 
 # Frozen n=1 smallness regression values (S=3, lam = LAM_WITNESS, default
 # FFT grid); stable to ten digits across 2048/4096/8192-point grids.
@@ -101,7 +101,8 @@ def test_radial_pair_norm_gaussian_oracle():
     quadrature of the known transform (2 pi)^{3/2} e^{-rho^2/2}."""
     lam, s, R = 16.0, 3.0, 14.0
     g = lambda r: np.exp(-r * r / 2.0)
-    got = blowup.radial_pair_norm(blowup.radial_head(g, R), g, lam, s, R)
+    hat = blowup._radial_hat(g, R)[1]
+    got = blowup.radial_pair_norm(blowup.radial_head(hat), hat, lam, s, R)
     ghat = lambda rho: (2 * math.pi) ** 1.5 * math.exp(-rho * rho / 2.0)
     inv = (2 * math.pi) ** -3
     sq = math.sqrt(lam)
@@ -173,15 +174,16 @@ def test_scaled_chi_head_matches_direct_transform(tp1, M):
     same cut."""
     plan = blowup.default_plan(3, LAM_WITNESS, 6.5, M)
     g0, _ = blowup.seed_profiles(plan, tp1)
-    direct = blowup.radial_head(g0, plan.support_radius)
+    direct = blowup.radial_head(blowup._radial_hat(g0, plan.support_radius)[1])
     scaled = plan.amplitude * float(M) ** 6 * blowup._chi_head()
     assert scaled.size == direct.size
     assert np.max(np.abs(scaled - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
 def test_certify_transforms_chi_once(pot3, tp1, monkeypatch):
-    """The seed-0 certificate's whole M scan transforms chi once per
-    process; each smallness call transforms only its g1."""
+    """The seed-0 certificate's whole M scan makes one radial transform per
+    process, chi's: at every M it scans, exp(-Phi(g0)) is proven to be 1,
+    so g1's transform is chi's, scaled, as g0's is."""
     radial_hat, plan_smallness = blowup._radial_hat, blowup.plan_smallness
     profiles, plans = [], []
 
@@ -195,11 +197,88 @@ def test_certify_transforms_chi_once(pot3, tp1, monkeypatch):
 
     monkeypatch.setattr(blowup, "_radial_hat", counted_hat)
     monkeypatch.setattr(blowup, "plan_smallness", counted_smallness)
-    blowup._chi_head.cache_clear()
+    blowup._chi_hat.cache_clear()
     cert = blowup.certify_blowup(tp1, pot3, (0.1, 60.0), 1e-5)
     assert cert.plan.M == 100
-    assert profiles.count(blowup.chi_radial) == 1
-    assert len(profiles) == len(plans) + 1
+    assert len(plans) > 1
+    assert profiles == [blowup.chi_radial]
+
+
+@pytest.mark.parametrize("M, A", [(30, 1.0), (35, -1.0), (100, 1.0)])
+def test_scaled_g1_matches_direct_transform(tp1, M, A):
+    """Where |Phi(g0)| <= 2^-60 is proven, the smallness from chi's scaled
+    transform equals the one from a direct transform of g1."""
+    plan = blowup.default_plan(3, LAM_WITNESS, 6.5, M, A=A)
+    assert blowup._phi_bound(tp1, plan.amplitude) <= blowup._PHI_SKIP
+    _, g1 = blowup.seed_profiles(plan, tp1)
+    R = plan.support_radius
+    h0 = plan.amplitude * float(M) ** 6 * blowup._chi_head()
+    direct = blowup.radial_pair_norm(h0, blowup._radial_hat(g1, R)[1],
+                                     plan.lam, 3.0, R)
+    assert blowup.radial_smallness(plan, tp1, 3.0) == pytest.approx(direct,
+                                                                    rel=1e-15)
+
+
+def _f_shifted(t):
+    """The reference ray's f plus 1/2, so f(0) != 0 and Phi(s) ~ s / 2."""
+    return 0.5 + f_ray(t)
+
+
+@pytest.mark.parametrize("M, f", [(1, f_ray), (35, _f_shifted)],
+                         ids=["M1", "f0-nonzero"])
+def test_radial_smallness_fallback_transforms_g1(M, f, monkeypatch):
+    """Where the bound does not prove exp(-Phi(g0)) = 1 (amp = 1 at M = 1,
+    or f(0) != 0), g1 is transformed directly and the value is
+    radial_pair_norm's on that transform."""
+    tp = transform.TransformPair(f)
+    plan = blowup.default_plan(3, LAM_WITNESS, 6.5, M)
+    assert blowup._phi_bound(tp, plan.amplitude) > blowup._PHI_SKIP
+    _, g1 = blowup.seed_profiles(plan, tp)
+    R = plan.support_radius
+    h0 = plan.amplitude * float(M) ** 6 * blowup._chi_head()
+    direct = blowup.radial_pair_norm(h0, blowup._radial_hat(g1, R)[1],
+                                     plan.lam, 3.0, R)
+    radial_hat, profiles = blowup._radial_hat, []
+
+    def counted_hat(g, R):
+        profiles.append(g)
+        return radial_hat(g, R)
+
+    monkeypatch.setattr(blowup, "_radial_hat", counted_hat)
+    assert blowup.radial_smallness(plan, tp, 3.0) == direct
+    assert len(profiles) == 1 and profiles[0] is not blowup.chi_radial
+
+
+def test_phi_bound_covers_sampled_phi(tp1):
+    """The Markov bound on |Phi| over [0, M^-6.5] is at least the sampled
+    max |Phi(g0)|, within a factor 2 of it, and proves the skip, at every M
+    from 30 to 100."""
+    for M in range(30, 101):
+        plan = blowup.default_plan(3, LAM_WITNESS, 6.5, M)
+        g0, _ = blowup.seed_profiles(plan, tp1)
+        s = np.concatenate([np.linspace(0.0, plan.amplitude, 1025),
+                            g0(np.linspace(0.0, plan.support_radius, 4097))])
+        bound = blowup._phi_bound(tp1, plan.amplitude)
+        sampled = np.max(np.abs(tp1.Phi(s)))
+        assert sampled <= bound <= min(2.0 * sampled, blowup._PHI_SKIP)
+
+
+def test_sine_transform_matches_scipy_dst():
+    from scipy.fft import dst
+
+    x = np.random.default_rng(5).standard_normal(32767)
+    want = dst(x, type=1)
+    got = blowup._dst1(x)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [3, 5, 1025, 4097, 32769])
+def test_simpson_weights_match_scipy(n):
+    y = np.random.default_rng(n).standard_normal(n)
+    h = np.pi / 16.0
+    want = simpson(y, x=h * np.arange(n))
+    got = float(blowup._simpson_weights(n, h) @ y)
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("M, value", [(35, 3.853241529914803e-04),
@@ -231,8 +310,9 @@ def test_radial_pair_norm_unresolved_spectrum_raises():
     def g(r):
         return (r < 5.0).astype(float)
 
+    hat = blowup._radial_hat(g, 10.0)[1]
     with pytest.raises(ResolutionError):
-        blowup.radial_pair_norm(blowup.radial_head(g, 10.0), g, LAM_WITNESS,
+        blowup.radial_pair_norm(blowup.radial_head(hat), hat, LAM_WITNESS,
                                 3.0, 10.0)
 
 

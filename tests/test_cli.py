@@ -334,10 +334,12 @@ def test_cold_start_loads_no_scipy(tmp_path):
     ["noc", "--f", "example1:alpha=-1", "--out", "noc.json"],
     ["simulate", "--mode", "nonlinear", "--f", "example1:alpha=-1",
      "--epsilon", "0.5", "--points", "64", "--t-end", "0.5", "--out", "sim.csv"],
-], ids=["noc", "simulate-nonlinear"])
+    ["blowup-demo", "--metric", "conformal:alpha=-1", "--out", "cert.json"],
+], ids=["noc", "simulate-nonlinear", "blowup-demo"])
 def test_transform_commands_load_no_scipy(tmp_path, args):
-    """G, H and the endpoint test run on numpy alone, so a noc verdict and
-    a nonlinear torus run load neither scipy nor numpy.ma."""
+    """G, H, the endpoint test and the radial smallness run on numpy alone,
+    so a noc verdict, a nonlinear torus run and a certificate load neither
+    scipy nor numpy.ma."""
     r = run(args, tmp_path, command=[sys.executable, "-c", _SCIPY_PROBE])
     assert r.returncode == 0, r.stderr
     seen = json.loads(r.stdout.splitlines()[-1])
@@ -570,6 +572,21 @@ def test_blowup_demo_no_instability_exit_3(tmp_path):
              "--direction", "1,1", "--lambda-min", "1", "--lambda-max", "4",
              "--out", "c.json"], tmp_path)
     assert r.returncode == 3, (r.returncode, r.stderr)
+
+
+def test_blowup_demo_n1_says_why_exit_3(tmp_path):
+    """n = 1 has no instability interval for any b: the exit-3 message says
+    so instead of suggesting another lambda range."""
+    r = run(["blowup-demo", "--metric", "conformal:alpha=-1", "--n", "1",
+             "--out", "c.json"], tmp_path)
+    assert r.returncode == 3, (r.returncode, r.stderr)
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1, r.stderr
+    err = json.loads(lines[0])
+    assert err["error"] == "ExhaustedSearchError"
+    assert "n = 1 has no instability interval for any b" in err["message"]
+    assert "requested range" not in err["message"]
+    assert not any(tmp_path.glob("c.*"))
 
 
 def test_simulate_uniform(tmp_path):

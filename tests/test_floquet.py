@@ -35,6 +35,17 @@ def test_constant_coefficient_closed_form():
         assert m.det == pytest.approx(1.0, abs=1e-9)
 
 
+def test_n1_trace_closed_form_nonconstant_b(b05):
+    """For n = 1 the time change tau = int b dt turns the mode equation into
+    v_tautau + lam v = 0, so trace = 2 cos(sqrt(lam) int_0^1 b) for every
+    b; the integral is a periodic trapezoid sum, exact to rounding here."""
+    pot = coeffs.hill_potential(b05, n=1)
+    lams = np.linspace(0.1, 60.0, 4000)
+    integral = float(np.mean(b05.eval(np.arange(256) / 256.0)))
+    want = 2.0 * np.cos(np.sqrt(lams) * integral)
+    assert np.max(np.abs(floquet.trace_curve(pot, lams) - want)) <= 1e-10
+
+
 def test_determinant_is_one(pot3):
     for lam in np.linspace(0.3, 55.0, 40):
         assert floquet.monodromy(pot3, lam).det == pytest.approx(1.0, abs=1e-9)
