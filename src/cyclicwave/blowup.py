@@ -350,12 +350,17 @@ def radial_smallness(plan, tp, s):
 
 
 def plan_smallness(plan, tp, s=3.0, grid_points=None):
-    """Smallness of the plan's data: radial path for n=3, FFT otherwise."""
+    """Smallness of the plan's data: radial path for n=3, FFT otherwise;
+    ResolutionError when cos(x.y) lies in the FFT grid's top octave."""
     if plan.n == 3:
         return radial_smallness(plan, tp, s)
     L = 2.0 * plan.support_radius * 1.25
     pts = grid_points or (4096 if plan.n == 1 else 1024)
     grid = GridSpec(n=plan.n, L=L, points=pts)
+    k_top = math.pi / (2.0 * grid.dx)  # where the grid's top octave starts
+    if math.sqrt(plan.lam) >= k_top:
+        raise ResolutionError(f"the FFT grid at M={plan.M} does not resolve "
+                              f"cos(x.y): sqrt(lambda) >= pi/(2 dx) = {k_top:.6g}")
     u0, u1 = make_data(plan, tp)
     return sobolev_smallness(u0, u1, s, grid)
 
@@ -433,7 +438,7 @@ class BlowupCertificate:
 
 
 def certify_blowup(tp, pot, lam_range, delta, S=None, s=3.0, M_max=256,
-                   tol=1e-11, grid_points=None):
+                   tol=1e-11):
     """Find the smallest M whose plan both stays under delta and crosses.
 
     M runs up from 1 and the first M at which the growth reaches the
@@ -442,7 +447,7 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, s=3.0, M_max=256,
     holds, until one passes.
     Raises NotApplicableError when the transform has no finite endpoint
     (so this construction certifies nothing), ExhaustedSearchError when no
-    M <= M_max works.
+    M <= M_max works, ResolutionError from plan_smallness.
     """
     target = tp.endpoints().target
     if target is None:
@@ -487,7 +492,7 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, s=3.0, M_max=256,
             continue
         plan = default_plan(n, lam, S, M,
                             A=direction * math.copysign(1.0, vals.W))
-        small = plan_smallness(plan, tp, s=s, grid_points=grid_points)
+        small = plan_smallness(plan, tp, s=s)
         if small <= delta:
             break
         best = (M, small)

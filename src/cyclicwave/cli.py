@@ -406,7 +406,7 @@ def _simulate_certificate(b, pot, tp, cert, points=1024):
     u0 = np.full_like(x, amp)
     u1 = cert.plan.A * amp * math.exp(-float(tp.Phi(np.array([amp]))[0])) \
         * np.cos(math.sqrt(lam) * x)
-    result = pdesim.evolve_nonlinear(b, pot.n, tp.f, grid, u0, u1, tp)
+    result = pdesim.evolve_nonlinear(b, pot.n, grid, u0, u1, tp)
     return result, grid
 
 
@@ -459,7 +459,7 @@ def simulate(**p):
         result = pdesim.evolve_linear(b, p["n"], grid, v0, v1)
     else:
         tp = transform.build_transform(f, domain=domain)
-        result = pdesim.evolve_nonlinear(b, p["n"], f, grid, v0, v1, tp)
+        result = pdesim.evolve_nonlinear(b, p["n"], grid, v0, v1, tp)
     pdesim.export_snapshot_csv(p["out"], grid, result.snapshots[-1])
     pdesim.export_manifest(os.path.splitext(p["out"])[0] + ".json", result, grid)
 

@@ -4,7 +4,6 @@ All builtin coefficients are normalized to period 1, so the one-period map
 X(1,0) of the associated Hill system is taken literally over [0, 1].
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -17,6 +16,7 @@ from .errors import ParameterError
 class PeriodicCoefficient:
     """A 1-periodic, smooth, positive scale function with two derivatives.
 
+    Each evaluator is one numpy formula, taking a scalar or an array t.
     Immutable after construction; the evaluators are pure and safe to share
     across threads.
     """
@@ -37,13 +37,9 @@ def make_builtin(name, **params):
             raise ParameterError(f"unknown parameters for 'constant': {params}")
         if not c > 0:
             raise ParameterError(f"constant coefficient requires c > 0, got c={c}")
-        def const(value):
-            def f(t):
-                if np.isscalar(t):
-                    return value
-                return np.full(np.shape(t), value)
 
-            return f
+        def const(value):
+            return lambda t: np.zeros_like(t, dtype=float) + value
 
         return PeriodicCoefficient(eval=const(c), d1=const(0.0), d2=const(0.0))
     if name == "sqrt-sin":
@@ -57,30 +53,17 @@ def make_builtin(name, **params):
         w = 2.0 * np.pi
 
         def b(t):
-            if np.isscalar(t):
-                return math.sqrt(1.0 + eps * math.sin(w * t))
             return np.sqrt(1.0 + eps * np.sin(w * np.asarray(t, dtype=float)))
 
         def bdot(t):
-            if np.isscalar(t):
-                return (eps * math.pi * math.cos(w * t)
-                        / math.sqrt(1.0 + eps * math.sin(w * t)))
-            t = np.asarray(t, dtype=float)
-            return eps * np.pi * np.cos(w * t) / np.sqrt(1.0 + eps * np.sin(w * t))
+            return eps * np.pi * np.cos(w * np.asarray(t, dtype=float)) / b(t)
 
         def bddot(t):
-            if np.isscalar(t):
-                s, c = math.sin(w * t), math.cos(w * t)
-                g = 1.0 + eps * s
-                return (-2.0 * eps * math.pi**2 * s / math.sqrt(g)
-                        - (eps * math.pi * c) ** 2 / g**1.5)
-            t = np.asarray(t, dtype=float)
-            s, c = np.sin(w * t), np.cos(w * t)
+            wt = w * np.asarray(t, dtype=float)
+            s = np.sin(wt)
             g = 1.0 + eps * s
-            return (
-                -2.0 * eps * np.pi**2 * s / np.sqrt(g)
-                - (eps * np.pi * c) ** 2 / g**1.5
-            )
+            return (-2.0 * eps * np.pi**2 * s / np.sqrt(g)
+                    - (eps * np.pi * np.cos(wt)) ** 2 / g**1.5)
 
         return PeriodicCoefficient(eval=b, d1=bdot, d2=bddot)
     raise ParameterError(f"unknown builtin coefficient {name!r}")
@@ -104,8 +87,9 @@ class HillPotential:
 
     def q(self, t):
         n = self.n
-        r = self.b.d1(t) / self.b.eval(t)
-        return (n * n / 4.0 + n / 2.0) * r * r - (n / 2.0) * self.b.d2(t) / self.b.eval(t)
+        bt = self.b.eval(t)
+        r = self.b.d1(t) / bt
+        return (n * n / 4.0 + n / 2.0) * r * r - (n / 2.0) * self.b.d2(t) / bt
 
 
 def hill_potential(b, n):

@@ -2,7 +2,9 @@
 
 Method of lines: Fourier Laplacian/gradient in space, classical RK4 in time
 on the first-order system.  The field is real, so the state is one stacked
-array (u^, u_t^), its rfftn on the half spectrum, stepped in place.  A
+array (u^, u_t^), its rfftn on the half spectrum, stepped in place.  The
+right-hand sides never see t: the stepper hands each stage its
+coefficients n b'/b and b^2, evaluated for a block of steps at a time.  A
 linear stage is diagonal in k and makes no transform.  A nonlinear stage
 makes 2: one batched irfftn giving u, grad u and u_t, and one rfftn of the
 nonlinear term, masked in place by the 2/3 rule.  The stop check after each
@@ -24,6 +26,7 @@ from .output import csv_text, write_atomic
 
 _U_CAP = 1e8
 _ENDPOINT_FRACTION = 1e-3
+_BLOCK = 1024  # steps whose stage coefficients are evaluated together
 
 
 @dataclass(frozen=True)
@@ -132,28 +135,44 @@ class _Spectrum:
         return (np.fft.irfft(ah, self.shape[0]) if len(self.axes) == 1
                 else np.fft.irfftn(ah, s=self.shape, axes=self.axes))
 
-    def wave(self, y, c, bt2, out):
-        """out = (u_t^, c u_t^ + bt2 Lap u^) for y = (u^, u_t^): the linear
+    def wave(self, y, c, b2, out):
+        """out = (u_t^, c u_t^ + b2 Lap u^) for y = (u^, u_t^): the linear
         right-hand side, in place."""
         np.multiply(y[1], c, out=out[0])
         np.multiply(self.ops[-1], y[0], out=out[1])
-        out[1] *= bt2
+        out[1] *= b2
         out[1] += out[0]
         out[0] = y[1]
 
 
-def _march(rhs, grid, u, ut, n_snapshots, stop=None):
+def _stage_coefficients(b, n_coeff, grid, nsteps, full, rest):
+    """Yield (dt, c, b2) per step: c = n b'/b and b2 = b^2 (Python's x ** 2)
+    at the stage times (t, t + dt/2, t + dt), t = step * grid.dt, from one
+    b and one b' call per block of _BLOCK steps."""
+    for first in range(0, nsteps, _BLOCK):
+        steps = np.arange(first, min(first + _BLOCK, nsteps))
+        dt = np.where(steps < full, grid.dt, rest)
+        t = steps * grid.dt
+        ts = np.stack((t, t + dt / 2, t + dt), axis=1)
+        bt = b.eval(ts)
+        c = (n_coeff * b.d1(ts) / bt).tolist()
+        b2 = [[x**2 for x in row] for row in bt.tolist()]
+        yield from zip(dt.tolist(), c, b2)
+
+
+def _march(rhs, b, n_coeff, grid, u, ut, n_snapshots, stop=None):
     """Classical RK4 on (u, u_t) from t = 0 to grid.t_end: steps of grid.dt
     while they fit (to within 1e-9 dt), then one step of the remainder.
 
-    The state is one stacked array y = (u, u_t), and rhs(t, y, out) writes
-    dy/dt = (u_t, u_tt) into out, an array shaped like y.  The stage slopes
-    and the stage input are made once per run; each RK4 combination is one
-    in-place call on the whole stack.  About n_snapshots evenly spaced
-    snapshots of u are kept, plus the final state while it is finite.  When
-    given, stop(y) is checked after every step and ends the run when true;
-    when false, the next call is rhs(t, y, ...) at that same state, so stop
-    may leave work there for it.  Returns (t, u, u_t, snapshots, stopped).
+    The state is one stacked array y = (u, u_t), and rhs(y, c, b2, out)
+    writes dy/dt = (u_t, u_tt) into out, an array shaped like y, at a stage
+    whose n_coeff b'/b is c and whose b^2 is b2.  The stage slopes and the
+    stage input are made once per run; each RK4 combination is one in-place
+    call on the whole stack.  About n_snapshots evenly spaced snapshots of u
+    are kept, plus the final state while it is finite.  When given, stop(y)
+    is checked after every step and ends the run when true; when false, the
+    next call is rhs(y, ...) at that same state, so stop may leave work
+    there for it.  Returns (t, u, u_t, snapshots, stopped).
     """
     full = int(grid.t_end / grid.dt + 1e-9)
     rest = grid.t_end - full * grid.dt
@@ -164,13 +183,14 @@ def _march(rhs, grid, u, ut, n_snapshots, stop=None):
     snapshots = [(0.0, y[0].copy())]
     stopped = False
     t = 0.0
-    for step in range(nsteps):
-        dt = grid.dt if step < full else rest
-        rhs(t, y, k1)
-        for k, k_next, h in ((k1, k2, dt / 2), (k2, k3, dt / 2), (k3, k4, dt)):
+    stages = _stage_coefficients(b, n_coeff, grid, nsteps, full, rest)
+    for step, (dt, c, b2) in enumerate(stages):
+        rhs(y, c[0], b2[0], k1)
+        for k, k_next, h, i in ((k1, k2, dt / 2, 1), (k2, k3, dt / 2, 1),
+                                (k3, k4, dt, 2)):
             np.multiply(k, h, out=ys)
             ys += y
-            rhs(t + h, ys, k_next)
+            rhs(ys, c[i], b2[i], k_next)
         # y + dt/6 * (((k1 + 2 k2) + 2 k3) + k4), grouped as RK4 is written
         k2 *= 2
         k1 += k2
@@ -194,13 +214,8 @@ def evolve_linear(b, n_coeff, grid, v0, v1, n_snapshots=64):
     """Evolve v_tt - n (b'/b) v_t - b^2 Lap v = 0 on the torus."""
     grid.check_cfl(b)
     spec = _Spectrum(grid)
-
-    def rhs(tt, y, out):
-        bt = b.eval(tt)
-        spec.wave(y, n_coeff * b.d1(tt) / bt, bt**2, out)
-
     t, vh, vth, snapshots, _ = _march(
-        rhs, grid, spec.to_half(v0), spec.to_half(v1), n_snapshots)
+        spec.wave, b, n_coeff, grid, spec.to_half(v0), spec.to_half(v1), n_snapshots)
     vt = spec.to_field(vth)
     diagnostics = {
         "max_abs": float(np.max(np.abs(spec.to_field(vh)))),
@@ -214,25 +229,24 @@ def _grad_energy(spec, ah):
     return sum(float(np.mean(g**2)) for g in spec.to_field(spec.ops[:-1] * ah))
 
 
-def evolve_nonlinear(b, n_coeff, f, grid, u0, u1, v_guard, n_snapshots=64):
+def evolve_nonlinear(b, n_coeff, grid, u0, u1, v_guard, n_snapshots=64):
     """Evolve u_tt - n(b'/b)u_t - b^2 Lap u + f(u)(u_t^2 - b^2 |grad u|^2) = 0.
 
-    v_guard (a TransformPair) supplies G and the finite endpoint used for
+    v_guard (a TransformPair) supplies f, G and the finite endpoint used for
     blow-up detection: the run stops when G(u) reaches within a relative
     1e-3 of the endpoint, or when |u| exceeds 1e8.
     """
     grid.check_cfl(b)
     spec = _Spectrum(grid)
+    f = v_guard.f
 
     target = v_guard.endpoints().target
     # G is strictly increasing, so proximity of G(u) to the endpoint is
     # equivalent to a scalar bound on u itself; invert the level once.
-    u_hi = u_lo = None
+    u_lo, u_hi = -math.inf, math.inf
     if target is not None:
-        if target > 0:
-            u_hi = float(v_guard.H(target - _ENDPOINT_FRACTION * abs(target)))
-        else:
-            u_lo = float(v_guard.H(target + _ENDPOINT_FRACTION * abs(target)))
+        level = float(v_guard.H(target - _ENDPOINT_FRACTION * target))
+        u_lo, u_hi = (u_lo, level) if target > 0 else (level, u_hi)
 
     # (u^, i k_1 u^, ..., i k_n u^, u_t^), inverted by one irfftn per stage
     lift = np.empty((grid.n + 2,) + spec.mask.shape, dtype=complex)
@@ -244,24 +258,22 @@ def evolve_nonlinear(b, n_coeff, f, grid, u0, u1, v_guard, n_snapshots=64):
         np.multiply(spec.ops[:-1], y[0], out=lift[1:-1])
         return spec.to_field(lift)
 
-    def rhs(tt, y, out):
+    def rhs(y, c, b2, out):
         nonlocal field
         uu, *grad, uut = invert(y) if field is None else field
         field = None
-        bt = b.eval(tt)
-        bt2 = bt**2
         # w = f(u) (u_t^2 - b^2 |grad u|^2)
         np.multiply(grad[0], grad[0], out=w)
         for g in grad[1:]:
             np.multiply(g, g, out=sq)
             np.add(w, sq, out=w)
-        np.multiply(w, bt2, out=w)
+        np.multiply(w, b2, out=w)
         np.square(uut, out=sq)
         np.subtract(sq, w, out=w)
         np.multiply(w, f(uu), out=w)
         nl = spec.to_half(w)
         nl *= spec.mask
-        spec.wave(y, n_coeff * b.d1(tt) / bt, bt2, out)
+        spec.wave(y, c, b2, out)
         out[1] -= nl
 
     def blown_up(y):
@@ -273,12 +285,12 @@ def evolve_nonlinear(b, n_coeff, f, grid, u0, u1, v_guard, n_snapshots=64):
         return (
             not (math.isfinite(umax) and math.isfinite(umin))
             or max(abs(umax), abs(umin)) > _U_CAP
-            or (u_hi is not None and umax >= u_hi)
-            or (u_lo is not None and umin <= u_lo)
+            or umax >= u_hi or umin <= u_lo
         )
 
     t, uh, _, snapshots, stopped = _march(
-        rhs, grid, spec.to_half(u0), spec.to_half(u1), n_snapshots, stop=blown_up)
+        rhs, b, n_coeff, grid, spec.to_half(u0), spec.to_half(u1), n_snapshots,
+        stop=blown_up)
     u = spec.to_field(uh)
     finite = u[np.isfinite(u)]
     diagnostics = {

@@ -26,6 +26,7 @@ _G_CAP = 1e12
 _DEG = 32  # Chebyshev degree of every panel interpolant
 _S_REACH = 1e9  # farthest |s| at which G and H evaluate
 _MIN_WIDTH = 1e-6  # nodes round in |s|: a narrower panel cannot meet tol
+_ENDPOINT_S_MAX = 1e6  # |s| to which endpoints() integrates before its tail
 # Relative clamp width for inverting G near a finite endpoint.  It must
 # exceed the endpoint tail-extrapolation error (~1e-10), otherwise the
 # clamped level can lie beyond every panel and H fails.
@@ -197,16 +198,13 @@ class TransformPair:
                 g = lim
         return side.direction * side.invert(g)
 
-    def endpoints(self, s_max=1e6):
+    def endpoints(self):
         """Limits of G at the domain ends, with finiteness flags and bounds."""
-        if self._endpoints is not None and self._endpoints.s_max >= s_max:
-            return self._endpoints
-        b, b_fin, b_err = _one_endpoint(self._pos, s_max)
-        a, a_fin, a_err = _one_endpoint(self._neg, s_max)
-        self._endpoints = Endpoints(
-            a=-a, b=b, a_finite=a_fin, b_finite=b_fin,
-            a_err=a_err, b_err=b_err, s_max=s_max,
-        )
+        if self._endpoints is None:
+            b, b_fin, b_err = _one_endpoint(self._pos, _ENDPOINT_S_MAX)
+            a, a_fin, a_err = _one_endpoint(self._neg, _ENDPOINT_S_MAX)
+            self._endpoints = Endpoints(a=-a, b=b, a_finite=a_fin, b_finite=b_fin,
+                                        a_err=a_err, b_err=b_err)
         return self._endpoints
 
 
@@ -218,7 +216,6 @@ class Endpoints:
     b_finite: bool
     a_err: float
     b_err: float
-    s_max: float
 
     @property
     def target(self):

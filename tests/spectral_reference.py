@@ -1,8 +1,9 @@
 """Reference right-hand sides of the torus solvers on the full complex
 spectrum, one fftn/ifftn pair per operator, independent of pdesim's
-half-spectrum operators.  Each writes (u_t, u_tt) into out for the stacked
-state y = (u, u_t), as pdesim._march expects.  Tests march them with
-pdesim._march and compare against evolve_linear/evolve_nonlinear.
+half-spectrum operators.  Each is called as rhs(y, c, b2, out), the way
+pdesim._march calls it, with the stage's c = n b'/b and b2 = b^2, and writes
+(u_t, u_tt) into out for the stacked state y = (u, u_t).  Tests march them
+with pdesim._march and compare against evolve_linear/evolve_nonlinear.
 """
 import numpy as np
 
@@ -38,31 +39,29 @@ def dealias_mask(grid):
     return mask
 
 
-def linear_rhs(b, n_coeff, grid):
+def linear_rhs(grid):
     k2 = grid.k_squared()
 
-    def rhs(tt, y, out):
+    def rhs(y, c, b2, out):
         vv, vvt = y
-        bt = b.eval(tt)
         out[0] = vvt
-        out[1] = n_coeff * b.d1(tt) / bt * vvt + bt**2 * laplacian(k2, vv)
+        out[1] = c * vvt + b2 * laplacian(k2, vv)
 
     return rhs
 
 
-def nonlinear_rhs(b, n_coeff, f, grid):
+def nonlinear_rhs(f, grid):
     k2 = grid.k_squared()
     mask = dealias_mask(grid)
     ks = wavenumbers(grid)
 
-    def rhs(tt, y, out):
+    def rhs(y, c, b2, out):
         uu, uut = y
-        bt = b.eval(tt)
         grad2 = sum(g * g for g in gradient(ks, uu))
-        nl = f(uu) * (uut**2 - bt**2 * grad2)
+        nl = f(uu) * (uut**2 - b2 * grad2)
         nl = np.fft.ifftn(mask * np.fft.fftn(nl)).real
         out[0] = uut
-        out[1] = n_coeff * b.d1(tt) / bt * uut + bt**2 * laplacian(k2, uu) - nl
+        out[1] = c * uut + b2 * laplacian(k2, uu) - nl
 
     return rhs
 

@@ -16,6 +16,10 @@ from conftest import LAM_WITNESS, f_ray
 # Frozen n=1 smallness regression values (S=3, lam = LAM_WITNESS, default
 # FFT grid); stable to ten digits across 2048/4096/8192-point grids.
 N1_SMALLNESS = {2: 13.81763244, 4: 2.972487088, 8: 0.740670709}
+# Frozen n=2 smallness at M = 8 (S=4.5, lam = 10.308521303258145, default
+# FFT grid); it matches the envelope estimate ||g0|| + (1+lam)^{3/2}
+# ||g1|| / sqrt 2 to four digits.
+N2_SMALLNESS_M8 = 0.3857277303694335
 
 
 def test_cutoff_shape():
@@ -330,6 +334,21 @@ def test_resolution_error_on_coarse_grid(tp1):
     plan = blowup.default_plan(1, LAM_WITNESS, 3.0, 8)
     with pytest.raises(ResolutionError):
         blowup.plan_smallness(plan, tp1, grid_points=64)
+
+
+def test_fft_smallness_refuses_aliased_modulation(tp1):
+    """n = 2 on the 1024-point grid of side 5 M^2: at M = 8 cos(x.y) is
+    resolved and the norm is the frozen value; at M = 10 it lies just below
+    the top octave, whose energy budget then fails; at M = 56, where
+    blowup-demo --n 2 used to certify, sqrt(lambda) >= pi/(2 dx) and the
+    modulation would alias to a norm far too small, so ResolutionError."""
+    lam = 10.308521303258145  # the n = 2 good lambda of the reference run
+    resolved = blowup.plan_smallness(blowup.default_plan(2, lam, 4.5, 8), tp1)
+    assert resolved == pytest.approx(N2_SMALLNESS_M8, rel=1e-12)
+    with pytest.raises(ResolutionError, match="top-octave"):
+        blowup.plan_smallness(blowup.default_plan(2, lam, 4.5, 10), tp1)
+    with pytest.raises(ResolutionError, match=r"does not resolve cos\(x.y\)"):
+        blowup.plan_smallness(blowup.default_plan(2, lam, 4.5, 56), tp1)
 
 
 @pytest.fixture(scope="module")

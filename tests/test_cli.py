@@ -589,6 +589,19 @@ def test_blowup_demo_n1_says_why_exit_3(tmp_path):
     assert not any(tmp_path.glob("c.*"))
 
 
+def test_blowup_demo_n2_unresolved_exit_3(tmp_path):
+    """n = 2 reaches growth at M = 56, where the FFT grid no longer resolves
+    cos(x.y): exit 3 with one JSON line instead of a certificate whose
+    smallness comes from an aliased spectrum."""
+    r = run(["blowup-demo", "--metric", "conformal:alpha=-1", "--n", "2",
+             "--out", "c.json"], tmp_path)
+    assert r.returncode == 3, (r.returncode, r.stderr)
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1, r.stderr
+    assert json.loads(lines[0])["error"] == "ResolutionError"
+    assert not any(tmp_path.glob("c.*"))
+
+
 def test_simulate_uniform(tmp_path):
     r = run(["simulate", "--mode", "uniform", "--epsilon", "0.5", "--n", "3",
              "--f", "example1:alpha=-1", "--t-end", "2", "--u0-val", "0",

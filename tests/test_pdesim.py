@@ -92,9 +92,8 @@ def test_uniform_matches_grid_run(b05, tp1):
     grid = _grid(64, t_end=1.0, dt_frac=0.1)
     x = grid.coords()[..., 0]
     u0v, u1v = 0.05, 0.03
-    res = pdesim.evolve_nonlinear(b05, 3, lambda u: tp1.f(u), grid,
-                                  np.full_like(x, u0v), np.full_like(x, u1v),
-                                  tp1)
+    res = pdesim.evolve_nonlinear(b05, 3, grid, np.full_like(x, u0v),
+                                  np.full_like(x, u1v), tp1)
     def rhs(t, y):
         bt = float(b05.eval(t))
         return [y[1], 3 * float(b05.d1(t)) / bt * y[1]
@@ -126,7 +125,7 @@ def test_transform_commutes_with_evolution(b05, fname, f):
     Phi = tp.Phi
     v0 = G(u0)
     v1 = np.exp(np.asarray(Phi(u0))) * u1
-    ru = pdesim.evolve_nonlinear(b05, 3, lambda u: tp.f(u), grid, u0, u1, tp)
+    ru = pdesim.evolve_nonlinear(b05, 3, grid, u0, u1, tp)
     rv = pdesim.evolve_linear(b05, 3, grid, v0, v1)
     v_by_t = {round(t, 10): v for t, v in rv.snapshots}
     matched = 0
@@ -163,8 +162,7 @@ def test_nonlinear_blowup_detection(b05, tp1):
     must stop with the blow-up flag rather than overflow."""
     grid = _grid(64, t_end=6.0, dt_frac=0.1)
     x = grid.coords()[..., 0]
-    res = pdesim.evolve_nonlinear(b05, 3, lambda u: tp1.f(u), grid,
-                                  np.full_like(x, 0.2),
+    res = pdesim.evolve_nonlinear(b05, 3, grid, np.full_like(x, 0.2),
                                   np.full_like(x, 1.0), tp1)
     assert res.termination == "blowup_detected"
     assert res.diagnostics["t_final"] < 6.0
@@ -182,8 +180,7 @@ def test_completed_run_ends_at_t_end(b05, tp1, mode):
         u0, u1 = 0.05 * np.cos(x), np.zeros_like(x)
         if mode == "linear":
             return pdesim.evolve_linear(b05, 3, grid, u0, u1, n_snapshots=4)
-        return pdesim.evolve_nonlinear(b05, 3, tp1.f, grid, u0, u1, tp1,
-                                       n_snapshots=4)
+        return pdesim.evolve_nonlinear(b05, 3, grid, u0, u1, tp1, n_snapshots=4)
 
     res = run(0.0361)
     assert res.termination == "completed"
@@ -210,14 +207,13 @@ def test_real_transforms_match_complex_reference(b05, tp1, n):
     rng = np.random.default_rng(n)
     u0 = 0.05 + 0.02 * rng.standard_normal((points,) * n)
     u1 = 0.02 * rng.standard_normal((points,) * n)
-    nonlin = pdesim.evolve_nonlinear(b05, 3, tp1.f, grid, u0, u1, tp1,
-                                     n_snapshots=5)
+    nonlin = pdesim.evolve_nonlinear(b05, 3, grid, u0, u1, tp1, n_snapshots=5)
     lin = pdesim.evolve_linear(b05, 3, grid, u0, u1, n_snapshots=5)
     for res, rhs in [
-        (nonlin, spectral_reference.nonlinear_rhs(b05, 3, tp1.f, grid)),
-        (lin, spectral_reference.linear_rhs(b05, 3, grid)),
+        (nonlin, spectral_reference.nonlinear_rhs(tp1.f, grid)),
+        (lin, spectral_reference.linear_rhs(grid)),
     ]:
-        t, v, vt, snaps, _ = pdesim._march(rhs, grid, u0, u1, 5)
+        t, v, vt, snaps, _ = pdesim._march(rhs, b05, 3, grid, u0, u1, 5)
         assert res.termination == "completed"
         assert [s for s, _ in res.snapshots] == [s for s, _ in snaps]
         for (_, a), (_, c) in zip(res.snapshots, snaps):
@@ -249,7 +245,7 @@ def test_in_place_stepper_is_bit_identical(b05, tp1, case):
         res = pdesim.evolve_linear(b05, 3, grid, u0, u1)
         ref = rk4_reference.evolve_linear(b05, 3, grid, u0, u1)
     else:
-        res = pdesim.evolve_nonlinear(b05, 3, tp1.f, grid, u0, u1, tp1)
+        res = pdesim.evolve_nonlinear(b05, 3, grid, u0, u1, tp1)
         ref = rk4_reference.evolve_nonlinear(b05, 3, tp1.f, grid, u0, u1, tp1)
     if case == "nonlinear-stopped":
         assert res.termination == "blowup_detected"
@@ -258,6 +254,35 @@ def test_in_place_stepper_is_bit_identical(b05, tp1, case):
         assert res.termination == "completed"
         assert res.snapshots[-1][0] == 0.5  # 13 steps of dt, then the rest
     assert res.termination == ref.termination
+    assert res.diagnostics == ref.diagnostics
+    assert [t for t, _ in res.snapshots] == [t for t, _ in ref.snapshots]
+    for (_, a), (_, c) in zip(res.snapshots, ref.snapshots):
+        assert np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+def test_stage_coefficients_span_blocks(b05, tp1, mode):
+    """A run of more than one block of stage coefficients (pdesim._BLOCK
+    steps) that ends with a remainder step, against rk4_reference, which
+    evaluates b and b' at every stage: equal to the last bit.  On 8 points
+    the 2/3 rule keeps modes |k| <= 2, whose lambda = k^2 lie below the
+    first instability interval, so the nonlinear run does not blow up."""
+    dt = 0.0361
+    # steps - 1 steps of dt, then one of dt / 2
+    steps = pdesim._BLOCK + 37
+    grid = pdesim.GridSpec(n=1, L=2 * math.pi, points=8, dt=dt,
+                           t_end=(steps - 0.5) * dt)
+    x = grid.coords()[..., 0]
+    u0, u1 = 0.05 * np.cos(x), 0.05 * np.sin(2 * x)
+    if mode == "linear":
+        res = pdesim.evolve_linear(b05, 3, grid, u0, u1)
+        ref = rk4_reference.evolve_linear(b05, 3, grid, u0, u1)
+    else:
+        res = pdesim.evolve_nonlinear(b05, 3, grid, u0, u1, tp1)
+        ref = rk4_reference.evolve_nonlinear(b05, 3, tp1.f, grid, u0, u1, tp1)
+        assert res.diagnostics["t_final"] == grid.t_end
+    assert res.termination == ref.termination == "completed"
+    assert res.snapshots[-1][0] == grid.t_end
     assert res.diagnostics == ref.diagnostics
     assert [t for t, _ in res.snapshots] == [t for t, _ in ref.snapshots]
     for (_, a), (_, c) in zip(res.snapshots, ref.snapshots):
@@ -292,8 +317,7 @@ def test_transform_calls_per_step(monkeypatch, b05, tp1, mode, per_step):
         if mode == "linear":
             res = pdesim.evolve_linear(b05, 3, grid, u0, u1, n_snapshots=4)
         else:
-            res = pdesim.evolve_nonlinear(b05, 3, tp1.f, grid, u0, u1, tp1,
-                                          n_snapshots=4)
+            res = pdesim.evolve_nonlinear(b05, 3, grid, u0, u1, tp1, n_snapshots=4)
         assert res.termination == "completed"
         runs.append((round(t_end / grid.dt), len(res.snapshots), calls[0]))
     (steps0, snaps0, calls0), (steps1, snaps1, calls1) = runs
