@@ -33,6 +33,7 @@ _TOP_OCTAVE_BUDGET = 0.01
 _RADIAL_STEPS = 4096  # r steps on [0, R] for the n=3 radial transform
 _RADIAL_PAD = 8  # ... which runs over [0, 8R], zero beyond R
 _PHI_SKIP = 2.0**-60  # |Phi(g0)| below which g1 = A g0 to a relative 1e-18
+_SOBOLEV_ORDER = 3.0  # s of the certified ||u0||_{H^{s+1}} + ||u1||_{H^s}
 
 
 def chi_radial(r):
@@ -66,28 +67,28 @@ class BlowupPlan:
     S      : decay exponent; data size scales like M^-S, must exceed 2n
     M      : integer number of coefficient periods the certificate runs for
     A      : sign (+1/-1) of the oscillatory velocity component
-    y      : frequency vector with |y|^2 = lam
     """
 
     n: int
     lam: float
     S: float
     M: int
-    A: float
-    y: tuple
+    A: float = 1.0
 
     def __post_init__(self):
         if self.M < 1 or self.M != int(self.M):
             raise ParameterError(f"M must be a positive integer, got {self.M}")
-        if self.S <= 2 * self.n:
+        if not self.S > 2 * self.n:
             raise ParameterError(
                 f"decay exponent S={self.S} must exceed 2n={2 * self.n}"
             )
         if self.A not in (-1.0, 1.0, -1, 1):
             raise ParameterError(f"A must be +1 or -1, got {self.A}")
-        y2 = float(sum(c * c for c in self.y))
-        if len(self.y) != self.n or abs(y2 - self.lam) > 1e-9 * max(1.0, self.lam):
-            raise ParameterError("frequency vector must satisfy |y|^2 = lambda")
+
+    @property
+    def y(self):
+        """Frequency vector (sqrt(lam), 0, ..., 0), so |y|^2 = lam."""
+        return (math.sqrt(self.lam),) + (0.0,) * (self.n - 1)
 
     @property
     def amplitude(self):
@@ -101,12 +102,6 @@ class BlowupPlan:
     def cone_radius(self):
         """Radius of the backward light-cone base kept inside the support."""
         return float(self.M) ** 1.5
-
-
-def default_plan(n, lam, S, M, A=1.0):
-    y = [0.0] * n
-    y[0] = math.sqrt(lam)
-    return BlowupPlan(n=n, lam=lam, S=S, M=int(M), A=float(A), y=tuple(y))
 
 
 def seed_profiles(plan, tp):
@@ -349,20 +344,20 @@ def radial_smallness(plan, tp, s):
     return radial_pair_norm(scale * _chi_head(), h1, plan.lam, s, R)
 
 
-def plan_smallness(plan, tp, s=3.0, grid_points=None):
-    """Smallness of the plan's data: radial path for n=3, FFT otherwise;
-    ResolutionError when cos(x.y) lies in the FFT grid's top octave."""
+def plan_smallness(plan, tp):
+    """Smallness of the plan's data at Sobolev order 3: radial path for n=3,
+    FFT otherwise; ResolutionError when cos(x.y) lies in the FFT grid's top
+    octave."""
     if plan.n == 3:
-        return radial_smallness(plan, tp, s)
+        return radial_smallness(plan, tp, _SOBOLEV_ORDER)
     L = 2.0 * plan.support_radius * 1.25
-    pts = grid_points or (4096 if plan.n == 1 else 1024)
-    grid = GridSpec(n=plan.n, L=L, points=pts)
+    grid = GridSpec(n=plan.n, L=L, points=4096 if plan.n == 1 else 1024)
     k_top = math.pi / (2.0 * grid.dx)  # where the grid's top octave starts
     if math.sqrt(plan.lam) >= k_top:
         raise ResolutionError(f"the FFT grid at M={plan.M} does not resolve "
                               f"cos(x.y): sqrt(lambda) >= pi/(2 dx) = {k_top:.6g}")
     u0, u1 = make_data(plan, tp)
-    return sobolev_smallness(u0, u1, s, grid)
+    return sobolev_smallness(u0, u1, _SOBOLEV_ORDER, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +408,6 @@ class BlowupCertificate:
     b21: float
     predicted_v_M: float  # closed-form v(M, 0)
     trajectory: list  # [(t, v(t, 0)), ...] at integer and half-integer t
-    s: float
 
     def to_json(self):
         return json.dumps(
@@ -429,7 +423,7 @@ class BlowupCertificate:
                 "t_star": self.t_star,
                 "smallness": self.smallness,
                 "delta": self.delta,
-                "sobolev_order": self.s,
+                "sobolev_order": _SOBOLEV_ORDER,
                 "predicted_v_M": self.predicted_v_M,
                 "trajectory": [[t, v] for t, v in self.trajectory],
             },
@@ -437,18 +431,26 @@ class BlowupCertificate:
         )
 
 
-def certify_blowup(tp, pot, lam_range, delta, S=None, s=3.0, M_max=256,
-                   tol=1e-11):
+def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
     """Find the smallest M whose plan both stays under delta and crosses.
 
     M runs up from 1 and the first M at which the growth reaches the
-    endpoint and the smallness is at most delta is taken.  Neither is
-    assumed monotone in M: smallness is computed at every M where growth
-    holds, until one passes.
-    Raises NotApplicableError when the transform has no finite endpoint
-    (so this construction certifies nothing), ExhaustedSearchError when no
-    M <= M_max works, ResolutionError from plan_smallness.
+    endpoint and the smallness (plan_smallness) is at most delta is taken.
+    Neither is assumed monotone in M: smallness is computed at every M
+    where growth holds, until one passes.  S defaults to 2n + 1/2.
+    Raises ParameterError, before any work, unless delta is positive and
+    finite and S finite and above 2n; NotApplicableError when the
+    transform has no finite endpoint (so this construction certifies
+    nothing), ExhaustedSearchError when no M <= M_max works,
+    ResolutionError from plan_smallness.
     """
+    n = pot.n
+    if S is None:
+        S = 2.0 * n + 0.5
+    if not 0.0 < delta < math.inf:
+        raise ParameterError(f"delta must be positive and finite, got {delta}")
+    if not 2 * n < S < math.inf:
+        raise ParameterError(f"decay exponent S={S} must be finite and exceed 2n={2 * n}")
     target = tp.endpoints().target
     if target is None:
         raise NotApplicableError(
@@ -456,15 +458,12 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, s=3.0, M_max=256,
             "condition holds and no blow-up is certified"
         )
     direction = math.copysign(1.0, target)  # b > 0 > a
-    n = pot.n
     if n == 1:
         # tau = int b dt turns the n = 1 mode equation into v_tautau + lam v = 0
         raise ExhaustedSearchError(
             "n = 1 has no instability interval for any b or lambda range: "
             "the trace is 2 cos(sqrt(lambda) int_0^1 b), never above 2 in "
             "absolute value", best=None)
-    if S is None:
-        S = 2.0 * n + 0.5
     intervals = floquet.scan_instability(pot, lam_range, grid_points=400, tol=tol)
     if not intervals:
         raise ExhaustedSearchError(
@@ -490,9 +489,8 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, s=3.0, M_max=256,
         if not ok:
             deficit = (M, vals)
             continue
-        plan = default_plan(n, lam, S, M,
-                            A=direction * math.copysign(1.0, vals.W))
-        small = plan_smallness(plan, tp, s=s)
+        plan = BlowupPlan(n, lam, S, M, A=direction * math.copysign(1.0, vals.W))
+        small = plan_smallness(plan, tp)
         if small <= delta:
             break
         best = (M, small)
@@ -544,7 +542,7 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, s=3.0, M_max=256,
     return BlowupCertificate(
         plan=plan, smallness=small, delta=delta, endpoint=target,
         t_star=t_star, mu0=abs(mu_exp), b21=m.b21, predicted_v_M=predicted,
-        trajectory=trajectory, s=s,
+        trajectory=trajectory,
     )
 
 

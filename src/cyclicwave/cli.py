@@ -189,10 +189,10 @@ F_FAMILIES = {
 
 def coefficient_from_flags(constant_b, epsilon):
     if constant_b:
-        return coeffs.make_builtin("constant", c=1.0)
+        return coeffs.constant()
     if epsilon is None:
         raise ParameterError("provide --epsilon or --constant-b")
-    return coeffs.make_builtin("sqrt-sin", eps=epsilon)
+    return coeffs.sqrt_sin(epsilon)
 
 
 def line_domain(metric, a):
@@ -277,7 +277,7 @@ def main():
 def stability_chart(**p):
     """Monodromy-trace chart plus an instability-interval JSON sidecar."""
     b = coefficient_from_flags(p["constant_b"], p["epsilon"])
-    pot = coeffs.hill_potential(b, p["n"])
+    pot = coeffs.HillPotential(b, p["n"])
     lams = floquet.scan_grid((p["lambda_min"], p["lambda_max"]), p["grid"])
     traces = floquet.trace_curve(pot, lams, p["tol"])
     intervals = floquet.instability_intervals(pot, lams, traces, p["tol"])
@@ -369,7 +369,7 @@ def blowup_demo(**p):
 
     domain = line_domain(metric, a)
     t_hi = min(5.0, 0.9 * domain[1]) if math.isfinite(domain[1]) else 5.0
-    line = geometry.check_self_coherence(metric, a, (0.0, t_hi), samples=64)
+    line = geometry.check_self_coherence(metric, a, (0.0, t_hi))
     if line.max_residual > _COHERENCE_TOL:
         raise NotDistinguishedError(
             f"direction is not a distinguished geodesic "
@@ -378,7 +378,7 @@ def blowup_demo(**p):
     f = metric.ray_log_derivative(a)
 
     b = coefficient_from_flags(False, p["epsilon"])
-    pot = coeffs.hill_potential(b, p["n"])
+    pot = coeffs.HillPotential(b, p["n"])
     tp = transform.build_transform(f, domain=domain)
     cert = blowup.certify_blowup(
         tp, pot, (p["lambda_min"], p["lambda_max"]), p["delta"],

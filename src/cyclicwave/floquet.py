@@ -20,6 +20,7 @@ _B21_MIN = 1e-6
 _NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)  # Gauss nodes
 _MAX_STEPS = 2**14  # a map still above tol here counts as unresolved
 _BLOCK = 2**13  # (step, lambda) pairs advanced together
+_BOUNDARY_TOL = 1e-9  # |trace| this close to 2 is the boundary class
 
 
 @dataclass(frozen=True)
@@ -207,19 +208,29 @@ def monodromy(pot, lam, tol=1e-11):
     return Monodromy(b11=b11, b12=b12, b21=b21, b22=b22, lam=float(lam))
 
 
-def classify(m, boundary_tol=1e-9):
+def _trace_class(tr):
+    """'boundary', 'unstable' or 'stable': the class of a monodromy trace."""
+    if abs(abs(tr) - 2.0) <= _BOUNDARY_TOL:
+        return "boundary"
+    return "unstable" if abs(tr) > 2.0 else "stable"
+
+
+def _mu0(tr):
+    """Magnitude of the expanding multiplier for a trace with |tr| > 2."""
+    return (abs(tr) + math.sqrt(tr * tr - 4.0)) / 2.0
+
+
+def classify(m):
     """Multiplier pair of a monodromy matrix; |m.det - 1| must be < 1e-6."""
     if abs(m.det - 1.0) >= 1e-6:
         raise ParameterError(
             f"monodromy determinant {m.det!r} too far from 1 to classify"
         )
     tr = m.trace
-    if abs(abs(tr) - 2.0) <= boundary_tol:
-        return MultiplierPair(kind="boundary")
-    if abs(tr) > 2.0:
-        mu0 = (abs(tr) + math.sqrt(tr * tr - 4.0)) / 2.0
-        return MultiplierPair(kind="unstable", mu0=mu0, sign=1 if tr > 0 else -1)
-    return MultiplierPair(kind="stable")
+    kind = _trace_class(tr)
+    if kind == "unstable":
+        return MultiplierPair(kind=kind, mu0=_mu0(tr), sign=1 if tr > 0 else -1)
+    return MultiplierPair(kind=kind)
 
 
 def trace_curve(pot, lams, tol=1e-11):
@@ -429,8 +440,7 @@ class Propagator:
             frac = 0.0
         if k > 0:
             m = self.m
-            mult = classify(m, boundary_tol=0.0) if abs(m.trace) > 2 else None
-            if mult is not None and k * math.log(mult.mu0) > 700.0:
+            if abs(m.trace) > 2 and k * math.log(_mu0(m.trace)) > 700.0:
                 raise OverflowError(
                     f"monodromy power overflows at t={t} (use multi_period_values "
                     "for mantissa/exponent form)"
@@ -454,15 +464,9 @@ def propagate(m, pot, lam, t, data, tol=1e-11):
     return Propagator(m, pot, lam, tol)(t, data)
 
 
-def export_stability_chart(path, lams, traces, boundary_tol=1e-9):
+def export_stability_chart(path, lams, traces):
     """Write the stability chart CSV: lambda,trace,abs_trace,class."""
     rows = [["lambda", "trace", "abs_trace", "class"]]
     for lam, tr in zip(lams, traces):
-        if abs(abs(tr) - 2.0) <= boundary_tol:
-            cls = "boundary"
-        elif abs(tr) > 2.0:
-            cls = "unstable"
-        else:
-            cls = "stable"
-        rows.append([f"{lam:.17g}", f"{tr:.17g}", f"{abs(tr):.17g}", cls])
+        rows.append([f"{lam:.17g}", f"{tr:.17g}", f"{abs(tr):.17g}", _trace_class(tr)])
     write_atomic(path, csv_text(rows))

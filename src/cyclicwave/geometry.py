@@ -165,19 +165,18 @@ class DistinguishedLine:
     max_residual: float
 
 
-def check_self_coherence(M, a, t_range, samples=64):
+def check_self_coherence(M, a, t_range):
     """Test whether the ray u = a*t is covered by geodesics.
 
-    At each t the quadratic form c_i(t) = sum_jk Gamma^i_{jk}(a t) a_j a_k
-    must be proportional to a; f(t) is the least-squares proportionality
-    factor and max_residual the worst deviation |c_i - a_i f|.
+    At each of 64 equally spaced t in t_range the quadratic form
+    c_i(t) = sum_jk Gamma^i_{jk}(a t) a_j a_k must be proportional to a;
+    f(t) is the least-squares proportionality factor and max_residual the
+    worst deviation |c_i - a_i f|.
     """
     a = np.asarray(a, dtype=float)
-    if int(samples) < 16:
-        raise ParameterError(f"need samples >= 16, got {samples}")
     if not np.any(a != 0.0):
         raise ParameterError("direction a must be nonzero")
-    ts = np.linspace(t_range[0], t_range[1], int(samples))
+    ts = np.linspace(t_range[0], t_range[1], 64)
     norm2 = float(a @ a)
     out = []
     worst = 0.0

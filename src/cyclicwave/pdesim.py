@@ -302,13 +302,13 @@ def evolve_nonlinear(b, n_coeff, grid, u0, u1, v_guard, n_snapshots=64):
                      termination="blowup_detected" if stopped else "completed")
 
 
-def evolve_uniform(b, n_coeff, f, u0, u1, t_end, tol=1e-11, n_samples=400):
+def evolve_uniform(b, n_coeff, f, u0, u1, t_end, tol=1e-11):
     """Spatially uniform solution: u'' - n(b'/b)u' + f(u)(u')^2 = 0.
 
-    Returns [(t, u(t)), ...]; truncates (with the last finite sample) if u
-    leaves the invertibility domain, i.e. blows up.  ParameterError unless
-    tol lies in [1e-13, 1e-6]; IntegrationFailure when the solver fails
-    before t_end.
+    Returns [(t, u(t)), ...] at 400 equally spaced t; truncates (with the
+    last finite sample) if u leaves the invertibility domain, i.e. blows
+    up.  ParameterError unless tol lies in [1e-13, 1e-6]; IntegrationFailure
+    when the solver fails before t_end.
     """
     check_tol(tol)
     from scipy.integrate import solve_ivp
@@ -322,7 +322,7 @@ def evolve_uniform(b, n_coeff, f, u0, u1, t_end, tol=1e-11, n_samples=400):
     escape.terminal = True
     sol = solve_ivp(
         rhs, (0.0, t_end), [float(u0), float(u1)], method="DOP853",
-        rtol=tol, atol=tol, t_eval=np.linspace(0.0, t_end, n_samples),
+        rtol=tol, atol=tol, t_eval=np.linspace(0.0, t_end, 400),
         events=escape,
     )
     if not sol.success:

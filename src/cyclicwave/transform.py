@@ -277,23 +277,24 @@ def _side_exponent(side, s_max):
     return p, -1.0 - p
 
 
-def _tail_exponent(side, s_hi, decades=2.0, npts=33):
-    """Log-log slope of F over [s_hi/10^decades, s_hi] on one side."""
-    ss = np.logspace(math.log10(s_hi) - decades, math.log10(s_hi), npts)
+def _tail_exponent(side, s_hi):
+    """Log-log slope of F over [s_hi/100, s_hi] on one side, from 33 points."""
+    ss = np.logspace(math.log10(s_hi) - 2.0, math.log10(s_hi), 33)
     side.reach(s_hi)
     phi, _ = side.eval(ss)
     return _slope(np.log(ss), phi)
 
 
-def _local_exponent(side, npts=25):
-    """Exponent of F in distance to the finite edge (integrability probe).
+def _local_exponent(side):
+    """Exponent of F in distance to the finite edge (integrability probe),
+    fitted at 25 distances from 1e-8 to 1e-2 (relative to max(1, |edge|)).
 
     Distances are measured from the true domain edge, not the integration
     frontier (which stops a small floor short of the edge); anchoring at the
     frontier would bias the smallest probes and flatten the fitted slope.
     """
     edge_abs = abs(side.edge)
-    d = np.logspace(-8, -2, npts) * max(1.0, edge_abs)
+    d = np.logspace(-8, -2, 25) * max(1.0, edge_abs)
     phi, _ = side.eval(edge_abs - d)
     return _slope(np.log(d), phi)
 
@@ -346,9 +347,13 @@ def noc_check(f, s_max=1e5, margin=0.1, domain=(-math.inf, math.inf), tol=1e-12)
     margin on the integrable side of -1, divergent when more than margin
     on the other side.  The blow-up pipeline does not call this: a
     certificate needs a finite endpoint, which endpoints() decides.
+    ParameterError, before any panel is built, unless s_max is finite and
+    >= 1e4 and margin is finite and >= 0.
     """
-    if s_max < 1e4:
-        raise ParameterError(f"s_max must be >= 1e4, got {s_max}")
+    if not 1e4 <= s_max < math.inf:
+        raise ParameterError(f"s_max must be finite and >= 1e4, got {s_max}")
+    if not 0.0 <= margin < math.inf:
+        raise ParameterError(f"margin must be finite and >= 0, got {margin}")
     tp = TransformPair(f, tol=tol, domain=domain)
     fwd, p_fwd = _side_verdict(tp._pos, s_max, margin)
     bwd, p_bwd = _side_verdict(tp._neg, s_max, margin)

@@ -24,12 +24,12 @@ def f_ray(t):
 
 @pytest.fixture(scope="session")
 def b05():
-    return coeffs.make_builtin("sqrt-sin", eps=0.5)
+    return coeffs.sqrt_sin(0.5)
 
 
 @pytest.fixture(scope="session")
 def pot3(b05):
-    return coeffs.hill_potential(b05, n=3)
+    return coeffs.HillPotential(b05, n=3)
 
 
 @pytest.fixture(scope="session")

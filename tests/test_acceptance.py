@@ -35,8 +35,8 @@ def test_criterion_1_monodromy_constant_coefficient():
     """trace = 2 cos(sqrt(lam)) within 1e-9 on 100 lambdas; det within
     1e-9; runtime < 5 s."""
     start = time.monotonic()
-    b = coeffs.make_builtin("constant", c=1.0)
-    pot = coeffs.hill_potential(b, n=3)
+    b = coeffs.constant()
+    pot = coeffs.HillPotential(b, n=3)
     lams = np.linspace(1.0, 100.0, 100)
     for lam in lams:
         m = floquet.monodromy(pot, float(lam), tol=1e-9)
@@ -103,7 +103,7 @@ def test_criterion_4_potential_pinned_down(b05, tmp_path):
               "residual = relative sup distance between b^{n/2} w and the"
               " directly integrated v over t in [0, 3]", ""]
     for n in (1, 2, 3):
-        pot = coeffs.hill_potential(b05, n=n)
+        pot = coeffs.HillPotential(b05, n=n)
         for lam in rng.uniform(0.5, 40.0, size=5):
             w0, wt0 = rng.normal(size=2)
             res = _substitution_residual(pot, pot.q, float(lam), w0, wt0)
@@ -112,7 +112,7 @@ def test_criterion_4_potential_pinned_down(b05, tmp_path):
             assert res < 1e-9
     failures = 0
     for n in (1, 2, 3):
-        pot = coeffs.hill_potential(b05, n=n)
+        pot = coeffs.HillPotential(b05, n=n)
         for which in ("intro", "alpha-form"):
             res = _substitution_residual(
                 pot, lambda t: q_variant(pot, t, which), 7.3, 0.7, -0.2)

@@ -56,21 +56,22 @@ def test_cutoff_vector_argument():
 
 
 def test_plan_invariants():
-    p = blowup.default_plan(3, LAM_WITNESS, 6.5, 4)
+    p = blowup.BlowupPlan(3, LAM_WITNESS, 6.5, 4)
     assert p.amplitude == pytest.approx(4.0 ** -6.5)
     assert p.support_radius == 32.0
     assert p.cone_radius == 8.0
-    assert sum(v * v for v in p.y) == pytest.approx(LAM_WITNESS, rel=1e-12)
+    assert p.y == (math.sqrt(LAM_WITNESS), 0.0, 0.0)
+    for S in (5.0, math.nan):  # S must exceed 2n
+        with pytest.raises(ParameterError):
+            blowup.BlowupPlan(3, LAM_WITNESS, S, 4)
     with pytest.raises(ParameterError):
-        blowup.default_plan(3, LAM_WITNESS, 5.0, 4)  # S must exceed 2n
+        blowup.BlowupPlan(3, LAM_WITNESS, 6.5, 0)
     with pytest.raises(ParameterError):
-        blowup.default_plan(3, LAM_WITNESS, 6.5, 0)
-    with pytest.raises(ParameterError):
-        blowup.BlowupPlan(3, LAM_WITNESS, 6.5, 4, 0.5, (1.0, 0.0, 0.0))
+        blowup.BlowupPlan(3, LAM_WITNESS, 6.5, 4, 0.5)
 
 
 def test_data_point_values(tp1):
-    plan = blowup.default_plan(3, LAM_WITNESS, 6.5, 3, A=-1.0)
+    plan = blowup.BlowupPlan(3, LAM_WITNESS, 6.5, 3, A=-1.0)
     u0, u1 = blowup.make_data(plan, tp1)
     amp = plan.amplitude
     origin = np.zeros((1, 3))
@@ -135,7 +136,7 @@ def test_radial_vs_fft_cross_check(tp1):
     """At s=0 the 3-D FFT norm is computable; the radial path must bound it
     from above and agree closely once the data is not cone-limited."""
     for M, max_ratio in ((1, 1.30), (2, 1.02)):
-        plan = blowup.default_plan(3, LAM_WITNESS, 6.5, M)
+        plan = blowup.BlowupPlan(3, LAM_WITNESS, 6.5, M)
         rad = blowup.radial_smallness(plan, tp1, s=0.0)
         grid = GridSpec(n=3, L=2 * plan.support_radius * 1.25, points=128)
         u0, u1 = blowup.make_data(plan, tp1)
@@ -148,7 +149,7 @@ def test_radial_hat_matches_outer_product_formula(tp1):
     """The sine transform against 4 pi simpson(sinc(rho r / pi) g r^2, r) on
     a fine r grid, for a Gaussian and for the plan profiles, at the first
     257 rho of the transform's grid."""
-    plan = blowup.default_plan(3, LAM_WITNESS, 6.5, 2)
+    plan = blowup.BlowupPlan(3, LAM_WITNESS, 6.5, 2)
     amp, msq = plan.amplitude, float(plan.M) ** 2
 
     def g_plan0(r):
@@ -176,7 +177,7 @@ def test_scaled_chi_head_matches_direct_transform(tp1, M):
     """g0's transform at M is M^-S M^6 times chi's on the M = 1 grid: the
     head radial_smallness uses against a direct transform of g0, with the
     same cut."""
-    plan = blowup.default_plan(3, LAM_WITNESS, 6.5, M)
+    plan = blowup.BlowupPlan(3, LAM_WITNESS, 6.5, M)
     g0, _ = blowup.seed_profiles(plan, tp1)
     direct = blowup.radial_head(blowup._radial_hat(g0, plan.support_radius)[1])
     scaled = plan.amplitude * float(M) ** 6 * blowup._chi_head()
@@ -212,7 +213,7 @@ def test_certify_transforms_chi_once(pot3, tp1, monkeypatch):
 def test_scaled_g1_matches_direct_transform(tp1, M, A):
     """Where |Phi(g0)| <= 2^-60 is proven, the smallness from chi's scaled
     transform equals the one from a direct transform of g1."""
-    plan = blowup.default_plan(3, LAM_WITNESS, 6.5, M, A=A)
+    plan = blowup.BlowupPlan(3, LAM_WITNESS, 6.5, M, A=A)
     assert blowup._phi_bound(tp1, plan.amplitude) <= blowup._PHI_SKIP
     _, g1 = blowup.seed_profiles(plan, tp1)
     R = plan.support_radius
@@ -235,7 +236,7 @@ def test_radial_smallness_fallback_transforms_g1(M, f, monkeypatch):
     or f(0) != 0), g1 is transformed directly and the value is
     radial_pair_norm's on that transform."""
     tp = transform.TransformPair(f)
-    plan = blowup.default_plan(3, LAM_WITNESS, 6.5, M)
+    plan = blowup.BlowupPlan(3, LAM_WITNESS, 6.5, M)
     assert blowup._phi_bound(tp, plan.amplitude) > blowup._PHI_SKIP
     _, g1 = blowup.seed_profiles(plan, tp)
     R = plan.support_radius
@@ -258,7 +259,7 @@ def test_phi_bound_covers_sampled_phi(tp1):
     max |Phi(g0)|, within a factor 2 of it, and proves the skip, at every M
     from 30 to 100."""
     for M in range(30, 101):
-        plan = blowup.default_plan(3, LAM_WITNESS, 6.5, M)
+        plan = blowup.BlowupPlan(3, LAM_WITNESS, 6.5, M)
         g0, _ = blowup.seed_profiles(plan, tp1)
         s = np.concatenate([np.linspace(0.0, plan.amplitude, 1025),
                             g0(np.linspace(0.0, plan.support_radius, 4097))])
@@ -290,7 +291,7 @@ def test_simpson_weights_match_scipy(n):
 def test_radial_smallness_regression(tp1, M, value):
     """H^4 x H^3 smallness of the plan data at the reference witness, as
     the earlier Simpson-kernel quadrature computed it."""
-    plan = blowup.default_plan(3, LAM_WITNESS, 6.5, M)
+    plan = blowup.BlowupPlan(3, LAM_WITNESS, 6.5, M)
     assert blowup.radial_smallness(plan, tp1, 3.0) == pytest.approx(value,
                                                                      rel=1e-9)
 
@@ -298,7 +299,7 @@ def test_radial_smallness_regression(tp1, M, value):
 def test_radial_smallness_memory_is_blocked(tp1):
     import tracemalloc
 
-    plan = blowup.default_plan(3, LAM_WITNESS, 6.5, 100)
+    plan = blowup.BlowupPlan(3, LAM_WITNESS, 6.5, 100)
     tracemalloc.start()
     try:
         blowup.radial_smallness(plan, tp1, 3.0)
@@ -322,18 +323,12 @@ def test_radial_pair_norm_unresolved_spectrum_raises():
 
 def test_n1_smallness_regression(tp1):
     for M, val in N1_SMALLNESS.items():
-        plan = blowup.default_plan(1, LAM_WITNESS, 3.0, M)
+        plan = blowup.BlowupPlan(1, LAM_WITNESS, 3.0, M)
         got = blowup.plan_smallness(plan, tp1)
         assert got == pytest.approx(val, rel=1e-8)
-    vals = [blowup.plan_smallness(blowup.default_plan(1, LAM_WITNESS, 3.0, M),
+    vals = [blowup.plan_smallness(blowup.BlowupPlan(1, LAM_WITNESS, 3.0, M),
                                   tp1) for M in (2, 4, 8, 16)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_resolution_error_on_coarse_grid(tp1):
-    plan = blowup.default_plan(1, LAM_WITNESS, 3.0, 8)
-    with pytest.raises(ResolutionError):
-        blowup.plan_smallness(plan, tp1, grid_points=64)
 
 
 def test_fft_smallness_refuses_aliased_modulation(tp1):
@@ -343,17 +338,17 @@ def test_fft_smallness_refuses_aliased_modulation(tp1):
     blowup-demo --n 2 used to certify, sqrt(lambda) >= pi/(2 dx) and the
     modulation would alias to a norm far too small, so ResolutionError."""
     lam = 10.308521303258145  # the n = 2 good lambda of the reference run
-    resolved = blowup.plan_smallness(blowup.default_plan(2, lam, 4.5, 8), tp1)
+    resolved = blowup.plan_smallness(blowup.BlowupPlan(2, lam, 4.5, 8), tp1)
     assert resolved == pytest.approx(N2_SMALLNESS_M8, rel=1e-12)
     with pytest.raises(ResolutionError, match="top-octave"):
-        blowup.plan_smallness(blowup.default_plan(2, lam, 4.5, 10), tp1)
+        blowup.plan_smallness(blowup.BlowupPlan(2, lam, 4.5, 10), tp1)
     with pytest.raises(ResolutionError, match=r"does not resolve cos\(x.y\)"):
-        blowup.plan_smallness(blowup.default_plan(2, lam, 4.5, 56), tp1)
+        blowup.plan_smallness(blowup.BlowupPlan(2, lam, 4.5, 56), tp1)
 
 
 @pytest.fixture(scope="module")
 def local_solution(pot3, tp1):
-    plan = blowup.default_plan(3, LAM_WITNESS, 6.5, 8)
+    plan = blowup.BlowupPlan(3, LAM_WITNESS, 6.5, 8)
     prop = floquet.Propagator(floquet.monodromy(pot3, LAM_WITNESS, tol=1e-12),
                               pot3, LAM_WITNESS, tol=1e-12)
     return plan, blowup.exact_local_solution(plan, tp1, prop)
@@ -440,6 +435,22 @@ def test_certify_requires_finite_endpoint(pot3):
         blowup.certify_blowup(tp0, pot3, (5.0, 17.0), 1e-3)
 
 
+@pytest.mark.parametrize("delta, S", [(math.nan, None), (-0.5, None),
+                                      (0.0, None), (math.inf, None),
+                                      (1e-3, math.nan), (1e-3, math.inf),
+                                      (1e-3, 5.0)])
+def test_certify_checks_delta_and_s_before_work(pot3, tp1, monkeypatch,
+                                                delta, S):
+    """delta must be positive and finite and S finite and above 2n; a bad
+    value used to surface only after the Floquet scan and the M search."""
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan_instability ran before delta and S were checked")
+
+    monkeypatch.setattr(floquet, "scan_instability", no_scan)
+    with pytest.raises(ParameterError):
+        blowup.certify_blowup(tp1, pot3, (5.0, 17.0), delta, S=S)
+
+
 def test_certificate_json(pot3, tp1, tmp_path):
     import json
 
@@ -466,7 +477,7 @@ def test_certify_reports_trajectory_that_never_crosses(pot3, tp1, monkeypatch):
 def test_certify_scans_every_m(pot3, tp1, monkeypatch):
     """Smallness that passes at one M only, with failures on both sides of
     it, is found by the ascending scan."""
-    def only_at_40(plan, tp, s=3.0, grid_points=None):
+    def only_at_40(plan, tp):
         return 0.0 if plan.M == 40 else 1.0
 
     monkeypatch.setattr(blowup, "plan_smallness", only_at_40)

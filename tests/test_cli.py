@@ -401,15 +401,17 @@ _ARGS = {
 }
 
 
-def _exit_before_work(args, command, monkeypatch, capsys):
-    """Run args in-process with the command's work patched to fail if
-    called; return the one JSON error line."""
+def _exit_before_work(args, command, monkeypatch, capsys, work=None):
+    """Run args in-process with the command's work (or the named `work`)
+    patched to fail if called; return the one JSON error line."""
     from cyclicwave import cli
 
-    def no_work(*args, **kwargs):
-        raise AssertionError(f"{_WORK[command]} ran before the options were checked")
+    work = work or _WORK[command]
 
-    monkeypatch.setattr(_WORK[command], no_work)
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the options were checked")
+
+    monkeypatch.setattr(work, no_work)
     with pytest.raises(SystemExit) as exc:
         cli.main.main(args=args, prog_name="cyclicwave", standalone_mode=True)
     assert exc.value.code == 2
@@ -487,6 +489,37 @@ def test_noc_verdicts(tmp_path):
     assert json.loads(r.stdout.strip())["holds"] == "no"
     r = run(["noc", "--f", "nosuch:alpha=1"], tmp_path)
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--s-max", "nan"), ("--s-max", "inf"),
+                                         ("--margin", "-1"), ("--margin", "nan")])
+def test_noc_out_of_range_exit_2_before_work(tmp_path, capsys, monkeypatch,
+                                             flag, value):
+    """--s-max nan ended in a traceback and inf never returned; --margin -1
+    called both sides convergent and nan every side inconclusive, with
+    exit 0.  Each exits 2 before a transform panel is built."""
+    monkeypatch.chdir(tmp_path)
+    err = _exit_before_work(_ARGS["noc"] + [flag, value, "--out", "x.json"], "noc",
+                            monkeypatch, capsys,
+                            work="cyclicwave.transform._Side.reach")
+    assert err["error"] == "ParameterError"
+    assert flag[2:].replace("-", "_") in err["message"]
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--delta", "nan"), ("--delta", "-0.5"),
+                                         ("--s-exponent", "nan"),
+                                         ("--s-exponent", "inf"), ("--s-exponent", "5")])
+def test_blowup_demo_delta_and_s_exit_2_before_scan(tmp_path, capsys, monkeypatch,
+                                                    flag, value):
+    """A bad --delta or --s-exponent used to exit 3 (or 2) only after the
+    Floquet scan, and after every M up to 256 for --delta."""
+    monkeypatch.chdir(tmp_path)
+    err = _exit_before_work(_ARGS["blowup-demo"] + [flag, value], "blowup-demo",
+                            monkeypatch, capsys,
+                            work="cyclicwave.floquet.scan_instability")
+    assert err["error"] == "ParameterError"
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("spec", ["example1", "example2", "example3",

@@ -21,7 +21,7 @@ def _sympy_sqrt_sin(eps):
 
 def test_builtin_derivatives_match_cas():
     eps = 0.5
-    bnum = coeffs.make_builtin("sqrt-sin", eps=eps)
+    bnum = coeffs.sqrt_sin(eps)
     t, b = _sympy_sqrt_sin(eps)
     d1 = sp.lambdify(t, sp.diff(b, t), "numpy")
     d2 = sp.lambdify(t, sp.diff(b, t, 2), "numpy")
@@ -42,7 +42,7 @@ def test_potential_matches_cas(b05):
     eps = 0.5
     t, b = _sympy_sqrt_sin(eps)
     for n in (1, 2, 3):
-        pot = coeffs.hill_potential(b05, n=n)
+        pot = coeffs.HillPotential(b05, n=n)
         qsym = (sp.Rational(n * n, 4) + sp.Rational(n, 2)) * (sp.diff(b, t) / b) ** 2 \
             - sp.Rational(n, 2) * sp.diff(b, t, 2) / b
         qfun = sp.lambdify(t, sp.simplify(qsym), "numpy")
@@ -113,7 +113,7 @@ def _substitution_residual(pot, qfun, lam, rng):
 def test_substitution_identity_numeric(b05):
     rng = np.random.default_rng(7)
     for n in (1, 2, 3):
-        pot = coeffs.hill_potential(b05, n=n)
+        pot = coeffs.HillPotential(b05, n=n)
         for lam in rng.uniform(0.5, 40.0, size=5):
             assert _substitution_residual(pot, pot.q, lam, rng) < 1e-9
 
@@ -122,14 +122,14 @@ def test_variants_fail_substitution(b05):
     rng = np.random.default_rng(11)
     lam = 7.3
     for n in (1, 3):
-        pot = coeffs.hill_potential(b05, n=n)
+        pot = coeffs.HillPotential(b05, n=n)
         for which in ("intro", "alpha-form"):
             qv = lambda t: q_variant(pot, t, which)
             assert _substitution_residual(pot, qv, lam, rng) > 1e-3
 
 
 def test_alpha_form_coincides_at_n2(b05):
-    pot = coeffs.hill_potential(b05, n=2)
+    pot = coeffs.HillPotential(b05, n=2)
     ts = np.linspace(0.0, 1.0, 21)
     assert np.allclose(pot.q(ts), q_variant(pot, ts, "alpha-form"),
                        rtol=1e-12, atol=1e-12)
@@ -142,8 +142,6 @@ def test_alpha_is_b_squared(pot3, b05):
 
 def test_parameter_validation():
     with pytest.raises(ParameterError):
-        coeffs.make_builtin("sqrt-sin", eps=1.5)
+        coeffs.sqrt_sin(1.5)
     with pytest.raises(ParameterError):
-        coeffs.make_builtin("constant", c=-1.0)
-    with pytest.raises(ParameterError):
-        coeffs.make_builtin("no-such-profile")
+        coeffs.HillPotential(coeffs.constant(), 0)

@@ -25,8 +25,8 @@ def mono_witness(pot3):
 
 
 def test_constant_coefficient_closed_form():
-    b = coeffs.make_builtin("constant", c=1.0)
-    pot = coeffs.hill_potential(b, n=3)
+    b = coeffs.constant()
+    pot = coeffs.HillPotential(b, n=3)
     for lam in np.linspace(0.7, 80.0, 25):
         m = floquet.monodromy(pot, lam)
         root = math.sqrt(lam)
@@ -39,11 +39,64 @@ def test_n1_trace_closed_form_nonconstant_b(b05):
     """For n = 1 the time change tau = int b dt turns the mode equation into
     v_tautau + lam v = 0, so trace = 2 cos(sqrt(lam) int_0^1 b) for every
     b; the integral is a periodic trapezoid sum, exact to rounding here."""
-    pot = coeffs.hill_potential(b05, n=1)
+    pot = coeffs.HillPotential(b05, n=1)
     lams = np.linspace(0.1, 60.0, 4000)
     integral = float(np.mean(b05.eval(np.arange(256) / 256.0)))
     want = 2.0 * np.cos(np.sqrt(lams) * integral)
     assert np.max(np.abs(floquet.trace_curve(pot, lams) - want)) <= 1e-10
+
+
+def _hill_edges(pot):
+    """The periodic (trace 2) and antiperiodic (trace -2) eigenvalues of
+    -y'' + q y = lam alpha y, each sorted, by Hill's method (Deconinck &
+    Kutz, J. Comput. Phys. 219, 2006): Galerkin on e^{i(2 pi k + theta) t},
+    |k| <= 48, with K = diag((2 pi k + theta)^2) + Toeplitz(q^) and
+    A = Toeplitz(alpha^) from 256-point FFTs; A = L L^H turns K c = lam A c
+    into the Hermitian eigenproblem of L^-1 K L^-H."""
+    t = np.arange(256) / 256.0
+    k = np.arange(-48, 49)
+    diff = k[:, None] - k[None, :]
+    q_hat = (np.fft.fft(pot.q(t)) / 256.0)[diff]
+    alpha_hat = (np.fft.fft(pot.alpha(t)) / 256.0)[diff]
+    inv_l = np.linalg.inv(np.linalg.cholesky(alpha_hat))
+    edges = []
+    for theta in (0.0, np.pi):
+        K = np.diag((2.0 * np.pi * k + theta) ** 2) + q_hat
+        edges.append(np.linalg.eigvalsh(inv_l @ K @ inv_l.conj().T))
+    return edges
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_interval_edges_match_hills_method(n, eps):
+    """Hill's method takes no Magnus step.  Its eigenvalues, sorted together
+    as e0 < e1 <= e2 < e3 <= e4 ..., bound the gaps (-inf, e0), (e1, e2),
+    (e3, e4), ...  A 4000-point scan on (0.1, 60) puts every refined edge
+    within the bisection width of an eigenvalue of its interval's trace
+    sign (periodic above 2, antiperiodic below -2), and finds one interval
+    in each gap that covers more than a grid spacing of the range.  n = 1
+    has none: its trace is 2 cos(sqrt(lam) int b), so every gap is closed."""
+    lo, hi, grid = 0.1, 60.0, 4000
+    pot = coeffs.HillPotential(coeffs.sqrt_sin(eps), n)
+    ivs = floquet.scan_instability(pot, (lo, hi), grid)
+    periodic, antiperiodic = _hill_edges(pot)
+    width = (hi - lo) / grid * 1e-3
+    for iv in ivs:
+        above = floquet.trace_curve(pot, [iv.witness_lambda])[0] > 0.0
+        same_sign = periodic if above else antiperiodic
+        for edge in (iv.lambda_lo, iv.lambda_hi):
+            if lo < edge < hi:
+                assert np.min(np.abs(same_sign - edge)) <= width, edge
+    # eigenvalues run far past hi, so a gap that straddles hi is paired
+    e = np.sort(np.concatenate([periodic, antiperiodic]))
+    gaps = [(max(a, lo), min(b, hi))
+            for a, b in [(-math.inf, e[0])] + list(zip(e[1::2], e[2::2]))]
+    open_gaps = [(a, b) for a, b in gaps if b - a > (hi - lo) / (grid - 1)]
+    for a, b in open_gaps:
+        assert any(a - width <= iv.lambda_lo and iv.lambda_hi <= b + width
+                   for iv in ivs), (a, b)
+    assert len(ivs) == len(open_gaps)
+    assert (n == 1) == (not ivs)
 
 
 def test_determinant_is_one(pot3):
@@ -146,11 +199,11 @@ def test_find_good_lambda_probes_in_golden_section_order(pot3, monkeypatch):
     seen = []
     real = floquet.classify
 
-    def rejecting(m, boundary_tol=1e-9):
+    def rejecting(m):
         seen.append(m.lam)
         if len(seen) <= rejected:
             return floquet.MultiplierPair(kind="stable")
-        return real(m, boundary_tol)
+        return real(m)
 
     monkeypatch.setattr(floquet, "classify", rejecting)
     calls = _count_monodromies(monkeypatch)

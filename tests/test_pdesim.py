@@ -26,7 +26,7 @@ def _grid(points, L=2 * math.pi, dt_frac=0.25, t_end=2.0, bmax=1.25):
 
 
 def test_standing_wave_constant_coefficient():
-    b = coeffs.make_builtin("constant", c=1.0)
+    b = coeffs.constant()
     grid = _grid(128, t_end=2.0, bmax=1.0)
     x = grid.coords()[..., 0]
     res = pdesim.evolve_linear(b, 0, grid, np.cos(x), np.zeros_like(x))

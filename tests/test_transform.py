@@ -169,6 +169,21 @@ def test_tol_checked_before_work():
         transform.TransformPair(no_work, tol=0.0)
 
 
+@pytest.mark.parametrize("bad", [{"s_max": math.nan}, {"s_max": math.inf},
+                                 {"margin": -1.0}, {"margin": math.nan},
+                                 {"margin": math.inf}])
+def test_noc_check_rejects_out_of_range_before_work(bad, monkeypatch):
+    """A nan s_max failed inside a panel lookup, an infinite one never
+    returned, and a negative or nan margin turned every verdict around or
+    inconclusive: each is a ParameterError before any panel is built."""
+    def no_panels(*args):
+        raise AssertionError("a panel was built before the options were checked")
+
+    monkeypatch.setattr(transform._Side, "reach", no_panels)
+    with pytest.raises(ParameterError):
+        transform.noc_check(f_ray, **bad)
+
+
 def test_verdict_json_roundtrip():
     import json
 
