@@ -364,19 +364,19 @@ def plan_smallness(plan, tp):
 # Exact local solution and certification
 # ---------------------------------------------------------------------------
 
-def exact_local_solution(plan, tp, prop):
+def exact_local_solution(plan, tp, m):
     """The transformed field v(t, x) inside the influence region.
 
     v(t,x) = G(M^-S) + A M^-S W(t) (b(t)/b(0))^{n/2} cos(x.y), valid for
     0 <= t <= M and |x| <= M^{3/2} (so the cutoff edge cannot interfere).
-    W(t) solves the Hill system at plan.lam through the floquet.Propagator
-    `prop`, whose potential supplies b and n.
+    W(t) solves the Hill system through a floquet.Propagator of the
+    monodromy m, whose lambda and n must be the plan's; m.pot supplies b.
     Returns a callable raising ParameterError outside the valid region.
     """
-    pot = prop.pot
-    if prop.lam != plan.lam or pot.n != plan.n:
-        raise ParameterError("the Propagator's lambda and n must be the plan's")
-    b, n = pot.b, pot.n
+    b, n = m.pot.b, m.pot.n
+    if m.lam != plan.lam or n != plan.n:
+        raise ParameterError("the monodromy's lambda and n must be the plan's")
+    prop = floquet.Propagator(m)
     amp = plan.amplitude
     g0 = float(tp.G(np.array([amp]))[0])
     y = np.asarray(plan.y)
@@ -469,9 +469,7 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
         raise ExhaustedSearchError(
             "no instability interval in the requested range", best=None
         )
-    lam, m = floquet.find_good_lambda(intervals, pot, tol=tol)
-    pair = floquet.classify(m)
-    mu_exp = pair.expanding  # signed; |mu_exp| = mu0 > 1
+    m = floquet.find_good_lambda(intervals, pot, tol=tol)
 
     def growth_ok(M):
         """True when |A M^-S W(M)| can reach from G(M^-S) to the endpoint."""
@@ -489,7 +487,7 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
         if not ok:
             deficit = (M, vals)
             continue
-        plan = BlowupPlan(n, lam, S, M, A=direction * math.copysign(1.0, vals.W))
+        plan = BlowupPlan(n, m.lam, S, M, A=direction * math.copysign(1.0, vals.W))
         small = plan_smallness(plan, tp)
         if small <= delta:
             break
@@ -505,9 +503,9 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
             f"delta={delta!r}", best=best
         )
 
-    # v(t, 0) at integer and half-integer times, then first crossing; one
-    # Propagator serves both, so X(1/2, 0) is integrated once
-    v = exact_local_solution(plan, tp, floquet.Propagator(m, pot, lam, tol=tol))
+    # v(t, 0) at integer and half-integer times, then first crossing; v's
+    # one Propagator serves both, so X(1/2, 0) is integrated once
+    v = exact_local_solution(plan, tp, m)
     origin = np.zeros(n)
     margin = abs(target) * 1e-9
     crossed = (lambda val: val >= target - margin) if direction > 0 else (
@@ -541,7 +539,7 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
     predicted = g0 + plan.A * plan.amplitude * vals.W * 10.0**vals.log10_scale
     return BlowupCertificate(
         plan=plan, smallness=small, delta=delta, endpoint=target,
-        t_star=t_star, mu0=abs(mu_exp), b21=m.b21, predicted_v_M=predicted,
+        t_star=t_star, mu0=m.mu0, b21=m.b21, predicted_v_M=predicted,
         trajectory=trajectory,
     )
 

@@ -110,8 +110,9 @@ def parse_family(spec, families, kind):
     A family is its builder, and the builder's signature states the keys:
     a parameter without a default is a required key, one with a default an
     optional key, and one whose default is an int an integer key.  Values
-    are real numbers.  An unknown family or key, a missing key and a
-    non-integral value for an integer key are each a ParameterError.
+    are finite real numbers.  An unknown family or key, a missing key, a
+    non-finite value and a non-integral value for an integer key are each a
+    ParameterError.
     """
     name, _, params = spec.partition(":")
     if name not in families:
@@ -126,6 +127,8 @@ def parse_family(spec, families, kind):
         if key not in keys:
             raise ParameterError(f"{name} has no key {key!r}: {spec!r}")
         value = float(text)
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} key {key!r} must be finite, got {text!r}")
         if isinstance(keys[key].default, int):
             if not value.is_integer():
                 raise ParameterError(f"{name} key {key!r} must be an integer, got {text!r}")
@@ -159,8 +162,8 @@ METRICS = {
 
 def parse_vector(text, m):
     vals = [float(x) for x in text.split(",")]
-    if len(vals) != m:
-        raise ParameterError(f"expected {m} components, got {len(vals)}: {text!r}")
+    if len(vals) != m or not all(map(math.isfinite, vals)):
+        raise ParameterError(f"expected {m} finite components, got {text!r}")
     return np.array(vals)
 
 
@@ -247,8 +250,7 @@ class _JsonErrorGroup(click.Group):
             _fail(EXIT_ABORTED, Aborted("interrupted"))
 
     def main(self, *args, standalone_mode=True, **kwargs):
-        if not standalone_mode:
-            return super().main(*args, standalone_mode=False, **kwargs)
+        # always standalone: click's own handling is off so its errors map too
         try:
             code = super().main(*args, standalone_mode=False, **kwargs)
         except click.ClickException as exc:
@@ -377,8 +379,7 @@ def blowup_demo(**p):
         )
     f = metric.ray_log_derivative(a)
 
-    b = coefficient_from_flags(False, p["epsilon"])
-    pot = coeffs.HillPotential(b, p["n"])
+    pot = coeffs.HillPotential(coeffs.sqrt_sin(p["epsilon"]), p["n"])
     tp = transform.build_transform(f, domain=domain)
     cert = blowup.certify_blowup(
         tp, pot, (p["lambda_min"], p["lambda_max"]), p["delta"],
@@ -386,17 +387,17 @@ def blowup_demo(**p):
     blowup.export_certificate(p["out"], cert)
 
     if p["simulate"] == "yes":
-        result, grid = _simulate_certificate(b, pot, tp, cert)
+        result, grid = _simulate_certificate(pot, tp, cert)
         manifest_path = os.path.splitext(p["out"])[0] + ".sim.json"
         pdesim.export_manifest(manifest_path, result, grid)
 
 
-def _simulate_certificate(b, pot, tp, cert, points=1024):
+def _simulate_certificate(pot, tp, cert):
     """1-D torus run of the certified scenario (plane wave, no cutoff)."""
-    lam = cert.plan.lam
+    lam, points = cert.plan.lam, 1024
     L = 2.0 * math.pi / math.sqrt(lam)
     dx = L / points
-    dt_cap = 0.45 * dx / pdesim.max_b(b)
+    dt_cap = 0.45 * dx / pdesim.max_b(pot.b)
     steps_per_unit = int(math.ceil(1.0 / dt_cap))
     dt = 1.0 / steps_per_unit
     t_end = min(cert.plan.M, math.ceil(cert.t_star * 1.2))
@@ -406,7 +407,7 @@ def _simulate_certificate(b, pot, tp, cert, points=1024):
     u0 = np.full_like(x, amp)
     u1 = cert.plan.A * amp * math.exp(-float(tp.Phi(np.array([amp]))[0])) \
         * np.cos(math.sqrt(lam) * x)
-    result = pdesim.evolve_nonlinear(b, pot.n, grid, u0, u1, tp)
+    result = pdesim.evolve_nonlinear(pot.b, pot.n, grid, u0, u1, tp)
     return result, grid
 
 
@@ -448,6 +449,9 @@ def simulate(**p):
         write_atomic(p["out"], csv_text([["t", "u"]] + rows))
         return
 
+    if not (math.isfinite(p["offset"]) and math.isfinite(p["amplitude"])):
+        raise ParameterError(f"--offset and --amplitude must be finite, "
+                             f"got {p['offset']} and {p['amplitude']}")
     L, points = p["torus_length"], p["points"]
     dx = L / points
     dt = 0.45 * dx / pdesim.max_b(b) if p["dt"] is None else p["dt"]

@@ -25,13 +25,23 @@ _BOUNDARY_TOL = 1e-9  # |trace| this close to 2 is the boundary class
 
 @dataclass(frozen=True)
 class Monodromy:
-    """One-period map X(1,0) of the Hill system at a given lambda."""
+    """One-period map X(1,0) of the Hill system at lambda, with the potential
+    pot and the tol it was integrated with; ParameterError unless
+    |det - 1| < 1e-6.  For |trace| > 2 the multipliers are sign*mu0 and
+    sign/mu0 with mu0 > 1.
+    """
 
     b11: float
     b12: float
     b21: float
     b22: float
     lam: float
+    pot: "coeffs.HillPotential"
+    tol: float
+
+    def __post_init__(self):
+        if not abs(self.det - 1.0) < 1e-6:
+            raise ParameterError(f"monodromy determinant {self.det!r} too far from 1")
 
     @property
     def det(self):
@@ -45,23 +55,25 @@ class Monodromy:
     def matrix(self):
         return np.array([[self.b11, self.b12], [self.b21, self.b22]])
 
+    @property
+    def kind(self):
+        """'stable', 'unstable' or 'boundary': the class of the trace."""
+        return _trace_class(self.trace)
 
-@dataclass(frozen=True)
-class MultiplierPair:
-    """Multipliers of the monodromy matrix.
+    @property
+    def mu0(self):
+        """Spectral radius: 1 unless |trace| > 2 (then the expanding one)."""
+        tr = self.trace
+        return (abs(tr) + math.sqrt(tr * tr - 4.0)) / 2.0 if abs(tr) > 2.0 else 1.0
 
-    For the unstable class, mu0 > 1 is the magnitude of the expanding
-    multiplier and sign is the common sign of both multipliers (the actual
-    eigenvalues are sign*mu0 and sign/mu0).
-    """
-
-    kind: str  # 'stable' | 'unstable' | 'boundary'
-    mu0: float | None = None
-    sign: int = 1
+    @property
+    def sign(self):
+        """The common sign of both multipliers when they are real."""
+        return 1 if self.trace > 0 else -1
 
     @property
     def expanding(self):
-        """The signed expanding multiplier (unstable class only)."""
+        """The signed expanding multiplier sign * mu0."""
         return self.sign * self.mu0
 
 
@@ -205,7 +217,8 @@ def monodromy(pot, lam, tol=1e-11):
     tol bounds its estimated error relative to 1 + max|X| (see _fundamental).
     """
     (b11, b12), (b21, b22) = _fundamental(pot, [float(lam)], 1.0, tol)[0]
-    return Monodromy(b11=b11, b12=b12, b21=b21, b22=b22, lam=float(lam))
+    return Monodromy(b11=b11, b12=b12, b21=b21, b22=b22, lam=float(lam),
+                     pot=pot, tol=tol)
 
 
 def _trace_class(tr):
@@ -213,24 +226,6 @@ def _trace_class(tr):
     if abs(abs(tr) - 2.0) <= _BOUNDARY_TOL:
         return "boundary"
     return "unstable" if abs(tr) > 2.0 else "stable"
-
-
-def _mu0(tr):
-    """Magnitude of the expanding multiplier for a trace with |tr| > 2."""
-    return (abs(tr) + math.sqrt(tr * tr - 4.0)) / 2.0
-
-
-def classify(m):
-    """Multiplier pair of a monodromy matrix; |m.det - 1| must be < 1e-6."""
-    if abs(m.det - 1.0) >= 1e-6:
-        raise ParameterError(
-            f"monodromy determinant {m.det!r} too far from 1 to classify"
-        )
-    tr = m.trace
-    kind = _trace_class(tr)
-    if kind == "unstable":
-        return MultiplierPair(kind=kind, mu0=_mu0(tr), sign=1 if tr > 0 else -1)
-    return MultiplierPair(kind=kind)
 
 
 def trace_curve(pot, lams, tol=1e-11):
@@ -242,8 +237,8 @@ def trace_curve(pot, lams, tol=1e-11):
 def scan_grid(lambda_range, grid_points):
     """The uniform lambda grid of a scan; validates range and size first."""
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
-    if not 0.0 < lo < hi:
-        raise ParameterError(f"lambda range must satisfy 0 < lo < hi, got {lo}, {hi}")
+    if not 0.0 < lo < hi < math.inf:
+        raise ParameterError(f"lambda range must satisfy 0 < lo < hi < inf, got {lo}, {hi}")
     grid_points = int(grid_points)
     if grid_points < 100:
         raise ParameterError(f"grid_points must be >= 100, got {grid_points}")
@@ -304,13 +299,13 @@ def instability_intervals(pot, lams, traces, tol=1e-11):
 
 
 def _candidates(iv, pot, tol):
-    """(lambda, monodromy) candidates inside one interval, made lazily.
+    """Monodromy candidates inside one interval, made lazily.
 
     The scan's witness comes first; after it, each golden-section probe of
     |trace| is yielded as soon as it is integrated.  The two opening probes
     only seed the section and are not candidates themselves.
     """
-    yield iv.witness_lambda, monodromy(pot, iv.witness_lambda, tol)
+    yield monodromy(pot, iv.witness_lambda, tol)
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     margin = 0.02 * (iv.lambda_hi - iv.lambda_lo)
     a, b = iv.lambda_lo + margin, iv.lambda_hi - margin
@@ -324,35 +319,35 @@ def _candidates(iv, pot, tol):
             x2 = a + phi * (b - a)
             m = monodromy(pot, x2, tol)
             f2 = abs(m.trace)
-            yield x2, m
+            yield m
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - phi * (b - a)
             m = monodromy(pot, x1, tol)
             f1 = abs(m.trace)
-            yield x1, m
+            yield m
 
 
 def find_good_lambda(intervals, pot, tol=1e-11):
-    """A lambda interior to an instability interval with usable monodromy.
+    """The Monodromy of a lambda interior to an instability interval whose
+    kind is 'unstable', with |b21| > 1e-6 and |b22 - 1/mu| > 1e-6 (mu the
+    signed expanding multiplier).
 
-    Requires |b21| > 1e-6 and |b22 - 1/mu| > 1e-6 (mu the signed expanding
-    multiplier).  Per interval the candidates are the scan's witness, then
-    the golden-section probes of |trace|; each is integrated only once every
-    earlier candidate has been rejected, and its monodromy is the one
-    returned.
+    Per interval the candidates are the scan's witness, then the
+    golden-section probes of |trace|; each is integrated only once every
+    earlier candidate has been rejected.  The passing candidate's lambda is
+    m.lam.
     """
     if not intervals:
         raise ParameterError("no instability intervals to search")
     best_b21 = 0.0
     for iv in intervals:
-        for lam, m in _candidates(iv, pot, tol):
-            mult = classify(m)
-            if mult.kind != "unstable":
+        for m in _candidates(iv, pot, tol):
+            if m.kind != "unstable":
                 continue
             best_b21 = max(best_b21, abs(m.b21))
-            if abs(m.b21) > _B21_MIN and abs(m.b22 - 1.0 / mult.expanding) > 1e-6:
-                return lam, m
+            if abs(m.b21) > _B21_MIN and abs(m.b22 - 1.0 / m.expanding) > 1e-6:
+                return m
     raise ExhaustedSearchError(
         f"no sample passed the b21/b22 conditions (max |b21| found: {best_b21!r})",
         best=best_b21,
@@ -386,19 +381,18 @@ def multi_period_values(m, M):
     M = int(M)
     if M < 1:
         raise ParameterError(f"M must be a positive integer, got {M}")
-    mult = classify(m)
-    if mult.kind != "unstable":
+    if m.kind != "unstable":
         raise ParameterError("multi-period closed forms require an unstable lambda")
-    mu = mult.expanding
+    mu = m.expanding
     if abs(m.b21) == 0.0 or abs(m.b22 - 1.0 / mu) == 0.0:
         raise ParameterError("closed forms require b21 != 0 and b22 != 1/mu")
     delta = mu - 1.0 / mu
-    if M * math.log(mult.mu0) > 700.0:
+    if M * math.log(m.mu0) > 700.0:
         # overflow guard: drop the mu^-M terms (relatively ~ mu^-2M) and
         # return mantissa/exponent form
-        e = M * math.log10(mult.mu0)
+        e = M * math.log10(m.mu0)
         efrac = e - math.floor(e)
-        s = mult.sign**M * 10.0**efrac
+        s = m.sign**M * 10.0**efrac
         return MultiPeriodValues(
             W=m.b21 * s / delta,
             V=(m.b22 - 1.0 / mu) * s / delta,
@@ -411,20 +405,17 @@ def multi_period_values(m, M):
 
 
 class Propagator:
-    """Solutions of the Hill system at one lambda from any data at t = 0.
+    """Solutions of the Hill system at m.lam from any data at t = 0.
 
     x(t) = X(frac, 0) X(1, 0)^k x0 with t = k + frac: the integer periods
     are a power of the monodromy m, and each distinct fractional map
-    X(frac, 0) comes from the same Magnus routine as the monodromy, with
-    the same tol, and is kept on the instance, so evaluations at the same
+    X(frac, 0) comes from the same Magnus routine with m.pot and m.tol, the
+    monodromy's own, and is kept on the instance, so evaluations at the same
     phase of the period cost only the matrix products.
     """
 
-    def __init__(self, m, pot, lam, tol=1e-11):
+    def __init__(self, m):
         self.m = m
-        self.pot = pot
-        self.lam = lam
-        self.tol = tol
         self._frac_maps = {}
 
     def __call__(self, t, data):
@@ -438,9 +429,9 @@ class Propagator:
         frac = t - k
         if frac < 1e-13:
             frac = 0.0
+        m = self.m
         if k > 0:
-            m = self.m
-            if abs(m.trace) > 2 and k * math.log(_mu0(m.trace)) > 700.0:
+            if k * math.log(m.mu0) > 700.0:
                 raise OverflowError(
                     f"monodromy power overflows at t={t} (use multi_period_values "
                     "for mantissa/exponent form)"
@@ -449,19 +440,18 @@ class Propagator:
         if frac > 0.0:
             X = self._frac_maps.get(frac)
             if X is None:
-                X = self._frac_maps[frac] = _fundamental(
-                    self.pot, [self.lam], frac, self.tol)[0]
+                X = self._frac_maps[frac] = _fundamental(m.pot, [m.lam], frac, m.tol)[0]
             x = X @ x
         return float(x[1]), float(x[0])
 
 
-def propagate(m, pot, lam, t, data, tol=1e-11):
+def propagate(m, t, data):
     """Solution (w, w_t) at time t >= 0 from data (w0, w0_t) at t = 0.
 
-    One evaluation of a fresh Propagator; callers that evaluate many times
-    at one lambda should keep a Propagator instead.
+    One evaluation of a fresh Propagator(m); callers that evaluate many
+    times at one lambda should keep a Propagator instead.
     """
-    return Propagator(m, pot, lam, tol)(t, data)
+    return Propagator(m)(t, data)
 
 
 def export_stability_chart(path, lams, traces):

@@ -44,8 +44,10 @@ class GridSpec:
             raise ParameterError(f"grid dimension must be 1, 2 or 3, got {self.n}")
         if self.points < 2 or self.points & (self.points - 1):
             raise ParameterError(f"points per axis must be a power of two, got {self.points}")
-        if self.L <= 0:
-            raise ParameterError(f"torus side must be positive, got {self.L}")
+        if not 0 < self.L < math.inf:
+            raise ParameterError(f"torus side must be positive and finite, got {self.L}")
+        if not (math.isfinite(self.dt) and math.isfinite(self.t_end)):
+            raise ParameterError(f"dt and t_end must be finite, got {self.dt} and {self.t_end}")
 
     @property
     def dx(self):
@@ -307,10 +309,12 @@ def evolve_uniform(b, n_coeff, f, u0, u1, t_end, tol=1e-11):
 
     Returns [(t, u(t)), ...] at 400 equally spaced t; truncates (with the
     last finite sample) if u leaves the invertibility domain, i.e. blows
-    up.  ParameterError unless tol lies in [1e-13, 1e-6]; IntegrationFailure
-    when the solver fails before t_end.
+    up.  ParameterError unless tol lies in [1e-13, 1e-6] and t_end is
+    finite; IntegrationFailure when the solver fails before t_end.
     """
     check_tol(tol)
+    if not math.isfinite(t_end):
+        raise ParameterError(f"t_end must be finite, got {t_end}")
     from scipy.integrate import solve_ivp
 
     def rhs(t, y):

@@ -257,8 +257,7 @@ def test_criterion_8_end_to_end_torus_oracle(cert, b05, pot3, tp1):
 
     # torus points have |x| <= L/2 < M^1.5 and t <= 0.9 t_star < M: inside
     # the region where the closed form holds
-    prop = floquet.Propagator(floquet.monodromy(pot3, lam), pot3, lam)
-    v = blowup.exact_local_solution(cert.plan, tp1, prop)
+    v = blowup.exact_local_solution(cert.plan, tp1, floquet.monodromy(pot3, lam))
     points3 = np.stack([x, np.zeros_like(x), np.zeros_like(x)], axis=-1)
     horizon = 0.9 * cert.t_star
     sup = 0.0
@@ -310,6 +309,6 @@ def test_criterion_10_stability_dichotomy(b05, pot3):
     x = grid.coords()[..., 0]
     res = pdesim.evolve_linear(b05, 3, grid, np.cos(2 * math.pi * x / L),
                                np.zeros_like(x), n_snapshots=256)
-    mu0 = floquet.classify(floquet.monodromy(pot3, LAM_WITNESS)).mu0
+    mu0 = floquet.monodromy(pot3, LAM_WITNESS).mu0
     final = float(np.max(np.abs(res.snapshots[-1][1])))
     assert final >= 0.5 * mu0 ** 25

@@ -349,9 +349,8 @@ def test_fft_smallness_refuses_aliased_modulation(tp1):
 @pytest.fixture(scope="module")
 def local_solution(pot3, tp1):
     plan = blowup.BlowupPlan(3, LAM_WITNESS, 6.5, 8)
-    prop = floquet.Propagator(floquet.monodromy(pot3, LAM_WITNESS, tol=1e-12),
-                              pot3, LAM_WITNESS, tol=1e-12)
-    return plan, blowup.exact_local_solution(plan, tp1, prop)
+    m = floquet.monodromy(pot3, LAM_WITNESS, tol=1e-12)
+    return plan, blowup.exact_local_solution(plan, tp1, m)
 
 
 def test_local_solution_initial_values(local_solution, tp1):
@@ -377,6 +376,16 @@ def test_local_solution_multi_period_value(local_solution, tp1, pot3):
     W_M = floquet.multi_period_values(m, plan.M).W
     expect = float(tp1.G(plan.amplitude)) + plan.A * plan.amplitude * W_M
     assert sol(float(plan.M), np.zeros(3)) == pytest.approx(expect, rel=1e-9)
+
+
+def test_local_solution_needs_the_plans_lambda_and_n(pot3, tp1, b05):
+    """The monodromy supplies lambda, b and n; a monodromy of another lambda
+    or dimension than the plan's is refused."""
+    plan = blowup.BlowupPlan(3, LAM_WITNESS, 6.5, 8)
+    for m in (floquet.monodromy(pot3, 10.0),
+              floquet.monodromy(coeffs.HillPotential(b05, 2), LAM_WITNESS)):
+        with pytest.raises(ParameterError, match="must be the plan's"):
+            blowup.exact_local_solution(plan, tp1, m)
 
 
 def test_local_solution_satisfies_pde(local_solution, b05, tp1):

@@ -477,6 +477,49 @@ def test_simulate_t_end_must_be_positive(tmp_path, capsys, monkeypatch, mode, t_
     assert not any(tmp_path.glob("x.*"))
 
 
+_SIM = ["simulate", "--epsilon", "0.5", "--points", "64", "--t-end", "0.5",
+        "--out", "x.csv"]
+_MARCH = "cyclicwave.pdesim._march"
+_SWEEP = "cyclicwave.floquet.trace_curve"
+
+
+@pytest.mark.parametrize("args, work", [
+    (_SIM + ["--mode", "linear", "--torus-length", "inf"], _MARCH),
+    (_SIM + ["--mode", "linear", "--torus-length", "nan"], _MARCH),
+    (_SIM + ["--mode", "linear", "--dt", "nan"], _MARCH),
+    (_SIM + ["--mode", "linear", "--t-end", "inf"], _MARCH),
+    (_SIM + ["--mode", "linear", "--offset", "inf"], _MARCH),
+    (_SIM + ["--mode", "nonlinear", "--f", "example1:alpha=-1", "--amplitude", "nan"],
+     _MARCH),
+    (["simulate", "--mode", "uniform", "--epsilon", "0.5", "--t-end", "inf",
+      "--out", "x.csv"], "scipy.integrate.solve_ivp"),
+    (chart_args("x.csv") + ["--lambda-max", "inf"], _SWEEP),
+    (_ARGS["blowup-demo"] + ["--lambda-max", "inf"], _SWEEP),
+    (["noc", "--f", "example1:alpha=nan", "--out", "x.json"],
+     "cyclicwave.transform.noc_check"),
+    (["geodesic", "--metric", "conformal:alpha=nan", "--out", "x.csv"],
+     "cyclicwave.geometry.geodesic_full"),
+    (_ARGS["geodesic"] + ["--direction", "inf,1"], "cyclicwave.geometry.geodesic_full"),
+    (_ARGS["blowup-demo"] + ["--direction", "nan,1"],
+     "cyclicwave.geometry.check_self_coherence"),
+], ids=["L-inf", "L-nan", "dt-nan", "t-end-inf", "offset-inf", "amplitude-nan",
+        "uniform-t-end-inf", "chart-lambda-max-inf", "blowup-lambda-max-inf",
+        "noc-family-nan", "metric-family-nan", "direction-inf", "blowup-direction-nan"])
+def test_non_finite_inputs_exit_2_before_work(tmp_path, capsys, monkeypatch,
+                                              args, work):
+    """Non-finite numbers used to run: an infinite torus wrote a manifest of
+    Infinity and NaN, a nan amplitude reported a false blow-up, and an
+    infinite lambda range ran the Magnus cap at lambda nan, a uniform run to
+    t = inf and a nan noc family parameter never returned, and a nan metric
+    parameter or direction exited 3.  Each exits 2 before the stepper, the
+    sweep, the ODE solver or the transform starts, and writes no file."""
+    monkeypatch.chdir(tmp_path)
+    err = _exit_before_work(args, args[0], monkeypatch, capsys, work=work)
+    assert err["error"] == "ParameterError"
+    assert "finite" in err["message"] or "< inf" in err["message"], err
+    assert not any(tmp_path.iterdir())
+
+
 def test_noc_verdicts(tmp_path):
     r = run(["noc", "--f", "example1:alpha=-1", "--out", "v.json"], tmp_path)
     assert r.returncode == 0, r.stderr

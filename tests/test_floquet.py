@@ -140,11 +140,11 @@ def test_scan_finds_frozen_interval(pot3):
 
 def test_find_good_lambda(pot3):
     ivals = floquet.scan_instability(pot3, (5.0, 17.0), 400)
-    lam, m = floquet.find_good_lambda(ivals, pot3)
-    assert lam == pytest.approx(LAM_WITNESS, rel=1e-10)
-    pair = floquet.classify(m)
-    assert pair.kind == "unstable"
+    m = floquet.find_good_lambda(ivals, pot3)
+    assert m.lam == pytest.approx(LAM_WITNESS, rel=1e-10)
+    assert m.kind == "unstable"
     assert abs(m.b21) > 1e-6
+    assert m.pot is pot3 and m.tol == 1e-11
 
 
 def _count_monodromies(monkeypatch):
@@ -162,8 +162,7 @@ def _count_monodromies(monkeypatch):
 def test_find_good_lambda_is_lazy(pot3, monkeypatch):
     ivals = floquet.scan_instability(pot3, (5.0, 17.0), 400)
     calls = _count_monodromies(monkeypatch)
-    lam, m = floquet.find_good_lambda(ivals, pot3)
-    assert lam == LAM_WITNESS
+    m = floquet.find_good_lambda(ivals, pot3)
     assert calls == [LAM_WITNESS]
     assert m.lam == LAM_WITNESS
 
@@ -197,30 +196,51 @@ def test_find_good_lambda_probes_in_golden_section_order(pot3, monkeypatch):
     probes = _golden_probes(ivals[0], pot3, 3)
     rejected = 3  # the witness and the first two probes
     seen = []
-    real = floquet.classify
+    real = floquet.Monodromy.kind
 
     def rejecting(m):
         seen.append(m.lam)
         if len(seen) <= rejected:
-            return floquet.MultiplierPair(kind="stable")
-        return real(m)
+            return "stable"
+        return real.fget(m)
 
-    monkeypatch.setattr(floquet, "classify", rejecting)
+    monkeypatch.setattr(floquet.Monodromy, "kind", property(rejecting))
     calls = _count_monodromies(monkeypatch)
-    lam, m = floquet.find_good_lambda(ivals, pot3)
+    m = floquet.find_good_lambda(ivals, pot3)
     assert seen == [ivals[0].witness_lambda] + probes
-    assert lam == probes[-1] and m.lam == lam
+    assert m.lam == probes[-1]
     # the witness, the two opening points and three probes; nothing more
     assert len(calls) == 6
 
 
-def test_classify_kinds(pot3):
-    stable = floquet.classify(floquet.monodromy(pot3, 3.0))
-    unstable = floquet.classify(floquet.monodromy(pot3, LAM_WITNESS))
-    assert stable.kind == "stable"
+def test_multiplier_kinds(pot3):
+    stable = floquet.monodromy(pot3, 3.0)
+    unstable = floquet.monodromy(pot3, LAM_WITNESS)
+    assert stable.kind == "stable" and stable.mu0 == 1.0
     assert unstable.kind == "unstable"
     assert unstable.mu0 > 1.0
     assert unstable.sign == -1  # trace is below -2 on this interval
+    assert unstable.expanding == -unstable.mu0
+    # the multipliers are the eigenvalues of X(1,0)
+    assert sorted(np.linalg.eigvals(unstable.matrix).real) == pytest.approx(
+        [unstable.expanding, 1.0 / unstable.expanding], rel=1e-9)
+
+
+def test_boundary_kind():
+    """b == 1 at lambda = 4 pi^2 has trace 2 cos(2 pi) = 2, computed as
+    2 + 8e-15: the boundary class, not 'unstable'."""
+    m = floquet.monodromy(coeffs.HillPotential(coeffs.constant(), 3), 4.0 * math.pi**2)
+    assert abs(m.trace - 2.0) < 1e-13
+    assert m.kind == "boundary"
+
+
+def test_monodromy_refuses_det_off_one(pot3):
+    """det X(1,0) = 1 is checked once, when a Monodromy is made."""
+    with pytest.raises(ParameterError, match="determinant"):
+        floquet.Monodromy(b11=1.0 + 2e-6, b12=0.0, b21=0.0, b22=1.0,
+                          lam=LAM_WITNESS, pot=pot3, tol=1e-11)
+    floquet.Monodromy(b11=1.0 + 5e-7, b12=0.0, b21=0.0, b22=1.0,
+                      lam=LAM_WITNESS, pot=pot3, tol=1e-11)
 
 
 def test_multi_period_closed_form(pot3, mono_witness):
@@ -244,7 +264,7 @@ def test_multi_period_overflow_guard(mono_witness):
     assert vals.log10_scale > 0.0
     assert math.isfinite(vals.W) and math.isfinite(vals.V)
     # reconstructed magnitude: log10|W(3000)| = log10|W| + scale
-    mu0 = floquet.classify(mono_witness).mu0
+    mu0 = mono_witness.mu0
     expect = 3000.0 * math.log10(mu0) + math.log10(
         abs(mono_witness.b21) / (mu0 - 1.0 / mu0))
     got = math.log10(abs(vals.W)) + vals.log10_scale
@@ -254,8 +274,7 @@ def test_multi_period_overflow_guard(mono_witness):
 def test_propagate_matches_direct(pot3, mono_witness):
     pair = FundamentalPair(pot3, LAM_WITNESS, tol=1e-12)
     for t in (0.25, 2.5, 7.75, 12.0):
-        w, wt = floquet.propagate(mono_witness, pot3, LAM_WITNESS, t,
-                                  (0.0, 1.0), tol=1e-12)
+        w, wt = floquet.propagate(mono_witness, t, (0.0, 1.0))
         X = pair.matrix(t)  # W = X[1, 0] and W_t = X[0, 0] from one run
         assert w == pytest.approx(X[1, 0], rel=1e-9, abs=1e-12)
         assert wt == pytest.approx(X[0, 0], rel=1e-9, abs=1e-12)
@@ -265,17 +284,37 @@ def test_propagate_linearity(pot3, mono_witness):
     rng = np.random.default_rng(3)
     a, b, c, d = rng.normal(size=4)
     t = 5.5
-    w1 = floquet.propagate(mono_witness, pot3, LAM_WITNESS, t, (a, b))
-    w2 = floquet.propagate(mono_witness, pot3, LAM_WITNESS, t, (c, d))
-    w3 = floquet.propagate(mono_witness, pot3, LAM_WITNESS, t,
-                           (a + 2 * c, b + 2 * d))
+    w1 = floquet.propagate(mono_witness, t, (a, b))
+    w2 = floquet.propagate(mono_witness, t, (c, d))
+    w3 = floquet.propagate(mono_witness, t, (a + 2 * c, b + 2 * d))
     assert w3[0] == pytest.approx(w1[0] + 2 * w2[0], rel=1e-9, abs=1e-12)
     assert w3[1] == pytest.approx(w1[1] + 2 * w2[1], rel=1e-9, abs=1e-12)
 
 
+def test_propagator_integrates_with_the_monodromys_pot_and_tol(monkeypatch):
+    """Fractional maps come from m.pot at m.lam and m.tol; nothing else is
+    passed that could disagree with the monodromy's own integration."""
+    pot = coeffs.HillPotential(coeffs.sqrt_sin(0.3), 2)
+    m = floquet.monodromy(pot, 7.25, tol=1e-9)
+    seen = []
+    real = floquet._fundamental
+
+    def recorded(pot, lams, t1, tol):
+        seen.append((pot, list(lams), t1, tol))
+        return real(pot, lams, t1, tol)
+
+    monkeypatch.setattr(floquet, "_fundamental", recorded)
+    prop = floquet.Propagator(m)
+    prop(2.5, (0.0, 1.0))
+    prop(3.5, (1.0, 0.0))  # the same phase: no second integration
+    prop(4.0, (1.0, 0.0))  # whole periods: the monodromy alone
+    assert seen == [(pot, [7.25], 0.5, 1e-9)]
+    assert seen[0][0] is pot
+
+
 @pytest.fixture(scope="module")
 def shared_propagator(pot3, mono_witness):
-    return floquet.Propagator(mono_witness, pot3, LAM_WITNESS, tol=1e-12)
+    return floquet.Propagator(mono_witness)
 
 
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)
@@ -286,8 +325,7 @@ def test_propagator_property(pot3, mono_witness, shared_propagator, t, data):
     Propagator that has already cached fractional maps against a fresh one."""
     w0, w0_t = data
     X = FundamentalPair(pot3, LAM_WITNESS, tol=1e-12).matrix(t)
-    w, wt = floquet.propagate(mono_witness, pot3, LAM_WITNESS, t, data,
-                              tol=1e-12)
+    w, wt = floquet.propagate(mono_witness, t, data)
     # relative to the size of the two terms, so cancellation in the sum
     # cannot make the bound meaningless
     for got, (c_wt, c_w) in ((wt, X[0]), (w, X[1])):
