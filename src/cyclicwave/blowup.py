@@ -26,8 +26,7 @@ from .errors import (
     ParameterError,
     ResolutionError,
 )
-from .output import write_atomic
-from .pdesim import GridSpec
+from .pdesim import GridSpec, max_b
 
 _TOP_OCTAVE_BUDGET = 0.01
 _RADIAL_STEPS = 4096  # r steps on [0, R] for the n=3 radial transform
@@ -399,13 +398,16 @@ def exact_local_solution(plan, tp, m):
 
 @dataclass
 class BlowupCertificate:
+    """A certified plan with its sources: the monodromy m at the plan's
+    lambda (its mu0 and b21) and the transform tp (whose finite endpoint
+    tp.endpoints().target the trajectory crosses)."""
+
     plan: BlowupPlan
+    m: "floquet.Monodromy"
+    tp: "transform.TransformPair"
     smallness: float
     delta: float
-    endpoint: float  # the finite endpoint the trajectory crosses
     t_star: float
-    mu0: float
-    b21: float
     predicted_v_M: float  # closed-form v(M, 0)
     trajectory: list  # [(t, v(t, 0)), ...] at integer and half-integer t
 
@@ -417,9 +419,9 @@ class BlowupCertificate:
                 "A": self.plan.A,
                 "lambda": self.plan.lam,
                 "y": list(self.plan.y),
-                "mu0": self.mu0,
-                "b21": self.b21,
-                "b_G": self.endpoint,
+                "mu0": self.m.mu0,
+                "b21": self.m.b21,
+                "b_G": self.tp.endpoints().target,
                 "t_star": self.t_star,
                 "smallness": self.smallness,
                 "delta": self.delta,
@@ -437,7 +439,8 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
     M runs up from 1 and the first M at which the growth reaches the
     endpoint and the smallness (plan_smallness) is at most delta is taken.
     Neither is assumed monotone in M: smallness is computed at every M
-    where growth holds, until one passes.  S defaults to 2n + 1/2.
+    where growth holds, until one passes.  S defaults to 2n + 1/2.  The
+    BlowupCertificate carries the good lambda's Monodromy and tp itself.
     Raises ParameterError, before any work, unless delta is positive and
     finite and S finite and above 2n; NotApplicableError when the
     transform has no finite endpoint (so this construction certifies
@@ -534,15 +537,30 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
             lo = mid
         if hi - lo < 1e-12 * max(1.0, hi):
             break
-    t_star = hi
-    vals = floquet.multi_period_values(m, plan.M)
+    # vals and g0 are the accepted M's, from its growth check
     predicted = g0 + plan.A * plan.amplitude * vals.W * 10.0**vals.log10_scale
     return BlowupCertificate(
-        plan=plan, smallness=small, delta=delta, endpoint=target,
-        t_star=t_star, mu0=m.mu0, b21=m.b21, predicted_v_M=predicted,
-        trajectory=trajectory,
+        plan=plan, m=m, tp=tp, smallness=small, delta=delta, t_star=hi,
+        predicted_v_M=predicted, trajectory=trajectory,
     )
 
 
-def export_certificate(path, cert):
-    write_atomic(path, cert.to_json())
+def torus_scenario(cert):
+    """The certified scenario on a 1-D torus, as (grid, u0, u1).
+
+    The data are the plan's plane wave without the cutoff: u0 = M^-S and
+    u1 = A M^-S exp(-Phi(M^-S)) cos(sqrt(lambda) x) on one wavelength
+    L = 2 pi / sqrt(lambda) at 1024 points.  dt = 1/ceil(1/(0.45 dx / max b))
+    divides each period into whole steps, and the run ends at
+    min(M, ceil(1.2 t_star)).  Evolve with cert.m.pot and cert.tp.
+    """
+    plan = cert.plan
+    L, points = 2.0 * math.pi / math.sqrt(plan.lam), 1024
+    dt = 1.0 / math.ceil(1.0 / (0.45 * (L / points) / max_b(cert.m.pot.b)))
+    grid = GridSpec(n=1, L=L, points=points, dt=dt,
+                    t_end=min(plan.M, math.ceil(cert.t_star * 1.2)))
+    x = grid.axis()
+    amp = plan.amplitude
+    u0 = np.full_like(x, amp)
+    u1 = plan.A * amp * math.exp(-cert.tp.Phi(amp)) * np.cos(math.sqrt(plan.lam) * x)
+    return grid, u0, u1

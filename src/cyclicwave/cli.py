@@ -9,6 +9,7 @@ writes a single-line JSON error to stderr.  Outputs are written
 atomically; identical configuration yields byte-identical files.
 """
 
+import dataclasses
 import inspect
 import json
 import math
@@ -224,6 +225,13 @@ def line_domain(metric, a):
     return (edge(-1.0), edge(+1.0))
 
 
+def _check_inside(domain, lo, hi, what):
+    """ParameterError unless [lo, hi] lies strictly inside f's domain."""
+    if not domain[0] < lo <= hi < domain[1]:
+        raise ParameterError(f"{what} must lie strictly inside f's domain "
+                             f"{domain}, got [{lo!r}, {hi!r}]")
+
+
 class _JsonErrorGroup(click.Group):
     """A click group that maps every failure, usage errors (bad flag
     values, unknown or missing options) included, to its exit code and one
@@ -291,12 +299,7 @@ def stability_chart(**p):
         "n": p["n"],
         "lambda_range": [p["lambda_min"], p["lambda_max"]],
         "grid": p["grid"],
-        "intervals": [
-            {"lambda_lo": iv.lambda_lo, "lambda_hi": iv.lambda_hi,
-             "max_abs_trace": iv.max_abs_trace,
-             "witness_lambda": iv.witness_lambda}
-            for iv in intervals
-        ],
+        "intervals": [dataclasses.asdict(iv) for iv in intervals],
     }, indent=2) + "\n")
 
 
@@ -384,31 +387,12 @@ def blowup_demo(**p):
     cert = blowup.certify_blowup(
         tp, pot, (p["lambda_min"], p["lambda_max"]), p["delta"],
         S=p["s_exponent"], tol=p["tol"])
-    blowup.export_certificate(p["out"], cert)
+    write_atomic(p["out"], cert.to_json())
 
     if p["simulate"] == "yes":
-        result, grid = _simulate_certificate(pot, tp, cert)
-        manifest_path = os.path.splitext(p["out"])[0] + ".sim.json"
-        pdesim.export_manifest(manifest_path, result, grid)
-
-
-def _simulate_certificate(pot, tp, cert):
-    """1-D torus run of the certified scenario (plane wave, no cutoff)."""
-    lam, points = cert.plan.lam, 1024
-    L = 2.0 * math.pi / math.sqrt(lam)
-    dx = L / points
-    dt_cap = 0.45 * dx / pdesim.max_b(pot.b)
-    steps_per_unit = int(math.ceil(1.0 / dt_cap))
-    dt = 1.0 / steps_per_unit
-    t_end = min(cert.plan.M, math.ceil(cert.t_star * 1.2))
-    grid = pdesim.GridSpec(n=1, L=L, points=points, dt=dt, t_end=t_end)
-    amp = cert.plan.amplitude
-    x = grid.coords()[..., 0]
-    u0 = np.full_like(x, amp)
-    u1 = cert.plan.A * amp * math.exp(-float(tp.Phi(np.array([amp]))[0])) \
-        * np.cos(math.sqrt(lam) * x)
-    result = pdesim.evolve_nonlinear(pot.b, pot.n, grid, u0, u1, tp)
-    return result, grid
+        grid, u0, u1 = blowup.torus_scenario(cert)
+        result = pdesim.evolve_nonlinear(cert.m.pot, grid, u0, u1, cert.tp)
+        pdesim.export_manifest(os.path.splitext(p["out"])[0] + ".sim.json", result, grid)
 
 
 @main.command("simulate")
@@ -438,13 +422,19 @@ def _simulate_certificate(pot, tp, cert):
 @config_option
 @out_option(required=True)
 def simulate(**p):
-    """Direct evolution: full torus solver or the spatially-uniform ODE."""
-    b = coefficient_from_flags(p["constant_b"], p["epsilon"])
+    """Direct evolution: full torus solver or the spatially-uniform ODE.
+
+    The HillPotential checks n >= 1 in every mode; nonlinear and uniform
+    runs must start strictly inside f's domain.
+    """
+    pot = coeffs.HillPotential(coefficient_from_flags(p["constant_b"], p["epsilon"]),
+                               p["n"])
     f, domain = parse_family(p["f_spec"], F_FAMILIES, "f")
 
     if p["mode"] == "uniform":
+        _check_inside(domain, p["u0_val"], p["u0_val"], "--u0-val")
         samples = pdesim.evolve_uniform(
-            b, p["n"], f, p["u0_val"], p["u1_val"], p["t_end"], tol=p["tol"])
+            pot, f, p["u0_val"], p["u1_val"], p["t_end"], tol=p["tol"])
         rows = [[f"{t:.17g}", f"{u:.17g}"] for t, u in samples]
         write_atomic(p["out"], csv_text([["t", "u"]] + rows))
         return
@@ -452,18 +442,19 @@ def simulate(**p):
     if not (math.isfinite(p["offset"]) and math.isfinite(p["amplitude"])):
         raise ParameterError(f"--offset and --amplitude must be finite, "
                              f"got {p['offset']} and {p['amplitude']}")
-    L, points = p["torus_length"], p["points"]
-    dx = L / points
-    dt = 0.45 * dx / pdesim.max_b(b) if p["dt"] is None else p["dt"]
-    grid = pdesim.GridSpec(n=1, L=L, points=points, dt=dt, t_end=p["t_end"])
+    grid = pdesim.GridSpec(n=1, L=p["torus_length"], points=p["points"],
+                           t_end=p["t_end"])
+    dt = 0.45 * grid.dx / pdesim.max_b(pot.b) if p["dt"] is None else p["dt"]
+    grid = dataclasses.replace(grid, dt=dt)
     x = grid.axis()
-    v0 = p["offset"] + p["amplitude"] * np.cos(2.0 * np.pi * p["k"] * x / L)
+    v0 = p["offset"] + p["amplitude"] * np.cos(2.0 * np.pi * p["k"] * x / grid.L)
     v1 = np.zeros_like(v0)
     if p["mode"] == "linear":
-        result = pdesim.evolve_linear(b, p["n"], grid, v0, v1)
+        result = pdesim.evolve_linear(pot, grid, v0, v1)
     else:
+        _check_inside(domain, float(v0.min()), float(v0.max()), "the data")
         tp = transform.build_transform(f, domain=domain)
-        result = pdesim.evolve_nonlinear(b, p["n"], grid, v0, v1, tp)
+        result = pdesim.evolve_nonlinear(pot, grid, v0, v1, tp)
     pdesim.export_snapshot_csv(p["out"], grid, result.snapshots[-1])
     pdesim.export_manifest(os.path.splitext(p["out"])[0] + ".json", result, grid)
 

@@ -261,41 +261,30 @@ def instability_intervals(pot, lams, traces, tol=1e-11):
     Only the bisection probes at the interval edges are integrated here, so
     a caller that also needs the grid traces evaluates the grid once.
     """
-    lo, hi, grid_points = float(lams[0]), float(lams[-1]), lams.size
-    intervals = []
-    idx = np.flatnonzero(np.abs(traces) > 2.0)
-    if idx.size == 0:
-        return intervals
-    runs = np.split(idx, np.where(np.diff(idx) != 1)[0] + 1)
-    width = (hi - lo) / grid_points * 1e-3
-
-    # collect all edges to refine, then bisect them as one batch
-    edges = []  # (run_index, side, lam_outside, lam_inside)
-    for r, g in enumerate(runs):
-        if g[0] > 0:
-            edges.append((r, "lo", lams[g[0] - 1], lams[g[0]]))
-        if g[-1] < grid_points - 1:
-            edges.append((r, "hi", lams[g[-1] + 1], lams[g[-1]]))
-    a = np.array([e[2] for e in edges])
-    bnd = np.array([e[3] for e in edges])
-    while edges and np.max(np.abs(bnd - a)) > width:
+    lo, hi = float(lams[0]), float(lams[-1])
+    unstable = np.abs(traces) > 2.0
+    # the class flips between lams[i] and lams[i + 1] for each i in flips
+    flips = np.flatnonzero(unstable[1:] != unstable[:-1])
+    inner = flips + ~unstable[flips]  # the grid index on the unstable side
+    # bisect every edge as one batch, a on its stable side, bnd on the other
+    a, bnd = lams[flips + unstable[flips]], lams[inner]
+    width = (hi - lo) / lams.size * 1e-3
+    while flips.size and np.max(np.abs(bnd - a)) > width:
         mid = 0.5 * (a + bnd)
         inside = np.abs(trace_curve(pot, mid, tol)) > 2.0
         bnd = np.where(inside, mid, bnd)
         a = np.where(inside, a, mid)
 
-    bounds = {(r, side): float(edge) for (r, side, _, _), edge in zip(edges, bnd)}
-    for r, g in enumerate(runs):
-        k = g[np.argmax(np.abs(traces[g]))]
-        intervals.append(
-            InstabilityInterval(
-                lambda_lo=bounds.get((r, "lo"), lo),
-                lambda_hi=bounds.get((r, "hi"), hi),
-                max_abs_trace=float(np.abs(traces[k])),
-                witness_lambda=float(lams[k]),
-            )
-        )
-    return sorted(intervals, key=lambda iv: iv.lambda_lo)
+    # (grid index, lambda) of each edge in order: start, end, start, end, ...
+    edges = ([(0, lo)] if unstable[0] else []) + list(zip(inner, bnd.tolist())) \
+        + ([(lams.size - 1, hi)] if unstable[-1] else [])
+    intervals = []
+    for (i, lam_lo), (j, lam_hi) in zip(edges[0::2], edges[1::2]):
+        k = i + np.argmax(np.abs(traces[i:j + 1]))
+        intervals.append(InstabilityInterval(
+            lambda_lo=lam_lo, lambda_hi=lam_hi,
+            max_abs_trace=float(np.abs(traces[k])), witness_lambda=float(lams[k])))
+    return intervals
 
 
 def _candidates(iv, pot, tol):

@@ -147,34 +147,35 @@ class _Spectrum:
         out[0] = y[1]
 
 
-def _stage_coefficients(b, n_coeff, grid, nsteps, full, rest):
+def _stage_coefficients(pot, grid, nsteps, full, rest):
     """Yield (dt, c, b2) per step: c = n b'/b and b2 = b^2 (Python's x ** 2)
-    at the stage times (t, t + dt/2, t + dt), t = step * grid.dt, from one
-    b and one b' call per block of _BLOCK steps."""
+    of the potential pot at the stage times (t, t + dt/2, t + dt), t = step *
+    grid.dt, from one b and one b' call per block of _BLOCK steps."""
     for first in range(0, nsteps, _BLOCK):
         steps = np.arange(first, min(first + _BLOCK, nsteps))
         dt = np.where(steps < full, grid.dt, rest)
         t = steps * grid.dt
         ts = np.stack((t, t + dt / 2, t + dt), axis=1)
-        bt = b.eval(ts)
-        c = (n_coeff * b.d1(ts) / bt).tolist()
+        bt = pot.b.eval(ts)
+        c = (pot.n * pot.b.d1(ts) / bt).tolist()
         b2 = [[x**2 for x in row] for row in bt.tolist()]
         yield from zip(dt.tolist(), c, b2)
 
 
-def _march(rhs, b, n_coeff, grid, u, ut, n_snapshots, stop=None):
+def _march(rhs, pot, grid, u, ut, n_snapshots, stop=None):
     """Classical RK4 on (u, u_t) from t = 0 to grid.t_end: steps of grid.dt
     while they fit (to within 1e-9 dt), then one step of the remainder.
 
     The state is one stacked array y = (u, u_t), and rhs(y, c, b2, out)
     writes dy/dt = (u_t, u_tt) into out, an array shaped like y, at a stage
-    whose n_coeff b'/b is c and whose b^2 is b2.  The stage slopes and the
-    stage input are made once per run; each RK4 combination is one in-place
-    call on the whole stack.  About n_snapshots evenly spaced snapshots of u
-    are kept, plus the final state while it is finite.  When given, stop(y)
-    is checked after every step and ends the run when true; when false, the
-    next call is rhs(y, ...) at that same state, so stop may leave work
-    there for it.  Returns (t, u, u_t, snapshots, stopped).
+    whose n b'/b is c and whose b^2 is b2, both from the potential pot.  The
+    stage slopes and the stage input are made once per run; each RK4
+    combination is one in-place call on the whole stack.  About n_snapshots
+    evenly spaced snapshots of u are kept, plus the final state while it is
+    finite.  When given, stop(y) is checked after every step and ends the
+    run when true; when false, the next call is rhs(y, ...) at that same
+    state, so stop may leave work there for it.  Returns (t, u, u_t,
+    snapshots, stopped).
     """
     full = int(grid.t_end / grid.dt + 1e-9)
     rest = grid.t_end - full * grid.dt
@@ -185,7 +186,7 @@ def _march(rhs, b, n_coeff, grid, u, ut, n_snapshots, stop=None):
     snapshots = [(0.0, y[0].copy())]
     stopped = False
     t = 0.0
-    stages = _stage_coefficients(b, n_coeff, grid, nsteps, full, rest)
+    stages = _stage_coefficients(pot, grid, nsteps, full, rest)
     for step, (dt, c, b2) in enumerate(stages):
         rhs(y, c[0], b2[0], k1)
         for k, k_next, h, i in ((k1, k2, dt / 2, 1), (k2, k3, dt / 2, 1),
@@ -212,16 +213,17 @@ def _march(rhs, b, n_coeff, grid, u, ut, n_snapshots, stop=None):
     return t, y[0], y[1], snapshots, stopped
 
 
-def evolve_linear(b, n_coeff, grid, v0, v1, n_snapshots=64):
-    """Evolve v_tt - n (b'/b) v_t - b^2 Lap v = 0 on the torus."""
-    grid.check_cfl(b)
+def evolve_linear(pot, grid, v0, v1, n_snapshots=64):
+    """Evolve v_tt - n (b'/b) v_t - b^2 Lap v = 0 on the torus, with b and n
+    those of the HillPotential pot."""
+    grid.check_cfl(pot.b)
     spec = _Spectrum(grid)
     t, vh, vth, snapshots, _ = _march(
-        spec.wave, b, n_coeff, grid, spec.to_half(v0), spec.to_half(v1), n_snapshots)
+        spec.wave, pot, grid, spec.to_half(v0), spec.to_half(v1), n_snapshots)
     vt = spec.to_field(vth)
     diagnostics = {
         "max_abs": float(np.max(np.abs(spec.to_field(vh)))),
-        "energy_like": float(np.mean(vt**2) + b.eval(t) ** 2 * _grad_energy(spec, vh)),
+        "energy_like": float(np.mean(vt**2) + pot.b.eval(t) ** 2 * _grad_energy(spec, vh)),
     }
     return SimResult(snapshots=[(s, spec.to_field(a)) for s, a in snapshots],
                      diagnostics=diagnostics, termination="completed")
@@ -231,14 +233,15 @@ def _grad_energy(spec, ah):
     return sum(float(np.mean(g**2)) for g in spec.to_field(spec.ops[:-1] * ah))
 
 
-def evolve_nonlinear(b, n_coeff, grid, u0, u1, v_guard, n_snapshots=64):
-    """Evolve u_tt - n(b'/b)u_t - b^2 Lap u + f(u)(u_t^2 - b^2 |grad u|^2) = 0.
+def evolve_nonlinear(pot, grid, u0, u1, v_guard, n_snapshots=64):
+    """Evolve u_tt - n(b'/b)u_t - b^2 Lap u + f(u)(u_t^2 - b^2 |grad u|^2) = 0,
+    with b and n those of the HillPotential pot.
 
     v_guard (a TransformPair) supplies f, G and the finite endpoint used for
     blow-up detection: the run stops when G(u) reaches within a relative
     1e-3 of the endpoint, or when |u| exceeds 1e8.
     """
-    grid.check_cfl(b)
+    grid.check_cfl(pot.b)
     spec = _Spectrum(grid)
     f = v_guard.f
 
@@ -291,7 +294,7 @@ def evolve_nonlinear(b, n_coeff, grid, u0, u1, v_guard, n_snapshots=64):
         )
 
     t, uh, _, snapshots, stopped = _march(
-        rhs, b, n_coeff, grid, spec.to_half(u0), spec.to_half(u1), n_snapshots,
+        rhs, pot, grid, spec.to_half(u0), spec.to_half(u1), n_snapshots,
         stop=blown_up)
     u = spec.to_field(uh)
     finite = u[np.isfinite(u)]
@@ -304,8 +307,9 @@ def evolve_nonlinear(b, n_coeff, grid, u0, u1, v_guard, n_snapshots=64):
                      termination="blowup_detected" if stopped else "completed")
 
 
-def evolve_uniform(b, n_coeff, f, u0, u1, t_end, tol=1e-11):
-    """Spatially uniform solution: u'' - n(b'/b)u' + f(u)(u')^2 = 0.
+def evolve_uniform(pot, f, u0, u1, t_end, tol=1e-11):
+    """Spatially uniform solution: u'' - n(b'/b)u' + f(u)(u')^2 = 0, with b
+    and n those of the HillPotential pot.
 
     Returns [(t, u(t)), ...] at 400 equally spaced t; truncates (with the
     last finite sample) if u leaves the invertibility domain, i.e. blows
@@ -318,7 +322,7 @@ def evolve_uniform(b, n_coeff, f, u0, u1, t_end, tol=1e-11):
     from scipy.integrate import solve_ivp
 
     def rhs(t, y):
-        return [y[1], n_coeff * b.d1(t) / b.eval(t) * y[1] - f(y[0]) * y[1] ** 2]
+        return [y[1], pot.n * pot.b.d1(t) / pot.b.eval(t) * y[1] - f(y[0]) * y[1] ** 2]
 
     def escape(t, y):
         return _U_CAP - abs(y[0])

@@ -14,7 +14,7 @@ Each side of 0 holds Phi and G as Chebyshev panels, G in mean-value form
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -326,15 +326,7 @@ class NOCVerdict:
     p_hat_bwd: float
 
     def to_json(self):
-        return json.dumps(
-            {
-                "forward": self.forward,
-                "backward": self.backward,
-                "holds": self.holds,
-                "p_hat_fwd": self.p_hat_fwd,
-                "p_hat_bwd": self.p_hat_bwd,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def noc_check(f, s_max=1e5, margin=0.1, domain=(-math.inf, math.inf), tol=1e-12):

@@ -223,7 +223,7 @@ def test_criterion_7_certificate_for_every_delta(cert, pot3, tp1):
     assert cert.plan.M == 35
     assert cert.smallness <= 1e-3
     assert math.isfinite(cert.t_star) and 0 < cert.t_star < cert.plan.M
-    assert cert.endpoint == pytest.approx(B_G, abs=1e-9)
+    assert cert.tp.endpoints().target == pytest.approx(B_G, abs=1e-9)
 
     tight = blowup.certify_blowup(tp1, pot3, (5.0, 17.0), 1e-5)
     assert tight.smallness <= 1e-5
@@ -231,33 +231,25 @@ def test_criterion_7_certificate_for_every_delta(cert, pot3, tp1):
     assert math.isfinite(tight.t_star)
 
 
-def test_criterion_8_end_to_end_torus_oracle(cert, b05, pot3, tp1):
-    """1-D nonlinear run of the certified scenario: blow-up detected within
-    15% of t_star, and sup |G(u) - v| < 1e-5 up to 90% of t_star against
-    the closed-form transformed solution v of blowup.exact_local_solution
-    at x = (x, 0, 0).  Runtime < 10 min at 1024 points."""
+def test_criterion_8_end_to_end_torus_oracle(cert):
+    """1-D nonlinear run of the certified scenario (blowup.torus_scenario, as
+    blowup-demo --simulate yes runs it): blow-up detected within 15% of
+    t_star, and sup |G(u) - v| < 1e-5 up to 90% of t_star against the
+    closed-form transformed solution v of blowup.exact_local_solution at
+    x = (x, 0, 0).  Runtime < 10 min at 1024 points."""
     start = time.monotonic()
-    lam, M, A = cert.plan.lam, cert.plan.M, cert.plan.A
-    amp = cert.plan.amplitude
-    points = 1024
-    L = 2.0 * math.pi / math.sqrt(lam)
-    bmax = float(np.max(b05.eval(np.linspace(0, 1, 2048))))
-    dt = 1.0 / math.ceil(1.0 / (0.45 * (L / points) / bmax))
-    t_end = min(M, math.ceil(1.2 * cert.t_star))
-    grid = pdesim.GridSpec(n=1, L=L, points=points, dt=dt, t_end=t_end)
-    x = grid.coords()[..., 0]
-    u0 = np.full_like(x, amp)
-    u1 = A * amp * math.exp(-float(tp1.Phi(amp))) * np.cos(math.sqrt(lam) * x)
-    G = tp1.G
+    grid, u0, u1 = blowup.torus_scenario(cert)
+    x = grid.axis()
+    G = cert.tp.G
 
-    ru = pdesim.evolve_nonlinear(b05, 3, grid, u0, u1, tp1, n_snapshots=128)
+    ru = pdesim.evolve_nonlinear(cert.m.pot, grid, u0, u1, cert.tp, n_snapshots=128)
     assert ru.termination == "blowup_detected"
     t_detect = ru.diagnostics["t_final"]
     assert abs(t_detect - cert.t_star) <= 0.15 * cert.t_star
 
     # torus points have |x| <= L/2 < M^1.5 and t <= 0.9 t_star < M: inside
     # the region where the closed form holds
-    v = blowup.exact_local_solution(cert.plan, tp1, floquet.monodromy(pot3, lam))
+    v = blowup.exact_local_solution(cert.plan, cert.tp, cert.m)
     points3 = np.stack([x, np.zeros_like(x), np.zeros_like(x)], axis=-1)
     horizon = 0.9 * cert.t_star
     sup = 0.0
@@ -272,11 +264,11 @@ def test_criterion_8_end_to_end_torus_oracle(cert, b05, pot3, tp1):
     assert time.monotonic() - start < 600.0
 
 
-def test_criterion_9_uniform_solutions(b05):
+def test_criterion_9_uniform_solutions(b05, pot3):
     """Linear uniform v(t) = b(0)^{-3} int_0^t b^3 to 1e-8 on [0, 20]; the
     alpha = -1 transformed uniform u blows up at the frozen crossing time
     where the integral reaches pi/(2 sqrt 2)."""
-    res = pdesim.evolve_uniform(b05, 3, lambda u: np.zeros_like(u),
+    res = pdesim.evolve_uniform(pot3, lambda u: np.zeros_like(u),
                                 0.0, 1.0, 20.0, tol=1e-13)
     b0 = float(b05.eval(0.0))
     for t, u in res[::20]:
@@ -284,20 +276,20 @@ def test_criterion_9_uniform_solutions(b05):
                    limit=800, epsabs=1e-14, epsrel=1e-14)[0] / b0 ** 3
         assert abs(u - ref) < 1e-8
 
-    res_nl = pdesim.evolve_uniform(b05, 3, f_ray, 0.0, 1.0, 2.0, tol=1e-12)
+    res_nl = pdesim.evolve_uniform(pot3, f_ray, 0.0, 1.0, 2.0, tol=1e-12)
     t_last, u_last = res_nl[-1]
     assert abs(u_last) > 1e7
     assert t_last == pytest.approx(T_CROSS, abs=1e-6)
 
 
-def test_criterion_10_stability_dichotomy(b05, pot3):
+def test_criterion_10_stability_dichotomy(pot3):
     """Plane-wave modes: bounded (<= 10x envelope) over 30 periods in a
     stable gap; growth >= mu0^25 * 0.5 in the certified interval."""
     # stable gap: lambda = 4 (below the first interval); mode k = 2 on 2 pi
     grid = pdesim.GridSpec(n=1, L=2 * math.pi, points=64,
                            dt=30.0 / 4096, t_end=30.0)
     x = grid.coords()[..., 0]
-    res = pdesim.evolve_linear(b05, 3, grid, np.cos(2 * x), np.zeros_like(x),
+    res = pdesim.evolve_linear(pot3, grid, np.cos(2 * x), np.zeros_like(x),
                                n_snapshots=256)
     peak = max(float(np.max(np.abs(v))) for _, v in res.snapshots)
     assert peak <= 10.0
@@ -307,7 +299,7 @@ def test_criterion_10_stability_dichotomy(b05, pot3):
     dt = 30.0 / 8192
     grid = pdesim.GridSpec(n=1, L=L, points=64, dt=dt, t_end=30.0)
     x = grid.coords()[..., 0]
-    res = pdesim.evolve_linear(b05, 3, grid, np.cos(2 * math.pi * x / L),
+    res = pdesim.evolve_linear(pot3, grid, np.cos(2 * math.pi * x / L),
                                np.zeros_like(x), n_snapshots=256)
     mu0 = floquet.monodromy(pot3, LAM_WITNESS).mu0
     final = float(np.max(np.abs(res.snapshots[-1][1])))

@@ -427,9 +427,10 @@ def test_certify_blowup_frozen(pot3, tp1):
     assert cert.plan.lam == pytest.approx(LAM_WITNESS, rel=1e-10)
     assert cert.smallness <= 1e-3
     assert cert.t_star == pytest.approx(32.1072635173914, rel=1e-6)
-    assert cert.endpoint == pytest.approx(math.pi / (2 * math.sqrt(2)),
-                                          abs=1e-9)
-    assert cert.mu0 == pytest.approx(2.210821071436652, rel=1e-9)
+    assert cert.tp is tp1 and cert.m.pot is pot3 and cert.m.lam == cert.plan.lam
+    assert cert.tp.endpoints().target == pytest.approx(math.pi / (2 * math.sqrt(2)),
+                                                       abs=1e-9)
+    assert cert.m.mu0 == pytest.approx(2.210821071436652, rel=1e-9)
     assert abs(cert.plan.A) == 1.0
     assert 0.0 < cert.t_star < cert.plan.M
     # the predicted trajectory reaches the endpoint by construction
@@ -460,19 +461,33 @@ def test_certify_checks_delta_and_s_before_work(pot3, tp1, monkeypatch,
         blowup.certify_blowup(tp1, pot3, (5.0, 17.0), delta, S=S)
 
 
-def test_certificate_json(pot3, tp1, tmp_path):
+def test_certificate_json(pot3, tp1):
     import json
 
     cert = blowup.certify_blowup(tp1, pot3, (5.0, 17.0), 1e-3)
-    path = tmp_path / "cert.json"
-    blowup.export_certificate(str(path), cert)
-    data = json.loads(path.read_text())
+    data = json.loads(cert.to_json())
     for key in ("S", "M", "A", "lambda", "y", "mu0", "b21", "b_G", "t_star",
                 "smallness", "delta", "sobolev_order", "predicted_v_M",
                 "trajectory"):
         assert key in data
     assert data["M"] == 35
     assert data["delta"] == 1e-3
+    assert (data["mu0"], data["b21"]) == (cert.m.mu0, cert.m.b21)
+    assert data["b_G"] == tp1.endpoints().target
+
+
+def test_torus_scenario(pot3, tp1):
+    """The certified plane wave on one wavelength: whole periods are whole
+    steps inside the CFL limit, and the run ends at min(M, ceil(1.2 t*))."""
+    cert = blowup.certify_blowup(tp1, pot3, (5.0, 17.0), 1e-3)
+    grid, u0, u1 = blowup.torus_scenario(cert)
+    assert (grid.n, grid.points) == (1, 1024)
+    assert grid.L == pytest.approx(2 * math.pi / math.sqrt(cert.plan.lam), rel=1e-15)
+    assert (1.0 / grid.dt).is_integer()
+    grid.check_cfl(pot3.b)
+    assert grid.t_end == min(cert.plan.M, math.ceil(1.2 * cert.t_star))
+    assert np.all(u0 == cert.plan.amplitude)
+    assert abs(u1[grid.points // 2]) == pytest.approx(cert.plan.amplitude, rel=1e-12)
 
 
 def test_certify_reports_trajectory_that_never_crosses(pot3, tp1, monkeypatch):

@@ -520,6 +520,37 @@ def test_non_finite_inputs_exit_2_before_work(tmp_path, capsys, monkeypatch,
     assert not any(tmp_path.iterdir())
 
 
+_EX2 = ["--f", "example2:ell=4", "--epsilon", "0.5", "--t-end", "0.5", "--out", "x.csv"]
+
+
+@pytest.mark.parametrize("args, work, named", [
+    (["simulate", "--mode", "linear", "--epsilon", "0.5", "--points", "0",
+      "--t-end", "0.5", "--out", "x.csv"], _MARCH, "power of two"),
+    (_SIM + ["--mode", "linear", "--n", "0"], _MARCH, "n >= 1"),
+    (_SIM + ["--mode", "linear", "--n", "-2"], _MARCH, "n >= 1"),
+    (["simulate", "--mode", "uniform", "--epsilon", "0.5", "--n", "0", "--out", "x.csv"],
+     "scipy.integrate.solve_ivp", "n >= 1"),
+    (["simulate", "--mode", "nonlinear", "--points", "64", "--offset", "-2"] + _EX2,
+     _MARCH, "domain"),
+    (["simulate", "--mode", "nonlinear", "--points", "64", "--amplitude", "5"] + _EX2,
+     _MARCH, "domain"),
+    (["simulate", "--mode", "uniform", "--u0-val", "-2"] + _EX2,
+     "scipy.integrate.solve_ivp", "domain"),
+], ids=["points-0", "n-0", "n-negative", "uniform-n-0", "offset-outside-domain",
+        "amplitude-outside-domain", "uniform-outside-domain"])
+def test_simulate_invalid_setup_exit_2_before_work(tmp_path, capsys, monkeypatch,
+                                                   args, work, named):
+    """--points 0 ended in a ZeroDivisionError traceback, n < 1 ran the wave
+    operator of no spatial dimension, and data outside (-1, inf), the domain
+    of example2, were evolved: each exits 2 before the stepper or the ODE
+    solver starts, and writes no file."""
+    monkeypatch.chdir(tmp_path)
+    err = _exit_before_work(args, "simulate", monkeypatch, capsys, work=work)
+    assert err["error"] == "ParameterError"
+    assert named in err["message"], err
+    assert not any(tmp_path.iterdir())
+
+
 def test_noc_verdicts(tmp_path):
     r = run(["noc", "--f", "example1:alpha=-1", "--out", "v.json"], tmp_path)
     assert r.returncode == 0, r.stderr
@@ -625,6 +656,44 @@ def test_blowup_demo_integrates_one_transform(tmp_path, monkeypatch):
     assert exc.value.code == 0
     assert len(built) == 1
     assert (tmp_path / "cert.json").is_file()
+
+
+def test_blowup_demo_simulate_runs_torus_scenario(tmp_path, monkeypatch):
+    """--simulate yes evolves exactly blowup.torus_scenario(cert), with the
+    certificate's potential and transform, and writes its manifest.  The
+    torus run itself is replaced by a one-snapshot result."""
+    import numpy as np
+
+    from cyclicwave import blowup, cli, pdesim
+
+    certs, calls = [], []
+    certify = blowup.certify_blowup
+
+    def recorded_certify(*args, **kwargs):
+        certs.append(certify(*args, **kwargs))
+        return certs[-1]
+
+    def recorded_evolve(pot, grid, u0, u1, v_guard, n_snapshots=64):
+        calls.append((pot, grid, u0, u1, v_guard))
+        return pdesim.SimResult(snapshots=[(0.0, u0)], diagnostics={},
+                                termination="completed")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(blowup, "certify_blowup", recorded_certify)
+    monkeypatch.setattr(pdesim, "evolve_nonlinear", recorded_evolve)
+    with pytest.raises(SystemExit) as exc:
+        cli.main.main(args=["blowup-demo", "--metric", "conformal:alpha=-1",
+                            "--simulate", "yes", "--out", "cert.json"],
+                      prog_name="cyclicwave")
+    assert exc.value.code == 0
+    (cert,), ((pot, grid, u0, u1, tp),) = certs, calls
+    assert pot is cert.m.pot and tp is cert.tp
+    ref_grid, ref_u0, ref_u1 = blowup.torus_scenario(cert)
+    assert grid == ref_grid
+    assert np.array_equal(u0, ref_u0) and np.array_equal(u1, ref_u1)
+    assert (tmp_path / "cert.json").read_text() == cert.to_json()
+    manifest = json.loads((tmp_path / "cert.sim.json").read_text())
+    assert manifest["grid"]["points"] == 1024 and manifest["t_final"] == 0.0
 
 
 def test_blowup_demo_noc_holds_exit_4(tmp_path):

@@ -26,22 +26,23 @@ def _grid(points, L=2 * math.pi, dt_frac=0.25, t_end=2.0, bmax=1.25):
 
 
 def test_standing_wave_constant_coefficient():
-    b = coeffs.constant()
+    """b == 1 has b' = 0, so n b'/b = 0 for every n >= 1: v = cos x cos t."""
+    pot = coeffs.HillPotential(coeffs.constant(), 1)
     grid = _grid(128, t_end=2.0, bmax=1.0)
     x = grid.coords()[..., 0]
-    res = pdesim.evolve_linear(b, 0, grid, np.cos(x), np.zeros_like(x))
+    res = pdesim.evolve_linear(pot, grid, np.cos(x), np.zeros_like(x))
     t_fin, v_fin = res.snapshots[-1]
     assert res.termination == "completed"
     assert np.max(np.abs(v_fin - np.cos(x) * math.cos(t_fin))) < 1e-6
 
 
-def test_plane_wave_matches_mode_ode(b05):
+def test_plane_wave_matches_mode_ode(b05, pot3):
     """v(t,x) = z(t) cos(kx) with z solving the single-mode equation."""
     lam = (2.0 * math.pi * 2 / (2 * math.pi)) ** 2  # k = 2 on L = 2 pi
     n = 3
     grid = _grid(256, t_end=3.0)
     x = grid.coords()[..., 0]
-    res = pdesim.evolve_linear(b05, n, grid, np.cos(2 * x),
+    res = pdesim.evolve_linear(pot3, grid, np.cos(2 * x),
                                np.zeros_like(x))
 
     def rhs(t, y):
@@ -54,8 +55,8 @@ def test_plane_wave_matches_mode_ode(b05):
         assert np.max(np.abs(v - z * np.cos(2 * x))) < 1e-7 * max(1.0, abs(z))
 
 
-def test_uniform_linear_quadrature(b05):
-    res = pdesim.evolve_uniform(b05, 3, lambda u: np.zeros_like(u),
+def test_uniform_linear_quadrature(b05, pot3):
+    res = pdesim.evolve_uniform(pot3, lambda u: np.zeros_like(u),
                                 0.0, 1.0, 20.0, tol=1e-13)
     for t, u in res[::40]:
         ref = quad(lambda s: float(b05.eval(s)) ** 3, 0.0, t,
@@ -63,36 +64,36 @@ def test_uniform_linear_quadrature(b05):
         assert u == pytest.approx(ref, abs=5e-9)
 
 
-def test_uniform_nonlinear_blowup_time(b05):
-    res = pdesim.evolve_uniform(b05, 3, f_ray, 0.0, 1.0, 2.0, tol=1e-12)
+def test_uniform_nonlinear_blowup_time(pot3):
+    res = pdesim.evolve_uniform(pot3, f_ray, 0.0, 1.0, 2.0, tol=1e-12)
     t_last, u_last = res[-1]
     assert abs(u_last) > 1e7
     assert t_last == pytest.approx(T_CROSS, abs=1e-6)
 
 
-def test_uniform_failed_integration_raises(b05):
+def test_uniform_failed_integration_raises(pot3):
     """A solver failure before t_end is an error, not a short sample list;
     only the blow-up escape event ends a run early."""
     def f_nan(u):
         return math.nan if u > 0.3 else 0.0
 
     with pytest.raises(IntegrationFailure):
-        pdesim.evolve_uniform(b05, 3, f_nan, 0.0, 1.0, 2.0)
+        pdesim.evolve_uniform(pot3, f_nan, 0.0, 1.0, 2.0)
 
 
-def test_uniform_tol_checked_before_work(no_ode_solve, b05):
+def test_uniform_tol_checked_before_work(no_ode_solve, pot3):
     """evolve_uniform checks tol as the CLI does, before the solver runs."""
     with pytest.raises(ParameterError, match=r"tol must lie in \[1e-13, 1e-6\]"):
-        pdesim.evolve_uniform(b05, 3, f_ray, 0.0, 1.0, 2.0, tol=0.0)
+        pdesim.evolve_uniform(pot3, f_ray, 0.0, 1.0, 2.0, tol=0.0)
 
 
-def test_uniform_matches_grid_run(b05, tp1):
+def test_uniform_matches_grid_run(b05, pot3, tp1):
     """Constant data on the torus stays uniform; the grid solver must track
     the uniform ODE."""
     grid = _grid(64, t_end=1.0, dt_frac=0.1)
     x = grid.coords()[..., 0]
     u0v, u1v = 0.05, 0.03
-    res = pdesim.evolve_nonlinear(b05, 3, grid, np.full_like(x, u0v),
+    res = pdesim.evolve_nonlinear(pot3, grid, np.full_like(x, u0v),
                                   np.full_like(x, u1v), tp1)
     def rhs(t, y):
         bt = float(b05.eval(t))
@@ -112,7 +113,7 @@ def test_uniform_matches_grid_run(b05, tp1):
     ("rational", lambda t: np.asarray(t, dtype=float)
      / (1.0 + np.asarray(t, dtype=float) ** 4)),
 ])
-def test_transform_commutes_with_evolution(b05, fname, f):
+def test_transform_commutes_with_evolution(pot3, fname, f):
     """G maps the nonlinear flow onto the linear flow: running u through the
     nonlinear solver and v = G(u0), v_t = e^Phi u1 through the linear solver
     must agree via G at matching times."""
@@ -125,8 +126,8 @@ def test_transform_commutes_with_evolution(b05, fname, f):
     Phi = tp.Phi
     v0 = G(u0)
     v1 = np.exp(np.asarray(Phi(u0))) * u1
-    ru = pdesim.evolve_nonlinear(b05, 3, grid, u0, u1, tp)
-    rv = pdesim.evolve_linear(b05, 3, grid, v0, v1)
+    ru = pdesim.evolve_nonlinear(pot3, grid, u0, u1, tp)
+    rv = pdesim.evolve_linear(pot3, grid, v0, v1)
     v_by_t = {round(t, 10): v for t, v in rv.snapshots}
     matched = 0
     for t, u in ru.snapshots:
@@ -137,13 +138,13 @@ def test_transform_commutes_with_evolution(b05, fname, f):
     assert matched >= 30
 
 
-def test_time_convergence_fourth_order(b05):
+def test_time_convergence_fourth_order(b05, pot3):
     """Halving dt shrinks the error by ~16x (classical RK4); require >= 8x."""
     errs = []
     for frac in (0.2, 0.1):
         grid = _grid(64, t_end=1.0, dt_frac=frac)
         x = grid.coords()[..., 0]
-        res = pdesim.evolve_linear(b05, 3, grid, np.cos(x), np.zeros_like(x))
+        res = pdesim.evolve_linear(pot3, grid, np.cos(x), np.zeros_like(x))
         t_fin, v_fin = res.snapshots[-1]
 
         def rhs(t, y):
@@ -157,12 +158,12 @@ def test_time_convergence_fourth_order(b05):
     assert errs[0] / errs[1] > 8.0
 
 
-def test_nonlinear_blowup_detection(b05, tp1):
+def test_nonlinear_blowup_detection(pot3, tp1):
     """Large data crosses the finite endpoint of G in finite time; the run
     must stop with the blow-up flag rather than overflow."""
     grid = _grid(64, t_end=6.0, dt_frac=0.1)
     x = grid.coords()[..., 0]
-    res = pdesim.evolve_nonlinear(b05, 3, grid, np.full_like(x, 0.2),
+    res = pdesim.evolve_nonlinear(pot3, grid, np.full_like(x, 0.2),
                                   np.full_like(x, 1.0), tp1)
     assert res.termination == "blowup_detected"
     assert res.diagnostics["t_final"] < 6.0
@@ -170,7 +171,7 @@ def test_nonlinear_blowup_detection(b05, tp1):
 
 
 @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
-def test_completed_run_ends_at_t_end(b05, tp1, mode):
+def test_completed_run_ends_at_t_end(pot3, tp1, mode):
     """A dt that does not divide t_end: 13 full steps, then one step of the
     remainder lands on t_end, and the state there matches a run whose dt
     divides t_end."""
@@ -179,8 +180,8 @@ def test_completed_run_ends_at_t_end(b05, tp1, mode):
         x = grid.coords()[..., 0]
         u0, u1 = 0.05 * np.cos(x), np.zeros_like(x)
         if mode == "linear":
-            return pdesim.evolve_linear(b05, 3, grid, u0, u1, n_snapshots=4)
-        return pdesim.evolve_nonlinear(b05, 3, grid, u0, u1, tp1, n_snapshots=4)
+            return pdesim.evolve_linear(pot3, grid, u0, u1, n_snapshots=4)
+        return pdesim.evolve_nonlinear(pot3, grid, u0, u1, tp1, n_snapshots=4)
 
     res = run(0.0361)
     assert res.termination == "completed"
@@ -196,7 +197,7 @@ def test_completed_run_ends_at_t_end(b05, tp1, mode):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_real_transforms_match_complex_reference(b05, tp1, n):
+def test_real_transforms_match_complex_reference(b05, pot3, tp1, n):
     """Both torus solvers on the half spectrum against the full complex-FFT
     right-hand sides marched by the same RK4 loop.  Random data put energy
     in every mode, the Nyquist modes of each axis included."""
@@ -207,13 +208,13 @@ def test_real_transforms_match_complex_reference(b05, tp1, n):
     rng = np.random.default_rng(n)
     u0 = 0.05 + 0.02 * rng.standard_normal((points,) * n)
     u1 = 0.02 * rng.standard_normal((points,) * n)
-    nonlin = pdesim.evolve_nonlinear(b05, 3, grid, u0, u1, tp1, n_snapshots=5)
-    lin = pdesim.evolve_linear(b05, 3, grid, u0, u1, n_snapshots=5)
+    nonlin = pdesim.evolve_nonlinear(pot3, grid, u0, u1, tp1, n_snapshots=5)
+    lin = pdesim.evolve_linear(pot3, grid, u0, u1, n_snapshots=5)
     for res, rhs in [
         (nonlin, spectral_reference.nonlinear_rhs(tp1.f, grid)),
         (lin, spectral_reference.linear_rhs(grid)),
     ]:
-        t, v, vt, snaps, _ = pdesim._march(rhs, b05, 3, grid, u0, u1, 5)
+        t, v, vt, snaps, _ = pdesim._march(rhs, pot3, grid, u0, u1, 5)
         assert res.termination == "completed"
         assert [s for s, _ in res.snapshots] == [s for s, _ in snaps]
         for (_, a), (_, c) in zip(res.snapshots, snaps):
@@ -226,7 +227,7 @@ def test_real_transforms_match_complex_reference(b05, tp1, n):
 
 @pytest.mark.parametrize("case", ["linear", "nonlinear-remainder",
                                   "nonlinear-stopped"])
-def test_in_place_stepper_is_bit_identical(b05, tp1, case):
+def test_in_place_stepper_is_bit_identical(pot3, tp1, case):
     """The in-place RK4 loop and right-hand sides against the allocating
     ones they replaced (rk4_reference): every snapshot, the end time, the
     termination and the diagnostics are equal to the last bit, on a linear
@@ -242,11 +243,11 @@ def test_in_place_stepper_is_bit_identical(b05, tp1, case):
         u0 = 0.05 + 0.02 * rng.standard_normal(x.shape)
         u1 = 0.02 * rng.standard_normal(x.shape)
     if case == "linear":
-        res = pdesim.evolve_linear(b05, 3, grid, u0, u1)
-        ref = rk4_reference.evolve_linear(b05, 3, grid, u0, u1)
+        res = pdesim.evolve_linear(pot3, grid, u0, u1)
+        ref = rk4_reference.evolve_linear(pot3.b, pot3.n, grid, u0, u1)
     else:
-        res = pdesim.evolve_nonlinear(b05, 3, grid, u0, u1, tp1)
-        ref = rk4_reference.evolve_nonlinear(b05, 3, tp1.f, grid, u0, u1, tp1)
+        res = pdesim.evolve_nonlinear(pot3, grid, u0, u1, tp1)
+        ref = rk4_reference.evolve_nonlinear(pot3.b, pot3.n, tp1.f, grid, u0, u1, tp1)
     if case == "nonlinear-stopped":
         assert res.termination == "blowup_detected"
         assert res.diagnostics["max_abs"] < pdesim._U_CAP  # not the |u| cap
@@ -261,7 +262,7 @@ def test_in_place_stepper_is_bit_identical(b05, tp1, case):
 
 
 @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
-def test_stage_coefficients_span_blocks(b05, tp1, mode):
+def test_stage_coefficients_span_blocks(pot3, tp1, mode):
     """A run of more than one block of stage coefficients (pdesim._BLOCK
     steps) that ends with a remainder step, against rk4_reference, which
     evaluates b and b' at every stage: equal to the last bit.  On 8 points
@@ -275,11 +276,11 @@ def test_stage_coefficients_span_blocks(b05, tp1, mode):
     x = grid.coords()[..., 0]
     u0, u1 = 0.05 * np.cos(x), 0.05 * np.sin(2 * x)
     if mode == "linear":
-        res = pdesim.evolve_linear(b05, 3, grid, u0, u1)
-        ref = rk4_reference.evolve_linear(b05, 3, grid, u0, u1)
+        res = pdesim.evolve_linear(pot3, grid, u0, u1)
+        ref = rk4_reference.evolve_linear(pot3.b, pot3.n, grid, u0, u1)
     else:
-        res = pdesim.evolve_nonlinear(b05, 3, grid, u0, u1, tp1)
-        ref = rk4_reference.evolve_nonlinear(b05, 3, tp1.f, grid, u0, u1, tp1)
+        res = pdesim.evolve_nonlinear(pot3, grid, u0, u1, tp1)
+        ref = rk4_reference.evolve_nonlinear(pot3.b, pot3.n, tp1.f, grid, u0, u1, tp1)
         assert res.diagnostics["t_final"] == grid.t_end
     assert res.termination == ref.termination == "completed"
     assert res.snapshots[-1][0] == grid.t_end
@@ -293,7 +294,7 @@ _FFT_FUNCS = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"
 
 
 @pytest.mark.parametrize("mode,per_step", [("linear", 0), ("nonlinear", 8)])
-def test_transform_calls_per_step(monkeypatch, b05, tp1, mode, per_step):
+def test_transform_calls_per_step(monkeypatch, pot3, tp1, mode, per_step):
     """The state lives on the half spectrum: a linear step makes no
     transform call, a nonlinear step at most 8 (2 per RK4 stage; the stop
     check reads the inverse that the next first stage uses).  Two runs that differ only in t_end, with the same
@@ -315,9 +316,9 @@ def test_transform_calls_per_step(monkeypatch, b05, tp1, mode, per_step):
         u0, u1 = 0.05 + 0.02 * np.cos(x), 0.03 * np.sin(x)
         calls[0] = 0
         if mode == "linear":
-            res = pdesim.evolve_linear(b05, 3, grid, u0, u1, n_snapshots=4)
+            res = pdesim.evolve_linear(pot3, grid, u0, u1, n_snapshots=4)
         else:
-            res = pdesim.evolve_nonlinear(b05, 3, grid, u0, u1, tp1, n_snapshots=4)
+            res = pdesim.evolve_nonlinear(pot3, grid, u0, u1, tp1, n_snapshots=4)
         assert res.termination == "completed"
         runs.append((round(t_end / grid.dt), len(res.snapshots), calls[0]))
     (steps0, snaps0, calls0), (steps1, snaps1, calls1) = runs
@@ -341,13 +342,13 @@ def test_gridspec_validation():
         pdesim.GridSpec(n=1, L=-1.0, points=64)
 
 
-def test_exports(tmp_path, b05):
+def test_exports(tmp_path, pot3):
     import csv as csvmod
     import json
 
     grid = _grid(64, t_end=0.5, dt_frac=0.2)
     x = grid.coords()[..., 0]
-    res = pdesim.evolve_linear(b05, 3, grid, np.cos(x), np.zeros_like(x))
+    res = pdesim.evolve_linear(pot3, grid, np.cos(x), np.zeros_like(x))
     snap_path = tmp_path / "snap.csv"
     pdesim.export_snapshot_csv(str(snap_path), grid, res.snapshots[-1])
     rows = list(csvmod.reader(snap_path.open()))
