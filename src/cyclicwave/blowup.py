@@ -8,8 +8,9 @@ pushes G(u) across it before the light cone from the data's edge reaches
 the origin, so the solution cannot continue smoothly.
 
 Everything here is checked numerics, not proof: Sobolev norms are computed
-(FFT on a torus for n <= 2, a radial sine transform for n = 3) and
-the crossing time is located on the actual fundamental solution.
+on one radial path for n = 2 and n = 3 (a sine transform for n = 3, a
+cosine transform of the projection for n = 2) and the crossing time is
+located on the actual fundamental solution.
 """
 
 import functools
@@ -28,9 +29,10 @@ from .errors import (
 )
 from .pdesim import GridSpec, max_b
 
-_TOP_OCTAVE_BUDGET = 0.01
-_RADIAL_STEPS = 4096  # r steps on [0, R] for the n=3 radial transform
+_RADIAL_STEPS = 4096  # r steps on [0, R] for the radial transform
 _RADIAL_PAD = 8  # ... which runs over [0, 8R], zero beyond R
+_PROJECTION_STEPS = 256  # z steps on [0, R] for the n = 2 projection
+_CIRCLE_NODES = 64  # midpoint nodes on [0, pi] for the n = 2 circle mean
 _PHI_SKIP = 2.0**-60  # |Phi(g0)| below which g1 = A g0 to a relative 1e-18
 _SOBOLEV_ORDER = 3.0  # s of the certified ||u0||_{H^{s+1}} + ||u1||_{H^s}
 
@@ -103,90 +105,45 @@ class BlowupPlan:
         return float(self.M) ** 1.5
 
 
-def seed_profiles(plan, tp):
-    """The radial profiles g0 = M^-S chi(r / M^2) and g1 = A g0 exp(-Phi(g0))
-    of the plan's data, supported in r <= R = 2 M^2."""
-    amp, msq = plan.amplitude, float(plan.M) ** 2
-
-    def g0(r):
-        return amp * chi_radial(r / msq)
-
-    def g1(r):
-        base = g0(r)
-        return plan.A * base * np.exp(-tp.Phi(base))
-
-    return g0, g1
-
-
-def make_data(plan, tp):
-    """Return (u0, u1) = (g0(|x|), g1(|x|) cos(x.y)): callables on point
-    arrays of shape (..., n)."""
-    g0, g1 = seed_profiles(plan, tp)
-    y = np.asarray(plan.y)
-
-    def u0(x):
-        x = np.asarray(x, dtype=float)
-        return g0(np.sqrt(np.sum(x * x, axis=-1)))
-
-    def u1(x):
-        x = np.asarray(x, dtype=float)
-        phase = np.cos(np.tensordot(x, y, axes=([-1], [0])))
-        return g1(np.sqrt(np.sum(x * x, axis=-1))) * phase
-
-    return u0, u1
-
-
 # ---------------------------------------------------------------------------
 # Sobolev smallness
 # ---------------------------------------------------------------------------
 
-def _torus_sobolev(values, grid, s):
-    """H^s norm of a sampled field on the torus, continuum convention.
+def _radial_hat(g, R, n):
+    """Fourier transform g_hat(rho) of the radial field g(|x|) on R^n, for
+    n = 2 or 3.
 
-    ||u||^2 = (2 pi)^-n * integral (1+|xi|^2)^s |u_hat(xi)|^2 d xi, which on
-    the torus becomes L^n * sum_k |c_k|^2 (1 + |xi_k|^2)^s over Fourier
-    coefficients c_k at xi_k = 2 pi k / L.
-    """
-    c = np.fft.fftn(values) / values.size
-    k2 = grid.k_squared()
-    weight = (1.0 + k2) ** s
-    power = np.abs(c) ** 2
-    total = grid.L**grid.n * float(np.sum(power * weight))
-    # top-octave check: the weighted spectrum must be resolved
-    kmax = np.pi / grid.dx
-    octave = k2 >= (kmax / 2.0) ** 2
-    top = grid.L**grid.n * float(np.sum(power[octave] * weight[octave]))
-    if total > 0 and top > _TOP_OCTAVE_BUDGET * total:
-        raise ResolutionError(
-            f"top-octave energy fraction {top / total:.3g} exceeds "
-            f"{_TOP_OCTAVE_BUDGET}; refine the grid"
-        )
-    return math.sqrt(total)
-
-
-def sobolev_smallness(u0, u1, s, grid):
-    """||u0||_{H^{s+1}} + ||u1||_{H^s} on the given torus grid (FFT path)."""
-    pts = grid.coords()
-    return _torus_sobolev(u0(pts), grid, s + 1.0) + _torus_sobolev(u1(pts), grid, s)
-
-
-def _radial_hat(g, R):
-    """n=3 radial Fourier transform g_hat(rho) = (4 pi / rho) Int g(r) r sin(rho r) dr.
-
-    g is supported in [0, R].  r g(r) is sampled at r_j = j h, h = R / 4096
-    (j = 1..4096), and zero-padded to [0, 8R]; one type-I sine transform
-    then gives g_hat(rho_k) = (4 pi h / rho_k) sum_j g(r_j) r_j sin(rho_k r_j)
-    at rho_k = pi k / (8R), with g_hat(0) = 4 pi h sum_j g(r_j) r_j^2.  That
-    sum is the trapezoid rule for the integral, which converges
-    exponentially for smooth compactly supported g (Trefethen & Weideman,
-    SIAM Review 56, 2014).  Returns (rho, g_hat) for k = 0 .. 8*4096 - 1.
+    g is supported in [0, R] and sampled at steps h = R / 4096, zero-padded
+    to [0, 8R], so g_hat lands on rho_k = pi k / (8R), k = 0 .. 8*4096 - 1.
+    n = 3: g_hat(rho) = (4 pi / rho) Int g(r) r sin(rho r) dr; r g(r) at
+    r_j = j h (j = 1..4096) goes through one type-I sine transform, giving
+    g_hat(rho_k) = (4 pi h / rho_k) sum_j g(r_j) r_j sin(rho_k r_j), with
+    g_hat(0) = 4 pi h sum_j g(r_j) r_j^2.
+    n = 2: by the projection-slice theorem g_hat(rho) = 2 Int P(x) cos(rho x)
+    dx over the projection P(x) = 2 Int_0^R g(sqrt(x^2 + z^2)) dz, taken at
+    x_j = j h (j = 0..4096) by the 256-step trapezoid rule in z; one type-I
+    cosine transform, an rfft of P's even extension, gives g_hat(rho_k).
+    Each sum is the trapezoid rule for its integral, which converges
+    exponentially for smooth compactly supported g, and in z for the even
+    integrand (Trefethen & Weideman, SIAM Review 56, 2014).
+    Returns (rho, g_hat).
     """
     size = _RADIAL_PAD * _RADIAL_STEPS
     h = R / _RADIAL_STEPS
+    rho = np.pi / (_RADIAL_PAD * R) * np.arange(size)
+    if n == 2:
+        x = h * np.arange(_RADIAL_STEPS + 1)
+        z = R / _PROJECTION_STEPS * np.arange(_PROJECTION_STEPS)
+        w = np.full(z.size, 2.0 * R / _PROJECTION_STEPS)
+        w[0] /= 2.0
+        proj = g(np.hypot(x[:, None], z)) @ w
+        even = np.zeros(2 * size)
+        even[: x.size] = proj
+        even[-_RADIAL_STEPS:] = proj[:0:-1]
+        return rho, h * np.fft.rfft(even).real[:size]
     r = h * np.arange(1, _RADIAL_STEPS + 1)
     gr = np.zeros(size - 1)
     gr[:_RADIAL_STEPS] = g(r) * r
-    rho = np.pi / (_RADIAL_PAD * R) * np.arange(size)
     hat = np.empty(size)
     hat[0] = 4.0 * np.pi * h * float(gr[:_RADIAL_STEPS] @ r)
     hat[1:] = 2.0 * np.pi * h * _dst1(gr) / rho[1:]
@@ -212,11 +169,17 @@ def _simpson_weights(n, h):
     return w * (h / 3.0)
 
 
-def _sphere_mean_weight(s, a, bcoef):
-    """Average of (a + b cos theta)^s over the unit sphere in 3-D.
+def _sphere_mean_weight(s, a, bcoef, n):
+    """Average of (a + b cos theta)^s over the unit sphere S^{n-1}, where
+    theta is the angle to a fixed axis; a > b >= 0 required.
 
-    Equals [(a+b)^{s+1} - (a-b)^{s+1}] / (2 b (s+1)); a > b >= 0 required.
+    n = 3: [(a+b)^{s+1} - (a-b)^{s+1}] / (2 b (s+1)).  n = 2: the circle
+    mean, by the 64-node midpoint rule on [0, pi], which is exponentially
+    accurate because a > b, and exact for integer s below 128.
     """
+    if n == 2:
+        theta = (np.arange(_CIRCLE_NODES) + 0.5) * (np.pi / _CIRCLE_NODES)
+        return sum((a + bcoef * c) ** s for c in np.cos(theta)) / _CIRCLE_NODES
     small = bcoef < 1e-12 * a
     out = np.empty_like(a)
     out[small] = a[small] ** s
@@ -247,17 +210,19 @@ def radial_head(hat):
 
 
 @functools.cache
-def _chi_hat():
-    """chi_radial's whole radial transform on the M = 1 grid (R = 2), made
-    once per process: every plan samples chi at the same points 2j/4096."""
-    hat = _radial_hat(chi_radial, 2.0)[1]
+def _chi_hat(n, k):
+    """The R^n radial transform of chi T_k(2 chi - 1), T_k the Chebyshev
+    polynomial, on the M = 1 grid (R = 2), made once per process: every plan
+    samples chi at the same points 2j/4096.  k = 0 is chi's own."""
+    from numpy.polynomial import Chebyshev
+
+    def term(r):
+        c = chi_radial(r)
+        return c * Chebyshev.basis(k)(2.0 * c - 1.0)
+
+    hat = _radial_hat(chi_radial if k == 0 else term, 2.0, n)[1]
     hat.flags.writeable = False
     return hat
-
-
-def _chi_head():
-    """radial_head of chi's cached transform (a read-only view)."""
-    return radial_head(_chi_hat())
 
 
 def _phi_bound(tp, amp):
@@ -279,17 +244,37 @@ def _phi_bound(tp, amp):
     return amp * (abs(float(chebval(-1.0, mphi))) + slope)
 
 
-def radial_pair_norm(h0, h1, lam, s, R):
-    """H^{s+1} x H^s norm sum for (g0(|x|), g1(|x|) cos(x.y)) on R^3.
+def _exp_phi_series(tp, amp):
+    """Chebyshev coefficients a_k of exp(-Phi(amp c)) = sum_k a_k T_k(2c - 1)
+    on c in [0, 1], interpolated at degree 4, 8, 16 or 32, the first whose
+    last two lie below 1e-14 of the largest (the interpolation's own
+    rounding is about 1e-15 at degree 16); ResolutionError past degree 32."""
+    from numpy.polynomial.chebyshev import chebinterpolate
+
+    def factor(x):
+        return np.exp(-tp.Phi(amp * (x + 1.0) / 2.0))
+
+    for deg in (4, 8, 16, 32):
+        a = chebinterpolate(factor, deg)
+        if np.max(np.abs(a[-2:])) <= 1e-14 * np.max(np.abs(a)):
+            return a
+    raise ResolutionError(
+        f"exp(-Phi) on [0, {amp:.6g}] needs a Chebyshev degree above {deg}")
+
+
+def radial_pair_norm(h0, h1, lam, s, R, n):
+    """H^{s+1} x H^s norm sum for (g0(|x|), g1(|x|) cos(x.y)) on R^n, n = 2
+    or 3.
 
     |y|^2 = lam; both fields are supported in |x| <= R.  h0 is g0's
     radial_head, whose length sets the cut of every rho integral, and h1
     is g1's whole radial transform (_radial_hat's, on rho_k = pi k / (8R)).
-    Each Sobolev integral reduces to a one-dimensional Simpson quadrature:
-    g0 via the radial transform directly, the modulated g1 via the exact
-    average of (1 + |xi|^2)^s over spheres (the shift by +-y enters through
-    the sphere-mean weight); the hat-g1(|xi-y|) hat-g1(|xi+y|) cross term
-    is bounded by max|hat g1| times the same quadrature and added.
+    Each Sobolev integral reduces to a one-dimensional Simpson quadrature
+    against the shell measure |S^{n-1}| rho^{n-1} d rho: g0 via the radial
+    transform directly, the modulated g1 via the average of (1 + |xi|^2)^s
+    over spheres (the shift by +-y enters through the sphere-mean weight);
+    the hat-g1(|xi-y|) hat-g1(|xi+y|) cross term is bounded by max|hat g1|
+    times the same quadrature and added.
 
     The cross-term supremum is 1.5 max|hat g1| from the last grid point at
     or below |y| onward, or over the top sixteenth of the grid when |y|
@@ -303,60 +288,52 @@ def radial_pair_norm(h0, h1, lam, s, R):
     rho, h1 = rho[: h0.size], h1[: h0.size]
     weights = _simpson_weights(h0.size, rho[1])
 
-    inv_cube = (2.0 * np.pi) ** -3
-    # ||u0||_{s+1}^2 = (2pi)^-3 * 4 pi Int (1+rho^2)^{s+1} h0^2 rho^2 d rho
-    norm0_sq = inv_cube * 4.0 * np.pi * float(
-        weights @ ((1.0 + rho * rho) ** (s + 1.0) * h0 * h0 * rho * rho)
-    )
+    def shell(v):
+        """v rho^{n-1}, one factor of rho at a time (the frozen n = 3 order)."""
+        for _ in range(n - 1):
+            v = v * rho
+        return v
+
+    # (2 pi)^-n |S^{n-1}|, with |S^1| = 2 pi and |S^2| = 4 pi
+    unit = (2.0 * np.pi) ** -n * (2.0 * np.pi * (n - 1))
+    # ||u0||_{s+1}^2 = (2pi)^-n |S^{n-1}| Int (1+rho^2)^{s+1} h0^2 rho^{n-1} d rho
+    norm0_sq = unit * float(weights @ shell((1.0 + rho * rho) ** (s + 1.0) * h0 * h0))
     # ||u1||_s^2: hat u1(xi) = (h1(|xi - y|) + h1(|xi + y|)) / 2
-    ang = _sphere_mean_weight(s, 1.0 + lam + rho * rho, 2.0 * math.sqrt(lam) * rho)
+    ang = _sphere_mean_weight(s, 1.0 + lam + rho * rho, 2.0 * math.sqrt(lam) * rho, n)
     # the two |h1(|xi -+ y|)|^2/4 terms are equal by symmetry; each gives
-    # (1/4) Int h1(r)^2 r^2 * 4 pi * ang(r) dr after the sphere average
-    main = inv_cube * 2.0 * np.pi * float(weights @ (h1 * h1 * rho * rho * ang))
+    # (1/4) Int h1(r)^2 |S^{n-1}| r^{n-1} ang(r) dr after the sphere average
+    main = unit / 2.0 * float(weights @ (shell(h1 * h1) * ang))
     # cross term 2 h1(|xi-y|) h1(|xi+y|)/4: at every xi one of |xi -+ y| is
     # >= |y|, so that factor is bounded by the hat-g1 supremum beyond |y|
     # (with a safety factor); the other integrates against the weight
-    cross_bound = inv_cube * 4.0 * np.pi * far_sup * float(
-        weights @ (np.abs(h1) * rho * rho * ang)
-    )
+    cross_bound = unit * far_sup * float(weights @ (shell(np.abs(h1)) * ang))
     return math.sqrt(norm0_sq) + math.sqrt(main + cross_bound)
 
 
-def radial_smallness(plan, tp, s):
-    """Semi-analytic smallness for n=3 radial-times-cosine plan data.
+def plan_smallness(plan, tp, s=_SOBOLEV_ORDER):
+    """||u0||_{H^{s+1}} + ||u1||_{H^s} of the plan's data
+    (g0(|x|), g1(|x|) cos(x.y)), for n = 2 or 3.
 
     g0 = M^-S chi(r / M^2) is sampled at r / M^2 = 2j/4096 for every M, so
-    its transform is M^-S M^6 times chi's on the M = 1 grid, made once per
-    process (_chi_hat).  g1 = A g0 exp(-Phi(g0)) takes A times that
+    its transform is M^-S M^{2n} times chi's on the M = 1 grid, made once
+    per process (_chi_hat).  g1 = A g0 exp(-Phi(g0)) takes A times that
     transform when _phi_bound proves |Phi(g0)| <= 2^-60, which makes the
-    factor 1 to a relative 1e-18 (f(0) = 0 and M large enough); otherwise
-    g1 is transformed directly.
+    factor 1 to a relative 1e-18 (f(0) = 0 and M large enough).  Otherwise
+    exp(-Phi(M^-S c)) = sum_k a_k T_k(2c - 1) in c = chi (_exp_phi_series),
+    and g1's transform is A M^-S M^{2n} sum_k a_k times the cached
+    transforms of chi T_k(2 chi - 1).
     """
-    if plan.n != 3:
-        raise ParameterError("radial smallness path is for n = 3")
-    scale = plan.amplitude * float(plan.M) ** 6
-    R = plan.support_radius
+    n = plan.n
+    if n not in (2, 3):
+        raise ParameterError(f"radial smallness is for n = 2 or 3, got n = {n}")
+    scale = plan.amplitude * float(plan.M) ** (2 * n)
     if _phi_bound(tp, plan.amplitude) <= _PHI_SKIP:
-        h1 = plan.A * scale * _chi_hat()
+        h1 = plan.A * scale * _chi_hat(n, 0)
     else:
-        h1 = _radial_hat(seed_profiles(plan, tp)[1], R)[1]
-    return radial_pair_norm(scale * _chi_head(), h1, plan.lam, s, R)
-
-
-def plan_smallness(plan, tp):
-    """Smallness of the plan's data at Sobolev order 3: radial path for n=3,
-    FFT otherwise; ResolutionError when cos(x.y) lies in the FFT grid's top
-    octave."""
-    if plan.n == 3:
-        return radial_smallness(plan, tp, _SOBOLEV_ORDER)
-    L = 2.0 * plan.support_radius * 1.25
-    grid = GridSpec(n=plan.n, L=L, points=4096 if plan.n == 1 else 1024)
-    k_top = math.pi / (2.0 * grid.dx)  # where the grid's top octave starts
-    if math.sqrt(plan.lam) >= k_top:
-        raise ResolutionError(f"the FFT grid at M={plan.M} does not resolve "
-                              f"cos(x.y): sqrt(lambda) >= pi/(2 dx) = {k_top:.6g}")
-    u0, u1 = make_data(plan, tp)
-    return sobolev_smallness(u0, u1, _SOBOLEV_ORDER, grid)
+        series = _exp_phi_series(tp, plan.amplitude)
+        h1 = plan.A * scale * sum(a * _chi_hat(n, k) for k, a in enumerate(series))
+    h0 = scale * radial_head(_chi_hat(n, 0))
+    return radial_pair_norm(h0, h1, plan.lam, s, plan.support_radius, n)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +419,7 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
     where growth holds, until one passes.  S defaults to 2n + 1/2.  The
     BlowupCertificate carries the good lambda's Monodromy and tp itself.
     Raises ParameterError, before any work, unless delta is positive and
-    finite and S finite and above 2n; NotApplicableError when the
+    finite, S finite and above 2n, and n at most 3; NotApplicableError when the
     transform has no finite endpoint (so this construction certifies
     nothing), ExhaustedSearchError when no M <= M_max works,
     ResolutionError from plan_smallness.
@@ -454,6 +431,8 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
         raise ParameterError(f"delta must be positive and finite, got {delta}")
     if not 2 * n < S < math.inf:
         raise ParameterError(f"decay exponent S={S} must be finite and exceed 2n={2 * n}")
+    if n > 3:
+        raise ParameterError(f"blow-up certificates are for n <= 3, got n = {n}")
     target = tp.endpoints().target
     if target is None:
         raise NotApplicableError(
@@ -557,7 +536,7 @@ def torus_scenario(cert):
     plan = cert.plan
     L, points = 2.0 * math.pi / math.sqrt(plan.lam), 1024
     dt = 1.0 / math.ceil(1.0 / (0.45 * (L / points) / max_b(cert.m.pot.b)))
-    grid = GridSpec(n=1, L=L, points=points, dt=dt,
+    grid = GridSpec(L=L, points=points, dt=dt,
                     t_end=min(plan.M, math.ceil(cert.t_star * 1.2)))
     x = grid.axis()
     amp = plan.amplitude

@@ -425,7 +425,8 @@ def simulate(**p):
     """Direct evolution: full torus solver or the spatially-uniform ODE.
 
     The HillPotential checks n >= 1 in every mode; nonlinear and uniform
-    runs must start strictly inside f's domain.
+    runs must start strictly inside f's domain, and a uniform run's
+    --u1-val must be finite.
     """
     pot = coeffs.HillPotential(coefficient_from_flags(p["constant_b"], p["epsilon"]),
                                p["n"])
@@ -433,6 +434,8 @@ def simulate(**p):
 
     if p["mode"] == "uniform":
         _check_inside(domain, p["u0_val"], p["u0_val"], "--u0-val")
+        if not math.isfinite(p["u1_val"]):
+            raise ParameterError(f"--u1-val must be finite, got {p['u1_val']}")
         samples = pdesim.evolve_uniform(
             pot, f, p["u0_val"], p["u1_val"], p["t_end"], tol=p["tol"])
         rows = [[f"{t:.17g}", f"{u:.17g}"] for t, u in samples]
@@ -442,7 +445,7 @@ def simulate(**p):
     if not (math.isfinite(p["offset"]) and math.isfinite(p["amplitude"])):
         raise ParameterError(f"--offset and --amplitude must be finite, "
                              f"got {p['offset']} and {p['amplitude']}")
-    grid = pdesim.GridSpec(n=1, L=p["torus_length"], points=p["points"],
+    grid = pdesim.GridSpec(L=p["torus_length"], points=p["points"],
                            t_end=p["t_end"])
     dt = 0.45 * grid.dx / pdesim.max_b(pot.b) if p["dt"] is None else p["dt"]
     grid = dataclasses.replace(grid, dt=dt)

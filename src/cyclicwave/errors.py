@@ -22,7 +22,7 @@ class SingularMetricError(CyclicWaveError, RuntimeError):
 
 
 class ResolutionError(CyclicWaveError, RuntimeError):
-    """Sampling grid does not resolve the field (too much top-octave energy)."""
+    """A transform does not resolve the field (its tail is not negligible)."""
 
 
 class ExhaustedSearchError(CyclicWaveError, RuntimeError):

@@ -1,13 +1,13 @@
 """Direct spectral evolution on a periodic torus, for oracle cross-checks.
 
-Method of lines: Fourier Laplacian/gradient in space, classical RK4 in time
-on the first-order system.  The field is real, so the state is one stacked
-array (u^, u_t^), its rfftn on the half spectrum, stepped in place.  The
-right-hand sides never see t: the stepper hands each stage its
-coefficients n b'/b and b^2, evaluated for a block of steps at a time.  A
-linear stage is diagonal in k and makes no transform.  A nonlinear stage
-makes 2: one batched irfftn giving u, grad u and u_t, and one rfftn of the
-nonlinear term, masked in place by the 2/3 rule.  The stop check after each
+Method of lines on a one-dimensional torus: Fourier Laplacian/gradient in
+space, classical RK4 in time on the first-order system.  The field is real,
+so the state is one stacked array (u^, u_t^), its rfft on the half
+spectrum, stepped in place.  The right-hand sides never see t: the stepper
+hands each stage its coefficients n b'/b and b^2, evaluated for a block of
+steps at a time.  A linear stage is diagonal in k and makes no transform.
+A nonlinear stage makes 2: one batched irfft giving u, u_x and u_t, and one
+rfft of the nonlinear term, masked in place by the 2/3 rule.  The stop check after each
 step reads u from the batched inverse that the next step's first stage
 uses, so a nonlinear step makes 8.  The nonlinear solver watches the
 transformed field G(u) and stops when it approaches a finite endpoint (the
@@ -31,19 +31,16 @@ _BLOCK = 1024  # steps whose stage coefficients are evaluated together
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid on [-L/2, L/2)^n with fixed time step."""
+    """Uniform periodic grid on [-L/2, L/2) with fixed time step."""
 
-    n: int
     L: float
     points: int
     dt: float = 0.0
     t_end: float = 0.0
 
     def __post_init__(self):
-        if self.n not in (1, 2, 3):
-            raise ParameterError(f"grid dimension must be 1, 2 or 3, got {self.n}")
         if self.points < 2 or self.points & (self.points - 1):
-            raise ParameterError(f"points per axis must be a power of two, got {self.points}")
+            raise ParameterError(f"points must be a power of two, got {self.points}")
         if not 0 < self.L < math.inf:
             raise ParameterError(f"torus side must be positive and finite, got {self.L}")
         if not (math.isfinite(self.dt) and math.isfinite(self.t_end)):
@@ -55,16 +52,6 @@ class GridSpec:
 
     def axis(self):
         return -self.L / 2 + self.dx * np.arange(self.points)
-
-    def coords(self):
-        """Array of shape grid_shape + (n,) with point coordinates."""
-        axes = [self.axis()] * self.n
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
-
-    def k_squared(self):
-        """|k|^2 on the full spectrum of np.fft.fftn, k = 2*pi*m/L."""
-        return sum(k**2 for k in _axis_wavenumbers(self, half=False))
 
     def check_cfl(self, b):
         limit = 0.5 * self.dx / max_b(b)
@@ -87,7 +74,7 @@ class SimResult:
 
     def manifest(self, grid):
         return {
-            "grid": {"n": grid.n, "L": grid.L, "points": grid.points,
+            "grid": {"n": 1, "L": grid.L, "points": grid.points,
                      "dt": grid.dt, "t_end": grid.t_end},
             "termination": self.termination,
             "t_final": self.snapshots[-1][0] if self.snapshots else None,
@@ -95,47 +82,29 @@ class SimResult:
         }
 
 
-def _axis_wavenumbers(grid, half):
-    """Per-axis angular wavenumbers 2*pi*m/L, shaped to broadcast over the
-    spectrum: the np.fft.rfftn layout when half, else np.fft.fftn."""
-    n = grid.n
-    out = []
-    for ax in range(n):
-        freq = np.fft.rfftfreq if half and ax == n - 1 else np.fft.fftfreq
-        k = freq(grid.points, d=grid.dx) * 2.0 * np.pi
-        out.append(np.expand_dims(k, tuple(a for a in range(n) if a != ax)))
-    return out
-
-
 class _Spectrum:
     """Half-spectrum operators of a real field on the grid, built once per run.
 
-    to_half and to_field carry a field (or a stack of them) to its rfftn and
-    back; on one axis through rfft/irfft, which skip rfftn's per-call axis
-    handling.  ops stacks (i k_1, ..., i k_n, -|k|^2).  A first derivative drops
-    its own Nyquist mode, whose contribution is imaginary for a real field.
-    mask keeps the modes with every |m_j| <= points/3 (the 2/3 rule).
+    to_half and to_field carry a field (or a stack of them) to its rfft and
+    back.  ops stacks (i k, -k^2) at the angular wavenumbers k = 2*pi*m/L.
+    The first derivative drops the Nyquist mode, whose contribution is
+    imaginary for a real field.  mask keeps the modes with |m| <= points/3
+    (the 2/3 rule).
     """
 
     def __init__(self, grid):
-        nyq = grid.points // 2  # index of the Nyquist mode along each axis
-        ks = _axis_wavenumbers(grid, half=True)
-        grad = [1j * k for k in ks]
-        for d in grad:
-            d.flat[nyq] = 0.0
-        k2 = sum(k**2 for k in ks)
-        self.ops = np.stack(np.broadcast_arrays(*grad, -k2))
-        self.mask = np.logical_and.reduce(np.broadcast_arrays(
-            *(np.abs(k) <= abs(k.flat[nyq]) * 2.0 / 3.0 for k in ks)))
-        self.shape = (grid.points,) * grid.n
-        self.axes = tuple(range(-grid.n, 0))
+        k = np.fft.rfftfreq(grid.points, d=grid.dx) * 2.0 * np.pi
+        grad = 1j * k
+        grad[-1] = 0.0  # the Nyquist mode
+        self.ops = np.stack((grad, -k**2))
+        self.mask = np.abs(k) <= k[-1] * 2.0 / 3.0
+        self.points = grid.points
 
     def to_half(self, a):
-        return np.fft.rfft(a) if len(self.axes) == 1 else np.fft.rfftn(a, axes=self.axes)
+        return np.fft.rfft(a)
 
     def to_field(self, ah):
-        return (np.fft.irfft(ah, self.shape[0]) if len(self.axes) == 1
-                else np.fft.irfftn(ah, s=self.shape, axes=self.axes))
+        return np.fft.irfft(ah, self.points)
 
     def wave(self, y, c, b2, out):
         """out = (u_t^, c u_t^ + b2 Lap u^) for y = (u^, u_t^): the linear
@@ -214,7 +183,7 @@ def _march(rhs, pot, grid, u, ut, n_snapshots, stop=None):
 
 
 def evolve_linear(pot, grid, v0, v1, n_snapshots=64):
-    """Evolve v_tt - n (b'/b) v_t - b^2 Lap v = 0 on the torus, with b and n
+    """Evolve v_tt - n (b'/b) v_t - b^2 v_xx = 0 on the torus, with b and n
     those of the HillPotential pot."""
     grid.check_cfl(pot.b)
     spec = _Spectrum(grid)
@@ -230,11 +199,11 @@ def evolve_linear(pot, grid, v0, v1, n_snapshots=64):
 
 
 def _grad_energy(spec, ah):
-    return sum(float(np.mean(g**2)) for g in spec.to_field(spec.ops[:-1] * ah))
+    return float(np.mean(spec.to_field(spec.ops[0] * ah) ** 2))
 
 
 def evolve_nonlinear(pot, grid, u0, u1, v_guard, n_snapshots=64):
-    """Evolve u_tt - n(b'/b)u_t - b^2 Lap u + f(u)(u_t^2 - b^2 |grad u|^2) = 0,
+    """Evolve u_tt - n(b'/b)u_t - b^2 u_xx + f(u)(u_t^2 - b^2 u_x^2) = 0,
     with b and n those of the HillPotential pot.
 
     v_guard (a TransformPair) supplies f, G and the finite endpoint used for
@@ -253,25 +222,22 @@ def evolve_nonlinear(pot, grid, u0, u1, v_guard, n_snapshots=64):
         level = float(v_guard.H(target - _ENDPOINT_FRACTION * target))
         u_lo, u_hi = (u_lo, level) if target > 0 else (level, u_hi)
 
-    # (u^, i k_1 u^, ..., i k_n u^, u_t^), inverted by one irfftn per stage
-    lift = np.empty((grid.n + 2,) + spec.mask.shape, dtype=complex)
-    w, sq = np.empty(spec.shape), np.empty(spec.shape)
+    # (u^, i k u^, u_t^), inverted by one irfft per stage
+    lift = np.empty((3, spec.mask.size), dtype=complex)
+    w, sq = np.empty(grid.points), np.empty(grid.points)
     field = None  # the inverse of lift made by blown_up, not yet used
 
     def invert(y):
-        lift[0], lift[-1] = y
-        np.multiply(spec.ops[:-1], y[0], out=lift[1:-1])
+        lift[0], lift[2] = y
+        np.multiply(spec.ops[0], y[0], out=lift[1])
         return spec.to_field(lift)
 
     def rhs(y, c, b2, out):
         nonlocal field
-        uu, *grad, uut = invert(y) if field is None else field
+        uu, ux, uut = invert(y) if field is None else field
         field = None
-        # w = f(u) (u_t^2 - b^2 |grad u|^2)
-        np.multiply(grad[0], grad[0], out=w)
-        for g in grad[1:]:
-            np.multiply(g, g, out=sq)
-            np.add(w, sq, out=w)
+        # w = f(u) (u_t^2 - b^2 u_x^2)
+        np.multiply(ux, ux, out=w)
         np.multiply(w, b2, out=w)
         np.square(uut, out=sq)
         np.subtract(sq, w, out=w)
@@ -342,9 +308,7 @@ def evolve_uniform(pot, f, u0, u1, t_end, tol=1e-11):
 
 
 def export_snapshot_csv(path, grid, snapshot):
-    """1-D snapshot CSV: x,u."""
-    if grid.n != 1:
-        raise ParameterError("snapshot CSV export is 1-D only")
+    """Snapshot CSV: x,u."""
     t, u = snapshot
     rows = [[f"{x:.17g}", f"{val:.17g}"] for x, val in zip(grid.axis(), u)]
     write_atomic(path, csv_text([["x", "u"]] + rows))

@@ -4,6 +4,8 @@ Frozen regression constants live next to the tests that assert them; the
 fixtures here only cache objects that several files rebuild identically,
 plus one guard that several files install the same way.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,17 @@ from cyclicwave import coeffs, transform
 # b = sqrt(1 + 0.5 sin 2 pi t) at n = 3, as returned by find_good_lambda
 # on the (5, 17) window with 400 scan points (regression constant).
 LAM_WITNESS = 10.413533834586467
+
+
+def periodic_integral(g, t):
+    """int_0^t g for a 1-periodic g: k int_0^1 g + int_0^{t-k} g with
+    k = floor(t), each by quad to a relative 1.2e-14."""
+    from scipy.integrate import quad
+
+    k = math.floor(t)
+    period, rest = (quad(g, 0.0, end, epsabs=0.0, epsrel=1.2e-14, limit=800)[0]
+                    for end in (1.0, t - k))
+    return k * period + rest
 
 
 def f_ray(t):

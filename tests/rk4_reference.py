@@ -71,7 +71,7 @@ def evolve_nonlinear(b, n_coeff, f, grid, u0, u1, v_guard, n_snapshots=64):
             u_hi = float(v_guard.H(target - level))
         else:
             u_lo = float(v_guard.H(target + level))
-    lift = np.empty((grid.n + 2,) + spec.mask.shape, dtype=complex)
+    lift = np.empty((3,) + spec.mask.shape, dtype=complex)
 
     def rhs(tt, uh, uth):
         bt = b.eval(tt)

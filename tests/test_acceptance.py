@@ -9,12 +9,12 @@ import time
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 
 from cyclicwave import blowup, coeffs, floquet, geometry, pdesim, transform
 from cyclicwave.errors import NotApplicableError
 
-from conftest import LAM_WITNESS, f_ray
+from conftest import LAM_WITNESS, f_ray, periodic_integral
 from dop853_reference import FundamentalPair
 from printed_q import q_variant
 
@@ -272,8 +272,7 @@ def test_criterion_9_uniform_solutions(b05, pot3):
                                 0.0, 1.0, 20.0, tol=1e-13)
     b0 = float(b05.eval(0.0))
     for t, u in res[::20]:
-        ref = quad(lambda s: float(b05.eval(s)) ** 3, 0.0, t,
-                   limit=800, epsabs=1e-14, epsrel=1e-14)[0] / b0 ** 3
+        ref = periodic_integral(lambda s: float(b05.eval(s)) ** 3, t) / b0 ** 3
         assert abs(u - ref) < 1e-8
 
     res_nl = pdesim.evolve_uniform(pot3, f_ray, 0.0, 1.0, 2.0, tol=1e-12)
@@ -286,9 +285,9 @@ def test_criterion_10_stability_dichotomy(pot3):
     """Plane-wave modes: bounded (<= 10x envelope) over 30 periods in a
     stable gap; growth >= mu0^25 * 0.5 in the certified interval."""
     # stable gap: lambda = 4 (below the first interval); mode k = 2 on 2 pi
-    grid = pdesim.GridSpec(n=1, L=2 * math.pi, points=64,
+    grid = pdesim.GridSpec(L=2 * math.pi, points=64,
                            dt=30.0 / 4096, t_end=30.0)
-    x = grid.coords()[..., 0]
+    x = grid.axis()
     res = pdesim.evolve_linear(pot3, grid, np.cos(2 * x), np.zeros_like(x),
                                n_snapshots=256)
     peak = max(float(np.max(np.abs(v))) for _, v in res.snapshots)
@@ -297,8 +296,8 @@ def test_criterion_10_stability_dichotomy(pot3):
     # certified interval: lambda = LAM_WITNESS as the k = 1 mode
     L = 2.0 * math.pi / math.sqrt(LAM_WITNESS)
     dt = 30.0 / 8192
-    grid = pdesim.GridSpec(n=1, L=L, points=64, dt=dt, t_end=30.0)
-    x = grid.coords()[..., 0]
+    grid = pdesim.GridSpec(L=L, points=64, dt=dt, t_end=30.0)
+    x = grid.axis()
     res = pdesim.evolve_linear(pot3, grid, np.cos(2 * math.pi * x / L),
                                np.zeros_like(x), n_snapshots=256)
     mu0 = floquet.monodromy(pot3, LAM_WITNESS).mu0

@@ -5,21 +5,86 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad, simpson
+from scipy.special import j0
 
 from cyclicwave import blowup, coeffs, floquet, transform
 from cyclicwave.errors import (ExhaustedSearchError, NotApplicableError,
                                ParameterError, ResolutionError)
-from cyclicwave.pdesim import GridSpec
 
 from conftest import LAM_WITNESS, f_ray
 
-# Frozen n=1 smallness regression values (S=3, lam = LAM_WITNESS, default
-# FFT grid); stable to ten digits across 2048/4096/8192-point grids.
+# Frozen n=1 smallness values of the FFT oracle (S=3, lam = LAM_WITNESS,
+# 4096 points); stable to ten digits across 2048/4096/8192-point grids.
 N1_SMALLNESS = {2: 13.81763244, 4: 2.972487088, 8: 0.740670709}
-# Frozen n=2 smallness at M = 8 (S=4.5, lam = 10.308521303258145, default
-# FFT grid); it matches the envelope estimate ||g0|| + (1+lam)^{3/2}
+# Frozen n=2 smallness of the FFT oracle at M = 8 (S=4.5, lam = LAM_N2,
+# 1024^2 points); it matches the envelope estimate ||g0|| + (1+lam)^{3/2}
 # ||g1|| / sqrt 2 to four digits.
 N2_SMALLNESS_M8 = 0.3857277303694335
+LAM_N2 = 10.308521303258145  # the n = 2 good lambda of the reference run
+
+
+def seed_profiles(plan, tp):
+    """The radial profiles g0 = M^-S chi(r / M^2) and g1 = A g0 exp(-Phi(g0))
+    of the plan's data, supported in r <= R = 2 M^2."""
+    amp, msq = plan.amplitude, float(plan.M) ** 2
+
+    def g0(r):
+        return amp * blowup.chi_radial(r / msq)
+
+    def g1(r):
+        base = g0(r)
+        return plan.A * base * np.exp(-tp.Phi(base))
+
+    return g0, g1
+
+
+def make_data(plan, tp):
+    """Return (u0, u1) = (g0(|x|), g1(|x|) cos(x.y)): callables on point
+    arrays of shape (..., n)."""
+    g0, g1 = seed_profiles(plan, tp)
+    y = np.asarray(plan.y)
+
+    def u0(x):
+        return g0(np.sqrt(np.sum(x * x, axis=-1)))
+
+    def u1(x):
+        phase = np.cos(np.tensordot(x, y, axes=([-1], [0])))
+        return g1(np.sqrt(np.sum(x * x, axis=-1))) * phase
+
+    return u0, u1
+
+
+def torus_norm(values, L, s):
+    """H^s norm of a field sampled on the torus [-L/2, L/2)^n, continuum
+    convention: ||u||^2 = L^n sum_k |c_k|^2 (1 + |xi_k|^2)^s over the Fourier
+    coefficients c_k at xi_k = 2 pi k / L.  ResolutionError when the top
+    octave holds more than 1% of that sum."""
+    n, points = values.ndim, values.shape[0]
+    dx = L / points
+    k = np.fft.fftfreq(points, d=dx) * 2.0 * np.pi
+    k2 = sum(kk**2 for kk in np.meshgrid(*[k] * n, indexing="ij"))
+    power = np.abs(np.fft.fftn(values) / values.size) ** 2
+    weight = (1.0 + k2) ** s
+    total = L**n * float(np.sum(power * weight))
+    octave = k2 >= (np.pi / dx / 2.0) ** 2
+    top = L**n * float(np.sum(power[octave] * weight[octave]))
+    if total > 0 and top > 0.01 * total:
+        raise ResolutionError(f"top-octave energy fraction {top / total:.3g}")
+    return math.sqrt(total)
+
+
+def fft_smallness(plan, tp, s, points):
+    """The FFT oracle: ||u0||_{H^{s+1}} + ||u1||_{H^s} of the plan's data on
+    the n-torus of side 5 M^2 with `points` per axis.  ResolutionError when
+    sqrt(lambda) lies in the grid's top octave, where cos(x.y) aliases."""
+    L = 2.0 * plan.support_radius * 1.25
+    dx = L / points
+    if math.sqrt(plan.lam) >= math.pi / (2.0 * dx):
+        raise ResolutionError(f"the FFT grid at M={plan.M} does not resolve cos(x.y)")
+    axis = -L / 2 + dx * np.arange(points)
+    x = np.stack(np.meshgrid(*[axis] * plan.n, indexing="ij"), axis=-1)
+    u0, u1 = make_data(plan, tp)
+    return torus_norm(u0(x), L, s + 1.0) + torus_norm(u1(x), L, s)
 
 
 def test_cutoff_shape():
@@ -72,7 +137,7 @@ def test_plan_invariants():
 
 def test_data_point_values(tp1):
     plan = blowup.BlowupPlan(3, LAM_WITNESS, 6.5, 3, A=-1.0)
-    u0, u1 = blowup.make_data(plan, tp1)
+    u0, u1 = make_data(plan, tp1)
     amp = plan.amplitude
     origin = np.zeros((1, 3))
     assert u0(origin)[0] == pytest.approx(amp, rel=1e-14)
@@ -91,13 +156,10 @@ def test_data_point_values(tp1):
 def test_torus_sobolev_cosine_closed_form():
     # || A cos(k x) ||_{H^s}^2 = L * A^2/2 * (1+k^2)^s  (continuum convention)
     L, pts, s, A = 10.0, 256, 2.0, 0.7
-    grid = GridSpec(n=1, L=L, points=pts)
     k = 2.0 * math.pi * 3 / L
-    x = grid.coords()[..., 0]
-    u0 = lambda p: A * np.cos(k * p[..., 0])
-    u1 = lambda p: np.zeros(p.shape[:-1])
-    got = blowup.sobolev_smallness(u0, u1, s, grid)
-    expect = math.sqrt(L * A * A / 2.0 * (1 + k * k) ** (s + 1))
+    x = -L / 2 + L / pts * np.arange(pts)
+    got = torus_norm(A * np.cos(k * x), L, s)
+    expect = math.sqrt(L * A * A / 2.0 * (1 + k * k) ** s)
     assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -106,8 +168,8 @@ def test_radial_pair_norm_gaussian_oracle():
     quadrature of the known transform (2 pi)^{3/2} e^{-rho^2/2}."""
     lam, s, R = 16.0, 3.0, 14.0
     g = lambda r: np.exp(-r * r / 2.0)
-    hat = blowup._radial_hat(g, R)[1]
-    got = blowup.radial_pair_norm(blowup.radial_head(hat), hat, lam, s, R)
+    hat = blowup._radial_hat(g, R, 3)[1]
+    got = blowup.radial_pair_norm(blowup.radial_head(hat), hat, lam, s, R, 3)
     ghat = lambda rho: (2 * math.pi) ** 1.5 * math.exp(-rho * rho / 2.0)
     inv = (2 * math.pi) ** -3
     sq = math.sqrt(lam)
@@ -132,17 +194,55 @@ def test_radial_pair_norm_gaussian_oracle():
     assert got == pytest.approx(exact, rel=0.01)
 
 
+def test_radial_pair_norm_gaussian_oracle_n2():
+    """The same for n = 2: polar quadrature of the known transform
+    2 pi e^{-rho^2/2}, over theta in [0, pi] twice by symmetry."""
+    lam, s, R = 16.0, 3.0, 14.0
+    g = lambda r: np.exp(-r * r / 2.0)
+    hat = blowup._radial_hat(g, R, 2)[1]
+    got = blowup.radial_pair_norm(blowup.radial_head(hat), hat, lam, s, R, 2)
+    ghat = lambda rho: 2 * math.pi * math.exp(-rho * rho / 2.0)
+    inv = (2 * math.pi) ** -2
+    sq = math.sqrt(lam)
+    n0sq = inv * 2 * math.pi * quad(
+        lambda r: (1 + r * r) ** (s + 1) * ghat(r) ** 2 * r, 0, 40,
+        limit=200)[0]
+    plus = 2 * dblquad(
+        lambda th, rho: ghat(rho) ** 2
+        * (1 + lam + rho * rho + 2 * sq * rho * math.cos(th)) ** s * rho,
+        0, 40, 0, math.pi, epsabs=1e-12, epsrel=1e-12)[0]
+
+    def cross(th, rho):
+        c = math.cos(th)
+        dm = math.sqrt(max(rho * rho + lam - 2 * sq * rho * c, 0.0))
+        dp = math.sqrt(rho * rho + lam + 2 * sq * rho * c)
+        return ghat(dm) * ghat(dp) * (1 + rho * rho) ** s * rho
+
+    crs = 2 * dblquad(cross, 0, 40, 0, math.pi, epsabs=1e-14, epsrel=1e-12)[0]
+    exact = math.sqrt(n0sq) + math.sqrt(inv * (2 * plus + 2 * crs) / 4.0)
+    assert got >= exact * (1.0 - 1e-6)
+    assert got == pytest.approx(exact, rel=0.01)
+
+
 def test_radial_vs_fft_cross_check(tp1):
     """At s=0 the 3-D FFT norm is computable; the radial path must bound it
     from above and agree closely once the data is not cone-limited."""
     for M, max_ratio in ((1, 1.30), (2, 1.02)):
         plan = blowup.BlowupPlan(3, LAM_WITNESS, 6.5, M)
-        rad = blowup.radial_smallness(plan, tp1, s=0.0)
-        grid = GridSpec(n=3, L=2 * plan.support_radius * 1.25, points=128)
-        u0, u1 = blowup.make_data(plan, tp1)
-        fft = blowup.sobolev_smallness(u0, u1, 0.0, grid)
+        rad = blowup.plan_smallness(plan, tp1, s=0.0)
+        fft = fft_smallness(plan, tp1, 0.0, 128)
         assert rad >= fft * (1.0 - 1e-9)
         assert rad <= fft * max_ratio
+
+
+@pytest.mark.parametrize("M", [4, 8])
+def test_radial_bounds_fft_n2(tp1, M):
+    """Where the 1024^2 FFT grid resolves cos(x.y), the n = 2 radial value
+    bounds the FFT oracle from above, within a relative 1e-4."""
+    plan = blowup.BlowupPlan(2, LAM_N2, 4.5, M)
+    rad = blowup.plan_smallness(plan, tp1)
+    fft = fft_smallness(plan, tp1, 3.0, 1024)
+    assert fft <= rad <= fft * (1.0 + 1e-4)
 
 
 def test_radial_hat_matches_outer_product_formula(tp1):
@@ -163,7 +263,7 @@ def test_radial_hat_matches_outer_product_formula(tp1):
 
     for g, R in ((gauss, 14.0), (g_plan0, plan.support_radius),
                  (g_plan1, plan.support_radius)):
-        rho, got = blowup._radial_hat(g, R)
+        rho, got = blowup._radial_hat(g, R, 3)
         rho, got = rho[:257], got[:257]
         r = np.linspace(0.0, R, 2**14 + 1)
         kern = np.sinc(np.outer(rho, r) / np.pi)
@@ -172,15 +272,34 @@ def test_radial_hat_matches_outer_product_formula(tp1):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_radial_hat_n2_matches_hankel_integral(tp1):
+    """The n = 2 projection transform against 2 pi simpson(J0(rho r) g r, r)
+    on a fine r grid at the first 257 rho of the transform's grid, for chi
+    and the plan profiles; and for a Gaussian against its closed form
+    2 pi e^{-rho^2/2} on the whole grid."""
+    plan = blowup.BlowupPlan(2, LAM_N2, 4.5, 2)
+    g0, g1 = seed_profiles(plan, tp1)
+    for g, R in ((blowup.chi_radial, 2.0), (g0, plan.support_radius),
+                 (g1, plan.support_radius)):
+        rho, got = blowup._radial_hat(g, R, 2)
+        rho, got = rho[:257], got[:257]
+        r = np.linspace(0.0, R, 2**14 + 1)
+        want = 2.0 * np.pi * simpson(j0(np.outer(rho, r)) * (g(r) * r), x=r, axis=-1)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    rho, got = blowup._radial_hat(lambda r: np.exp(-r * r / 2.0), 14.0, 2)
+    want = 2.0 * np.pi * np.exp(-rho * rho / 2.0)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+
+
 @pytest.mark.parametrize("M", [1, 7, 100])
 def test_scaled_chi_head_matches_direct_transform(tp1, M):
     """g0's transform at M is M^-S M^6 times chi's on the M = 1 grid: the
-    head radial_smallness uses against a direct transform of g0, with the
+    head plan_smallness uses against a direct transform of g0, with the
     same cut."""
     plan = blowup.BlowupPlan(3, LAM_WITNESS, 6.5, M)
-    g0, _ = blowup.seed_profiles(plan, tp1)
-    direct = blowup.radial_head(blowup._radial_hat(g0, plan.support_radius)[1])
-    scaled = plan.amplitude * float(M) ** 6 * blowup._chi_head()
+    g0, _ = seed_profiles(plan, tp1)
+    direct = blowup.radial_head(blowup._radial_hat(g0, plan.support_radius, 3)[1])
+    scaled = plan.amplitude * float(M) ** 6 * blowup.radial_head(blowup._chi_hat(3, 0))
     assert scaled.size == direct.size
     assert np.max(np.abs(scaled - direct)) <= 1e-13 * np.max(np.abs(direct))
 
@@ -192,9 +311,9 @@ def test_certify_transforms_chi_once(pot3, tp1, monkeypatch):
     radial_hat, plan_smallness = blowup._radial_hat, blowup.plan_smallness
     profiles, plans = [], []
 
-    def counted_hat(g, R):
+    def counted_hat(g, R, n):
         profiles.append(g)
-        return radial_hat(g, R)
+        return radial_hat(g, R, n)
 
     def counted_smallness(plan, *args, **kwargs):
         plans.append(plan)
@@ -215,13 +334,13 @@ def test_scaled_g1_matches_direct_transform(tp1, M, A):
     transform equals the one from a direct transform of g1."""
     plan = blowup.BlowupPlan(3, LAM_WITNESS, 6.5, M, A=A)
     assert blowup._phi_bound(tp1, plan.amplitude) <= blowup._PHI_SKIP
-    _, g1 = blowup.seed_profiles(plan, tp1)
+    _, g1 = seed_profiles(plan, tp1)
     R = plan.support_radius
-    h0 = plan.amplitude * float(M) ** 6 * blowup._chi_head()
-    direct = blowup.radial_pair_norm(h0, blowup._radial_hat(g1, R)[1],
-                                     plan.lam, 3.0, R)
-    assert blowup.radial_smallness(plan, tp1, 3.0) == pytest.approx(direct,
-                                                                    rel=1e-15)
+    h0 = plan.amplitude * float(M) ** 6 * blowup.radial_head(blowup._chi_hat(3, 0))
+    direct = blowup.radial_pair_norm(h0, blowup._radial_hat(g1, R, 3)[1],
+                                     plan.lam, 3.0, R, 3)
+    assert blowup.plan_smallness(plan, tp1, 3.0) == pytest.approx(direct,
+                                                                  rel=1e-15)
 
 
 def _f_shifted(t):
@@ -229,29 +348,39 @@ def _f_shifted(t):
     return 0.5 + f_ray(t)
 
 
-@pytest.mark.parametrize("M, f", [(1, f_ray), (35, _f_shifted)],
-                         ids=["M1", "f0-nonzero"])
-def test_radial_smallness_fallback_transforms_g1(M, f, monkeypatch):
+@pytest.mark.parametrize("n, lam, M, f", [
+    (3, LAM_WITNESS, 1, f_ray), (3, LAM_WITNESS, 35, _f_shifted),
+    (2, LAM_N2, 56, f_ray), (2, LAM_N2, 87, f_ray),
+], ids=["M1", "f0-nonzero", "n2-M56", "n2-M87"])
+def test_radial_smallness_fallback_transforms_g1(n, lam, M, f, monkeypatch):
     """Where the bound does not prove exp(-Phi(g0)) = 1 (amp = 1 at M = 1,
-    or f(0) != 0), g1 is transformed directly and the value is
-    radial_pair_norm's on that transform."""
+    f(0) != 0, or n = 2, whose M^-4.5 leaves Phi(g0) above 2^-60), g1's
+    transform is the Chebyshev series over the cached chi terms: no g1
+    transform is made, and the series is within 1e-15 of the peak of a
+    direct transform of g1."""
     tp = transform.TransformPair(f)
-    plan = blowup.BlowupPlan(3, LAM_WITNESS, 6.5, M)
+    plan = blowup.BlowupPlan(n, lam, 2 * n + 0.5, M)
     assert blowup._phi_bound(tp, plan.amplitude) > blowup._PHI_SKIP
-    _, g1 = blowup.seed_profiles(plan, tp)
-    R = plan.support_radius
-    h0 = plan.amplitude * float(M) ** 6 * blowup._chi_head()
-    direct = blowup.radial_pair_norm(h0, blowup._radial_hat(g1, R)[1],
-                                     plan.lam, 3.0, R)
-    radial_hat, profiles = blowup._radial_hat, []
+    _, g1 = seed_profiles(plan, tp)
+    direct = blowup._radial_hat(g1, plan.support_radius, n)[1]
+    for k in range(blowup._exp_phi_series(tp, plan.amplitude).size):
+        blowup._chi_hat(n, k)
+    radial_hat, pair_norm, profiles, h1s = (blowup._radial_hat,
+                                            blowup.radial_pair_norm, [], [])
 
-    def counted_hat(g, R):
+    def counted_hat(g, R, n):
         profiles.append(g)
-        return radial_hat(g, R)
+        return radial_hat(g, R, n)
+
+    def kept_h1(h0, h1, *args):
+        h1s.append(h1)
+        return pair_norm(h0, h1, *args)
 
     monkeypatch.setattr(blowup, "_radial_hat", counted_hat)
-    assert blowup.radial_smallness(plan, tp, 3.0) == direct
-    assert len(profiles) == 1 and profiles[0] is not blowup.chi_radial
+    monkeypatch.setattr(blowup, "radial_pair_norm", kept_h1)
+    blowup.plan_smallness(plan, tp)
+    assert profiles == [] and len(h1s) == 1
+    assert np.max(np.abs(h1s[0] - direct)) <= 1e-15 * np.max(np.abs(direct))
 
 
 def test_phi_bound_covers_sampled_phi(tp1):
@@ -260,7 +389,7 @@ def test_phi_bound_covers_sampled_phi(tp1):
     from 30 to 100."""
     for M in range(30, 101):
         plan = blowup.BlowupPlan(3, LAM_WITNESS, 6.5, M)
-        g0, _ = blowup.seed_profiles(plan, tp1)
+        g0, _ = seed_profiles(plan, tp1)
         s = np.concatenate([np.linspace(0.0, plan.amplitude, 1025),
                             g0(np.linspace(0.0, plan.support_radius, 4097))])
         bound = blowup._phi_bound(tp1, plan.amplitude)
@@ -292,8 +421,8 @@ def test_radial_smallness_regression(tp1, M, value):
     """H^4 x H^3 smallness of the plan data at the reference witness, as
     the earlier Simpson-kernel quadrature computed it."""
     plan = blowup.BlowupPlan(3, LAM_WITNESS, 6.5, M)
-    assert blowup.radial_smallness(plan, tp1, 3.0) == pytest.approx(value,
-                                                                     rel=1e-9)
+    assert blowup.plan_smallness(plan, tp1, 3.0) == pytest.approx(value,
+                                                                   rel=1e-9)
 
 
 def test_radial_smallness_memory_is_blocked(tp1):
@@ -302,7 +431,7 @@ def test_radial_smallness_memory_is_blocked(tp1):
     plan = blowup.BlowupPlan(3, LAM_WITNESS, 6.5, 100)
     tracemalloc.start()
     try:
-        blowup.radial_smallness(plan, tp1, 3.0)
+        blowup.plan_smallness(plan, tp1, 3.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -315,35 +444,39 @@ def test_radial_pair_norm_unresolved_spectrum_raises():
     def g(r):
         return (r < 5.0).astype(float)
 
-    hat = blowup._radial_hat(g, 10.0)[1]
+    hat = blowup._radial_hat(g, 10.0, 3)[1]
     with pytest.raises(ResolutionError):
         blowup.radial_pair_norm(blowup.radial_head(hat), hat, LAM_WITNESS,
-                                3.0, 10.0)
+                                3.0, 10.0, 3)
 
 
 def test_n1_smallness_regression(tp1):
+    """The FFT oracle on 4096 points keeps its frozen n = 1 values."""
     for M, val in N1_SMALLNESS.items():
         plan = blowup.BlowupPlan(1, LAM_WITNESS, 3.0, M)
-        got = blowup.plan_smallness(plan, tp1)
+        got = fft_smallness(plan, tp1, 3.0, 4096)
         assert got == pytest.approx(val, rel=1e-8)
-    vals = [blowup.plan_smallness(blowup.BlowupPlan(1, LAM_WITNESS, 3.0, M),
-                                  tp1) for M in (2, 4, 8, 16)]
+    vals = [fft_smallness(blowup.BlowupPlan(1, LAM_WITNESS, 3.0, M), tp1, 3.0, 4096)
+            for M in (2, 4, 8, 16)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_fft_smallness_refuses_aliased_modulation(tp1):
-    """n = 2 on the 1024-point grid of side 5 M^2: at M = 8 cos(x.y) is
-    resolved and the norm is the frozen value; at M = 10 it lies just below
-    the top octave, whose energy budget then fails; at M = 56, where
-    blowup-demo --n 2 used to certify, sqrt(lambda) >= pi/(2 dx) and the
-    modulation would alias to a norm far too small, so ResolutionError."""
-    lam = 10.308521303258145  # the n = 2 good lambda of the reference run
-    resolved = blowup.plan_smallness(blowup.BlowupPlan(2, lam, 4.5, 8), tp1)
-    assert resolved == pytest.approx(N2_SMALLNESS_M8, rel=1e-12)
+    """The n = 2 FFT oracle on the 1024-point grid of side 5 M^2: at M = 8
+    cos(x.y) is resolved and the norm is the frozen value; at M = 10 it lies
+    just below the top octave, whose energy budget then fails; at M = 56,
+    where blowup-demo --n 2 first has growth, sqrt(lambda) >= pi/(2 dx) and
+    the modulation would alias, so ResolutionError.  The radial path has no
+    grid and gives a value there."""
+    plan = blowup.BlowupPlan(2, LAM_N2, 4.5, 8)
+    assert fft_smallness(plan, tp1, 3.0, 1024) == pytest.approx(N2_SMALLNESS_M8,
+                                                                rel=1e-12)
     with pytest.raises(ResolutionError, match="top-octave"):
-        blowup.plan_smallness(blowup.BlowupPlan(2, lam, 4.5, 10), tp1)
+        fft_smallness(blowup.BlowupPlan(2, LAM_N2, 4.5, 10), tp1, 3.0, 1024)
+    plan = blowup.BlowupPlan(2, LAM_N2, 4.5, 56)
     with pytest.raises(ResolutionError, match=r"does not resolve cos\(x.y\)"):
-        blowup.plan_smallness(blowup.BlowupPlan(2, lam, 4.5, 56), tp1)
+        fft_smallness(plan, tp1, 3.0, 1024)
+    assert 0.0 < blowup.plan_smallness(plan, tp1) < math.inf
 
 
 @pytest.fixture(scope="module")
@@ -461,6 +594,17 @@ def test_certify_checks_delta_and_s_before_work(pot3, tp1, monkeypatch,
         blowup.certify_blowup(tp1, pot3, (5.0, 17.0), delta, S=S)
 
 
+def test_certify_refuses_n_above_3_before_work(b05, tp1, monkeypatch):
+    """n >= 4 is refused before the lambda scan, with a message that names
+    n; it used to fail only after the scan, on the torus grid's dimension."""
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan_instability ran before n was checked")
+
+    monkeypatch.setattr(floquet, "scan_instability", no_scan)
+    with pytest.raises(ParameterError, match="n = 4"):
+        blowup.certify_blowup(tp1, coeffs.HillPotential(b05, 4), (5.0, 17.0), 1e-3)
+
+
 def test_certificate_json(pot3, tp1):
     import json
 
@@ -481,7 +625,7 @@ def test_torus_scenario(pot3, tp1):
     steps inside the CFL limit, and the run ends at min(M, ceil(1.2 t*))."""
     cert = blowup.certify_blowup(tp1, pot3, (5.0, 17.0), 1e-3)
     grid, u0, u1 = blowup.torus_scenario(cert)
-    assert (grid.n, grid.points) == (1, 1024)
+    assert grid.points == 1024
     assert grid.L == pytest.approx(2 * math.pi / math.sqrt(cert.plan.lam), rel=1e-15)
     assert (1.0 / grid.dt).is_integer()
     grid.check_cfl(pot3.b)

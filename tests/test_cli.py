@@ -536,14 +536,20 @@ _EX2 = ["--f", "example2:ell=4", "--epsilon", "0.5", "--t-end", "0.5", "--out", 
      _MARCH, "domain"),
     (["simulate", "--mode", "uniform", "--u0-val", "-2"] + _EX2,
      "scipy.integrate.solve_ivp", "domain"),
+    (["simulate", "--mode", "uniform", "--epsilon", "0.5", "--u1-val", "nan",
+      "--out", "x.csv"], "scipy.integrate.solve_ivp", "--u1-val"),
+    (["simulate", "--mode", "uniform", "--epsilon", "0.5", "--u1-val", "inf",
+      "--out", "x.csv"], "scipy.integrate.solve_ivp", "--u1-val"),
 ], ids=["points-0", "n-0", "n-negative", "uniform-n-0", "offset-outside-domain",
-        "amplitude-outside-domain", "uniform-outside-domain"])
+        "amplitude-outside-domain", "uniform-outside-domain", "uniform-u1-nan",
+        "uniform-u1-inf"])
 def test_simulate_invalid_setup_exit_2_before_work(tmp_path, capsys, monkeypatch,
                                                    args, work, named):
     """--points 0 ended in a ZeroDivisionError traceback, n < 1 ran the wave
-    operator of no spatial dimension, and data outside (-1, inf), the domain
-    of example2, were evolved: each exits 2 before the stepper or the ODE
-    solver starts, and writes no file."""
+    operator of no spatial dimension, data outside (-1, inf), the domain
+    of example2, were evolved, and a non-finite --u1-val reached scipy's
+    solver: each exits 2 before the stepper or the ODE solver starts, and
+    writes no file."""
     monkeypatch.chdir(tmp_path)
     err = _exit_before_work(args, "simulate", monkeypatch, capsys, work=work)
     assert err["error"] == "ParameterError"
@@ -583,11 +589,13 @@ def test_noc_out_of_range_exit_2_before_work(tmp_path, capsys, monkeypatch,
 
 @pytest.mark.parametrize("flag, value", [("--delta", "nan"), ("--delta", "-0.5"),
                                          ("--s-exponent", "nan"),
-                                         ("--s-exponent", "inf"), ("--s-exponent", "5")])
+                                         ("--s-exponent", "inf"), ("--s-exponent", "5"),
+                                         ("--n", "4")])
 def test_blowup_demo_delta_and_s_exit_2_before_scan(tmp_path, capsys, monkeypatch,
                                                     flag, value):
     """A bad --delta or --s-exponent used to exit 3 (or 2) only after the
-    Floquet scan, and after every M up to 256 for --delta."""
+    Floquet scan, and after every M up to 256 for --delta; --n 4 exited 2
+    after the scan and the M loop, on the torus grid's dimension."""
     monkeypatch.chdir(tmp_path)
     err = _exit_before_work(_ARGS["blowup-demo"] + [flag, value], "blowup-demo",
                             monkeypatch, capsys,
@@ -734,16 +742,31 @@ def test_blowup_demo_n1_says_why_exit_3(tmp_path):
     assert not any(tmp_path.glob("c.*"))
 
 
-def test_blowup_demo_n2_unresolved_exit_3(tmp_path):
-    """n = 2 reaches growth at M = 56, where the FFT grid no longer resolves
-    cos(x.y): exit 3 with one JSON line instead of a certificate whose
-    smallness comes from an aliased spectrum."""
+def test_blowup_demo_n2_certifies(tmp_path):
+    """n = 2 has growth from M = 56 on, and its radial smallness first drops
+    below delta = 1e-3 at M = 87."""
     r = run(["blowup-demo", "--metric", "conformal:alpha=-1", "--n", "2",
              "--out", "c.json"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    cert = json.loads((tmp_path / "c.json").read_text())
+    assert (cert["M"], cert["S"], cert["lambda"]) == (87, 4.5, 10.308521303258145)
+    assert cert["t_star"] == pytest.approx(54.332152357, rel=1e-9)
+    assert 0.0 < cert["smallness"] <= cert["delta"] == 1e-3
+    assert len(cert["y"]) == 2
+
+
+def test_blowup_demo_n2_small_delta_exit_3(tmp_path):
+    """At delta = 1e-5 no n = 2 plan with M <= 256 is small enough (the
+    smallness falls like M^{n-S} = M^-2.5): exit 3 with one JSON line that
+    reports the best M, and no file."""
+    r = run(["blowup-demo", "--metric", "conformal:alpha=-1", "--n", "2",
+             "--delta", "1e-5", "--out", "c.json"], tmp_path)
     assert r.returncode == 3, (r.returncode, r.stderr)
     lines = r.stderr.strip().splitlines()
     assert len(lines) == 1, r.stderr
-    assert json.loads(lines[0])["error"] == "ResolutionError"
+    err = json.loads(lines[0])
+    assert err["error"] == "ExhaustedSearchError"
+    assert "at M=256 still exceeds" in err["message"]
     assert not any(tmp_path.glob("c.*"))
 
 

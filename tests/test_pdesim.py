@@ -3,14 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 
 from cyclicwave import coeffs, pdesim, transform
 from cyclicwave.errors import IntegrationFailure, ParameterError
 
 import rk4_reference
 import spectral_reference
-from conftest import f_ray
+from conftest import f_ray, periodic_integral
 
 # Crossing time of int_0^t b^3 = pi/(2 sqrt 2) for b = sqrt(1+0.5 sin 2 pi t),
 # computed by quadrature + root bracketing (regression constant).
@@ -21,7 +21,7 @@ def _grid(points, L=2 * math.pi, dt_frac=0.25, t_end=2.0, bmax=1.25):
     dx = L / points
     dt = dt_frac * dx / bmax
     steps = int(math.ceil(t_end / dt))
-    return pdesim.GridSpec(n=1, L=L, points=points, dt=t_end / steps,
+    return pdesim.GridSpec(L=L, points=points, dt=t_end / steps,
                            t_end=t_end)
 
 
@@ -29,7 +29,7 @@ def test_standing_wave_constant_coefficient():
     """b == 1 has b' = 0, so n b'/b = 0 for every n >= 1: v = cos x cos t."""
     pot = coeffs.HillPotential(coeffs.constant(), 1)
     grid = _grid(128, t_end=2.0, bmax=1.0)
-    x = grid.coords()[..., 0]
+    x = grid.axis()
     res = pdesim.evolve_linear(pot, grid, np.cos(x), np.zeros_like(x))
     t_fin, v_fin = res.snapshots[-1]
     assert res.termination == "completed"
@@ -41,7 +41,7 @@ def test_plane_wave_matches_mode_ode(b05, pot3):
     lam = (2.0 * math.pi * 2 / (2 * math.pi)) ** 2  # k = 2 on L = 2 pi
     n = 3
     grid = _grid(256, t_end=3.0)
-    x = grid.coords()[..., 0]
+    x = grid.axis()
     res = pdesim.evolve_linear(pot3, grid, np.cos(2 * x),
                                np.zeros_like(x))
 
@@ -59,8 +59,7 @@ def test_uniform_linear_quadrature(b05, pot3):
     res = pdesim.evolve_uniform(pot3, lambda u: np.zeros_like(u),
                                 0.0, 1.0, 20.0, tol=1e-13)
     for t, u in res[::40]:
-        ref = quad(lambda s: float(b05.eval(s)) ** 3, 0.0, t,
-                   limit=800, epsabs=1e-14, epsrel=1e-14)[0]
+        ref = periodic_integral(lambda s: float(b05.eval(s)) ** 3, t)
         assert u == pytest.approx(ref, abs=5e-9)
 
 
@@ -91,7 +90,7 @@ def test_uniform_matches_grid_run(b05, pot3, tp1):
     """Constant data on the torus stays uniform; the grid solver must track
     the uniform ODE."""
     grid = _grid(64, t_end=1.0, dt_frac=0.1)
-    x = grid.coords()[..., 0]
+    x = grid.axis()
     u0v, u1v = 0.05, 0.03
     res = pdesim.evolve_nonlinear(pot3, grid, np.full_like(x, u0v),
                                   np.full_like(x, u1v), tp1)
@@ -119,7 +118,7 @@ def test_transform_commutes_with_evolution(pot3, fname, f):
     must agree via G at matching times."""
     tp = transform.build_transform(f)
     grid = _grid(64, t_end=1.5, dt_frac=0.1)
-    x = grid.coords()[..., 0]
+    x = grid.axis()
     u0 = 0.05 + 0.02 * np.cos(x)
     u1 = 0.03 * np.sin(x)
     G = np.vectorize(tp.G)
@@ -143,7 +142,7 @@ def test_time_convergence_fourth_order(b05, pot3):
     errs = []
     for frac in (0.2, 0.1):
         grid = _grid(64, t_end=1.0, dt_frac=frac)
-        x = grid.coords()[..., 0]
+        x = grid.axis()
         res = pdesim.evolve_linear(pot3, grid, np.cos(x), np.zeros_like(x))
         t_fin, v_fin = res.snapshots[-1]
 
@@ -162,7 +161,7 @@ def test_nonlinear_blowup_detection(pot3, tp1):
     """Large data crosses the finite endpoint of G in finite time; the run
     must stop with the blow-up flag rather than overflow."""
     grid = _grid(64, t_end=6.0, dt_frac=0.1)
-    x = grid.coords()[..., 0]
+    x = grid.axis()
     res = pdesim.evolve_nonlinear(pot3, grid, np.full_like(x, 0.2),
                                   np.full_like(x, 1.0), tp1)
     assert res.termination == "blowup_detected"
@@ -176,8 +175,8 @@ def test_completed_run_ends_at_t_end(pot3, tp1, mode):
     remainder lands on t_end, and the state there matches a run whose dt
     divides t_end."""
     def run(dt):
-        grid = pdesim.GridSpec(n=1, L=2 * math.pi, points=32, dt=dt, t_end=0.5)
-        x = grid.coords()[..., 0]
+        grid = pdesim.GridSpec(L=2 * math.pi, points=32, dt=dt, t_end=0.5)
+        x = grid.axis()
         u0, u1 = 0.05 * np.cos(x), np.zeros_like(x)
         if mode == "linear":
             return pdesim.evolve_linear(pot3, grid, u0, u1, n_snapshots=4)
@@ -196,18 +195,16 @@ def test_completed_run_ends_at_t_end(pot3, tp1, mode):
     assert np.max(np.abs(res.snapshots[-1][1] - ref.snapshots[-1][1])) < 1e-8
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_real_transforms_match_complex_reference(b05, pot3, tp1, n):
+def test_real_transforms_match_complex_reference(b05, pot3, tp1):
     """Both torus solvers on the half spectrum against the full complex-FFT
     right-hand sides marched by the same RK4 loop.  Random data put energy
-    in every mode, the Nyquist modes of each axis included."""
+    in every mode, the Nyquist mode included."""
     points = 16
     dt = 0.2 * (2 * math.pi / points) / 1.25
-    grid = pdesim.GridSpec(n=n, L=2 * math.pi, points=points, dt=dt,
-                           t_end=20 * dt)
-    rng = np.random.default_rng(n)
-    u0 = 0.05 + 0.02 * rng.standard_normal((points,) * n)
-    u1 = 0.02 * rng.standard_normal((points,) * n)
+    grid = pdesim.GridSpec(L=2 * math.pi, points=points, dt=dt, t_end=20 * dt)
+    rng = np.random.default_rng(1)
+    u0 = 0.05 + 0.02 * rng.standard_normal(points)
+    u1 = 0.02 * rng.standard_normal(points)
     nonlin = pdesim.evolve_nonlinear(pot3, grid, u0, u1, tp1, n_snapshots=5)
     lin = pdesim.evolve_linear(pot3, grid, u0, u1, n_snapshots=5)
     for res, rhs in [
@@ -234,8 +231,8 @@ def test_in_place_stepper_is_bit_identical(pot3, tp1, case):
     run, a nonlinear run ending with a remainder step and a nonlinear run
     stopped by the G-endpoint guard."""
     t_end, dt = (6.0, 0.0075) if case == "nonlinear-stopped" else (0.5, 0.0361)
-    grid = pdesim.GridSpec(n=1, L=2 * math.pi, points=64, dt=dt, t_end=t_end)
-    x = grid.coords()[..., 0]
+    grid = pdesim.GridSpec(L=2 * math.pi, points=64, dt=dt, t_end=t_end)
+    x = grid.axis()
     rng = np.random.default_rng(7)
     if case == "nonlinear-stopped":
         u0, u1 = 0.2 + 0.02 * np.cos(x), 1.0 + 0.05 * np.sin(2 * x)
@@ -271,9 +268,9 @@ def test_stage_coefficients_span_blocks(pot3, tp1, mode):
     dt = 0.0361
     # steps - 1 steps of dt, then one of dt / 2
     steps = pdesim._BLOCK + 37
-    grid = pdesim.GridSpec(n=1, L=2 * math.pi, points=8, dt=dt,
+    grid = pdesim.GridSpec(L=2 * math.pi, points=8, dt=dt,
                            t_end=(steps - 0.5) * dt)
-    x = grid.coords()[..., 0]
+    x = grid.axis()
     u0, u1 = 0.05 * np.cos(x), 0.05 * np.sin(2 * x)
     if mode == "linear":
         res = pdesim.evolve_linear(pot3, grid, u0, u1)
@@ -312,7 +309,7 @@ def test_transform_calls_per_step(monkeypatch, pot3, tp1, mode, per_step):
     runs = []
     for t_end in (0.5, 1.0):
         grid = _grid(64, t_end=t_end, dt_frac=0.1)
-        x = grid.coords()[..., 0]
+        x = grid.axis()
         u0, u1 = 0.05 + 0.02 * np.cos(x), 0.03 * np.sin(x)
         calls[0] = 0
         if mode == "linear":
@@ -327,7 +324,7 @@ def test_transform_calls_per_step(monkeypatch, pot3, tp1, mode, per_step):
 
 
 def test_cfl_guard(b05):
-    grid = pdesim.GridSpec(n=1, L=2 * math.pi, points=64,
+    grid = pdesim.GridSpec(L=2 * math.pi, points=64,
                            dt=1.0, t_end=2.0)
     with pytest.raises(ParameterError):
         grid.check_cfl(b05)
@@ -335,11 +332,9 @@ def test_cfl_guard(b05):
 
 def test_gridspec_validation():
     with pytest.raises(ParameterError):
-        pdesim.GridSpec(n=4, L=1.0, points=64)
+        pdesim.GridSpec(L=1.0, points=100)  # not a power of two
     with pytest.raises(ParameterError):
-        pdesim.GridSpec(n=1, L=1.0, points=100)  # not a power of two
-    with pytest.raises(ParameterError):
-        pdesim.GridSpec(n=1, L=-1.0, points=64)
+        pdesim.GridSpec(L=-1.0, points=64)
 
 
 def test_exports(tmp_path, pot3):
@@ -347,7 +342,7 @@ def test_exports(tmp_path, pot3):
     import json
 
     grid = _grid(64, t_end=0.5, dt_frac=0.2)
-    x = grid.coords()[..., 0]
+    x = grid.axis()
     res = pdesim.evolve_linear(pot3, grid, np.cos(x), np.zeros_like(x))
     snap_path = tmp_path / "snap.csv"
     pdesim.export_snapshot_csv(str(snap_path), grid, res.snapshots[-1])
