@@ -225,25 +225,6 @@ def _chi_hat(n, k):
     return hat
 
 
-def _phi_bound(tp, amp):
-    """An upper bound on |Phi| over [0, amp], or inf when amp lies beyond
-    tp's first positive panel [0, w].
-
-    Phi there is s m(x), x = 2s/w - 1, with m a Chebyshev series; Markov's
-    bound |T_j'| <= j^2 gives |m(x)| <= |m(-1)| + (2 amp / w) sum_j j^2 |m_j|
-    on [0, amp].
-    """
-    from numpy.polynomial.chebyshev import chebval
-
-    s0, s1, _, _, mphi, _ = tp._pos.panels[0]
-    w = s1 - s0
-    if amp > w:
-        return math.inf
-    j2 = np.arange(mphi.size) ** 2.0
-    slope = 2.0 * amp / w * float(j2 @ np.abs(mphi))
-    return amp * (abs(float(chebval(-1.0, mphi))) + slope)
-
-
 def _exp_phi_series(tp, amp):
     """Chebyshev coefficients a_k of exp(-Phi(amp c)) = sum_k a_k T_k(2c - 1)
     on c in [0, 1], interpolated at degree 4, 8, 16 or 32, the first whose
@@ -317,7 +298,7 @@ def plan_smallness(plan, tp, s=_SOBOLEV_ORDER):
     g0 = M^-S chi(r / M^2) is sampled at r / M^2 = 2j/4096 for every M, so
     its transform is M^-S M^{2n} times chi's on the M = 1 grid, made once
     per process (_chi_hat).  g1 = A g0 exp(-Phi(g0)) takes A times that
-    transform when _phi_bound proves |Phi(g0)| <= 2^-60, which makes the
+    transform when tp.phi_bound proves |Phi(g0)| <= 2^-60, which makes the
     factor 1 to a relative 1e-18 (f(0) = 0 and M large enough).  Otherwise
     exp(-Phi(M^-S c)) = sum_k a_k T_k(2c - 1) in c = chi (_exp_phi_series),
     and g1's transform is A M^-S M^{2n} sum_k a_k times the cached
@@ -327,7 +308,7 @@ def plan_smallness(plan, tp, s=_SOBOLEV_ORDER):
     if n not in (2, 3):
         raise ParameterError(f"radial smallness is for n = 2 or 3, got n = {n}")
     scale = plan.amplitude * float(plan.M) ** (2 * n)
-    if _phi_bound(tp, plan.amplitude) <= _PHI_SKIP:
+    if tp.phi_bound(plan.amplitude) <= _PHI_SKIP:
         h1 = plan.A * scale * _chi_hat(n, 0)
     else:
         series = _exp_phi_series(tp, plan.amplitude)

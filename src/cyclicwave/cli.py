@@ -199,32 +199,6 @@ def coefficient_from_flags(constant_b, epsilon):
     return coeffs.sqrt_sin(epsilon)
 
 
-def line_domain(metric, a):
-    """The t-interval on which t*a stays inside the metric chart."""
-    if metric.domain is None:
-        return (-math.inf, math.inf)
-    a = np.asarray(a, dtype=float)
-
-    def edge(sign):
-        t = sign * 1e-6
-        if not metric.in_domain(a * t):
-            return 0.0
-        while metric.in_domain(a * t) and abs(t) < 1e12:
-            t *= 2.0
-        if abs(t) >= 1e12:
-            return sign * math.inf
-        inside, outside = t / 2.0, t
-        for _ in range(80):
-            mid = 0.5 * (inside + outside)
-            if metric.in_domain(a * mid):
-                inside = mid
-            else:
-                outside = mid
-        return inside
-
-    return (edge(-1.0), edge(+1.0))
-
-
 def _check_inside(domain, lo, hi, what):
     """ParameterError unless [lo, hi] lies strictly inside f's domain."""
     if not domain[0] < lo <= hi < domain[1]:
@@ -372,7 +346,7 @@ def blowup_demo(**p):
     a = (parse_vector(p["direction"], metric.m) if p["direction"]
          else np.ones(metric.m))
 
-    domain = line_domain(metric, a)
+    f, domain = metric.ray(a)
     t_hi = min(5.0, 0.9 * domain[1]) if math.isfinite(domain[1]) else 5.0
     line = geometry.check_self_coherence(metric, a, (0.0, t_hi))
     if line.max_residual > _COHERENCE_TOL:
@@ -380,7 +354,6 @@ def blowup_demo(**p):
             f"direction is not a distinguished geodesic "
             f"(coherence residual {line.max_residual:.3g} > {_COHERENCE_TOL})"
         )
-    f = metric.ray_log_derivative(a)
 
     pot = coeffs.HillPotential(coeffs.sqrt_sin(p["epsilon"]), p["n"])
     tp = transform.build_transform(f, domain=domain)

@@ -287,51 +287,24 @@ def instability_intervals(pot, lams, traces, tol=1e-11):
     return intervals
 
 
-def _candidates(iv, pot, tol):
-    """Monodromy candidates inside one interval, made lazily.
-
-    The scan's witness comes first; after it, each golden-section probe of
-    |trace| is yielded as soon as it is integrated.  The two opening probes
-    only seed the section and are not candidates themselves.
-    """
-    yield monodromy(pot, iv.witness_lambda, tol)
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    margin = 0.02 * (iv.lambda_hi - iv.lambda_lo)
-    a, b = iv.lambda_lo + margin, iv.lambda_hi - margin
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1 = abs(monodromy(pot, x1, tol).trace)
-    f2 = abs(monodromy(pot, x2, tol).trace)
-    for _ in range(40):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            m = monodromy(pot, x2, tol)
-            f2 = abs(m.trace)
-            yield m
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            m = monodromy(pot, x1, tol)
-            f1 = abs(m.trace)
-            yield m
-
-
 def find_good_lambda(intervals, pot, tol=1e-11):
     """The Monodromy of a lambda interior to an instability interval whose
     kind is 'unstable', with |b21| > 1e-6 and |b22 - 1/mu| > 1e-6 (mu the
     signed expanding multiplier).
 
-    Per interval the candidates are the scan's witness, then the
-    golden-section probes of |trace|; each is integrated only once every
-    earlier candidate has been rejected.  The passing candidate's lambda is
-    m.lam.
+    Per interval the candidates are the scan's witness (the grid maximum
+    of |trace|), then the interval's midpoint; each is integrated only once
+    every earlier candidate has been rejected.  b21 vanishes at the one
+    Dirichlet eigenvalue in each interval, so a witness fails the b21 test
+    only next to that zero, and the midpoint is the second try.  The
+    passing candidate's lambda is m.lam.
     """
     if not intervals:
         raise ParameterError("no instability intervals to search")
     best_b21 = 0.0
     for iv in intervals:
-        for m in _candidates(iv, pot, tol):
+        for lam in (iv.witness_lambda, 0.5 * (iv.lambda_lo + iv.lambda_hi)):
+            m = monodromy(pot, lam, tol)
             if m.kind != "unstable":
                 continue
             best_b21 = max(best_b21, abs(m.b21))

@@ -1,12 +1,14 @@
 """Target-manifold metrics, Christoffel symbols, geodesics and curvature.
 
 A Metric is h(u) = hscalar(u) * (I + H(u)): a conformal factor with its
-closed-form gradient, log-Laplacian and ray log-derivative, and an optional
-perturbation H.  Everything else (Christoffel symbols, the straight-line
-self-coherence test, geodesic integration, 2-D conformal Gaussian
-curvature) is computed from h and its partial derivatives.
+closed-form gradient, log-Laplacian and rays (each ray's log-derivative
+and domain), and an optional perturbation H.  Everything else
+(Christoffel symbols, the straight-line self-coherence test, geodesic
+integration, 2-D conformal Gaussian curvature) is computed from h and its
+partial derivatives.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,19 +25,19 @@ class Metric:
     """h(u) = hscalar(u) * (I + H(u)) on R^m, or on the open subset where
     the predicate `domain` holds.
 
-    grad(u) is the gradient of hscalar, lap_log(u) the Laplacian of
-    ln hscalar, and ray_log_derivative(a) the vectorized t -> d/dt ln
-    hscalar(t*a) along the ray through a.  Without H, dh is analytic; with
-    H, it is a 4th-order central difference of h.
+    grad(u) is the gradient of hscalar and lap_log(u) the Laplacian of
+    ln hscalar.  ray(a) is the pair (f, domain) of the ray t -> t*a: f the
+    vectorized t -> d/dt ln hscalar(t*a), domain the open t-interval on
+    which the ray stays in the chart, in closed form.  Without H, dh is
+    analytic; with H, it is a 4th-order central difference of h.
     """
 
-    def __init__(self, m, hscalar, grad, lap_log, ray_log_derivative,
-                 domain=None, H=None):
+    def __init__(self, m, hscalar, grad, lap_log, ray, domain=None, H=None):
         self.m = int(m)
         self.hscalar = hscalar
         self.grad = grad
         self.lap_log = lap_log
-        self.ray_log_derivative = ray_log_derivative
+        self.ray = ray
         self.domain = domain
         self.H = H
 
@@ -62,11 +64,11 @@ class Metric:
     def perturbed(self, H):
         """The same conformal part times (I + H).
 
-        The ray log-derivative stays that of the conformal part, which is
+        The rays stay those of the conformal part: its log-derivative is
         the line's nonlinearity wherever H and its gradient vanish on it.
         """
         return Metric(self.m, self.hscalar, self.grad, self.lap_log,
-                      self.ray_log_derivative, domain=self.domain, H=H)
+                      self.ray, domain=self.domain, H=H)
 
 
 def conformal_power(alpha, powers=(2, 2)):
@@ -97,8 +99,9 @@ def conformal_power(alpha, powers=(2, 2)):
         d2 = p * (p - 1.0) * u ** (p - 2.0)
         return alpha * float(np.sum(d2 / s - (d1 / s) ** 2))
 
-    def ray_log_derivative(a):
-        """Vectorized d/dt ln h(t*a) for the ray through direction a."""
+    def ray(a):
+        """Vectorized d/dt ln h(t*a) for the ray through direction a, on
+        the whole line."""
         a = np.asarray(a, dtype=float)
         ap = a**p
 
@@ -108,9 +111,9 @@ def conformal_power(alpha, powers=(2, 2)):
             den = 1.0 + np.sum(ap * t[..., None] ** p, axis=-1)
             return num / den
 
-        return f
+        return f, (-math.inf, math.inf)
 
-    return Metric(m, hs, grad, lap_log, ray_log_derivative)
+    return Metric(m, hs, grad, lap_log, ray)
 
 
 def half_plane_power(ell):
@@ -126,18 +129,21 @@ def half_plane_power(ell):
     def lap_log(u):
         return ell / (1.0 + u[1]) ** 2
 
-    def ray_log_derivative(a):
-        a = np.asarray(a, dtype=float)
+    def ray(a):
+        """f = -ell a2 / (1 + a2 t), on the side of the edge -1/a2 where
+        1 + a2 t > 0, or on the whole line when a2 = 0."""
         a2 = float(a[1])
 
         def f(t):
             t = np.asarray(t, dtype=float)
             return -ell * a2 / (1.0 + a2 * t)
 
-        return f
+        if a2 == 0.0:
+            return f, (-math.inf, math.inf)
+        edge = -1.0 / a2
+        return f, ((edge, math.inf) if a2 > 0.0 else (-math.inf, edge))
 
-    return Metric(2, hs, grad, lap_log, ray_log_derivative,
-                  domain=lambda u: u[1] > -1.0)
+    return Metric(2, hs, grad, lap_log, ray, domain=lambda u: u[1] > -1.0)
 
 
 def christoffel(M, u):
@@ -174,10 +180,11 @@ def check_self_coherence(M, a, t_range):
     worst deviation |c_i - a_i f|.
     """
     a = np.asarray(a, dtype=float)
-    if not np.any(a != 0.0):
-        raise ParameterError("direction a must be nonzero")
-    ts = np.linspace(t_range[0], t_range[1], 64)
     norm2 = float(a @ a)
+    if not norm2 > 0.0:
+        raise ParameterError(f"direction a must have a positive squared norm, "
+                             f"got |a|^2 = {norm2!r}")
+    ts = np.linspace(t_range[0], t_range[1], 64)
     out = []
     worst = 0.0
     for t in ts:

@@ -169,6 +169,24 @@ class TransformPair:
         """The transform itself; strictly increasing, G(0) = 0."""
         return self._on_sides(u, _S_REACH, 1)
 
+    def phi_bound(self, amp):
+        """An upper bound on |Phi| over [0, amp], or inf when amp lies
+        beyond the first positive panel [0, w].
+
+        Phi there is s m(x), x = 2s/w - 1, with m a Chebyshev series;
+        Markov's bound |T_j'| <= j^2 gives |m(x)| <= |m(-1)| + (2 amp / w)
+        sum_j j^2 |m_j| on [0, amp].
+        """
+        from numpy.polynomial.chebyshev import chebval
+
+        s0, s1, _, _, mphi, _ = self._pos.panels[0]
+        w = s1 - s0
+        if amp > w:
+            return math.inf
+        j2 = np.arange(mphi.size) ** 2.0
+        slope = 2.0 * amp / w * float(j2 @ np.abs(mphi))
+        return amp * (abs(float(chebval(-1.0, mphi))) + slope)
+
     def _on_sides(self, s, reach, which):
         """Phi (which=0) or G (which=1) at s, extending to |s| <= reach."""
         s = np.asarray(s, dtype=float)

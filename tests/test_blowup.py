@@ -333,7 +333,7 @@ def test_scaled_g1_matches_direct_transform(tp1, M, A):
     """Where |Phi(g0)| <= 2^-60 is proven, the smallness from chi's scaled
     transform equals the one from a direct transform of g1."""
     plan = blowup.BlowupPlan(3, LAM_WITNESS, 6.5, M, A=A)
-    assert blowup._phi_bound(tp1, plan.amplitude) <= blowup._PHI_SKIP
+    assert tp1.phi_bound(plan.amplitude) <= blowup._PHI_SKIP
     _, g1 = seed_profiles(plan, tp1)
     R = plan.support_radius
     h0 = plan.amplitude * float(M) ** 6 * blowup.radial_head(blowup._chi_hat(3, 0))
@@ -360,7 +360,7 @@ def test_radial_smallness_fallback_transforms_g1(n, lam, M, f, monkeypatch):
     direct transform of g1."""
     tp = transform.TransformPair(f)
     plan = blowup.BlowupPlan(n, lam, 2 * n + 0.5, M)
-    assert blowup._phi_bound(tp, plan.amplitude) > blowup._PHI_SKIP
+    assert tp.phi_bound(plan.amplitude) > blowup._PHI_SKIP
     _, g1 = seed_profiles(plan, tp)
     direct = blowup._radial_hat(g1, plan.support_radius, n)[1]
     for k in range(blowup._exp_phi_series(tp, plan.amplitude).size):
@@ -392,7 +392,7 @@ def test_phi_bound_covers_sampled_phi(tp1):
         g0, _ = seed_profiles(plan, tp1)
         s = np.concatenate([np.linspace(0.0, plan.amplitude, 1025),
                             g0(np.linspace(0.0, plan.support_radius, 4097))])
-        bound = blowup._phi_bound(tp1, plan.amplitude)
+        bound = tp1.phi_bound(plan.amplitude)
         sampled = np.max(np.abs(tp1.Phi(s)))
         assert sampled <= bound <= min(2.0 * sampled, blowup._PHI_SKIP)
 

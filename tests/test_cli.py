@@ -604,6 +604,26 @@ def test_blowup_demo_delta_and_s_exit_2_before_scan(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("metric, direction", [
+    ("conformal:alpha=-1", "0,1e-200"),
+    ("halfplane:ell=4", "0,1e-200"),
+    ("halfplane:ell=4", "1e-170,0"),
+], ids=["conformal", "halfplane-vertical", "halfplane-horizontal"])
+def test_blowup_demo_underflowing_direction_exit_2(tmp_path, capsys, monkeypatch,
+                                                   metric, direction):
+    """A direction whose squared norm underflows to 0 passed the nonzero
+    check and ended in a ZeroDivisionError traceback: it exits 2 before a
+    Christoffel symbol is evaluated, and writes no file."""
+    monkeypatch.chdir(tmp_path)
+    args = ["blowup-demo", "--metric", metric, "--direction", direction,
+            "--out", "x.json"]
+    err = _exit_before_work(args, "blowup-demo", monkeypatch, capsys,
+                            work="cyclicwave.geometry.christoffel")
+    assert err["error"] == "ParameterError"
+    assert "squared norm" in err["message"], err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("spec", ["example1", "example2", "example3",
                                   "example4", "example1:alpha=-1,bogus=3",
                                   "zero:alpha=1", "example3:alpha=-1,axis=1.5"])

@@ -167,34 +167,16 @@ def test_find_good_lambda_is_lazy(pot3, monkeypatch):
     assert m.lam == LAM_WITNESS
 
 
-def _golden_probes(iv, pot, count):
-    """The first `count` golden-section probes of |trace| in iv, the two
-    opening points excluded."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    margin = 0.02 * (iv.lambda_hi - iv.lambda_lo)
-    a, b = iv.lambda_lo + margin, iv.lambda_hi - margin
-    x1, x2 = b - phi * (b - a), a + phi * (b - a)
-    f1 = abs(floquet.monodromy(pot, x1).trace)
-    f2 = abs(floquet.monodromy(pot, x2).trace)
-    probes = []
-    while len(probes) < count:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = abs(floquet.monodromy(pot, x2).trace)
-            probes.append(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = abs(floquet.monodromy(pot, x1).trace)
-            probes.append(x1)
-    return probes
-
-
-def test_find_good_lambda_probes_in_golden_section_order(pot3, monkeypatch):
-    ivals = floquet.scan_instability(pot3, (5.0, 17.0), 400)
-    probes = _golden_probes(ivals[0], pot3, 3)
-    rejected = 3  # the witness and the first two probes
+@pytest.mark.parametrize("rejected", [1, 2])
+def test_find_good_lambda_tries_witness_then_midpoint(pot3, monkeypatch, rejected):
+    """An interval's candidates are its witness, then its midpoint, and
+    nothing else: with the witness rejected the midpoint is integrated
+    next; with both rejected the next integration is the second interval's
+    witness.  The first candidate not rejected passes."""
+    ivals = floquet.scan_instability(pot3, (0.1, 60.0), 400)
+    first, second = ivals
+    order = [first.witness_lambda, 0.5 * (first.lambda_lo + first.lambda_hi),
+             second.witness_lambda]
     seen = []
     real = floquet.Monodromy.kind
 
@@ -207,10 +189,8 @@ def test_find_good_lambda_probes_in_golden_section_order(pot3, monkeypatch):
     monkeypatch.setattr(floquet.Monodromy, "kind", property(rejecting))
     calls = _count_monodromies(monkeypatch)
     m = floquet.find_good_lambda(ivals, pot3)
-    assert seen == [ivals[0].witness_lambda] + probes
-    assert m.lam == probes[-1]
-    # the witness, the two opening points and three probes; nothing more
-    assert len(calls) == 6
+    assert seen == calls == order[:rejected + 1]
+    assert m.lam == order[rejected]
 
 
 def test_multiplier_kinds(pot3):

@@ -91,10 +91,44 @@ def test_ray_log_derivative_is_twice_coherence_factor():
     """The log-derivative of h along the ray is exactly twice the
     coherence factor for a conformal power metric on the diagonal."""
     M = geometry.conformal_power(-1.0, (2, 2))
-    fray = M.ray_log_derivative(np.array([1.0, 1.0]))
+    fray = M.ray(np.array([1.0, 1.0]))[0]
     for t in (0.2, 0.7, 1.9):
         assert fray(t) == pytest.approx(4 * (-1.0) * t / (1 + 2 * t * t),
                                         abs=1e-12)
+
+
+_LINE = (-math.inf, math.inf)
+
+
+@pytest.mark.parametrize("a, domain", [
+    ((0.0, 1.0), (-1.0, math.inf)),
+    ((0.0, -1.0), (-math.inf, 1.0)),
+    ((0.0, 0.5), (-2.0, math.inf)),
+    ((1.0, 0.0), _LINE),
+], ids=["up", "down", "up-half", "horizontal"])
+def test_half_plane_ray_domain_is_exact(a, domain):
+    """The ray t*a leaves v > -1 where 1 + a2 t = 0, at exactly -1/a2; it
+    is the domain edge: in_domain holds one ulp inside it and fails one ulp
+    outside."""
+    a = np.array(a)
+    M = geometry.half_plane_power(4.0)
+    assert M.ray(a)[1] == domain
+    for edge, inward in ((domain[0], math.inf), (domain[1], -math.inf)):
+        if math.isfinite(edge):
+            assert M.in_domain(a * np.nextafter(edge, inward))
+            assert not M.in_domain(a * edge)
+            assert not M.in_domain(a * np.nextafter(edge, -inward))
+
+
+@pytest.mark.parametrize("M", [
+    geometry.conformal_power(-1.0, (2, 2)),
+    geometry.conformal_power(-1.0, (2, 4)),
+    geometry.conformal_power(-1.0, (2, 2)).perturbed(lambda u: np.zeros((2, 2))),
+], ids=["conformal", "quartic", "perturbed"])
+def test_conformal_ray_domain_is_the_line(M):
+    for a in ((1.0, 1.0), (0.0, 1.0), (1.0, -0.5)):
+        assert M.ray(np.array(a))[1] == _LINE
+    assert M.in_domain(np.array([-1e300, 1e300]))
 
 
 def test_axis_lines_of_mixed_powers():

@@ -87,7 +87,7 @@ def test_endpoint_error_bar_covers_closed_form(alpha):
     """On the diagonal ray of conformal:alpha, F = (1 + 2 s^2)^alpha and
     int_0^inf F = sqrt(pi/8) Gamma(-alpha - 1/2) / Gamma(-alpha); each
     endpoint lies within its own error bar (plus rounding) of that."""
-    f = geometry.conformal_power(alpha).ray_log_derivative(np.ones(2))
+    f = geometry.conformal_power(alpha).ray(np.ones(2))[0]
     ep = transform.build_transform(f).endpoints()
     ref = math.sqrt(math.pi / 8.0) * math.gamma(-alpha - 0.5) / math.gamma(-alpha)
     assert abs(ep.b - ref) <= ep.b_err + 4e-15 * abs(ep.b)
@@ -116,6 +116,19 @@ def test_endpoints_half_line_domain():
             # the edge value is resolution-limited by the geometric approach
             # to the singularity; 1e-5 reflects the achievable accuracy there
             assert ep.a == pytest.approx(-2.0 / (2.0 - ell), abs=1e-5)
+
+
+@pytest.mark.parametrize("ell", [0.5, 0.75])
+def test_half_plane_ray_endpoint_within_error_bar(ell):
+    """The vertical ray of halfplane:ell has F = (1 + s)^-ell on (-1, inf),
+    so G's lower endpoint is -1/(1 - ell).  With the ray's exact edge -1
+    the endpoint lies within its own error bar; a bisected edge one ulp
+    short of -1 put it 3.7e-12 (ell = 0.5) and 9.7e-10 (ell = 0.75) off,
+    outside a_err."""
+    f, domain = geometry.half_plane_power(ell).ray(np.array([0.0, 1.0]))
+    ep = transform.TransformPair(f, domain=domain).endpoints()
+    assert ep.a_finite
+    assert abs(ep.a + 1.0 / (1.0 - ell)) <= ep.a_err
 
 
 def test_classifier_calibration():
