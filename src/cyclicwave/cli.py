@@ -345,6 +345,7 @@ def blowup_demo(**p):
     metric = parse_family(p["metric"], METRICS, "metric")
     a = (parse_vector(p["direction"], metric.m) if p["direction"]
          else np.ones(metric.m))
+    geometry.direction_norm2(a)
 
     f, domain = metric.ray(a)
     t_hi = min(5.0, 0.9 * domain[1]) if math.isfinite(domain[1]) else 5.0

@@ -2,10 +2,13 @@
 
 The state vector is x = (w_t, w), so the one-period map X(1,0) has
 b21 = w(1) for initial data w(0) = 0, w_t(0) = 1.  Every map X(t, 0) comes
-from `_fundamental`: sixth-order Magnus steps with a closed-form 2x2
-exponential (det X = 1 by construction).  A step-count controller gives
-each lambda as many steps as its Richardson error estimate predicts it
-needs, so a lambda's map does not depend on how a scan is batched.
+from `_fundamental`: sixth-order Magnus steps whose exponent is a
+polynomial in lambda (_omega), exponentiated by one Taylor series with
+scaling and squaring (_exp; det X = 1 to rounding) and multiplied in one
+pairwise tree (_product).  A step-count controller gives each lambda as
+many steps as its Richardson error estimate predicts it needs.  Every
+stage is elementwise in lambda, so a lambda's map does not depend on how
+a scan is batched, bit for bit.
 """
 
 import math
@@ -20,6 +23,7 @@ _B21_MIN = 1e-6
 _NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)  # Gauss nodes
 _MAX_STEPS = 2**14  # a map still above tol here counts as unresolved
 _BLOCK = 2**13  # (step, lambda) pairs advanced together
+_LANES = 2**9  # lambdas per block of a sweep
 _BOUNDARY_TOL = 1e-9  # |trace| this close to 2 is the boundary class
 
 
@@ -58,7 +62,7 @@ class Monodromy:
     @property
     def kind(self):
         """'stable', 'unstable' or 'boundary': the class of the trace."""
-        return _trace_class(self.trace)
+        return str(_trace_class(self.trace))
 
     @property
     def mu0(self):
@@ -130,85 +134,187 @@ def _fundamental(pot, lams, t1, tol):
 
 
 def _magnus(pot, lams, t1, steps):
-    """X(t1, 0) per lambda from `steps` equal Magnus steps; q and alpha are
-    sampled once, and blocks of lambda keep temporaries near _BLOCK entries.
+    """X(t1, 0) per lambda from `steps` equal Magnus steps.
+
+    q and alpha are sampled once and give each step's exponent as a
+    polynomial in lambda (_omega).  A block of up to _LANES lambdas then
+    runs through the steps in power-of-two chunks of near _BLOCK (step,
+    lambda) pairs, in one scratch buffer made per call; the chunk products
+    merge like a binary counter, which is the pairwise tree of _product
+    over all the steps, product for product.
     """
+    width = max(1, min(lams.size, _LANES))
+    # steps per chunk: the largest power of two <= _BLOCK / width, at most steps
+    chunk = min(steps, 1 << (max(1, _BLOCK // width).bit_length() - 1))
     h = t1 / steps
     ts = (np.arange(steps)[:, None] + _NODES) * h  # (steps, 3)
-    q, alpha = pot.q(ts), pot.alpha(ts)
+    # each chunk's steps in bit-reversed order, as _product takes them
+    order = np.arange(steps).reshape(-1, chunk)[:, _bit_reversal(chunk)].ravel()
+    omega = _omega(pot.q(ts)[order], pot.alpha(ts)[order], h)
     out = np.empty((lams.size, 2, 2))
-    size = max(1, _BLOCK // steps)
-    for i in range(0, lams.size, size):
-        # the generator at the nodes is [[0, c], [1, 0]]; c is (steps, 3, B)
-        c = q[..., None] - alpha[..., None] * lams[i:i + size]
-        # steps too long for a lambda may overflow; inf and nan never pass
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            out[i:i + size] = _product(_exp(_omega(c, h)))
+    work = np.empty(8 * chunk * width)
+    # steps too long for a lambda may overflow; inf and nan never pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, lams.size, width):
+            lam = lams[i:i + width]
+            w = work[:8 * chunk * lam.size].reshape(8, chunk, lam.size)
+            done = []  # (steps covered, product), the latest product last
+            for k in range(0, steps, chunk):
+                for coef, row in zip(omega, w):
+                    _horner(coef[:, k:k + chunk], lam, row)
+                x, n = _product(_exp(w[:6]), w), chunk
+                while done and done[-1][0] == n:
+                    x, n = _mul(x, done.pop()[1]), 2 * n
+                done.append((n, x))
+            out[i:i + width] = x.transpose(2, 0, 1)
     return out
 
 
-def _comm(x, y):
-    """[x, y] of traceless 2x2 matrices stored as (p, q, r) = [[p, q], [r, -p]]."""
-    p1, q1, r1 = x
-    p2, q2, r2 = y
-    return (q1 * r2 - q2 * r1, 2.0 * (p1 * q2 - q1 * p2), 2.0 * (r1 * p2 - p1 * r2))
+def _bit_reversal(n):
+    """The bit-reversal permutation of range(n), n a power of two: with
+    range(n) as an array of shape (2, ..., 2) indexed by the bits of each
+    entry, reversing the axes reverses the bits."""
+    return np.arange(n).reshape((2,) * (n.bit_length() - 1)).T.ravel()
 
 
-def _omega(c, h):
-    """The sixth-order Magnus exponent of each step, as (p, q, r).
+def _poly_mul(x, y):
+    """Coefficients of the product of two polynomials in lambda, each held
+    as an array (degree + 1, steps) with the constant term first."""
+    out = np.zeros((len(x) + len(y) - 1,) + x.shape[1:])
+    for i, xi in enumerate(x):
+        out[i:i + len(y)] += xi * y
+    return out
 
-    With A1, A2, A3 the generator at the Gauss nodes 1/2 - sqrt(15)/10,
-    1/2, 1/2 + sqrt(15)/10 of the step (Blanes, Casas, Oteo & Ros, Phys.
-    Rep. 470, 2009):
+
+def _omega(q, alpha, h):
+    """The sixth-order Magnus exponent Omega = [[p, q], [r, -p]] of each
+    step, as polynomial coefficients (p, q, r) in lambda.
+
+    With A1, A2, A3 the generator [[0, c], [1, 0]] at the Gauss nodes
+    1/2 - sqrt(15)/10, 1/2, 1/2 + sqrt(15)/10 of the step (Blanes, Casas,
+    Oteo & Ros, Phys. Rep. 470, 2009):
         a1 = h A2,  a2 = (sqrt(15) h / 3)(A3 - A1),
         a3 = (10 h / 3)(A3 - 2 A2 + A1),
         C1 = [a1, a2],  C2 = -(1/60)[a1, 2 a3 + C1],
         Omega = a1 + a3/12 + (1/240)[-20 a1 - a3 + C1, a2 + C2].
-    A_i = (0, c_i, 1), so a1 = (0, h c_2, h) while a2 and a3 have only a q
-    part (held below as that part alone) and C1 = [a1, a2] only a p part.
+    Its commutators reduce, with d = c3 - c1, e = c3 - 2 c2 + c1 and
+    H = h^2, to
+        p = -sqrt(15) H d (12 c2 H + e H - 180) / 6480,
+        q = h (3 c2 d^2 H^2 + 120 c2 e H + 6480 c2 - 90 d^2 H + 20 e^2 H
+               + 1800 e) / 6480,
+        r = h (d^2 H^2 - 40 e H + 2160) / 2160.
+    c = q - lambda alpha at each node, so p and r are quadratic in lambda
+    and q is cubic; each is an array (degree + 1, steps), constant first.
     """
-    c1, c2, c3 = c[:, 0], c[:, 1], c[:, 2]
-    a1 = (0.0, h * c2, h)
-    a2 = (math.sqrt(15.0) * h / 3.0) * (c3 - c1)
-    a3 = (10.0 * h / 3.0) * (c3 - 2.0 * c2 + c1)
-    C1 = -h * a2
-    C2 = tuple(v / -60.0 for v in _comm(a1, (C1, 2.0 * a3, 0.0)))
-    p, q, r = _comm((C1, -20.0 * a1[1] - a3, -20.0 * h),
-                    (C2[0], a2 + C2[1], C2[2]))
-    return p / 240.0, a1[1] + a3 / 12.0 + q / 240.0, h + r / 240.0
+    c = np.stack([q, -alpha])  # c = c[0] + lambda c[1] at the nodes
+    c1, c2, c3 = c[..., 0], c[..., 1], c[..., 2]
+    d, e = c3 - c1, c3 - 2.0 * c2 + c1
+    H = h * h
+    dd = _poly_mul(d, d)
+    inner = H * (12.0 * c2 + e)
+    inner[0] -= 180.0
+    p = (-math.sqrt(15.0) * H / 6480.0) * _poly_mul(d, inner)
+    inner = 3.0 * H * H * dd
+    inner[:2] += 120.0 * H * e
+    inner[0] += 6480.0
+    qq = _poly_mul(c2, inner)
+    qq[:3] += H * (20.0 * _poly_mul(e, e) - 90.0 * dd)
+    qq[:2] += 1800.0 * e
+    r = H * H * dd
+    r[:2] -= 40.0 * H * e
+    r[0] += 2160.0
+    return p, (h / 6480.0) * qq, (h / 2160.0) * r
 
 
-def _exp(omega):
-    """Entries (a, b, c, d) of exp(Omega) = C I + S Omega for traceless Omega.
+def _horner(coef, lam, out):
+    """out[j, i] = the polynomial coef[:, j] (degree + 1, steps; constant
+    first) at lam[i]."""
+    np.multiply(coef[-1][:, None], lam, out=out)
+    for ck in coef[-2:0:-1]:
+        out += ck[:, None]
+        out *= lam
+    out += coef[0][:, None]
 
-    Omega^2 = delta I with delta = p^2 + qr, so C and S are cosh and
-    sinh(s)/s of s = sqrt(delta), or cos and sin(s)/s of s = sqrt(-delta);
-    det exp(Omega) = 1 by construction.
+
+_COSH = [1.0 / math.factorial(2 * k) for k in range(1, 5)]  # C - 1 = sum delta^k / (2k)!
+_SINH = [1.0 / math.factorial(2 * k + 1) for k in range(5)]  # S = sum delta^k / (2k+1)!
+
+
+def _exp(w):
+    """exp(Omega) = C I + S Omega for traceless Omega = [[p, q], [r, -p]],
+    with p, q, r in w[:3]: its entries (a, b, c, d) overwrite w[:4], and
+    w[:4] is returned as the matrix (2, 2, steps, lambdas).
+
+    Omega^2 = delta I with delta = p^2 + qr, so C = sum delta^k / (2k)! and
+    S = sum delta^k / (2k + 1)! for either sign of delta.  A delta past
+    2^-7 is scaled by an exact 4^-j into |delta| <= 2^-7, where five terms
+    of each series leave less than 8e-18, and j doublings S <- S C,
+    C <- 2 C^2 - 1 = 1 + 2 delta S^2, delta <- 4 delta undo the scaling
+    (Moler & Van Loan, SIAM Review 45, 2003).  They run on u = C - 1, so C
+    keeps its distance from 1 to full relative precision and no C + 1
+    cancels near C = -1.  j is chosen per element, and det = C^2 - delta S^2
+    is 1 to rounding.  A non-finite delta gives non-finite entries.
     """
-    p, q, r = omega
-    delta = p * p + q * r
-    s = np.sqrt(np.abs(delta))
-    grows = delta >= 0.0
-    C = np.where(grows, np.cosh(s), np.cos(s))
-    S = np.where(s < 1e-4, 1.0 + delta / 6.0 + delta * delta / 120.0,
-                 np.where(grows, np.sinh(s), np.sin(s)) / s)
-    return C + S * p, S * q, S * r, C - S * p
+    p, q, r, S, delta, u = w
+    np.multiply(p, p, out=delta)
+    np.multiply(q, r, out=u)
+    delta += u
+    j = None
+    if not np.abs(delta, out=u).max() <= 2.0**-7:  # nan takes this branch too
+        j = np.maximum(np.frexp(delta)[1] + 8, 0) >> 1  # |delta| < 2^e, e - 2j <= -7
+        np.ldexp(delta, -2 * j, out=delta)
+    np.multiply(delta, _COSH[-1], out=u)
+    for ck in _COSH[-2::-1]:
+        u += ck
+        u *= delta
+    np.multiply(delta, _SINH[-1], out=S)
+    for ck in _SINH[-2:0:-1]:
+        S += ck
+        S *= delta
+    S += _SINH[0]
+    if j is not None:
+        for i in range(int(j.max())):
+            now = j > i
+            C = u + 1.0
+            np.multiply(2.0 * delta, S * S, out=u, where=now)
+            np.multiply(S, C, out=S, where=now)
+            np.multiply(delta, 4.0, out=delta, where=now)
+    u += 1.0  # C
+    q *= S
+    r *= S
+    p *= S
+    np.subtract(u, p, out=S)
+    p += u
+    return w[:4].reshape((2, 2) + p.shape)
 
 
-def _product(step):
-    """X = E_N ... E_2 E_1 of the step maps, by pairwise products.
+def _mul(x, y, out=None, tmp=None):
+    """The matrix product x y of 2x2 matrices stored as (2, 2, ...) arrays,
+    entry by entry as x[i, 0] y[0, j] + x[i, 1] y[1, j]; into out, with tmp
+    of the same shape as scratch, when they are given."""
+    out = np.multiply(x[:, :1], y[:1], out=out)
+    out += np.multiply(x[:, 1:], y[1:], out=tmp)
+    return out
 
-    step holds the entries (a, b, c, d) of every E_j, each (steps, B) with
-    steps a power of two; the result has shape (B, 2, 2).
+
+def _product(step, work):
+    """E_K ... E_2 E_1 of the step maps step (2, 2, K, lambdas), K a power
+    of two, by pairwise products: a new (2, 2, lambdas) array.
+
+    step holds E_j in row _bit_reversal(K)[j], so E_2m and E_2m+1 sit K/2
+    rows apart and each level of the tree multiplies the second half (the
+    later steps) into the first, over contiguous halves; its products keep
+    that order.  The levels write into work[6:] or back into
+    step, in turn, with work[4:6] as scratch; work is the (8, K, lambdas)
+    buffer whose first four rows hold step.
     """
-    a, b, c, d = step
-    while a.shape[0] > 1:
-        # the later step of each pair multiplies from the left
-        (a1, a2), (b1, b2), (c1, c2), (d1, d2) = (
-            (x[0::2], x[1::2]) for x in (a, b, c, d))
-        a, b, c, d = (a2 * a1 + b2 * c1, a2 * b1 + b2 * d1,
-                      c2 * a1 + d2 * c1, c2 * b1 + d2 * d1)
-    return np.stack([a[0], b[0], c[0], d[0]], axis=-1).reshape(-1, 2, 2)
+    shape = (2, 2, step.shape[2] // 2, step.shape[3])
+    src, dst, tmp = step, work[6:].reshape(shape), work[4:6].reshape(shape)
+    while src.shape[2] > 1:
+        half = src.shape[2] // 2
+        new = _mul(src[:, :, half:], src[:, :, :half], dst[:, :, :half], tmp[:, :, :half])
+        src, dst = new, src
+    return src[:, :, 0].copy()
 
 
 def monodromy(pot, lam, tol=1e-11):
@@ -222,10 +328,11 @@ def monodromy(pot, lam, tol=1e-11):
 
 
 def _trace_class(tr):
-    """'boundary', 'unstable' or 'stable': the class of a monodromy trace."""
-    if abs(abs(tr) - 2.0) <= _BOUNDARY_TOL:
-        return "boundary"
-    return "unstable" if abs(tr) > 2.0 else "stable"
+    """'boundary', 'unstable' or 'stable': the class of each monodromy trace
+    in tr, as an array of the shape of tr."""
+    mag = np.abs(tr)
+    return np.where(np.abs(mag - 2.0) <= _BOUNDARY_TOL, "boundary",
+                    np.where(mag > 2.0, "unstable", "stable"))
 
 
 def trace_curve(pot, lams, tol=1e-11):
@@ -419,6 +526,7 @@ def propagate(m, t, data):
 def export_stability_chart(path, lams, traces):
     """Write the stability chart CSV: lambda,trace,abs_trace,class."""
     rows = [["lambda", "trace", "abs_trace", "class"]]
-    for lam, tr in zip(lams, traces):
-        rows.append([f"{lam:.17g}", f"{tr:.17g}", f"{abs(tr):.17g}", _trace_class(tr)])
+    for lam, tr, kind in zip(lams.tolist(), traces.tolist(), _trace_class(traces).tolist()):
+        text = f"{tr:.17g}"
+        rows.append([f"{lam:.17g}", text, text.lstrip("-"), kind])
     write_atomic(path, csv_text(rows))

@@ -171,6 +171,18 @@ class DistinguishedLine:
     max_residual: float
 
 
+def direction_norm2(a):
+    """|a|^2 of a direction a; ParameterError unless 0 < |a|^2 < inf, so a
+    norm that underflows or overflows is refused, without a warning."""
+    a = np.asarray(a, dtype=float)
+    with np.errstate(over="ignore"):
+        norm2 = float(a @ a)
+    if not 0.0 < norm2 < math.inf:
+        raise ParameterError(f"direction a must have a positive finite squared norm, "
+                             f"got |a|^2 = {norm2!r}")
+    return norm2
+
+
 def check_self_coherence(M, a, t_range):
     """Test whether the ray u = a*t is covered by geodesics.
 
@@ -180,10 +192,7 @@ def check_self_coherence(M, a, t_range):
     worst deviation |c_i - a_i f|.
     """
     a = np.asarray(a, dtype=float)
-    norm2 = float(a @ a)
-    if not norm2 > 0.0:
-        raise ParameterError(f"direction a must have a positive squared norm, "
-                             f"got |a|^2 = {norm2!r}")
+    norm2 = direction_norm2(a)
     ts = np.linspace(t_range[0], t_range[1], 64)
     out = []
     worst = 0.0

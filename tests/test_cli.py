@@ -59,7 +59,8 @@ def test_chart_csv_and_sidecar_share_one_sweep(tmp_path):
         assert rows[iv["witness_lambda"]] == iv["max_abs_trace"]
 
 
-def test_determinism_across_threads(tmp_path):
+def test_chart_bytes_repeat_across_processes(tmp_path):
+    """Three separate processes write byte-identical charts and sidecars."""
     run(chart_args("a.csv"), tmp_path)
     run(chart_args("b.csv"), tmp_path)
     run(chart_args("c.csv"), tmp_path)
@@ -604,16 +605,20 @@ def test_blowup_demo_delta_and_s_exit_2_before_scan(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("metric, direction", [
     ("conformal:alpha=-1", "0,1e-200"),
     ("halfplane:ell=4", "0,1e-200"),
     ("halfplane:ell=4", "1e-170,0"),
-], ids=["conformal", "halfplane-vertical", "halfplane-horizontal"])
+    ("conformal:alpha=-1", "1e200,1e200"),
+], ids=["conformal", "halfplane-vertical", "halfplane-horizontal", "conformal-overflow"])
 def test_blowup_demo_underflowing_direction_exit_2(tmp_path, capsys, monkeypatch,
                                                    metric, direction):
     """A direction whose squared norm underflows to 0 passed the nonzero
-    check and ended in a ZeroDivisionError traceback: it exits 2 before a
-    Christoffel symbol is evaluated, and writes no file."""
+    check and ended in a ZeroDivisionError traceback, and one whose squared
+    norm overflows exited 3 after three numpy overflow warnings: each exits
+    2 before the metric's ray or a Christoffel symbol is evaluated, with no
+    warning, and writes no file."""
     monkeypatch.chdir(tmp_path)
     args = ["blowup-demo", "--metric", metric, "--direction", direction,
             "--out", "x.json"]

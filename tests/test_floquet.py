@@ -10,6 +10,7 @@ from scipy.integrate import solve_ivp
 from cyclicwave import coeffs, floquet
 from cyclicwave.errors import IntegrationFailure, ParameterError
 
+import magnus_reference
 from conftest import LAM_WITNESS
 from dop853_reference import FundamentalPair
 
@@ -343,10 +344,119 @@ def full_curve(pot3):
 @given(idx=st.lists(st.integers(0, 399), min_size=1, max_size=40,
                     unique=True))
 def test_trace_curve_independent_of_batch(pot3, full_curve, idx):
-    """Any sub-batch, in any order, gives the traces of the full batch."""
+    """Any sub-batch, in any order, gives the traces of the full batch, bit
+    for bit."""
     lams, traces = full_curve
     sub = floquet.trace_curve(pot3, lams[idx])
-    assert np.all(np.abs(sub - traces[idx]) <= 1e-13 * (1.0 + np.abs(traces[idx])))
+    assert np.array_equal(sub, traces[idx])
+
+
+@pytest.mark.parametrize("size", [1, 37, 999])
+def test_chart_traces_independent_of_batch_width(pot3, size):
+    """Sub-batches of the 4000-lambda chart grid run in blocks of other
+    widths, so in chunks of other step counts, and give the same traces bit
+    for bit: the kernel is elementwise in lambda, and the chunk products
+    merge into the one pairwise tree over all the steps."""
+    lams = np.linspace(0.1, 60.0, 4000)
+    traces = floquet.trace_curve(pot3, lams)
+    idx = np.arange(3999, -1, -(4000 // size))[:size]
+    assert np.array_equal(floquet.trace_curve(pot3, lams[idx]), traces[idx])
+
+
+_EPS = np.finfo(float).eps
+
+
+def _omega_size(m, h):
+    """The closed forms of floquet._omega with every node value replaced by
+    m >= |c| and every sign made positive: the size of the terms each entry
+    sums, which bounds its rounding error."""
+    m1, m2, m3 = m[:, 0], m[:, 1], m[:, 2]
+    d, e, H = m3 + m1, m3 + 2.0 * m2 + m1, h * h
+    return (math.sqrt(15.0) * H * d * (12.0 * m2 * H + e * H + 180.0) / 6480.0,
+            h * (3.0 * m2 * d * d * H * H + 120.0 * m2 * e * H + 6480.0 * m2
+                 + 90.0 * d * d * H + 20.0 * e * e * H + 1800.0 * e) / 6480.0,
+            h * (d * d * H * H + 40.0 * e * H + 2160.0) / 2160.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), log2_h=st.integers(-14, 0),
+       lam_scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_omega_matches_commutator_oracle(seed, log2_h, lam_scale):
+    """The exponent as polynomials in lambda, evaluated by Horner, against
+    the commutator algebra at random node values c = q - lambda alpha:
+    within 16 ulp of the size of the terms each entry sums."""
+    rng = np.random.default_rng(seed)
+    h = 2.0**log2_h
+    q, alpha = rng.uniform(-50.0, 50.0, (8, 3)), rng.uniform(0.1, 3.0, (8, 3))
+    lams = rng.uniform(0.0, 1e3, 5) * lam_scale
+    want = magnus_reference.omega(q[..., None] - alpha[..., None] * lams, h)
+    size = _omega_size(np.abs(q)[..., None] + alpha[..., None] * lams, h)
+    for coef, ref, s in zip(floquet._omega(q, alpha, h), want, size):
+        got = np.empty_like(ref)
+        floquet._horner(coef, lams, got)
+        assert np.all(np.abs(got - ref) <= 16.0 * _EPS * s)
+
+
+def _exp(p, q, r):
+    """floquet._exp of the elements (p, q, r), as a (2, 2, elements) copy."""
+    w = np.empty((6, 1, np.size(p)))
+    w[:3, 0] = p, q, r
+    with np.errstate(over="ignore", invalid="ignore"):
+        return floquet._exp(w)[:, :, 0].copy()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["grows", "turns"])
+@pytest.mark.parametrize("delta", [0.0, 1e-300, 2.0**-7 * (1.0 - 2.0**-20), 2.0**-7,
+                                   2.0**-7 * (1.0 + 2.0**-20), 0.35, 60.0, 1e4])
+def test_exp_matches_trig_oracle(delta, sign):
+    """exp(Omega) from one Taylor series with scaling and squaring against
+    cos/cosh and sin/sinh of sqrt|delta|, for 64 random Omega with
+    p^2 + qr = sign * delta: entries within 4 ulp (1 + |entry|) times
+    1 + sqrt|delta|, the condition number of exp(Omega) in delta, and det
+    within 1e-14 of 1 relative to the products it subtracts."""
+    rng = np.random.default_rng(7)
+    p = rng.uniform(-1.0, 1.0, 64)
+    q = rng.uniform(0.5, 2.0, 64) * rng.choice([-1.0, 1.0], 64)
+    r = (sign * delta - p * p) / q
+    got = _exp(p, q, r)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        want = np.reshape(magnus_reference.exp((p, q, r)), (2, 2, 64))
+    bound = 4.0 * _EPS * (1.0 + np.abs(want)) * (1.0 + math.sqrt(delta))
+    assert np.all(np.abs(got - want) <= bound)
+    ad, bc = got[0, 0] * got[1, 1], got[0, 1] * got[1, 0]
+    assert np.all(np.abs(ad - bc - 1.0) <= 1e-14 * (1.0 + np.abs(ad) + np.abs(bc)))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_exp_of_non_finite_delta_is_non_finite(bad):
+    """A non-finite delta gives a non-finite map, so no controller test
+    passes it; its neighbours, one scaled (delta = 0.35) and one not, keep
+    the entries they have alone."""
+    p, q, r = np.array([0.1, 0.2, 0.03]), np.ones(3), np.array([0.35 - 0.01, bad, 1e-3])
+    got = _exp(p, q, r)
+    assert not np.all(np.isfinite(got[:, :, 1]))
+    for i in (0, 2):
+        assert np.array_equal(got[:, :, i], _exp(p[i:i + 1], q[i:i + 1], r[i:i + 1])[:, :, 0])
+
+
+def test_product_tree_is_the_reference_tree():
+    """The pairwise tree in its buffers multiplies exactly as the reference
+    tree: same pairs, same order of terms, the same bits."""
+    step = np.random.default_rng(3).normal(size=(4, 64, 5))
+    work = np.empty((8, 64, 5))
+    work[:4, floquet._bit_reversal(64)] = step
+    got = floquet._product(work[:4].reshape(2, 2, 64, 5), work)
+    assert np.array_equal(got.transpose(2, 0, 1), magnus_reference.product(tuple(step)))
+
+
+@pytest.mark.parametrize("steps", [16, 64, 256])
+def test_magnus_matches_reference_kernel(pot3, steps):
+    """The whole step, lambda blocks and step chunks included, against the
+    reference kernel over 1000 lambda: within 1e-13 (1 + |entry|)."""
+    lams = np.linspace(0.1, 60.0, 1000)
+    want = magnus_reference.magnus(pot3, lams, 1.0, steps)
+    got = floquet._magnus(pot3, lams, 1.0, steps)
+    assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
