@@ -329,6 +329,9 @@ def exact_local_solution(plan, tp, m):
     W(t) solves the Hill system through a floquet.Propagator of the
     monodromy m, whose lambda and n must be the plan's; m.pot supplies b.
     Returns a callable raising ParameterError outside the valid region.
+    Its attribute dt(t, x) is the time derivative
+    A M^-S (b(t)/b(0))^{n/2} cos(x.y) (W'(t) + (n/2) (b'(t)/b(t)) W(t)),
+    with W' from the same propagated solution.
     """
     b, n = m.pot.b, m.pot.n
     if m.lam != plan.lam or n != plan.n:
@@ -339,18 +342,28 @@ def exact_local_solution(plan, tp, m):
     y = np.asarray(plan.y)
     b0 = b.eval(0.0)
 
-    def v(t, x):
+    def mode(t, x):
+        """(W, W', b(t), (b(t)/b(0))^{n/2}, cos(x.y)) inside the region."""
         x = np.asarray(x, dtype=float)
         if t < 0.0 or t > plan.M:
             raise ParameterError(f"t={t} outside the certified window [0, {plan.M}]")
         r = np.sqrt(np.sum(x * x, axis=-1))
         if np.any(r > plan.cone_radius * (1.0 + 1e-12)):
             raise ParameterError("point outside the certified influence region")
-        w, _ = prop(t, (0.0, 1.0))
-        scale = (b.eval(t) / b0) ** (n / 2.0)
+        w, w_t = prop(t, (0.0, 1.0))
+        bt = b.eval(t)
         phase = np.cos(np.tensordot(x, y, axes=([-1], [0])))
+        return w, w_t, bt, (bt / b0) ** (n / 2.0), phase
+
+    def v(t, x):
+        w, _, _, scale, phase = mode(t, x)
         return g0 + plan.A * amp * w * scale * phase
 
+    def dt(t, x):
+        w, w_t, bt, scale, phase = mode(t, x)
+        return plan.A * amp * scale * phase * (w_t + (n / 2.0) * (b.d1(t) / bt) * w)
+
+    v.dt = dt
     return v
 
 
@@ -397,8 +410,14 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
     M runs up from 1 and the first M at which the growth reaches the
     endpoint and the smallness (plan_smallness) is at most delta is taken.
     Neither is assumed monotone in M: smallness is computed at every M
-    where growth holds, until one passes.  S defaults to 2n + 1/2.  The
-    BlowupCertificate carries the good lambda's Monodromy and tp itself.
+    where growth holds, until one passes; G(M^-S) for every M <= M_max
+    comes from one call to tp.G before the scan.  t_star is the first
+    crossing of the endpoint (within 1e-9 |b_G|) by v(t, 0) of
+    exact_local_solution: the first crossed half-integer t of the
+    trajectory brackets it with t - 1/2, and safeguarded Newton steps with
+    the slope v.dt narrow that bracket to 1e-12 max(1, t_star); t_star is
+    its crossed end.  S defaults to 2n + 1/2.  The BlowupCertificate
+    carries the good lambda's Monodromy and tp itself.
     Raises ParameterError, before any work, unless delta is positive and
     finite, S finite and above 2n, and n at most 3; NotApplicableError when the
     transform has no finite endpoint (so this construction certifies
@@ -433,6 +452,9 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
             "no instability interval in the requested range", best=None
         )
     m = floquet.find_good_lambda(intervals, pot, tol=tol)
+    # G(M^-S) for every M in one call; G is elementwise, so each value is
+    # the one a call at that M alone gives
+    g0s = tp.G(np.array([float(M) ** (-S) for M in range(1, M_max + 1)]))
 
     def growth_ok(M):
         """True when |A M^-S W(M)| can reach from G(M^-S) to the endpoint."""
@@ -440,7 +462,7 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
         if vals.W == 0.0:
             return False, vals, None
         term_log10 = -S * math.log10(M) + math.log10(abs(vals.W)) + vals.log10_scale
-        g0 = float(tp.G(np.array([float(M) ** (-S)]))[0])
+        g0 = float(g0s[M - 1])
         return term_log10 >= math.log10(abs(target - g0)), vals, g0
 
     # ascending scan: neither growth nor smallness is assumed monotone in M
@@ -487,16 +509,28 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
             "trajectory failed to cross the endpoint despite the growth "
             "estimate; numerical inconsistency", best=(plan.M, trajectory[-1][1])
         )
-    lo = max(0.0, hit - 0.5)
-    hi = hit
+    # t* in [hit - 1/2, hit] by safeguarded Newton on v(t, 0) = level with
+    # slope v.dt (rtsafe: Press et al., Numerical Recipes, 9.4): a step
+    # that leaves the bracket becomes its midpoint, and one shorter than
+    # half the stopping width goes half a width past its point, so that the
+    # probe lands beyond the crossing and closes the bracket
+    level = target - direction * margin
+    lo, hi = max(0.0, hit - 0.5), hit
+    t = hi
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if crossed(float(v(mid, origin))):
-            hi = mid
+        val = float(v(t, origin))
+        if crossed(val):
+            hi = t
         else:
-            lo = mid
-        if hi - lo < 1e-12 * max(1.0, hi):
+            lo = t
+        width = 1e-12 * max(1.0, hi)
+        if hi - lo < width:
             break
+        slope = float(v.dt(t, origin))
+        step = (val - level) / slope if slope else math.inf
+        if abs(step) < width / 2.0:
+            step += math.copysign(width / 2.0, step)
+        t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
     # vals and g0 are the accepted M's, from its growth check
     predicted = g0 + plan.A * plan.amplitude * vals.W * 10.0**vals.log10_scale
     return BlowupCertificate(

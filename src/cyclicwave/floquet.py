@@ -25,6 +25,7 @@ _MAX_STEPS = 2**14  # a map still above tol here counts as unresolved
 _BLOCK = 2**13  # (step, lambda) pairs advanced together
 _LANES = 2**9  # lambdas per block of a sweep
 _BOUNDARY_TOL = 1e-9  # |trace| this close to 2 is the boundary class
+_LEVELS = 5  # bisection levels of every interval edge per trace_curve call
 
 
 @dataclass(frozen=True)
@@ -356,7 +357,8 @@ def scan_instability(pot, lambda_range, grid_points, tol=1e-11):
     """Scan |trace(lambda)| > 2 over a uniform grid; refine interval edges.
 
     Returns sorted disjoint InstabilityIntervals (possibly empty).  Edges are
-    located by bisection on |trace| - 2 to width (hi-lo)/grid_points * 1e-3.
+    located by bisection on |trace| - 2 to width (hi-lo)/grid_points * 1e-3,
+    traced _LEVELS levels at a time (instability_intervals).
     """
     lams = scan_grid(lambda_range, grid_points)
     return instability_intervals(pot, lams, trace_curve(pot, lams, tol), tol)
@@ -366,7 +368,13 @@ def instability_intervals(pot, lams, traces, tol=1e-11):
     """Intervals of a scan from its grid (scan_grid) and the traces on it.
 
     Only the bisection probes at the interval edges are integrated here, so
-    a caller that also needs the grid traces evaluates the grid once.
+    a caller that also needs the grid traces evaluates the grid once.  Each
+    edge is bisected on |trace| > 2 until every bracket is below
+    (hi - lo) / len(lams) * 1e-3 wide.  One trace_curve call takes the
+    midpoints of the next _LEVELS levels of every edge's bisection tree
+    (_bisection_tree), and the walk down it picks the same midpoints as
+    one call per level would, so the edges are bisection's, bit for bit:
+    a lambda's trace does not depend on its batch.
     """
     lo, hi = float(lams[0]), float(lams[-1])
     unstable = np.abs(traces) > 2.0
@@ -376,11 +384,17 @@ def instability_intervals(pot, lams, traces, tol=1e-11):
     # bisect every edge as one batch, a on its stable side, bnd on the other
     a, bnd = lams[flips + unstable[flips]], lams[inner]
     width = (hi - lo) / lams.size * 1e-3
+    cols, level = np.arange(flips.size), 0
     while flips.size and np.max(np.abs(bnd - a)) > width:
-        mid = 0.5 * (a + bnd)
-        inside = np.abs(trace_curve(pot, mid, tol)) > 2.0
-        bnd = np.where(inside, mid, bnd)
-        a = np.where(inside, a, mid)
+        if level == 0:  # trace the next _LEVELS levels of every edge's tree at once
+            tree = _bisection_tree(a, bnd)
+            inside = np.abs(trace_curve(pot, tree.ravel(), tol)).reshape(tree.shape) > 2.0
+            node = np.zeros(flips.size, dtype=int)
+        mid, ins = tree[node, cols], inside[node, cols]  # mid == 0.5 * (a + bnd)
+        bnd = np.where(ins, mid, bnd)
+        a = np.where(ins, a, mid)
+        node = 2 * node + 2 - ins  # the child whose bracket is the new (a, bnd)
+        level = (level + 1) % _LEVELS
 
     # (grid index, lambda) of each edge in order: start, end, start, end, ...
     edges = ([(0, lo)] if unstable[0] else []) + list(zip(inner, bnd.tolist())) \
@@ -392,6 +406,22 @@ def instability_intervals(pot, lams, traces, tol=1e-11):
             lambda_lo=lam_lo, lambda_hi=lam_hi,
             max_abs_trace=float(np.abs(traces[k])), witness_lambda=float(lams[k])))
     return intervals
+
+
+def _bisection_tree(a, bnd):
+    """The midpoints of the first _LEVELS levels of bisection of every
+    bracket (a, bnd), as a heap of shape (2^_LEVELS - 1, edges): node 0 is
+    0.5 * (a + bnd), and the children of node i, whose bracket (a', bnd')
+    has midpoint c, are node 2i + 1 on (a', c) and node 2i + 2 on
+    (c, bnd').  Each midpoint is the one bisection computes from the same
+    floats."""
+    lo, hi, mids = a[None], bnd[None], []
+    for _ in range(_LEVELS):
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        lo = np.stack([lo, mid], axis=1).reshape(-1, a.size)
+        hi = np.stack([mid, hi], axis=1).reshape(-1, a.size)
+    return np.concatenate(mids)
 
 
 def find_good_lambda(intervals, pot, tol=1e-11):

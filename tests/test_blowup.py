@@ -664,3 +664,113 @@ def test_certify_exhausted_search_reports_best(pot3, tp1):
         blowup.certify_blowup(tp1, pot3, (5.0, 17.0), 1e-3, M_max=3)
     assert "growth never reaches" in str(info.value)
     assert info.value.best[0] == 3
+
+
+# (n, delta): M, smallness and predicted_v_M of certify_blowup(tp1,
+# sqrt-sin 0.5, (0.1, 60), delta) with one G call per M (regression
+# constants), and t_star of the bisection that Newton replaced.
+CERTIFIED = {
+    (3, 1e-3): (35, 0.000387530034598783, 1.7391866930778275, 32.10653022007318),
+    (3, 1e-5): (100, 9.829764928613413e-06, 4.6961555099254194e+19, 39.34250890635303),
+    (2, 1e-3): (87, 0.0009887876095654737, 39916.262041163944, 54.332152357237646),
+}
+
+
+@pytest.fixture(scope="module", params=list(CERTIFIED), ids=["n3-1e-3", "n3-1e-5", "n2-1e-3"])
+def certified(request, b05, tp1):
+    """A certificate with every _fundamental call it made, as t1 values."""
+    n, delta = request.param
+    t1s = []
+    real = floquet._fundamental
+
+    def recorded(pot, lams, t1, tol):
+        t1s.append(t1)
+        return real(pot, lams, t1, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(floquet, "_fundamental", recorded)
+        cert = blowup.certify_blowup(tp1, coeffs.HillPotential(b05, n), (0.1, 60.0), delta)
+    return request.param, cert, t1s
+
+
+def _crossing(cert):
+    """(v, crossed) of the certificate's plan: its exact local solution and
+    the test of reaching the endpoint within 1e-9 |b_G|."""
+    target = cert.tp.endpoints().target
+    margin = abs(target) * 1e-9
+    if target > 0:
+        return blowup.exact_local_solution(cert.plan, cert.tp, cert.m), \
+            lambda val: val >= target - margin
+    return blowup.exact_local_solution(cert.plan, cert.tp, cert.m), \
+        lambda val: val <= target + margin
+
+
+def _bisected_t_star(cert):
+    """The first crossing time as bisection found it before Newton: the
+    oracle for t_star."""
+    v, crossed = _crossing(cert)
+    origin = np.zeros(cert.plan.n)
+    hit = next(t for t, val in cert.trajectory if crossed(val))
+    lo, hi = max(0.0, hit - 0.5), hit
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if crossed(float(v(mid, origin))):
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < 1e-12 * max(1.0, hi):
+            break
+    return hi
+
+
+def test_t_star_newton_matches_bisection(certified):
+    """Newton's t_star is within the stopping width 1e-12 max(1, t*) of
+    bisection's, has crossed, and one width earlier has not: the first
+    crossing.  The search integrates at most 10 fractional maps (t1 off
+    the trajectory's 1/2 and the monodromy's 1)."""
+    key, cert, t1s = certified
+    t_star = cert.t_star
+    width = 1e-12 * max(1.0, t_star)
+    assert t_star == pytest.approx(CERTIFIED[key][3], rel=0.0, abs=width)
+    assert abs(t_star - _bisected_t_star(cert)) <= width
+    v, crossed = _crossing(cert)
+    origin = np.zeros(cert.plan.n)
+    assert crossed(float(v(t_star, origin)))
+    assert not crossed(float(v(t_star - width, origin)))
+    assert 1 <= sum(t1 not in (0.5, 1.0) for t1 in t1s) <= 10
+
+
+def test_local_solution_slope_matches_difference_quotient(local_solution):
+    """v.dt is dv/dt: against a fourth-order central difference."""
+    plan, sol = local_solution
+    x = np.array([0.3, -0.2, 0.5])
+    h = 1e-3
+    for t in (0.7, 1.9, 3.4, 6.25):
+        diff = (sol(t - 2 * h, x) - 8 * sol(t - h, x) + 8 * sol(t + h, x)
+                - sol(t + 2 * h, x)) / (12 * h)
+        assert sol.dt(t, x) == pytest.approx(diff, rel=1e-8, abs=1e-20)
+
+
+def test_m_scan_makes_one_g_call(certified, monkeypatch):
+    """G(M^-S) for every M comes from one G call before the scan; the
+    accepted M's value is the one a call at that M alone gives, so M,
+    smallness and predicted_v_M are unchanged."""
+    key, cert, _ = certified
+    M, small, predicted, _ = CERTIFIED[key]
+    assert (cert.plan.M, cert.smallness, cert.predicted_v_M) == (M, small, predicted)
+    plan = cert.plan
+    g0 = cert.tp.G(np.array([M ** -plan.S]))[0]
+    vals = floquet.multi_period_values(cert.m, M)
+    assert cert.predicted_v_M == g0 + plan.A * plan.amplitude * vals.W * 10.0**vals.log10_scale
+
+    sizes = []
+    real = transform.TransformPair.G
+
+    def counted(self, u):
+        sizes.append(np.size(u))
+        return real(self, u)
+
+    monkeypatch.setattr(transform.TransformPair, "G", counted)
+    again = blowup.certify_blowup(cert.tp, cert.m.pot, (0.1, 60.0), key[1])
+    assert sizes == [256, 1]  # the M scan's one call, then exact_local_solution's
+    assert again.t_star == cert.t_star and again.plan.M == M

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
 
 CLI = [sys.executable, "-m", "cyclicwave.cli"]
@@ -830,3 +831,40 @@ def test_simulate_linear_grid(tmp_path):
     assert (tmp_path / "lin.csv").exists()
     man = json.loads((tmp_path / "lin.json").read_text())
     assert man["termination"] == "completed"
+
+
+# Each --f family as the formula it computes in place, evaluated as written.
+_F_FORMULAS = {
+    ("zero", ()): lambda t: 0.0 * t,
+    ("example1", (-1.0,)): lambda t: 4.0 * -1.0 * t / (1.0 + 2.0 * t**2),
+    ("example1", (0.37,)): lambda t: 4.0 * 0.37 * t / (1.0 + 2.0 * t**2),
+    ("example2", (1.75,)): lambda t: -1.75 / (2.0 * (1.0 + t)),
+    ("example3", (-0.7,)): lambda t: -0.7 * t / (1.0 + t**2),
+    ("example3", (-0.7, 2)): lambda t: 2.0 * -0.7 * t**3 / (1.0 + t**4),
+    ("example4", (-1.01,)): lambda t: 3.0 * -1.01 * t / (1.0 + 3.0 * t**2),
+    ("example4", (0.3, 5.0)): lambda t: 5.0 * 0.3 * t / (1.0 + 5.0 * t**2),
+}
+
+
+@pytest.mark.parametrize("name, args", list(_F_FORMULAS), ids=str)
+def test_f_families_keep_the_formulas_bits(name, args):
+    """The in-place --f nonlinearities give their formulas' bits on arrays
+    (zeros, infinities and nan included), on floats and on 0-d arrays, which
+    stay 0-d, and leave their argument alone."""
+    from cyclicwave.cli import F_FAMILIES
+
+    f, domain = F_FAMILIES[name](*args)
+    formula = _F_FORMULAS[name, args]
+    rng = np.random.default_rng(5)
+    t = rng.normal(size=4000) * 10.0 ** rng.uniform(-8, 8, 4000)
+    t = np.concatenate([t, [0.0, -0.0, 1e300, -1e-300, np.inf, -np.inf, np.nan]])
+    if domain[0] == -1.0:
+        t = np.abs(t) - 0.999
+    before = t.copy()
+    with np.errstate(all="ignore"):
+        assert f(t).tobytes() == formula(t).tobytes()
+        for s in (0.3, -2.5, np.float64(1.7), np.array(-0.25)):
+            got = f(s)
+            assert np.ndim(got) == 0
+            assert np.float64(got).tobytes() == np.float64(formula(np.asarray(s))).tobytes()
+    assert t.tobytes() == before.tobytes()

@@ -139,6 +139,77 @@ def test_scan_finds_frozen_interval(pot3):
     assert IVAL_LO < iv.witness_lambda < IVAL_HI
 
 
+def _bisected_intervals(pot, lams, traces, tol=1e-11):
+    """instability_intervals as it was with one trace_curve call per
+    bisection level: the oracle for its edges."""
+    lo, hi = float(lams[0]), float(lams[-1])
+    unstable = np.abs(traces) > 2.0
+    flips = np.flatnonzero(unstable[1:] != unstable[:-1])
+    inner = flips + ~unstable[flips]
+    a, bnd = lams[flips + unstable[flips]], lams[inner]
+    width = (hi - lo) / lams.size * 1e-3
+    while flips.size and np.max(np.abs(bnd - a)) > width:
+        mid = 0.5 * (a + bnd)
+        inside = np.abs(floquet.trace_curve(pot, mid, tol)) > 2.0
+        bnd = np.where(inside, mid, bnd)
+        a = np.where(inside, a, mid)
+    edges = ([(0, lo)] if unstable[0] else []) + list(zip(inner, bnd.tolist())) \
+        + ([(lams.size - 1, hi)] if unstable[-1] else [])
+    intervals = []
+    for (i, lam_lo), (j, lam_hi) in zip(edges[0::2], edges[1::2]):
+        k = i + np.argmax(np.abs(traces[i:j + 1]))
+        intervals.append(floquet.InstabilityInterval(
+            lambda_lo=lam_lo, lambda_hi=lam_hi,
+            max_abs_trace=float(np.abs(traces[k])), witness_lambda=float(lams[k])))
+    return intervals
+
+
+@pytest.mark.parametrize("b, n, lam_range, grid, count", [
+    ("sqrt-sin", 3, (0.1, 60.0), 4000, 2),  # the reference chart
+    ("sqrt-sin", 3, (0.1, 60.0), 400, 2),  # certify's scan
+    ("constant", 3, (0.1, 60.0), 1000, 0),  # a --constant-b chart
+    ("sqrt-sin", 3, (10.0, 40.0), 500, 2),  # both ends of the grid unstable
+    ("eps0.8", 2, (0.1, 60.0), 1000, 2),
+], ids=["chart", "certify", "constant-b", "open-ends", "n2-eps0.8"])
+def test_edges_match_bisection(b05, b, n, lam_range, grid, count, monkeypatch):
+    """The sidecar's intervals are those of one bisection level per
+    trace_curve call, bit for bit, from two calls for the ten levels."""
+    coef = {"sqrt-sin": b05, "constant": coeffs.constant(),
+            "eps0.8": coeffs.sqrt_sin(0.8)}[b]
+    pot = coeffs.HillPotential(coef, n)
+    lams = floquet.scan_grid(lam_range, grid)
+    traces = floquet.trace_curve(pot, lams)
+    want = _bisected_intervals(pot, lams, traces)
+    calls = []
+    real = floquet.trace_curve
+
+    def counted(pot, lams, tol=1e-11):
+        calls.append(len(lams))
+        return real(pot, lams, tol)
+
+    monkeypatch.setattr(floquet, "trace_curve", counted)
+    assert floquet.instability_intervals(pot, lams, traces) == want
+    edges = np.count_nonzero(np.diff(np.abs(traces) > 2.0))
+    assert calls == ([31 * edges] * 2 if edges else [])
+    assert len(want) == count
+
+
+def test_bisection_tree_is_bisections_midpoints():
+    """Every node of the tree is 0.5 * (a + bnd) of the bracket that
+    bisection reaches by the same choices."""
+    rng = np.random.default_rng(3)
+    a, bnd = rng.uniform(0.1, 60.0, 7), rng.uniform(0.1, 60.0, 7)
+    tree = floquet._bisection_tree(a, bnd)
+    assert tree.shape == (2**floquet._LEVELS - 1, 7)
+    stack = [(0, a, bnd)]
+    while stack:
+        node, lo, hi = stack.pop()
+        mid = 0.5 * (lo + hi)
+        assert np.array_equal(tree[node], mid)
+        if 2 * node + 2 < len(tree):
+            stack += [(2 * node + 1, lo, mid), (2 * node + 2, mid, hi)]
+
+
 def test_find_good_lambda(pot3):
     ivals = floquet.scan_instability(pot3, (5.0, 17.0), 400)
     m = floquet.find_good_lambda(ivals, pot3)
