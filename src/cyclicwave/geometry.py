@@ -1,11 +1,10 @@
-"""Target-manifold metrics, Christoffel symbols, geodesics and curvature.
+"""Target-manifold metrics, Christoffel symbols and geodesics.
 
 A Metric is h(u) = hscalar(u) * (I + H(u)): a conformal factor with its
-closed-form gradient, log-Laplacian and rays (each ray's log-derivative
-and domain), and an optional perturbation H.  Everything else
-(Christoffel symbols, the straight-line self-coherence test, geodesic
-integration, 2-D conformal Gaussian curvature) is computed from h and its
-partial derivatives.
+closed-form gradient and rays (each ray's log-derivative and domain), and
+an optional perturbation H.  Everything else (Christoffel symbols, the
+straight-line self-coherence test, geodesic integration) is computed from
+h and its partial derivatives.
 """
 
 import math
@@ -25,41 +24,47 @@ class Metric:
     """h(u) = hscalar(u) * (I + H(u)) on R^m, or on the open subset where
     the predicate `domain` holds.
 
-    grad(u) is the gradient of hscalar and lap_log(u) the Laplacian of
-    ln hscalar.  ray(a) is the pair (f, domain) of the ray t -> t*a: f the
-    vectorized t -> d/dt ln hscalar(t*a), domain the open t-interval on
-    which the ray stays in the chart, in closed form.  Without H, dh is
-    analytic; with H, it is a 4th-order central difference of h.
+    hscalar, its gradient grad and the predicate domain take points u of
+    shape (..., m); H takes one point.  ray(a) is the pair (f, domain) of
+    the ray t -> t*a: f the vectorized t -> d/dt ln hscalar(t*a), domain
+    the open t-interval on which the ray stays in the chart, in closed
+    form.  Without H, dh is analytic; with H, it is a 4th-order central
+    difference of h.
     """
 
-    def __init__(self, m, hscalar, grad, lap_log, ray, domain=None, H=None):
+    def __init__(self, m, hscalar, grad, ray, domain=None, H=None):
         self.m = int(m)
         self.hscalar = hscalar
         self.grad = grad
-        self.lap_log = lap_log
         self.ray = ray
         self.domain = domain
         self.H = H
 
     def h(self, u):
+        """h at the points u, shape (..., m) -> (..., m, m)."""
         u = np.asarray(u, dtype=float)
+        hs = self.hscalar(u)[..., None, None]
         if self.H is None:
-            return self.hscalar(u) * np.eye(self.m)
-        return self.hscalar(u) * (np.eye(self.m) + np.asarray(self.H(u), dtype=float))
+            return hs * np.eye(self.m)
+        Hu = np.reshape([self.H(v) for v in u.reshape(-1, self.m)],
+                        u.shape[:-1] + (self.m, self.m))
+        return hs * (np.eye(self.m) + Hu)
 
     def dh(self, u, k):
-        """Partial derivative of h with respect to u^k."""
+        """Partial derivative of h with respect to u^k at the points u."""
         u = np.asarray(u, dtype=float)
         if self.H is None:
-            return self.grad(u)[k] * np.eye(self.m)
-        e = np.zeros_like(u)
+            return self.grad(u)[..., k, None, None] * np.eye(self.m)
+        e = np.zeros(self.m)
         e[k] = _FD_STEP
         return (
             -self.h(u + 2 * e) + 8 * self.h(u + e) - 8 * self.h(u - e) + self.h(u - 2 * e)
         ) / (12 * _FD_STEP)
 
     def in_domain(self, u):
-        return True if self.domain is None else bool(self.domain(np.asarray(u)))
+        """Whether each point u, shape (..., m), lies in the chart."""
+        u = np.asarray(u, dtype=float)
+        return np.full(u.shape[:-1], True) if self.domain is None else np.asarray(self.domain(u))
 
     def perturbed(self, H):
         """The same conformal part times (I + H).
@@ -67,8 +72,8 @@ class Metric:
         The rays stay those of the conformal part: its log-derivative is
         the line's nonlinearity wherever H and its gradient vanish on it.
         """
-        return Metric(self.m, self.hscalar, self.grad, self.lap_log,
-                      self.ray, domain=self.domain, H=H)
+        return Metric(self.m, self.hscalar, self.grad, self.ray,
+                      domain=self.domain, H=H)
 
 
 def conformal_power(alpha, powers=(2, 2)):
@@ -82,22 +87,14 @@ def conformal_power(alpha, powers=(2, 2)):
     p = np.array(powers, dtype=float)
 
     def base(u):
-        return 1.0 + np.sum(np.asarray(u, dtype=float) ** p)
+        return 1.0 + np.sum(np.asarray(u, dtype=float) ** p, axis=-1)
 
     def hs(u):
         return base(u) ** alpha
 
     def grad(u):
         u = np.asarray(u, dtype=float)
-        return alpha * base(u) ** (alpha - 1.0) * p * u ** (p - 1.0)
-
-    def lap_log(u):
-        # Laplacian of alpha*ln(1 + sum u_i^p_i)
-        u = np.asarray(u, dtype=float)
-        s = base(u)
-        d1 = p * u ** (p - 1.0)
-        d2 = p * (p - 1.0) * u ** (p - 2.0)
-        return alpha * float(np.sum(d2 / s - (d1 / s) ** 2))
+        return (alpha * base(u) ** (alpha - 1.0))[..., None] * p * u ** (p - 1.0)
 
     def ray(a):
         """Vectorized d/dt ln h(t*a) for the ray through direction a, on
@@ -113,7 +110,7 @@ def conformal_power(alpha, powers=(2, 2)):
 
         return f, (-math.inf, math.inf)
 
-    return Metric(m, hs, grad, lap_log, ray)
+    return Metric(m, hs, grad, ray)
 
 
 def half_plane_power(ell):
@@ -121,13 +118,11 @@ def half_plane_power(ell):
     ell = float(ell)
 
     def hs(u):
-        return (1.0 + u[1]) ** (-ell)
+        return (1.0 + u[..., 1]) ** (-ell)
 
     def grad(u):
-        return np.array([0.0, -ell * (1.0 + u[1]) ** (-ell - 1.0)])
-
-    def lap_log(u):
-        return ell / (1.0 + u[1]) ** 2
+        dv = -ell * (1.0 + u[..., 1]) ** (-ell - 1.0)
+        return np.stack([np.zeros_like(dv), dv], axis=-1)
 
     def ray(a):
         """f = -ell a2 / (1 + a2 t), on the side of the edge -1/a2 where
@@ -143,26 +138,35 @@ def half_plane_power(ell):
         edge = -1.0 / a2
         return f, ((edge, math.inf) if a2 > 0.0 else (-math.inf, edge))
 
-    return Metric(2, hs, grad, lap_log, ray, domain=lambda u: u[1] > -1.0)
+    return Metric(2, hs, grad, ray, domain=lambda u: u[..., 1] > -1.0)
 
 
 def christoffel(M, u):
-    """Gamma^i_{jk} = (1/2) h^{il} (d_j h_{kl} + d_k h_{jl} - d_l h_{kj})."""
+    """Gamma^i_{jk} = (1/2) h^{il} (d_j h_{kl} + d_k h_{jl} - d_l h_{kj})
+    at the points u, shape (..., m) -> (..., m, m, m).  ParameterError for
+    the first point outside the chart, SingularMetricError for the first
+    at which h is singular (condition number above 1e12)."""
     u = np.asarray(u, dtype=float)
-    if not M.in_domain(u):
-        raise ParameterError(f"point {u.tolist()} is outside the chart domain")
-    h = M.h(u)
-    dh = np.stack([M.dh(u, k) for k in range(M.m)])  # dh[l, :, :] = d_l h
-    try:
+    inside = M.in_domain(u)
+    if not np.all(inside):
+        raise ParameterError(f"point {u[~inside][0].tolist()} is outside the chart domain")
+    # h and dh at u's own shape: one point keeps its 0-d arithmetic, whose
+    # powers can differ in the last bit from numpy's array powers
+    h = M.h(u).reshape(-1, M.m, M.m)
+    ok = np.all(np.isfinite(h), axis=(1, 2))
+    ok[ok] = np.linalg.cond(h[ok]) <= 1e12
+    if ok.all():
         hinv = np.linalg.inv(h)
-        if np.linalg.cond(h) > 1e12 or not np.all(np.isfinite(hinv)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        raise SingularMetricError(f"metric singular at u={u.tolist()}") from None
-    # dh[j, k, l] = d_j h_{kl}; expr[j, k, l] = d_j h_{kl} + d_k h_{jl} - d_l h_{kj}
-    expr = dh + dh.transpose(1, 0, 2) - dh.transpose(2, 1, 0)
-    # gamma[i, j, k] = Gamma^i_{jk}
-    return 0.5 * np.einsum("il,jkl->ijk", hinv, expr)
+        ok = np.all(np.isfinite(hinv), axis=(1, 2))
+    if not ok.all():
+        raise SingularMetricError(
+            f"metric singular at u={u.reshape(-1, M.m)[~ok][0].tolist()}")
+    dh = np.stack([M.dh(u, k) for k in range(M.m)], axis=-3).reshape(-1, *(M.m,) * 3)
+    # dh[:, j, k, l] = d_j h_{kl}; expr[:, j, k, l] = d_j h_{kl} + d_k h_{jl} - d_l h_{kj}
+    expr = dh + dh.transpose(0, 2, 1, 3) - dh.transpose(0, 3, 2, 1)
+    # gamma[:, i, j, k] = Gamma^i_{jk}
+    gamma = 0.5 * np.einsum("nil,njkl->nijk", hinv, expr)
+    return gamma.reshape(u.shape[:-1] + gamma.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -189,23 +193,24 @@ def check_self_coherence(M, a, t_range):
     At each of 64 equally spaced t in t_range the quadratic form
     c_i(t) = sum_jk Gamma^i_{jk}(a t) a_j a_k must be proportional to a;
     f(t) is the least-squares proportionality factor and max_residual the
-    worst deviation |c_i - a_i f|.
+    worst deviation |c_i - a_i f|.  The points before the first t that
+    leaves the domain are checked first: SingularMetricError for the first
+    singular one, else ParameterError at that t.
     """
     a = np.asarray(a, dtype=float)
     norm2 = direction_norm2(a)
     ts = np.linspace(t_range[0], t_range[1], 64)
-    out = []
-    worst = 0.0
-    for t in ts:
-        u = a * t
-        if not M.in_domain(u):
-            raise ParameterError(f"line leaves the metric domain at t={t}")
-        gamma = christoffel(M, u)
-        c = np.einsum("ijk,j,k->i", gamma, a, a)
-        f_t = float(a @ c) / norm2
-        worst = max(worst, float(np.max(np.abs(c - a * f_t))))
-        out.append((float(t), f_t))
-    return DistinguishedLine(f_samples=out, max_residual=worst)
+    u = ts[:, None] * a
+    inside = M.in_domain(u)
+    n = ts.size if inside.all() else int(np.argmin(inside))
+    gamma = christoffel(M, u[:n])
+    if n < ts.size:
+        raise ParameterError(f"line leaves the metric domain at t={ts[n]}")
+    c = np.einsum("nijk,j,k->ni", gamma, a, a)
+    f = c @ a / norm2
+    worst = float(np.max(np.abs(c - a * f[:, None])))
+    return DistinguishedLine(f_samples=list(zip(ts.tolist(), f.tolist())),
+                             max_residual=worst)
 
 
 def geodesic_full(M, u0, v0, s_max, tol=1e-10, n_samples=200):
@@ -249,14 +254,6 @@ def geodesic_full(M, u0, v0, s_max, tol=1e-10, n_samples=200):
         (float(s), sol.y[:m, i].copy(), sol.y[m:, i].copy())
         for i, s in enumerate(sol.t)
     ]
-
-
-def gaussian_curvature(M, u):
-    """K = -(1/h) * Laplacian(ln h) for a 2-D conformal chart."""
-    if M.H is not None or M.m != 2:
-        raise ParameterError("Gaussian curvature requires a 2-D conformal metric")
-    u = np.asarray(u, dtype=float)
-    return -M.lap_log(u) / M.hscalar(u)
 
 
 def export_path_csv(path, samples, m):

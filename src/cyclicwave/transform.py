@@ -11,6 +11,7 @@ Each side of 0 holds Phi and G as Chebyshev panels, G in mean-value form
 (_Side); H = G^-1 takes safeguarded Newton steps (derivative F) in a panel.
 """
 
+import functools
 import json
 import math
 import warnings
@@ -58,8 +59,7 @@ class _Side:
 
     def reach(self, target_abs):
         """Extend the panels to |s| >= target_abs (or termination)."""
-        from numpy.polynomial.chebyshev import chebval
-
+        x, V, _, _ = _maps()
         d = self.direction
         while self.frontier[0] < target_abs and self.terminated is None:
             s0, phi0, g0 = self.frontier
@@ -73,10 +73,10 @@ class _Side:
             while True:
                 half = 0.5 * w
                 mphi, f_ok = _mean_value(
-                    lambda x: d * self.f(d * (s0 + half * (x + 1.0))), self.tol)
-                mg, g_ok = _mean_value(lambda x: np.exp(np.minimum(
-                    phi0 + half * (x + 1.0) * chebval(x, mphi), _PHI_CAP)), self.tol)
-                phi1, g1 = phi0 + w * chebval(1.0, mphi), g0 + d * w * chebval(1.0, mg)
+                    d * self.f(d * (s0 + half * (x + 1.0))), self.tol)
+                mg, g_ok = _mean_value(np.exp(np.minimum(
+                    phi0 + half * (x + 1.0) * (V @ mphi), _PHI_CAP)), self.tol)
+                phi1, g1 = phi0 + w * mphi.sum(), g0 + d * w * mg.sum()
                 if (w < 2.0 * _MIN_WIDTH * (1.0 + s0) or f_ok and (
                         g_ok or phi1 >= _PHI_CAP or abs(g1) >= _G_CAP)):
                     break
@@ -89,20 +89,19 @@ class _Side:
 
     def eval(self, s_abs):
         """(Phi, G) at |s| values (array); must be within reach.  Beyond the
-        frontier (terminated sides only) both hold their frontier values."""
+        frontier (terminated sides only) both hold their frontier values.
+        One Clenshaw pass sums every point's two series on its own panel."""
         from numpy.polynomial.chebyshev import chebval
 
         s_abs = np.minimum(np.asarray(s_abs, dtype=float), self.frontier[0])
-        k = np.searchsorted([p[1] for p in self.panels], s_abs)
-        phi, g = np.empty_like(s_abs), np.empty_like(s_abs)
-        for j in np.flatnonzero(np.bincount(np.ravel(k))):
-            s0, s1, phi0, g0, mphi, mg = self.panels[j]
-            on = k == j
-            ds = s_abs[on] - s0
-            x = 2.0 * ds / (s1 - s0) - 1.0
-            phi[on] = phi0 + ds * chebval(x, mphi)
-            g[on] = g0 + self.direction * ds * chebval(x, mg)
-        return phi, g
+        s0, s1, phi0, g0 = np.array([p[:4] for p in self.panels]).T
+        k = np.searchsorted(s1, s_abs)
+        ds = s_abs - s0[k]
+        x = 2.0 * ds / (s1[k] - s0[k]) - 1.0
+        # coefficients (_DEG + 1,) + k.shape + (2,): Phi's and G's series per point
+        m = np.moveaxis(np.array([p[4:] for p in self.panels])[k], -1, 0)
+        phi, g = np.moveaxis(chebval(x[..., None], m, tensor=False), -1, 0)
+        return phi0[k] + ds * phi, g0[k] + self.direction * ds * g
 
     def invert(self, g):
         """|s| at which |G| = g: safeguarded Newton steps, with derivative
@@ -130,15 +129,34 @@ class _Side:
         return s
 
 
-def _mean_value(func, tol):
-    """(m, resolved): func's degree-_DEG Chebyshev interpolant c on [-1, 1]
-    in mean-value form, int_{-1}^x c = (1 + x) m(x), and whether c's
-    trailing coefficients lie within tol of its largest."""
+@functools.cache
+def _maps():
+    """(x, V, scale, D): the _DEG + 1 first-kind Chebyshev nodes x on
+    [-1, 1], the Chebyshev-Vandermonde matrix V at x, the scaling with which
+    c = V^T y / scale interpolates the node values y (chebinterpolate's
+    arithmetic), and the mean-value map D from coefficients c to m with
+    int_{-1}^x c = (1 + x) m(x).  Built on the first panel fit."""
     from numpy.polynomial import chebyshev as C
 
-    c = C.chebinterpolate(func, _DEG)
-    m = C.chebdiv(C.chebint(c, lbnd=-1.0), [1.0, 1.0])[0]
-    return m, bool(np.max(np.abs(c[-2:])) <= tol * np.max(np.abs(c)))
+    n = _DEG + 1
+    x = C.chebpts1(n)
+    V = C.chebvander(x, _DEG)
+    D = np.zeros((n, n))
+    for j, e in enumerate(np.eye(n)):
+        q = C.chebdiv(C.chebint(e, lbnd=-1.0), [1.0, 1.0])[0]
+        D[:q.size, j] = q
+    return x, V, np.r_[n, np.full(_DEG, 0.5 * n)], D
+
+
+def _mean_value(y, tol):
+    """(m, resolved): the degree-_DEG Chebyshev interpolant c on [-1, 1] of
+    the values y at the nodes of _maps(), in mean-value form
+    int_{-1}^x c = (1 + x) m(x), and whether c's trailing coefficients lie
+    within tol of its largest.  c keeps chebinterpolate's bits: where
+    tol * max|c| underflows, the test compares c's last bits with 0."""
+    _, V, scale, D = _maps()
+    c = V.T @ y / scale
+    return D @ c, bool(np.max(np.abs(c[-2:])) <= tol * np.max(np.abs(c)))
 
 
 class TransformPair:

@@ -35,6 +35,18 @@ def f_ray(t):
     return -4.0 * t / (1.0 + 2.0 * t * t)
 
 
+def gaussian_curvature(M, u):
+    """K = -(1/h) Laplacian(ln h) of a 2-D conformal metric h at u, the
+    Laplacian a 4th-order central difference, step 1e-3, of the
+    closed-form grad ln h = grad h / h."""
+    u = np.asarray(u, dtype=float)
+    lap = 0.0
+    for k, e in enumerate(1e-3 * np.eye(2)):
+        d = [M.grad(u + j * e)[k] / M.hscalar(u + j * e) for j in (-2, -1, 1, 2)]
+        lap += (d[0] - 8.0 * d[1] + 8.0 * d[2] - d[3]) / 12e-3
+    return -lap / M.hscalar(u)
+
+
 @pytest.fixture(scope="session")
 def b05():
     return coeffs.sqrt_sin(0.5)

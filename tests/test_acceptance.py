@@ -14,7 +14,7 @@ from scipy.integrate import solve_ivp
 from cyclicwave import blowup, coeffs, floquet, geometry, pdesim, transform
 from cyclicwave.errors import NotApplicableError
 
-from conftest import LAM_WITNESS, f_ray, periodic_integral
+from conftest import LAM_WITNESS, f_ray, gaussian_curvature, periodic_integral
 from dop853_reference import FundamentalPair
 from printed_q import q_variant
 
@@ -146,7 +146,7 @@ def test_criterion_5_geometry():
 
     K2 = geometry.conformal_power(-2.0, (2, 2))
     rng = np.random.default_rng(1)
-    drift = max(abs(geometry.gaussian_curvature(K2, rng.normal(size=2)) - 8.0)
+    drift = max(abs(gaussian_curvature(K2, rng.normal(size=2)) - 8.0)
                 for _ in range(30))
     assert drift < 1e-8
 

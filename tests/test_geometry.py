@@ -1,13 +1,16 @@
 """Metric charts, Christoffel symbols, distinguished lines, geodesics
 and curvature against closed-form oracles."""
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from cyclicwave import geometry
-from cyclicwave.errors import ParameterError
+from cyclicwave.errors import ParameterError, SingularMetricError
+
+from conftest import gaussian_curvature
 
 
 def _christoffel_fd(M, u, eps=1e-6):
@@ -188,6 +191,66 @@ def test_perturbed_diagonal_metric():
                                      abs=1e-8)
 
 
+def _coherence_per_point(M, a, t_range):
+    """check_self_coherence as a loop of one-point christoffel calls:
+    (f_samples, max_residual), raising as it did before the stacked pass."""
+    a = np.asarray(a, dtype=float)
+    out, worst = [], 0.0
+    for t in np.linspace(t_range[0], t_range[1], 64):
+        u = a * t
+        if not M.in_domain(u):
+            raise ParameterError(f"line leaves the metric domain at t={t}")
+        c = np.einsum("ijk,j,k->i", geometry.christoffel(M, u), a, a)
+        f_t = float(a @ c) / float(a @ a)
+        worst = max(worst, float(np.max(np.abs(c - a * f_t))))
+        out.append((float(t), f_t))
+    return out, worst
+
+
+def _singular_below(v):
+    """H = -I (so h = 0) where u^2 < v, else 0."""
+    return lambda u: -np.eye(2) if u[1] < v else np.zeros((2, 2))
+
+
+@pytest.mark.parametrize("M, a", [
+    (geometry.conformal_power(-1.0, (2, 2)), (1.0, 1.0)),
+    (geometry.conformal_power(-1.0, (2, 4)), (1.0, 1.0)),
+    (geometry.conformal_power(-0.75, (2, 4)), (0.0, 1.0)),
+    (geometry.half_plane_power(2.0), (0.0, 1.0)),
+    (geometry.half_plane_power(2.0), (0.7, -0.3)),
+    (geometry.conformal_power(-1.0, (2, 2)).perturbed(_off_diagonal(0.3)), (1.0, 1.0)),
+    (geometry.conformal_power(-1.0, (2, 2)).perturbed(_off_diagonal(0.3)), (1.0, 0.2)),
+], ids=["conformal", "quartic-diagonal", "quartic-axis", "halfplane-up",
+        "halfplane-oblique", "perturbed-diagonal", "perturbed-off"])
+def test_coherence_matches_per_point_christoffel(M, a):
+    """The stacked pass over the 64 points gives the per-point loop's
+    factors and worst residual up to rounding."""
+    line = geometry.check_self_coherence(M, np.array(a), (0.0, 2.0))
+    f_ref, worst_ref = _coherence_per_point(M, a, (0.0, 2.0))
+    assert [t for t, _ in line.f_samples] == [t for t, _ in f_ref]
+    assert [f for _, f in line.f_samples] == pytest.approx(
+        [f for _, f in f_ref], rel=1e-13, abs=1e-15)
+    assert line.max_residual == pytest.approx(worst_ref, rel=1e-9, abs=1e-14)
+
+
+@pytest.mark.parametrize("H, error", [
+    (None, ParameterError),
+    (_singular_below(-0.5), SingularMetricError),
+    (_singular_below(-1.5), ParameterError),
+], ids=["leaves-domain", "singular-first", "leaves-domain-first"])
+def test_coherence_raises_for_the_first_failing_t(H, error):
+    """Down the half-plane's vertical line, the domain ends at t = 1: the
+    first point that is singular or outside raises, with the per-point
+    loop's message."""
+    M = geometry.half_plane_power(2.0)
+    M = M if H is None else M.perturbed(H)
+    a = np.array([0.0, -1.0])
+    with pytest.raises(error) as ref:
+        _coherence_per_point(M, a, (0.0, 2.0))
+    with pytest.raises(error, match=re.escape(str(ref.value))):
+        geometry.check_self_coherence(M, a, (0.0, 2.0))
+
+
 def geodesic_reduced(f, xi_hat, s_max, tol=1e-10, n_samples=200):
     """Oracle: the scalar reduced geodesic u'' + f(u) u'^2 = 0 from u = 0
     with chart speed xi_hat, as [(s, u, u'), ...] at n_samples points."""
@@ -264,7 +327,7 @@ def test_reduced_matches_full():
 def test_gaussian_curvature_constant_alpha_minus_2():
     M = geometry.conformal_power(-2.0, (2, 2))
     rng = np.random.default_rng(2)
-    ks = [geometry.gaussian_curvature(M, rng.normal(size=2)) for _ in range(25)]
+    ks = [gaussian_curvature(M, rng.normal(size=2)) for _ in range(25)]
     assert max(abs(k - 8.0) for k in ks) < 1e-8
 
 
@@ -274,7 +337,7 @@ def test_gaussian_curvature_closed_forms():
         M = geometry.conformal_power(alpha, (2, 2))
         u = rng.normal(size=2)
         ref = -4 * alpha * (1 + u @ u) ** (-alpha - 2)
-        assert geometry.gaussian_curvature(M, u) == pytest.approx(ref,
+        assert gaussian_curvature(M, u) == pytest.approx(ref,
                                                                   rel=1e-8)
     # mixed powers h = (1+u^2+v^4)^alpha
     alpha = -1.0
@@ -282,17 +345,8 @@ def test_gaussian_curvature_closed_forms():
     uu, vv = 0.4, -0.8
     ref = -2 * alpha * (uu ** 2 * (6 * vv ** 2 - 1) - 2 * vv ** 6 + vv ** 4
                         + 6 * vv ** 2 + 1) * (uu ** 2 + vv ** 4 + 1) ** (-alpha - 2)
-    got = geometry.gaussian_curvature(M, np.array([uu, vv]))
+    got = gaussian_curvature(M, np.array([uu, vv]))
     assert got == pytest.approx(ref, rel=1e-8)
-
-
-def test_gaussian_curvature_needs_2d_conformal():
-    perturbed = geometry.conformal_power(-1.0, (2, 2)).perturbed(_off_diagonal(0.1))
-    with pytest.raises(ParameterError):
-        geometry.gaussian_curvature(perturbed, np.array([0.3, 0.5]))
-    with pytest.raises(ParameterError):
-        geometry.gaussian_curvature(geometry.conformal_power(-1.0, (2, 2, 2)),
-                                    np.array([0.3, 0.5, 0.1]))
 
 
 def test_domain_validation():

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclicwave import geometry, transform
+from cyclicwave.cli import F_FAMILIES
 from cyclicwave.errors import ParameterError
 
+import transform_reference
 from conftest import f_ray
 
 B_G_REF = math.pi / (2.0 * math.sqrt(2.0))  # endpoint for f_ray
@@ -204,3 +206,73 @@ def test_verdict_json_roundtrip():
     j = json.loads(v.to_json())
     assert set(j) == {"forward", "backward", "holds", "p_hat_fwd", "p_hat_bwd"}
     assert all(isinstance(x, (str, float)) for x in j.values())
+
+
+def _rays():
+    """(f, domain) of every --f family and of the conformal and half-plane
+    rays."""
+    return [F_FAMILIES["zero"](), F_FAMILIES["example1"](-1.0),
+            F_FAMILIES["example2"](1.75), F_FAMILIES["example3"](-0.7),
+            F_FAMILIES["example3"](-0.7, 2), F_FAMILIES["example4"](-1.01),
+            geometry.conformal_power(-1.0).ray(np.ones(2)),
+            geometry.half_plane_power(0.5).ray(np.array([0.0, 1.0]))]
+
+
+def test_maps_match_reference_fit():
+    """c = V^T y / scale keeps chebinterpolate's bits, m = D c agrees with
+    chebdiv(chebint(c)) to 16 ulp of its largest coefficient, and the
+    resolution test agrees, on panels of both sides of each ray."""
+    x, V, scale, _ = transform._maps()
+    ulp = 16.0 * np.finfo(float).eps
+    for f, domain in _rays():
+        for d, edge in ((1, domain[1]), (-1, domain[0])):
+            for s0, w in ((0.0, 1.0), (1.0, 2.0), (1023.0, 1024.0), (0.5, 1e-3)):
+                if s0 + w >= abs(edge):
+                    continue
+                y = d * f(d * (s0 + 0.5 * w * (x + 1.0)))
+                c_ref = np.polynomial.chebyshev.chebinterpolate(lambda _: y, transform._DEG)
+                m_ref, ok_ref = transform_reference.mean_value(lambda _: y, 1e-12)
+                m, ok = transform._mean_value(y, 1e-12)
+                assert (V.T @ y / scale).tobytes() == c_ref.tobytes()
+                assert np.max(np.abs(m - m_ref)) <= ulp * np.max(np.abs(m_ref))
+                assert ok == ok_ref
+
+
+@pytest.mark.parametrize("f, domain", [
+    (f_ray, (-math.inf, math.inf)),
+    geometry.half_plane_power(0.5).ray(np.array([0.0, 1.0])),
+    F_FAMILIES["example2"](1.75),
+    (lambda t: -0.3 * np.tanh(np.asarray(t, dtype=float)), (-math.inf, math.inf)),
+], ids=["reference-ray", "halfplane-0.5-vertical", "example2-1.75", "soft"])
+def test_panel_boundaries_match_reference(f, domain, monkeypatch):
+    """The maps build the same panels (s0, s1) as the numpy.polynomial
+    fits, exactly, on both sides out to the endpoint integration.  On the
+    soft ray F underflows near |s| = 2500, where tol * max|c| underflows
+    too: there coefficients an ulp off chebinterpolate's fail the
+    resolution test and halve the panels down to _MIN_WIDTH."""
+    def bounds(tp):
+        tp.endpoints()
+        return [[(p[0], p[1]) for p in side.panels] + [side.terminated]
+                for side in (tp._pos, tp._neg)]
+
+    got = bounds(transform.TransformPair(f, domain=domain))
+    monkeypatch.setattr(transform._Side, "reach", transform_reference.reach)
+    assert got == bounds(transform.TransformPair(f, domain=domain))
+
+
+def test_eval_matches_reference_bitwise():
+    """One Clenshaw pass over all points gives the bits of a pass per panel
+    and series, for points on many panels, beyond the frontier and 0-d."""
+    for f, domain in _rays():
+        tp = transform.TransformPair(f, domain=domain)
+        tp.endpoints()
+        for side in (tp._pos, tp._neg):
+            s = np.concatenate([np.linspace(0.0, side.frontier[0], 257),
+                                np.logspace(-9.0, 7.0, 64)])
+            got = side.eval(s)
+            ref = transform_reference.evaluate(side, s)
+            for a, b in zip(got, ref):
+                assert a.tobytes() == b.tobytes()
+            for s0 in (0.0, 0.3, side.frontier[0]):
+                assert [float(v) for v in side.eval(s0)] == [
+                    float(v) for v in transform_reference.evaluate(side, s0)]
