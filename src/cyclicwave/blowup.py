@@ -261,13 +261,13 @@ def radial_pair_norm(h0, h1, lam, s, R, n):
     or below |y| onward, or over the top sixteenth of the grid when |y|
     lies beyond it.
     """
-    rho = np.pi / (_RADIAL_PAD * R) * np.arange(h1.size)
+    step = np.pi / (_RADIAL_PAD * R)
     # the cross term's far factor (below) reads the whole transform
-    k_far = int(math.sqrt(lam) / rho[1])
-    far = h1[k_far:] if k_far < rho.size else h1[-rho.size // 16 :]
+    k_far = int(math.sqrt(lam) / step)
+    far = h1[k_far:] if k_far < h1.size else h1[-h1.size // 16 :]
     far_sup = 1.5 * float(np.max(np.abs(far)))
-    rho, h1 = rho[: h0.size], h1[: h0.size]
-    weights = _simpson_weights(h0.size, rho[1])
+    rho, h1 = step * np.arange(h0.size), h1[: h0.size]
+    weights = _simpson_weights(h0.size, step)
 
     def shell(v):
         """v rho^{n-1}, one factor of rho at a time (the frozen n = 3 order)."""
@@ -328,7 +328,9 @@ def exact_local_solution(plan, tp, m):
     0 <= t <= M and |x| <= M^{3/2} (so the cutoff edge cannot interfere).
     W(t) solves the Hill system through a floquet.Propagator of the
     monodromy m, whose lambda and n must be the plan's; m.pot supplies b.
-    Returns a callable raising ParameterError outside the valid region.
+    Returns a callable v(t, x) for an array of t with one point x, or one
+    t with an array of points, that checks the region once per call and
+    raises ParameterError (naming the first t outside) beyond it.
     Its attribute dt(t, x) is the time derivative
     A M^-S (b(t)/b(0))^{n/2} cos(x.y) (W'(t) + (n/2) (b'(t)/b(t)) W(t)),
     with W' from the same propagated solution.
@@ -344,16 +346,16 @@ def exact_local_solution(plan, tp, m):
 
     def mode(t, x):
         """(W, W', b(t), (b(t)/b(0))^{n/2}, cos(x.y)) inside the region."""
-        x = np.asarray(x, dtype=float)
-        if t < 0.0 or t > plan.M:
-            raise ParameterError(f"t={t} outside the certified window [0, {plan.M}]")
-        r = np.sqrt(np.sum(x * x, axis=-1))
-        if np.any(r > plan.cone_radius * (1.0 + 1e-12)):
+        t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+        outside = ~((t >= 0.0) & (t <= plan.M))
+        if outside.any():
+            raise ParameterError(f"t={np.extract(outside, t)[0]} outside the "
+                                 f"certified window [0, {plan.M}]")
+        if (np.sqrt((x * x).sum(axis=-1)) > plan.cone_radius * (1.0 + 1e-12)).any():
             raise ParameterError("point outside the certified influence region")
         w, w_t = prop(t, (0.0, 1.0))
         bt = b.eval(t)
-        phase = np.cos(np.tensordot(x, y, axes=([-1], [0])))
-        return w, w_t, bt, (bt / b0) ** (n / 2.0), phase
+        return w, w_t, bt, (bt / b0) ** (n / 2.0), np.cos(x @ y)
 
     def v(t, x):
         w, _, _, scale, phase = mode(t, x)
@@ -488,22 +490,17 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
             f"delta={delta!r}", best=best
         )
 
-    # v(t, 0) at integer and half-integer times, then first crossing; v's
-    # one Propagator serves both, so X(1/2, 0) is integrated once
+    # v(t, 0) at every half-integer time in one call, then first crossing;
+    # v's one Propagator serves both, so X(1/2, 0) is integrated once
     v = exact_local_solution(plan, tp, m)
     origin = np.zeros(n)
     margin = abs(target) * 1e-9
     crossed = (lambda val: val >= target - margin) if direction > 0 else (
         lambda val: val <= target + margin
     )
-    trajectory = []
-    hit = None
-    for k in range(2 * plan.M + 1):
-        t = k / 2.0
-        v_t = float(v(t, origin))
-        trajectory.append((t, v_t))
-        if hit is None and crossed(v_t):
-            hit = t
+    times = np.arange(2 * plan.M + 1) / 2.0
+    trajectory = list(zip(times.tolist(), v(times, origin).tolist()))
+    hit = next((t for t, val in trajectory if crossed(val)), None)
     if hit is None:
         raise ExhaustedSearchError(
             "trajectory failed to cross the endpoint despite the growth "

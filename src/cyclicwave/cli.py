@@ -174,53 +174,20 @@ def _on_array(g, domain=(-math.inf, math.inf)):
     return (lambda t: g(np.asarray(t, dtype=float))), domain
 
 
-def _odd_rational(c, k):
-    """(f, domain) of f(t) = c t / (1 + k t^2).  Like every nonlinearity
-    here, f computes its formula in place, operation for operation in the
-    order the formula reads, so it keeps the formula's bits."""
-    def f(t):
-        d = t * t
-        d *= k
-        d += 1.0
-        out = t * c
-        out /= d
-        return out
-
-    return _on_array(f)
-
-
-def _example2(ell):
-    def f(t):  # -ell / (2 (1 + t)) on t > -1
-        d = t + 1.0
-        d *= 2.0
-        return -ell / d
-
-    return _on_array(f, (-1.0, math.inf))
-
-
 def _example3(alpha, axis=1):
     if axis == 1:
-        return _odd_rational(alpha, 1.0)
-    if axis != 2:
-        raise ParameterError(f"example3 axis must be 1 or 2, got {axis}")
-
-    def f(t):  # 2 alpha t^3 / (1 + t^4)
-        d = t**4
-        d += 1.0
-        out = t**3
-        out *= 2.0 * alpha
-        out /= d
-        return out
-
-    return _on_array(f)
+        return _on_array(lambda t: alpha * t / (1.0 + t**2))
+    if axis == 2:
+        return _on_array(lambda t: 2.0 * alpha * t**3 / (1.0 + t**4))
+    raise ParameterError(f"example3 axis must be 1 or 2, got {axis}")
 
 
 F_FAMILIES = {
     "zero": lambda: _on_array(lambda t: 0.0 * t),
-    "example1": lambda alpha: _odd_rational(4.0 * alpha, 2.0),
-    "example2": _example2,
+    "example1": lambda alpha: _on_array(lambda t: 4.0 * alpha * t / (1.0 + 2.0 * t**2)),
+    "example2": lambda ell: _on_array(lambda t: -ell / (2.0 * (1.0 + t)), (-1.0, math.inf)),
     "example3": _example3,
-    "example4": lambda alpha, m=3.0: _odd_rational(m * alpha, m),
+    "example4": lambda alpha, m=3.0: _on_array(lambda t: m * alpha * t / (1.0 + m * t**2)),
 }
 
 

@@ -509,39 +509,41 @@ class Propagator:
     x(t) = X(frac, 0) X(1, 0)^k x0 with t = k + frac: the integer periods
     are a power of the monodromy m, and each distinct fractional map
     X(frac, 0) comes from the same Magnus routine with m.pot and m.tol, the
-    monodromy's own, and is kept on the instance, so evaluations at the same
-    phase of the period cost only the matrix products.
+    monodromy's own.  Each power and map is kept on the instance once made,
+    so evaluations at a known k and phase cost only the matrix products.
     """
 
     def __init__(self, m):
         self.m = m
-        self._frac_maps = {}
+        self._powers = {0.0: np.identity(2)}  # X(1, 0)^k by k
+        self._frac_maps = {0.0: np.identity(2)}  # X(frac, 0) by frac
 
     def __call__(self, t, data):
-        """Solution (w, w_t) at time t >= 0 from data (w0, w0_t)."""
-        t = float(t)
-        if t < 0:
-            raise ParameterError(f"propagate requires t >= 0, got {t}")
-        w0, w0_t = data
-        x = np.array([w0_t, w0], dtype=float)
-        k = int(math.floor(t + 1e-13))
+        """Solution (w, w_t) at each time t >= 0, a float or an array, from
+        data (w0, w0_t), both shaped like t.  The products are stacked, so
+        every entry has the bits of a call at its t alone."""
+        t = np.asarray(t, dtype=float)
+        if not (t >= 0.0).all():
+            raise ParameterError(
+                f"propagate requires t >= 0, got {np.extract(~(t >= 0.0), t)[0]}")
+        k = np.floor(t + 1e-13)
         frac = t - k
-        if frac < 1e-13:
-            frac = 0.0
+        frac = np.where(frac < 1e-13, 0.0, frac)
         m = self.m
-        if k > 0:
-            if k * math.log(m.mu0) > 700.0:
+        for j in set(k.flat) - self._powers.keys():
+            if j * math.log(m.mu0) > 700.0:
                 raise OverflowError(
-                    f"monodromy power overflows at t={t} (use multi_period_values "
-                    "for mantissa/exponent form)"
+                    "monodromy power overflows at "
+                    f"t={np.extract(k * math.log(m.mu0) > 700.0, t)[0]} (use "
+                    "multi_period_values for mantissa/exponent form)"
                 )
-            x = np.linalg.matrix_power(m.matrix, k) @ x
-        if frac > 0.0:
-            X = self._frac_maps.get(frac)
-            if X is None:
-                X = self._frac_maps[frac] = _fundamental(m.pot, [m.lam], frac, m.tol)[0]
-            x = X @ x
-        return float(x[1]), float(x[0])
+            self._powers[j] = np.linalg.matrix_power(m.matrix, int(j))
+        for f in set(frac.flat) - self._frac_maps.keys():
+            self._frac_maps[f] = _fundamental(m.pot, [m.lam], f, m.tol)[0]
+        powers = np.array([self._powers[j] for j in k.flat]).reshape(k.shape + (2, 2))
+        maps = np.array([self._frac_maps[f] for f in frac.flat]).reshape(k.shape + (2, 2))
+        x = maps @ (powers @ np.array([data[1], data[0]], dtype=float))[..., None]
+        return x[..., 1, 0][()], x[..., 0, 0][()]
 
 
 def propagate(m, t, data):

@@ -552,6 +552,11 @@ def test_local_solution_domain_checks(local_solution):
         sol(plan.M + 1.0, np.zeros(3))
     with pytest.raises(ParameterError):
         sol(1.0, np.array([plan.cone_radius + 1.0, 0.0, 0.0]))
+    # an array of t names its first t outside [0, M]
+    t = np.array([1.0, plan.M + 1.5, -1.0, plan.M + 4.0])
+    for f in (sol, sol.dt):
+        with pytest.raises(ParameterError, match=rf"^t={plan.M + 1.5} outside"):
+            f(t, np.zeros(3))
 
 
 def test_certify_blowup_frozen(pot3, tp1):
@@ -636,7 +641,7 @@ def test_torus_scenario(pot3, tp1):
 
 def test_certify_reports_trajectory_that_never_crosses(pot3, tp1, monkeypatch):
     monkeypatch.setattr(blowup, "exact_local_solution",
-                        lambda *args: lambda t, x: 0.0)
+                        lambda *args: lambda t, x: np.zeros_like(t))
     with pytest.raises(ExhaustedSearchError) as info:
         blowup.certify_blowup(tp1, pot3, (5.0, 17.0), 1e-3)
     assert info.value.best == (35, 0.0)
@@ -774,3 +779,31 @@ def test_m_scan_makes_one_g_call(certified, monkeypatch):
     again = blowup.certify_blowup(cert.tp, cert.m.pot, (0.1, 60.0), key[1])
     assert sizes == [256, 1]  # the M scan's one call, then exact_local_solution's
     assert again.t_star == cert.t_star and again.plan.M == M
+
+
+def test_trajectory_is_one_array_call(certified, monkeypatch):
+    """The trajectory is v(t, 0) at every half-integer t from one call:
+    each entry is within 8 ulp of a float call at its t (only the array
+    power (b/b0)^{n/2} may round differently), and certify_blowup enters
+    Propagator.__call__ at most 20 times, the Newton search included."""
+    key, cert, _ = certified
+    v, _ = _crossing(cert)
+    origin = np.zeros(cert.plan.n)
+    times = [t for t, _ in cert.trajectory]
+    assert times == [k / 2.0 for k in range(2 * cert.plan.M + 1)]
+    for t, val in cert.trajectory:
+        one = float(v(t, origin))
+        assert abs(val - one) <= 8.0 * np.spacing(abs(one))
+
+    calls = []
+    real = floquet.Propagator.__call__
+
+    def counted(self, t, data):
+        calls.append(np.size(t))
+        return real(self, t, data)
+
+    monkeypatch.setattr(floquet.Propagator, "__call__", counted)
+    again = blowup.certify_blowup(cert.tp, cert.m.pot, (0.1, 60.0), key[1])
+    assert again.trajectory == cert.trajectory and again.t_star == cert.t_star
+    assert calls[0] == len(cert.trajectory) and set(calls[1:]) == {1}
+    assert len(calls) <= 20

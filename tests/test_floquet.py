@@ -364,6 +364,37 @@ def test_propagator_integrates_with_the_monodromys_pot_and_tol(monkeypatch):
     assert seen[0][0] is pot
 
 
+def test_propagator_takes_arrays_of_t(mono_witness, monkeypatch):
+    """An array of t, here 2-D with t = 0, whole periods and repeated
+    phases, gives (w, w_t) shaped like t with the bits of per-element float
+    calls, and integrates each distinct fraction once.  The errors name
+    the first negative t and the first t whose monodromy power overflows."""
+    pot = coeffs.HillPotential(coeffs.sqrt_sin(0.3), 2)
+    m = floquet.monodromy(pot, 7.25, tol=1e-9)
+    t = np.array([[0.0, 2.0, 2.25, 5.25], [3.0, 0.75, 0.25, 7.75]])
+    data = (0.3, -1.2)
+    seen = []
+    real = floquet._fundamental
+
+    def recorded(pot, lams, t1, tol):
+        seen.append(t1)
+        return real(pot, lams, t1, tol)
+
+    monkeypatch.setattr(floquet, "_fundamental", recorded)
+    w, w_t = floquet.Propagator(m)(t, data)
+    assert sorted(seen) == [0.25, 0.75]
+    assert w.shape == w_t.shape == t.shape
+    for i in np.ndindex(t.shape):
+        one = floquet.Propagator(m)(float(t[i]), data)
+        assert all(isinstance(v, float) for v in one)
+        assert np.array([w[i], w_t[i]]).tobytes() == np.array(one).tobytes()
+    with pytest.raises(ParameterError, match=r"got -0\.5$"):
+        floquet.Propagator(m)(np.array([1.0, -0.5, -2.0]), data)
+    t_over = 800.0 / math.log(mono_witness.mu0)
+    with pytest.raises(OverflowError, match=rf"at t={t_over + 0.5} "):
+        floquet.Propagator(mono_witness)(np.array([1.0, t_over + 0.5, 2 * t_over]), data)
+
+
 @pytest.fixture(scope="module")
 def shared_propagator(pot3, mono_witness):
     return floquet.Propagator(mono_witness)
