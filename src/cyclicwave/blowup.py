@@ -96,6 +96,12 @@ class BlowupPlan:
         return float(self.M) ** (-self.S)
 
     @property
+    def hat_scale(self):
+        """M^-S M^{2n}: the radial transform of M^-S chi(r / M^2) over chi's
+        on the M = 1 grid."""
+        return self.amplitude * float(self.M) ** (2 * self.n)
+
+    @property
     def support_radius(self):
         return 2.0 * self.M**2
 
@@ -243,6 +249,37 @@ def _exp_phi_series(tp, amp):
         f"exp(-Phi) on [0, {amp:.6g}] needs a Chebyshev degree above {deg}")
 
 
+def _shell_unit(n):
+    """(2 pi)^-n |S^{n-1}|, with |S^1| = 2 pi and |S^2| = 4 pi."""
+    return (2.0 * np.pi) ** -n * (2.0 * np.pi * (n - 1))
+
+
+def radial_pair_floor(head, lam, s, n):
+    """A lower bound floor(scale, R) on radial_pair_norm(scale head,
+    +-scale hat, lam, s, R, n), where head is the radial_head of hat and
+    s >= 1: the phi-skip case of plan_smallness.
+
+    It is radial_pair_norm's own sum with (1 + rho^2)^{s+1} >= 1 dropped,
+    the cross term (>= 0) dropped, and the sphere mean of
+    (1 + lam + rho^2 + 2 sqrt(lam) rho cos theta)^s bounded below by
+    (1 + lam)^s (Jensen's inequality: x^s is convex and the mean of
+    cos theta is 0, for the n = 3 closed form and the n = 2 midpoint mean
+    alike).  With rho_k = k step and step = pi / (8R), what is left is
+        floor = scale step^{n/2} sqrt(C) (sqrt(unit) + sqrt(unit/2 (1 + lam)^s)),
+    C = sum_k w_k head_k^2 k^{n-1} with w the Simpson pattern [1, 4, 2,
+    ..., 4, 1] / 3, computed here once.
+    """
+    k = np.arange(head.size, dtype=float)
+    c = float(_simpson_weights(head.size, 1.0) @ (head * head * k ** (n - 1)))
+    unit = _shell_unit(n)
+    root = math.sqrt(c) * (math.sqrt(unit) + math.sqrt(unit / 2.0 * (1.0 + lam) ** s))
+
+    def floor(scale, R):
+        return scale * (np.pi / (_RADIAL_PAD * R)) ** (n / 2.0) * root
+
+    return floor
+
+
 def radial_pair_norm(h0, h1, lam, s, R, n):
     """H^{s+1} x H^s norm sum for (g0(|x|), g1(|x|) cos(x.y)) on R^n, n = 2
     or 3.
@@ -275,8 +312,7 @@ def radial_pair_norm(h0, h1, lam, s, R, n):
             v = v * rho
         return v
 
-    # (2 pi)^-n |S^{n-1}|, with |S^1| = 2 pi and |S^2| = 4 pi
-    unit = (2.0 * np.pi) ** -n * (2.0 * np.pi * (n - 1))
+    unit = _shell_unit(n)
     # ||u0||_{s+1}^2 = (2pi)^-n |S^{n-1}| Int (1+rho^2)^{s+1} h0^2 rho^{n-1} d rho
     norm0_sq = unit * float(weights @ shell((1.0 + rho * rho) ** (s + 1.0) * h0 * h0))
     # ||u1||_s^2: hat u1(xi) = (h1(|xi - y|) + h1(|xi + y|)) / 2
@@ -307,7 +343,7 @@ def plan_smallness(plan, tp, s=_SOBOLEV_ORDER):
     n = plan.n
     if n not in (2, 3):
         raise ParameterError(f"radial smallness is for n = 2 or 3, got n = {n}")
-    scale = plan.amplitude * float(plan.M) ** (2 * n)
+    scale = plan.hat_scale
     if tp.phi_bound(plan.amplitude) <= _PHI_SKIP:
         h1 = plan.A * scale * _chi_hat(n, 0)
     else:
@@ -409,11 +445,15 @@ class BlowupCertificate:
 def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
     """Find the smallest M whose plan both stays under delta and crosses.
 
-    M runs up from 1 and the first M at which the growth reaches the
-    endpoint and the smallness (plan_smallness) is at most delta is taken.
-    Neither is assumed monotone in M: smallness is computed at every M
-    where growth holds, until one passes; G(M^-S) for every M <= M_max
-    comes from one call to tp.G before the scan.  t_star is the first
+    The good lambda is find_good_lambda's on the 400-point grid of
+    lam_range.  M runs up from 1 and the first M at which the growth
+    reaches the endpoint and the smallness (plan_smallness) is at most
+    delta is taken.  Neither is assumed monotone in M: smallness is
+    computed at every M where growth holds, until one passes, except where
+    the data are on the phi-skip path and radial_pair_floor's lower bound
+    already exceeds delta (1 + 1e-9); a failed search computes it at the
+    last M where growth holds.  G(M^-S) for every M <= M_max comes from
+    one call to tp.G before the scan.  t_star is the first
     crossing of the endpoint (within 1e-9 |b_G|) by v(t, 0) of
     exact_local_solution: the first crossed half-integer t of the
     trajectory brackets it with t - 1/2, and safeguarded Newton steps with
@@ -448,12 +488,7 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
             "n = 1 has no instability interval for any b or lambda range: "
             "the trace is 2 cos(sqrt(lambda) int_0^1 b), never above 2 in "
             "absolute value", best=None)
-    intervals = floquet.scan_instability(pot, lam_range, grid_points=400, tol=tol)
-    if not intervals:
-        raise ExhaustedSearchError(
-            "no instability interval in the requested range", best=None
-        )
-    m = floquet.find_good_lambda(intervals, pot, tol=tol)
+    m = floquet.find_good_lambda(pot, floquet.scan_grid(lam_range, 400), tol=tol)
     # G(M^-S) for every M in one call; G is elementwise, so each value is
     # the one a call at that M alone gives
     g0s = tp.G(np.array([float(M) ** (-S) for M in range(1, M_max + 1)]))
@@ -467,27 +502,38 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
         g0 = float(g0s[M - 1])
         return term_log10 >= math.log10(abs(target - g0)), vals, g0
 
-    # ascending scan: neither growth nor smallness is assumed monotone in M
-    deficit = best = None
+    # ascending scan: neither growth nor smallness is assumed monotone in M;
+    # on the phi-skip path an M whose floor already exceeds delta is skipped
+    deficit = plan = small = floor = None
     for M in range(1, M_max + 1):
         ok, vals, g0 = growth_ok(M)
         if not ok:
             deficit = (M, vals)
             continue
         plan = BlowupPlan(n, m.lam, S, M, A=direction * math.copysign(1.0, vals.W))
+        # phi_bound grows with M^-S, so once the data are on the phi-skip
+        # path (floor made) every larger M is too
+        if floor is not None or tp.phi_bound(plan.amplitude) <= _PHI_SKIP:
+            if floor is None:  # radial_head raises here as plan_smallness would
+                floor = radial_pair_floor(radial_head(_chi_hat(n, 0)), m.lam,
+                                          _SOBOLEV_ORDER, n)
+            if floor(plan.hat_scale, plan.support_radius) > delta * (1.0 + 1e-9):
+                small = None
+                continue
         small = plan_smallness(plan, tp)
         if small <= delta:
             break
-        best = (M, small)
     else:
-        if best is None:
+        if plan is None:
             raise ExhaustedSearchError(
                 f"growth never reaches the endpoint for M <= {M_max}",
                 best=deficit,
             )
+        # plan is the last M where growth holds
+        small = plan_smallness(plan, tp) if small is None else small
         raise ExhaustedSearchError(
-            f"smallness {best[1]!r} at M={best[0]} still exceeds "
-            f"delta={delta!r}", best=best
+            f"smallness {small!r} at M={plan.M} still exceeds "
+            f"delta={delta!r}", best=(plan.M, small)
         )
 
     # v(t, 0) at every half-integer time in one call, then first crossing;

@@ -144,11 +144,11 @@ def parse_family(spec, families, kind):
 
 def _perturbed(alpha, m=2, c=0.1):
     # H and its gradient vanish on the diagonal, so the diagonal keeps the
-    # conformal part's nonlinearity
+    # conformal part's nonlinearity; |u|^2 is a stacked u @ u, with its bits
     def H(u):
         u = np.asarray(u, dtype=float)
-        diff = u[:, None] - u[None, :]
-        return c * diff**2 / (1.0 + float(u @ u))
+        diff = u[..., :, None] - u[..., None, :]
+        return c * diff**2 / (1.0 + u[..., None, :] @ u[..., :, None])
 
     return geometry.conformal_power(alpha, powers=(2,) * m).perturbed(H)
 

@@ -396,16 +396,21 @@ def instability_intervals(pot, lams, traces, tol=1e-11):
         node = 2 * node + 2 - ins  # the child whose bracket is the new (a, bnd)
         level = (level + 1) % _LEVELS
 
-    # (grid index, lambda) of each edge in order: start, end, start, end, ...
-    edges = ([(0, lo)] if unstable[0] else []) + list(zip(inner, bnd.tolist())) \
-        + ([(lams.size - 1, hi)] if unstable[-1] else [])
-    intervals = []
-    for (i, lam_lo), (j, lam_hi) in zip(edges[0::2], edges[1::2]):
-        k = i + np.argmax(np.abs(traces[i:j + 1]))
-        intervals.append(InstabilityInterval(
-            lambda_lo=lam_lo, lambda_hi=lam_hi,
-            max_abs_trace=float(np.abs(traces[k])), witness_lambda=float(lams[k])))
-    return intervals
+    # the edges in order: start, end, start, end, ...
+    edges = ([lo] if unstable[0] else []) + bnd.tolist() + ([hi] if unstable[-1] else [])
+    return [InstabilityInterval(lambda_lo=lam_lo, lambda_hi=lam_hi,
+                                max_abs_trace=float(np.abs(traces[k])),
+                                witness_lambda=float(lams[k]))
+            for lam_lo, lam_hi, k in zip(edges[0::2], edges[1::2], _witnesses(traces))]
+
+
+def _witnesses(traces):
+    """The grid index of each instability interval's witness, in order:
+    the maximum of |trace| over each run of grid points with |trace| > 2."""
+    mag = np.abs(traces)
+    unstable = np.concatenate([[False], mag > 2.0, [False]])
+    runs = np.flatnonzero(unstable[1:] != unstable[:-1]).reshape(-1, 2)  # [start, stop)
+    return [i + int(np.argmax(mag[i:j])) for i, j in runs]
 
 
 def _bisection_tree(a, bnd):
@@ -424,29 +429,48 @@ def _bisection_tree(a, bnd):
     return np.concatenate(mids)
 
 
-def find_good_lambda(intervals, pot, tol=1e-11):
-    """The Monodromy of a lambda interior to an instability interval whose
-    kind is 'unstable', with |b21| > 1e-6 and |b22 - 1/mu| > 1e-6 (mu the
-    signed expanding multiplier).
+def find_good_lambda(pot, lams, tol=1e-11):
+    """The Monodromy of a lambda interior to an instability interval of the
+    scan grid lams (scan_grid) whose kind is 'unstable', with |b21| > 1e-6
+    and |b22 - 1/mu| > 1e-6 (mu the signed expanding multiplier).
 
-    Per interval the candidates are the scan's witness (the grid maximum
-    of |trace|), then the interval's midpoint; each is integrated only once
-    every earlier candidate has been rejected.  b21 vanishes at the one
+    One _fundamental sweep maps the grid, and each run of grid points with
+    |trace| > 2 is an interval.  Per interval the candidates are its
+    witness (the run's maximum of |trace|, _witnesses), then its midpoint.
+    A witness's Monodromy is its map from the sweep, which has the bits of
+    monodromy(pot, witness, tol): a map does not depend on its batch.  The
+    edges are bisected (instability_intervals, every edge in one pass)
+    only once a witness is rejected, and each candidate is tried only once
+    every earlier one has been rejected.  b21 vanishes at the one
     Dirichlet eigenvalue in each interval, so a witness fails the b21 test
     only next to that zero, and the midpoint is the second try.  The
-    passing candidate's lambda is m.lam.
+    passing candidate's lambda is m.lam.  ExhaustedSearchError when no
+    grid point is unstable or no candidate passes.
     """
-    if not intervals:
-        raise ParameterError("no instability intervals to search")
+    maps = _fundamental(pot, lams, 1.0, tol)
+    traces = maps[:, 0, 0] + maps[:, 1, 1]
+    witnesses = _witnesses(traces)
+    if not witnesses:
+        raise ExhaustedSearchError("no instability interval in the requested range", best=None)
+
+    def candidates():
+        intervals = None
+        for r, k in enumerate(witnesses):
+            (b11, b12), (b21, b22) = maps[k]
+            yield Monodromy(b11=b11, b12=b12, b21=b21, b22=b22, lam=float(lams[k]),
+                            pot=pot, tol=tol)
+            if intervals is None:
+                intervals = instability_intervals(pot, lams, traces, tol)
+            iv = intervals[r]
+            yield monodromy(pot, 0.5 * (iv.lambda_lo + iv.lambda_hi), tol)
+
     best_b21 = 0.0
-    for iv in intervals:
-        for lam in (iv.witness_lambda, 0.5 * (iv.lambda_lo + iv.lambda_hi)):
-            m = monodromy(pot, lam, tol)
-            if m.kind != "unstable":
-                continue
-            best_b21 = max(best_b21, abs(m.b21))
-            if abs(m.b21) > _B21_MIN and abs(m.b22 - 1.0 / m.expanding) > 1e-6:
-                return m
+    for m in candidates():
+        if m.kind != "unstable":
+            continue
+        best_b21 = max(best_b21, abs(m.b21))
+        if abs(m.b21) > _B21_MIN and abs(m.b22 - 1.0 / m.expanding) > 1e-6:
+            return m
     raise ExhaustedSearchError(
         f"no sample passed the b21/b22 conditions (max |b21| found: {best_b21!r})",
         best=best_b21,

@@ -24,9 +24,9 @@ class Metric:
     """h(u) = hscalar(u) * (I + H(u)) on R^m, or on the open subset where
     the predicate `domain` holds.
 
-    hscalar, its gradient grad and the predicate domain take points u of
-    shape (..., m); H takes one point.  ray(a) is the pair (f, domain) of
-    the ray t -> t*a: f the vectorized t -> d/dt ln hscalar(t*a), domain
+    hscalar, its gradient grad, the predicate domain and H take points u
+    of shape (..., m).  ray(a) is the pair (f, domain) of the ray
+    t -> t*a: f the vectorized t -> d/dt ln hscalar(t*a), domain
     the open t-interval on which the ray stays in the chart, in closed
     form.  Without H, dh is analytic; with H, it is a 4th-order central
     difference of h.
@@ -46,9 +46,7 @@ class Metric:
         hs = self.hscalar(u)[..., None, None]
         if self.H is None:
             return hs * np.eye(self.m)
-        Hu = np.reshape([self.H(v) for v in u.reshape(-1, self.m)],
-                        u.shape[:-1] + (self.m, self.m))
-        return hs * (np.eye(self.m) + Hu)
+        return hs * (np.eye(self.m) + self.H(u))
 
     def dh(self, u, k):
         """Partial derivative of h with respect to u^k at the points u."""

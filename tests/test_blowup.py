@@ -305,8 +305,8 @@ def test_scaled_chi_head_matches_direct_transform(tp1, M):
 
 
 def test_certify_transforms_chi_once(pot3, tp1, monkeypatch):
-    """The seed-0 certificate's whole M scan makes one radial transform per
-    process, chi's: at every M it scans, exp(-Phi(g0)) is proven to be 1,
+    """The seed-0 certificates' whole M scans make one radial transform per
+    process, chi's: at every M they scan, exp(-Phi(g0)) is proven to be 1,
     so g1's transform is chi's, scaled, as g0's is."""
     radial_hat, plan_smallness = blowup._radial_hat, blowup.plan_smallness
     profiles, plans = [], []
@@ -322,8 +322,9 @@ def test_certify_transforms_chi_once(pot3, tp1, monkeypatch):
     monkeypatch.setattr(blowup, "_radial_hat", counted_hat)
     monkeypatch.setattr(blowup, "plan_smallness", counted_smallness)
     blowup._chi_hat.cache_clear()
-    cert = blowup.certify_blowup(tp1, pot3, (0.1, 60.0), 1e-5)
-    assert cert.plan.M == 100
+    certs = [blowup.certify_blowup(tp1, pot3, (0.1, 60.0), delta)
+             for delta in (1e-3, 1e-5)]
+    assert [cert.plan.M for cert in certs] == [35, 100]
     assert len(plans) > 1
     assert profiles == [blowup.chi_radial]
 
@@ -591,10 +592,10 @@ def test_certify_checks_delta_and_s_before_work(pot3, tp1, monkeypatch,
                                                 delta, S):
     """delta must be positive and finite and S finite and above 2n; a bad
     value used to surface only after the Floquet scan and the M search."""
-    def no_scan(*args, **kwargs):
-        raise AssertionError("scan_instability ran before delta and S were checked")
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the Floquet sweep ran before delta and S were checked")
 
-    monkeypatch.setattr(floquet, "scan_instability", no_scan)
+    monkeypatch.setattr(floquet, "_fundamental", no_sweep)
     with pytest.raises(ParameterError):
         blowup.certify_blowup(tp1, pot3, (5.0, 17.0), delta, S=S)
 
@@ -602,10 +603,10 @@ def test_certify_checks_delta_and_s_before_work(pot3, tp1, monkeypatch,
 def test_certify_refuses_n_above_3_before_work(b05, tp1, monkeypatch):
     """n >= 4 is refused before the lambda scan, with a message that names
     n; it used to fail only after the scan, on the torus grid's dimension."""
-    def no_scan(*args, **kwargs):
-        raise AssertionError("scan_instability ran before n was checked")
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the Floquet sweep ran before n was checked")
 
-    monkeypatch.setattr(floquet, "scan_instability", no_scan)
+    monkeypatch.setattr(floquet, "_fundamental", no_sweep)
     with pytest.raises(ParameterError, match="n = 4"):
         blowup.certify_blowup(tp1, coeffs.HillPotential(b05, 4), (5.0, 17.0), 1e-3)
 
@@ -669,6 +670,72 @@ def test_certify_exhausted_search_reports_best(pot3, tp1):
         blowup.certify_blowup(tp1, pot3, (5.0, 17.0), 1e-3, M_max=3)
     assert "growth never reaches" in str(info.value)
     assert info.value.best[0] == 3
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("s_above", [0.5, 2.0], ids=["S=2n+0.5", "S=2n+2"])
+@pytest.mark.parametrize("lam", [LAM_WITNESS, 42.0], ids=["first", "second"])
+def test_smallness_floor_is_below_plan_smallness(tp1, n, s_above, lam):
+    """radial_pair_floor bounds plan_smallness from below, at every M on the
+    phi-skip path up to 256 and at 1000 and 4096, with either sign A; it
+    drops only terms that are small there, so it stays within 1e-4 of it.
+    lam lies in the first and the second reference instability interval.
+    Past M = 256 the two agree to about 1e-12 and plan_smallness's own
+    rounding shows: the n = 3 sphere mean ((a+b)^4 - (a-b)^4) / 8b loses
+    about eps a/b, with b/a down to 7e-9 at M = 4096, so there the bound is
+    checked to 1e-10, ten times inside the scan's skip margin of 1e-9."""
+    floor = blowup.radial_pair_floor(blowup.radial_head(blowup._chi_hat(n, 0)),
+                                     lam, 3.0, n)
+    plans = [blowup.BlowupPlan(n, lam, 2 * n + s_above, M, A=(-1) ** M)
+             for M in list(range(1, 257)) + [1000, 4096]]
+    plans = [plan for plan in plans if tp1.phi_bound(plan.amplitude) <= blowup._PHI_SKIP]
+    assert plans[-3].M == 256 and len(plans) > 100
+    for plan in plans:
+        exact = blowup.plan_smallness(plan, tp1)
+        low = floor(plan.hat_scale, plan.support_radius)
+        rounding = 1e-12 if plan.M <= 256 else 1e-10
+        assert exact * (1.0 - 1e-4) <= low <= exact * (1.0 + rounding), plan.M
+
+
+def _count_calls(monkeypatch, owner, name):
+    """The first argument of each call of owner.name, in order."""
+    firsts = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        firsts.append(args[0] if args else None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return firsts
+
+
+@pytest.mark.parametrize("delta, M, small", [(1e-5, 100, 9.829764928613413e-06),
+                                             (1e-6, 193, 9.842208139264277e-07)])
+def test_certify_computes_smallness_only_where_it_can_pass(pot3, tp1, monkeypatch,
+                                                           delta, M, small):
+    """The M scan runs plan_smallness only where the floor is at most delta:
+    at most twice per certificate, the last at the certified M, which with
+    its smallness is the full scan's (regression constants).  The witness
+    passes, so its map is the sweep's: no monodromy call and no edge
+    bisection."""
+    plans = _count_calls(monkeypatch, blowup, "plan_smallness")
+    monodromies = _count_calls(monkeypatch, floquet, "monodromy")
+    bisections = _count_calls(monkeypatch, floquet, "instability_intervals")
+    cert = blowup.certify_blowup(tp1, pot3, (0.1, 60.0), delta)
+    assert (cert.plan.M, cert.smallness) == (M, small)
+    assert 1 <= len(plans) <= 2 and plans[-1] == cert.plan
+    assert monodromies == [] and bisections == []
+
+
+def test_exhausted_scan_computes_smallness_at_the_last_m(pot3, tp1, monkeypatch):
+    """With every M below the floor's reach, the failed search computes the
+    smallness it reports once, at the last M where growth holds."""
+    plans = _count_calls(monkeypatch, blowup, "plan_smallness")
+    with pytest.raises(ExhaustedSearchError) as info:
+        blowup.certify_blowup(tp1, pot3, (5.0, 17.0), 1e-12, M_max=40)
+    assert [plan.M for plan in plans] == [40]
+    assert info.value.best == (40, blowup.plan_smallness(plans[0], tp1))
 
 
 # (n, delta): M, smallness and predicted_v_M of certify_blowup(tp1,

@@ -601,7 +601,7 @@ def test_blowup_demo_delta_and_s_exit_2_before_scan(tmp_path, capsys, monkeypatc
     monkeypatch.chdir(tmp_path)
     err = _exit_before_work(_ARGS["blowup-demo"] + [flag, value], "blowup-demo",
                             monkeypatch, capsys,
-                            work="cyclicwave.floquet.scan_instability")
+                            work="cyclicwave.floquet._fundamental")
     assert err["error"] == "ParameterError"
     assert not (tmp_path / "x.json").exists()
 
@@ -868,3 +868,29 @@ def test_f_families_keep_the_formulas_bits(name, args):
             assert np.ndim(got) == 0
             assert np.float64(got).tobytes() == np.float64(formula(np.asarray(s))).tobytes()
     assert t.tobytes() == before.tobytes()
+
+
+def test_perturbed_metric_calls_h_once_per_stack():
+    """The perturbed family's H takes a stack of points: check_self_coherence
+    calls it once for h and four times per coordinate for the difference
+    quotients of dh, each on all 64 points, and every H matrix has the bits
+    of the one-point formula c (u_i - u_j)^2 / (1 + u @ u)."""
+    from cyclicwave import geometry
+    from cyclicwave.cli import METRICS, parse_family
+
+    metric = parse_family("perturbed:alpha=-1", METRICS, "metric")
+    H, shapes = metric.H, []
+
+    def counted(u):
+        shapes.append(np.shape(u))
+        return H(u)
+
+    metric.H = counted
+    geometry.check_self_coherence(metric, np.ones(2), (0.0, 2.0))
+    assert shapes == [(64, 2)] * (1 + 4 * metric.m)
+
+    rng = np.random.default_rng(3)
+    u = rng.normal(size=(50, 2)) * 10.0 ** rng.uniform(-3, 3, (50, 1))
+    one = [0.1 * (p[:, None] - p[None, :]) ** 2 / (1.0 + float(p @ p)) for p in u]
+    assert H(u).tobytes() == np.array(one).tobytes()
+    assert H(u[7]).tobytes() == one[7].tobytes()

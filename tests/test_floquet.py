@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from cyclicwave import coeffs, floquet
-from cyclicwave.errors import IntegrationFailure, ParameterError
+from cyclicwave.errors import ExhaustedSearchError, IntegrationFailure, ParameterError
 
 import magnus_reference
 from conftest import LAM_WITNESS
@@ -211,8 +211,7 @@ def test_bisection_tree_is_bisections_midpoints():
 
 
 def test_find_good_lambda(pot3):
-    ivals = floquet.scan_instability(pot3, (5.0, 17.0), 400)
-    m = floquet.find_good_lambda(ivals, pot3)
+    m = floquet.find_good_lambda(pot3, floquet.scan_grid((5.0, 17.0), 400))
     assert m.lam == pytest.approx(LAM_WITNESS, rel=1e-10)
     assert m.kind == "unstable"
     assert abs(m.b21) > 1e-6
@@ -231,24 +230,46 @@ def _count_monodromies(monkeypatch):
     return lams
 
 
+def _count_bisections(monkeypatch):
+    calls = []
+    real = floquet.instability_intervals
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(floquet, "instability_intervals", counted)
+    return calls
+
+
 def test_find_good_lambda_is_lazy(pot3, monkeypatch):
-    ivals = floquet.scan_instability(pot3, (5.0, 17.0), 400)
+    """A witness that passes is the sweep's own map: no monodromy call and
+    no edge bisection, with the bits of monodromy at the witness."""
+    lams = floquet.scan_grid((5.0, 17.0), 400)
+    alone = floquet.monodromy(pot3, LAM_WITNESS)
     calls = _count_monodromies(monkeypatch)
-    m = floquet.find_good_lambda(ivals, pot3)
-    assert calls == [LAM_WITNESS]
+    bisections = _count_bisections(monkeypatch)
+    m = floquet.find_good_lambda(pot3, lams)
+    assert calls == [] and bisections == []
     assert m.lam == LAM_WITNESS
+    assert m.matrix.tobytes() == alone.matrix.tobytes()
 
 
-@pytest.mark.parametrize("rejected", [1, 2])
-def test_find_good_lambda_tries_witness_then_midpoint(pot3, monkeypatch, rejected):
-    """An interval's candidates are its witness, then its midpoint, and
-    nothing else: with the witness rejected the midpoint is integrated
-    next; with both rejected the next integration is the second interval's
-    witness.  The first candidate not rejected passes."""
-    ivals = floquet.scan_instability(pot3, (0.1, 60.0), 400)
-    first, second = ivals
-    order = [first.witness_lambda, 0.5 * (first.lambda_lo + first.lambda_hi),
-             second.witness_lambda]
+def _good_lambda_from_intervals(intervals, pot, tol=1e-11):
+    """The search as it ran on scan_instability's intervals: per interval
+    monodromy at the witness, then at the midpoint, the first that passes."""
+    for iv in intervals:
+        for lam in (iv.witness_lambda, 0.5 * (iv.lambda_lo + iv.lambda_hi)):
+            m = floquet.monodromy(pot, lam, tol)
+            if m.kind == "unstable" and abs(m.b21) > 1e-6 \
+                    and abs(m.b22 - 1.0 / m.expanding) > 1e-6:
+                return m
+    return None
+
+
+def _rejecting_kind(monkeypatch, rejected):
+    """Monodromy.kind reads 'stable' for the first `rejected` reads; the
+    lambdas it is read at, in order."""
     seen = []
     real = floquet.Monodromy.kind
 
@@ -259,10 +280,50 @@ def test_find_good_lambda_tries_witness_then_midpoint(pot3, monkeypatch, rejecte
         return real.fget(m)
 
     monkeypatch.setattr(floquet.Monodromy, "kind", property(rejecting))
+    return seen
+
+
+@pytest.mark.parametrize("rejected", [1, 2])
+def test_find_good_lambda_tries_witness_then_midpoint(pot3, monkeypatch, rejected):
+    """An interval's candidates are its witness, then its midpoint, and
+    nothing else: with the witness rejected the midpoint is integrated
+    next; with both rejected the next candidate is the second interval's
+    witness, from the sweep.  The first candidate not rejected passes, and
+    the edges are bisected once, all of them in one pass."""
+    lams = floquet.scan_grid((0.1, 60.0), 400)
+    first, second = floquet.scan_instability(pot3, (0.1, 60.0), 400)
+    order = [first.witness_lambda, 0.5 * (first.lambda_lo + first.lambda_hi),
+             second.witness_lambda]
+    seen = _rejecting_kind(monkeypatch, rejected)
     calls = _count_monodromies(monkeypatch)
-    m = floquet.find_good_lambda(ivals, pot3)
-    assert seen == calls == order[:rejected + 1]
+    bisections = _count_bisections(monkeypatch)
+    m = floquet.find_good_lambda(pot3, lams)
+    assert seen == order[:rejected + 1]
+    assert calls == [order[1]]  # the witnesses are the sweep's maps
+    assert len(bisections) == 1
     assert m.lam == order[rejected]
+
+
+@pytest.mark.parametrize("rejected", [0, 1, 2])
+def test_find_good_lambda_keeps_the_interval_search_bits(pot3, monkeypatch, rejected):
+    """The Monodromy is the one the search on scan_instability's intervals
+    finds, monodromy call by monodromy call, bit for bit: a witness's map
+    from the sweep is its map alone, and a midpoint comes from the same
+    bisected edges."""
+    lams = floquet.scan_grid((0.1, 60.0), 400)
+    _rejecting_kind(monkeypatch, rejected)
+    got = floquet.find_good_lambda(pot3, lams)
+    intervals = floquet.scan_instability(pot3, (0.1, 60.0), 400)
+    _rejecting_kind(monkeypatch, rejected)
+    ref = _good_lambda_from_intervals(intervals, pot3)
+    assert (got.b11, got.b12, got.b21, got.b22, got.lam) \
+        == (ref.b11, ref.b12, ref.b21, ref.b22, ref.lam)
+    assert got.pot is ref.pot and got.tol == ref.tol
+
+
+def test_find_good_lambda_without_an_unstable_point(pot3):
+    with pytest.raises(ExhaustedSearchError, match="no instability interval"):
+        floquet.find_good_lambda(pot3, floquet.scan_grid((1.0, 4.0), 100))
 
 
 def test_multiplier_kinds(pot3):

@@ -40,7 +40,8 @@ def _off_diagonal(c):
     the diagonal."""
     def H(u):
         u = np.asarray(u, dtype=float)
-        return c * (u[:, None] - u[None, :]) ** 2 / (1.0 + float(u @ u))
+        return c * (u[..., :, None] - u[..., None, :]) ** 2 \
+            / (1.0 + np.sum(u * u, axis=-1))[..., None, None]
 
     return H
 
@@ -174,12 +175,12 @@ def test_perturbed_diagonal_metric():
 
     def H(u):
         u = np.asarray(u, dtype=float)
-        out = np.zeros((m, m))
-        den = 1.0 + float(u @ u)
+        out = np.zeros(u.shape[:-1] + (m, m))
+        den = 1.0 + np.sum(u * u, axis=-1)
         for i in range(m):
             for j in range(m):
                 if i != j:
-                    out[i, j] = c * (u[i] - u[j]) ** 2 / den
+                    out[..., i, j] = c * (u[..., i] - u[..., j]) ** 2 / den
         return out
 
     M = base.perturbed(H)
@@ -209,7 +210,7 @@ def _coherence_per_point(M, a, t_range):
 
 def _singular_below(v):
     """H = -I (so h = 0) where u^2 < v, else 0."""
-    return lambda u: -np.eye(2) if u[1] < v else np.zeros((2, 2))
+    return lambda u: np.where((u[..., 1] < v)[..., None, None], -np.eye(2), 0.0)
 
 
 @pytest.mark.parametrize("M, a", [
