@@ -32,7 +32,6 @@ from .pdesim import GridSpec, max_b
 _RADIAL_STEPS = 4096  # r steps on [0, R] for the radial transform
 _RADIAL_PAD = 8  # ... which runs over [0, 8R], zero beyond R
 _PROJECTION_STEPS = 256  # z steps on [0, R] for the n = 2 projection
-_CIRCLE_NODES = 64  # midpoint nodes on [0, pi] for the n = 2 circle mean
 _PHI_SKIP = 2.0**-60  # |Phi(g0)| below which g1 = A g0 to a relative 1e-18
 _SOBOLEV_ORDER = 3.0  # s of the certified ||u0||_{H^{s+1}} + ||u1||_{H^s}
 
@@ -176,24 +175,21 @@ def _simpson_weights(n, h):
 
 
 def _sphere_mean_weight(s, a, bcoef, n):
-    """Average of (a + b cos theta)^s over the unit sphere S^{n-1}, where
-    theta is the angle to a fixed axis; a > b >= 0 required.
-
-    n = 3: [(a+b)^{s+1} - (a-b)^{s+1}] / (2 b (s+1)).  n = 2: the circle
-    mean, by the 64-node midpoint rule on [0, pi], which is exponentially
-    accurate because a > b, and exact for integer s below 128.
+    """Average of (a + b cos theta)^s over the unit sphere S^{n-1}, theta
+    the angle to a fixed axis, for integer s >= 0 (else ParameterError)
+    and a >= b >= 0: a^s sum_j C(s, 2j) c_j (b/a)^{2j} by Horner's rule,
+    with c_j = 1 3 ... (2j-1) / (n (n+2) ... (n+2j-2)) the sphere mean of
+    cos^{2j} theta: 1/(2j+1) for n = 3, C(2j, j)/4^j for n = 2 (Folland,
+    Amer. Math. Monthly 108, 2001).  No term is negative, so nothing
+    cancels, and the sum is at least its j = 0 term a^s.
     """
-    if n == 2:
-        theta = (np.arange(_CIRCLE_NODES) + 0.5) * (np.pi / _CIRCLE_NODES)
-        return sum((a + bcoef * c) ** s for c in np.cos(theta)) / _CIRCLE_NODES
-    small = bcoef < 1e-12 * a
-    out = np.empty_like(a)
-    out[small] = a[small] ** s
-    aa, bb = a[~small], bcoef[~small]
-    out[~small] = ((aa + bb) ** (s + 1) - (aa - bb) ** (s + 1)) / (
-        2.0 * bb * (s + 1.0)
-    )
-    return out
+    if not (s >= 0 and float(s).is_integer()):
+        raise ParameterError(f"the sphere mean needs an integer s >= 0, got {s}")
+    total, ratio_sq = 0.0, (bcoef / a) ** 2
+    for j in range(int(s) // 2, -1, -1):
+        coef = math.comb(int(s), 2 * j) * math.prod(range(1, 2 * j, 2))
+        total = total * ratio_sq + coef / math.prod(range(n, n + 2 * j, 2))
+    return a**s * total
 
 
 def radial_head(hat):
@@ -257,14 +253,14 @@ def _shell_unit(n):
 def radial_pair_floor(head, lam, s, n):
     """A lower bound floor(scale, R) on radial_pair_norm(scale head,
     +-scale hat, lam, s, R, n), where head is the radial_head of hat and
-    s >= 1: the phi-skip case of plan_smallness.
+    s is an integer >= 0: the phi-skip case of plan_smallness.
 
     It is radial_pair_norm's own sum with (1 + rho^2)^{s+1} >= 1 dropped,
     the cross term (>= 0) dropped, and the sphere mean of
     (1 + lam + rho^2 + 2 sqrt(lam) rho cos theta)^s bounded below by
-    (1 + lam)^s (Jensen's inequality: x^s is convex and the mean of
-    cos theta is 0, for the n = 3 closed form and the n = 2 midpoint mean
-    alike).  With rho_k = k step and step = pi / (8R), what is left is
+    (1 + lam)^s: the mean's sum (_sphere_mean_weight) is at least its
+    j = 0 term, since a = 1 + lam + rho^2 >= 1 + lam.  With rho_k = k step
+    and step = pi / (8R), what is left is
         floor = scale step^{n/2} sqrt(C) (sqrt(unit) + sqrt(unit/2 (1 + lam)^s)),
     C = sum_k w_k head_k^2 k^{n-1} with w the Simpson pattern [1, 4, 2,
     ..., 4, 1] / 3, computed here once.
@@ -290,9 +286,9 @@ def radial_pair_norm(h0, h1, lam, s, R, n):
     Each Sobolev integral reduces to a one-dimensional Simpson quadrature
     against the shell measure |S^{n-1}| rho^{n-1} d rho: g0 via the radial
     transform directly, the modulated g1 via the average of (1 + |xi|^2)^s
-    over spheres (the shift by +-y enters through the sphere-mean weight);
-    the hat-g1(|xi-y|) hat-g1(|xi+y|) cross term is bounded by max|hat g1|
-    times the same quadrature and added.
+    over spheres (the shift by +-y enters through its exact binomial sum,
+    _sphere_mean_weight); the hat-g1(|xi-y|) hat-g1(|xi+y|) cross term is
+    bounded by max|hat g1| times the same quadrature and added.
 
     The cross-term supremum is 1.5 max|hat g1| from the last grid point at
     or below |y| onward, or over the top sixteenth of the grid when |y|

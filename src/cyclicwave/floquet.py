@@ -11,6 +11,7 @@ stage is elementwise in lambda, so a lambda's map does not depend on how
 a scan is batched, bit for bit.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,9 +61,9 @@ class Monodromy:
     def matrix(self):
         return np.array([[self.b11, self.b12], [self.b21, self.b22]])
 
-    @property
+    @functools.cached_property
     def kind(self):
-        """'stable', 'unstable' or 'boundary': the class of the trace."""
+        """'stable', 'unstable' or 'boundary': the trace's class, made once."""
         return str(_trace_class(self.trace))
 
     @property

@@ -2,6 +2,7 @@
 certificate search."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad, simpson
@@ -21,6 +22,7 @@ N1_SMALLNESS = {2: 13.81763244, 4: 2.972487088, 8: 0.740670709}
 # ||g1|| / sqrt 2 to four digits.
 N2_SMALLNESS_M8 = 0.3857277303694335
 LAM_N2 = 10.308521303258145  # the n = 2 good lambda of the reference run
+EPS = np.finfo(float).eps
 
 
 def seed_profiles(plan, tp):
@@ -677,24 +679,57 @@ def test_certify_exhausted_search_reports_best(pot3, tp1):
 @pytest.mark.parametrize("lam", [LAM_WITNESS, 42.0], ids=["first", "second"])
 def test_smallness_floor_is_below_plan_smallness(tp1, n, s_above, lam):
     """radial_pair_floor bounds plan_smallness from below, at every M on the
-    phi-skip path up to 256 and at 1000 and 4096, with either sign A; it
-    drops only terms that are small there, so it stays within 1e-4 of it.
-    lam lies in the first and the second reference instability interval.
-    Past M = 256 the two agree to about 1e-12 and plan_smallness's own
-    rounding shows: the n = 3 sphere mean ((a+b)^4 - (a-b)^4) / 8b loses
-    about eps a/b, with b/a down to 7e-9 at M = 4096, so there the bound is
-    checked to 1e-10, ten times inside the scan's skip margin of 1e-9."""
+    phi-skip path up to 256 and at 1000, 4096 and 1e4 .. 1e7, with either
+    sign A; it drops only terms that are small there, so it stays within
+    1e-4 of it.  lam lies in the first and the second reference
+    instability interval.  Past M = 256 the two agree to rounding: the
+    sphere mean's sum has no negative term, so it does not cancel as b/a
+    falls (its largest is 1e-12 at M = 1e7), and the bound holds to 4 eps
+    at every M."""
     floor = blowup.radial_pair_floor(blowup.radial_head(blowup._chi_hat(n, 0)),
                                      lam, 3.0, n)
+    big = [1000, 4096, 10**4, 10**5, 10**6, 10**7]
     plans = [blowup.BlowupPlan(n, lam, 2 * n + s_above, M, A=(-1) ** M)
-             for M in list(range(1, 257)) + [1000, 4096]]
+             for M in list(range(1, 257)) + big]
     plans = [plan for plan in plans if tp1.phi_bound(plan.amplitude) <= blowup._PHI_SKIP]
-    assert plans[-3].M == 256 and len(plans) > 100
+    assert plans[-len(big) - 1].M == 256 and len(plans) > 100
     for plan in plans:
         exact = blowup.plan_smallness(plan, tp1)
         low = floor(plan.hat_scale, plan.support_radius)
-        rounding = 1e-12 if plan.M <= 256 else 1e-10
-        assert exact * (1.0 - 1e-4) <= low <= exact * (1.0 + rounding), plan.M
+        assert exact * (1.0 - 1e-4) <= low <= exact * (1.0 + 4.0 * EPS), plan.M
+
+
+def _sphere_mean_oracle(s, a, b, n):
+    """The mean of (a + b cos theta)^s over S^{n-1} to 40 digits, by
+    quadrature in theta: the S^2 measure is sin theta d theta / 2, the
+    circle's d theta / pi on [0, pi]."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        if n == 3:
+            mean = mpmath.quad(lambda th: (a + b * mpmath.cos(th)) ** s
+                               * mpmath.sin(th), [0, mpmath.pi]) / 2
+        else:
+            mean = mpmath.quad(lambda th: (a + b * mpmath.cos(th)) ** s,
+                               [0, mpmath.pi]) / mpmath.pi
+        return float(mean)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("s", [0, 1, 2, 3, 4, 7])
+def test_sphere_mean_weight_matches_mpmath(n, s):
+    """The binomial sum is the sphere mean to 4 eps for b/a from 1e-14 to
+    0.99: no term is negative, so nothing cancels as b/a falls."""
+    a = np.full(40, 1.0 + LAM_WITNESS)
+    b = a * np.logspace(-14.0, math.log10(0.99), 40)
+    got = blowup._sphere_mean_weight(float(s), a, b, n)
+    ref = np.array([_sphere_mean_oracle(s, x, y, n) for x, y in zip(a, b)])
+    assert np.all(np.abs(got - ref) <= 4.0 * EPS * ref)
+
+
+@pytest.mark.parametrize("s", [2.5, -1.0])
+def test_sphere_mean_weight_refuses_non_integer_order(s):
+    with pytest.raises(ParameterError, match="integer s >= 0"):
+        blowup._sphere_mean_weight(s, np.array([2.0]), np.array([1.0]), 3)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -710,8 +745,9 @@ def _count_calls(monkeypatch, owner, name):
     return firsts
 
 
-@pytest.mark.parametrize("delta, M, small", [(1e-5, 100, 9.829764928613413e-06),
-                                             (1e-6, 193, 9.842208139264277e-07)])
+@pytest.mark.parametrize("delta, M, small", [(1e-5, 100, 9.829764928615337e-06),
+                                             (1e-6, 193, 9.842208139262331e-07)],
+                         ids=["1e-05-100", "1e-06-193"])
 def test_certify_computes_smallness_only_where_it_can_pass(pot3, tp1, monkeypatch,
                                                            delta, M, small):
     """The M scan runs plan_smallness only where the floor is at most delta:
@@ -728,6 +764,15 @@ def test_certify_computes_smallness_only_where_it_can_pass(pot3, tp1, monkeypatc
     assert monodromies == [] and bisections == []
 
 
+def test_certify_classes_the_good_lambda_once(pot3, tp1, monkeypatch):
+    """Monodromy.kind is made once per Monodromy: the M scan's
+    multi_period_values reads the good lambda's class, made by the
+    search, at every M without recomputing it."""
+    classes = _count_calls(monkeypatch, floquet, "_trace_class")
+    cert = blowup.certify_blowup(tp1, pot3, (0.1, 60.0), 1e-5)
+    assert cert.plan.M == 100 and len(classes) <= 2
+
+
 def test_exhausted_scan_computes_smallness_at_the_last_m(pot3, tp1, monkeypatch):
     """With every M below the floor's reach, the failed search computes the
     smallness it reports once, at the last M where growth holds."""
@@ -742,9 +787,9 @@ def test_exhausted_scan_computes_smallness_at_the_last_m(pot3, tp1, monkeypatch)
 # sqrt-sin 0.5, (0.1, 60), delta) with one G call per M (regression
 # constants), and t_star of the bisection that Newton replaced.
 CERTIFIED = {
-    (3, 1e-3): (35, 0.000387530034598783, 1.7391866930778275, 32.10653022007318),
-    (3, 1e-5): (100, 9.829764928613413e-06, 4.6961555099254194e+19, 39.34250890635303),
-    (2, 1e-3): (87, 0.0009887876095654737, 39916.262041163944, 54.332152357237646),
+    (3, 1e-3): (35, 0.00038753003459878247, 1.7391866930778275, 32.10653022007318),
+    (3, 1e-5): (100, 9.829764928615337e-06, 4.6961555099254194e+19, 39.34250890635303),
+    (2, 1e-3): (87, 0.0009887876095654735, 39916.262041163944, 54.332152357237646),
 }
 
 

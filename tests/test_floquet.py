@@ -267,17 +267,19 @@ def _good_lambda_from_intervals(intervals, pot, tol=1e-11):
     return None
 
 
+_KIND = floquet.Monodromy.kind.func  # the class rule, read before any patch
+
+
 def _rejecting_kind(monkeypatch, rejected):
     """Monodromy.kind reads 'stable' for the first `rejected` reads; the
     lambdas it is read at, in order."""
     seen = []
-    real = floquet.Monodromy.kind
 
     def rejecting(m):
         seen.append(m.lam)
         if len(seen) <= rejected:
             return "stable"
-        return real.fget(m)
+        return _KIND(m)
 
     monkeypatch.setattr(floquet.Monodromy, "kind", property(rejecting))
     return seen
