@@ -363,9 +363,6 @@ def exact_local_solution(plan, tp, m):
     Returns a callable v(t, x) for an array of t with one point x, or one
     t with an array of points, that checks the region once per call and
     raises ParameterError (naming the first t outside) beyond it.
-    Its attribute dt(t, x) is the time derivative
-    A M^-S (b(t)/b(0))^{n/2} cos(x.y) (W'(t) + (n/2) (b'(t)/b(t)) W(t)),
-    with W' from the same propagated solution.
     """
     b, n = m.pot.b, m.pot.n
     if m.lam != plan.lam or n != plan.n:
@@ -376,8 +373,7 @@ def exact_local_solution(plan, tp, m):
     y = np.asarray(plan.y)
     b0 = b.eval(0.0)
 
-    def mode(t, x):
-        """(W, W', b(t), (b(t)/b(0))^{n/2}, cos(x.y)) inside the region."""
+    def v(t, x):
         t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
         outside = ~((t >= 0.0) & (t <= plan.M))
         if outside.any():
@@ -385,19 +381,9 @@ def exact_local_solution(plan, tp, m):
                                  f"certified window [0, {plan.M}]")
         if (np.sqrt((x * x).sum(axis=-1)) > plan.cone_radius * (1.0 + 1e-12)).any():
             raise ParameterError("point outside the certified influence region")
-        w, w_t = prop(t, (0.0, 1.0))
-        bt = b.eval(t)
-        return w, w_t, bt, (bt / b0) ** (n / 2.0), np.cos(x @ y)
+        w = prop(t, (0.0, 1.0))[0]
+        return g0 + plan.A * amp * w * (b.eval(t) / b0) ** (n / 2.0) * np.cos(x @ y)
 
-    def v(t, x):
-        w, _, _, scale, phase = mode(t, x)
-        return g0 + plan.A * amp * w * scale * phase
-
-    def dt(t, x):
-        w, w_t, bt, scale, phase = mode(t, x)
-        return plan.A * amp * scale * phase * (w_t + (n / 2.0) * (b.d1(t) / bt) * w)
-
-    v.dt = dt
     return v
 
 
@@ -452,9 +438,11 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
     one call to tp.G before the scan.  t_star is the first
     crossing of the endpoint (within 1e-9 |b_G|) by v(t, 0) of
     exact_local_solution: the first crossed half-integer t of the
-    trajectory brackets it with t - 1/2, and safeguarded Newton steps with
-    the slope v.dt narrow that bracket to 1e-12 max(1, t_star); t_star is
-    its crossed end.  S defaults to 2n + 1/2.  The BlowupCertificate
+    trajectory brackets it with t - 1/2, and each pass of a section search
+    evaluates v at the 63 inner points of 64 equal parts of the bracket in
+    one call and keeps the part that ends at the first crossed one, until
+    the bracket is below 1e-12 max(1, t_star); t_star is its crossed end.
+    S defaults to 2n + 1/2.  The BlowupCertificate
     carries the good lambda's Monodromy and tp itself.
     Raises ParameterError, before any work, unless delta is positive and
     finite, S finite and above 2n, and n at most 3; NotApplicableError when the
@@ -532,8 +520,7 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
             f"delta={delta!r}", best=(plan.M, small)
         )
 
-    # v(t, 0) at every half-integer time in one call, then first crossing;
-    # v's one Propagator serves both, so X(1/2, 0) is integrated once
+    # v(t, 0) at every half-integer time in one call, then first crossing
     v = exact_local_solution(plan, tp, m)
     origin = np.zeros(n)
     margin = abs(target) * 1e-9
@@ -548,28 +535,13 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
             "trajectory failed to cross the endpoint despite the growth "
             "estimate; numerical inconsistency", best=(plan.M, trajectory[-1][1])
         )
-    # t* in [hit - 1/2, hit] by safeguarded Newton on v(t, 0) = level with
-    # slope v.dt (rtsafe: Press et al., Numerical Recipes, 9.4): a step
-    # that leaves the bracket becomes its midpoint, and one shorter than
-    # half the stopping width goes half a width past its point, so that the
-    # probe lands beyond the crossing and closes the bracket
-    level = target - direction * margin
+    # t* in [hit - 1/2, hit] by sections: only inner points are evaluated,
+    # so lo stays uncrossed and hi crossed
     lo, hi = max(0.0, hit - 0.5), hit
-    t = hi
-    for _ in range(60):
-        val = float(v(t, origin))
-        if crossed(val):
-            hi = t
-        else:
-            lo = t
-        width = 1e-12 * max(1.0, hi)
-        if hi - lo < width:
-            break
-        slope = float(v.dt(t, origin))
-        step = (val - level) / slope if slope else math.inf
-        if abs(step) < width / 2.0:
-            step += math.copysign(width / 2.0, step)
-        t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
+    while hi - lo >= 1e-12 * max(1.0, hi):
+        ends = np.linspace(lo, hi, 65)
+        i = int(np.argmax(np.append(crossed(v(ends[1:-1], origin)), True)))
+        lo, hi = float(ends[i]), float(ends[i + 1])
     # vals and g0 are the accepted M's, from its growth check
     predicted = g0 + plan.A * plan.amplitude * vals.W * 10.0**vals.log10_scale
     return BlowupCertificate(

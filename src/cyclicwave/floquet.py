@@ -1,14 +1,16 @@
 """Floquet analysis of the Hill equation y'' + (lambda*alpha(t) - q(t)) y = 0.
 
 The state vector is x = (w_t, w), so the one-period map X(1,0) has
-b21 = w(1) for initial data w(0) = 0, w_t(0) = 1.  Every map X(t, 0) comes
-from `_fundamental`: sixth-order Magnus steps whose exponent is a
+b21 = w(1) for initial data w(0) = 0, w_t(0) = 1.  Every one-period map
+comes from `_fundamental`: sixth-order Magnus steps whose exponent is a
 polynomial in lambda (_omega), exponentiated by one Taylor series with
 scaling and squaring (_exp; det X = 1 to rounding) and multiplied in one
 pairwise tree (_product).  A step-count controller gives each lambda as
 many steps as its Richardson error estimate predicts it needs.  Every
 stage is elementwise in lambda, so a lambda's map does not depend on how
-a scan is batched, bit for bit.
+a scan is batched, bit for bit.  A map X(t, 0) inside the period
+(Propagator) comes from the same N accepted steps: their prefix products,
+then one shorter step.
 """
 
 import functools
@@ -32,9 +34,9 @@ _LEVELS = 5  # bisection levels of every interval edge per trace_curve call
 @dataclass(frozen=True)
 class Monodromy:
     """One-period map X(1,0) of the Hill system at lambda, with the potential
-    pot and the tol it was integrated with; ParameterError unless
-    |det - 1| < 1e-6.  For |trace| > 2 the multipliers are sign*mu0 and
-    sign/mu0 with mu0 > 1.
+    pot, the tol it was integrated with and the number of equal Magnus
+    steps its controller accepted; ParameterError unless |det - 1| < 1e-6.
+    For |trace| > 2 the multipliers are sign*mu0 and sign/mu0 with mu0 > 1.
     """
 
     b11: float
@@ -44,6 +46,7 @@ class Monodromy:
     lam: float
     pot: "coeffs.HillPotential"
     tol: float
+    steps: int
 
     def __post_init__(self):
         if not abs(self.det - 1.0) < 1e-6:
@@ -98,8 +101,9 @@ def check_tol(tol):
     return tol
 
 
-def _fundamental(pot, lams, t1, tol):
-    """X(t1, 0) per lambda in lams, shape (len(lams), 2, 2).
+def _fundamental(pot, lams, tol):
+    """X(1, 0) per lambda in lams, shape (len(lams), 2, 2), and the number
+    of steps accepted for each lambda, shape (len(lams),).
 
     A step-count controller (Hairer, Norsett & Wanner, Solving ODEs I, II.4)
     starts each lambda from (C, N) = (16, 64) Magnus steps and accepts X_N
@@ -112,31 +116,31 @@ def _fundamental(pot, lams, t1, tol):
     """
     check_tol(tol)
     lams = np.asarray(lams, dtype=float)
-    maps = _magnus(pot, lams, t1, 16)  # X_C per lambda, then its result
+    maps = _magnus(pot, lams, 16)  # X_C per lambda, then its result
     prev = np.full(lams.size, 16)  # C
     want = np.full(lams.size, 64)  # the N to try next; 0 once accepted
     while want.any():
         steps = int(want[want > 0].min())
         now = np.flatnonzero(want == steps)
-        fine = _magnus(pot, lams[now], t1, steps)
+        fine = _magnus(pot, lams[now], steps)
         err = (np.max(np.abs(fine - maps[now]), axis=(1, 2))
                / ((steps / prev[now]) ** 6 - 1.0))
         bound = tol * (1.0 + np.max(np.abs(fine), axis=(1, 2)))
         done = err <= bound
         if steps == _MAX_STEPS and not done.all():
             raise IntegrationFailure(
-                f"{_MAX_STEPS} Magnus steps leave X({t1!r}, 0) above tol={tol!r} "
+                f"{_MAX_STEPS} Magnus steps leave X(1, 0) above tol={tol!r} "
                 f"at lambda {float(lams[now[~done][0]])!r}")
         with np.errstate(divide="ignore", invalid="ignore"):
             k = np.ceil(np.log2(err / bound) / 6.0)
         k = np.clip(np.nan_to_num(k, nan=1.0, posinf=1.0), 1, 14).astype(int)
         maps[now], prev[now] = fine, steps
         want[now] = np.where(done, 0, np.minimum(steps << k, _MAX_STEPS))
-    return maps
+    return maps, prev
 
 
-def _magnus(pot, lams, t1, steps):
-    """X(t1, 0) per lambda from `steps` equal Magnus steps.
+def _magnus(pot, lams, steps):
+    """X(1, 0) per lambda from `steps` equal Magnus steps.
 
     q and alpha are sampled once and give each step's exponent as a
     polynomial in lambda (_omega).  A block of up to _LANES lambdas then
@@ -148,7 +152,7 @@ def _magnus(pot, lams, t1, steps):
     width = max(1, min(lams.size, _LANES))
     # steps per chunk: the largest power of two <= _BLOCK / width, at most steps
     chunk = min(steps, 1 << (max(1, _BLOCK // width).bit_length() - 1))
-    h = t1 / steps
+    h = 1.0 / steps
     ts = (np.arange(steps)[:, None] + _NODES) * h  # (steps, 3)
     # each chunk's steps in bit-reversed order, as _product takes them
     order = np.arange(steps).reshape(-1, chunk)[:, _bit_reversal(chunk)].ravel()
@@ -190,7 +194,8 @@ def _poly_mul(x, y):
 
 def _omega(q, alpha, h):
     """The sixth-order Magnus exponent Omega = [[p, q], [r, -p]] of each
-    step, as polynomial coefficients (p, q, r) in lambda.
+    step, as polynomial coefficients (p, q, r) in lambda; h is the step
+    length, one for all steps or one per step.
 
     With A1, A2, A3 the generator [[0, c], [1, 0]] at the Gauss nodes
     1/2 - sqrt(15)/10, 1/2, 1/2 + sqrt(15)/10 of the step (Blanes, Casas,
@@ -262,7 +267,7 @@ def _exp(w):
     np.multiply(q, r, out=u)
     delta += u
     j = None
-    if not np.abs(delta, out=u).max() <= 2.0**-7:  # nan takes this branch too
+    if not np.abs(delta, out=u).max(initial=0.0) <= 2.0**-7:  # nan takes this branch too
         j = np.maximum(np.frexp(delta)[1] + 8, 0) >> 1  # |delta| < 2^e, e - 2j <= -7
         np.ldexp(delta, -2 * j, out=delta)
     np.multiply(delta, _COSH[-1], out=u)
@@ -324,9 +329,10 @@ def monodromy(pot, lam, tol=1e-11):
 
     tol bounds its estimated error relative to 1 + max|X| (see _fundamental).
     """
-    (b11, b12), (b21, b22) = _fundamental(pot, [float(lam)], 1.0, tol)[0]
+    maps, steps = _fundamental(pot, [float(lam)], tol)
+    (b11, b12), (b21, b22) = maps[0]
     return Monodromy(b11=b11, b12=b12, b21=b21, b22=b22, lam=float(lam),
-                     pot=pot, tol=tol)
+                     pot=pot, tol=tol, steps=int(steps[0]))
 
 
 def _trace_class(tr):
@@ -339,7 +345,7 @@ def _trace_class(tr):
 
 def trace_curve(pot, lams, tol=1e-11):
     """Traces of the monodromy matrices for a grid of lambda values."""
-    X = _fundamental(pot, lams, 1.0, tol)
+    X = _fundamental(pot, lams, tol)[0]
     return X[:, 0, 0] + X[:, 1, 1]
 
 
@@ -438,7 +444,7 @@ def find_good_lambda(pot, lams, tol=1e-11):
     One _fundamental sweep maps the grid, and each run of grid points with
     |trace| > 2 is an interval.  Per interval the candidates are its
     witness (the run's maximum of |trace|, _witnesses), then its midpoint.
-    A witness's Monodromy is its map from the sweep, which has the bits of
+    A witness's Monodromy is its map and step count from the sweep, those of
     monodromy(pot, witness, tol): a map does not depend on its batch.  The
     edges are bisected (instability_intervals, every edge in one pass)
     only once a witness is rejected, and each candidate is tried only once
@@ -448,7 +454,7 @@ def find_good_lambda(pot, lams, tol=1e-11):
     passing candidate's lambda is m.lam.  ExhaustedSearchError when no
     grid point is unstable or no candidate passes.
     """
-    maps = _fundamental(pot, lams, 1.0, tol)
+    maps, steps = _fundamental(pot, lams, tol)
     traces = maps[:, 0, 0] + maps[:, 1, 1]
     witnesses = _witnesses(traces)
     if not witnesses:
@@ -459,7 +465,7 @@ def find_good_lambda(pot, lams, tol=1e-11):
         for r, k in enumerate(witnesses):
             (b11, b12), (b21, b22) = maps[k]
             yield Monodromy(b11=b11, b12=b12, b21=b21, b22=b22, lam=float(lams[k]),
-                            pot=pot, tol=tol)
+                            pot=pot, tol=tol, steps=int(steps[k]))
             if intervals is None:
                 intervals = instability_intervals(pot, lams, traces, tol)
             iv = intervals[r]
@@ -532,16 +538,26 @@ class Propagator:
     """Solutions of the Hill system at m.lam from any data at t = 0.
 
     x(t) = X(frac, 0) X(1, 0)^k x0 with t = k + frac: the integer periods
-    are a power of the monodromy m, and each distinct fractional map
-    X(frac, 0) comes from the same Magnus routine with m.pot and m.tol, the
-    monodromy's own.  Each power and map is kept on the instance once made,
-    so evaluations at a known k and phase cost only the matrix products.
+    are a power of the monodromy m, and X(frac, 0) comes from the m.steps
+    equal Magnus steps that made m, on m.pot at m.lam.  Their prefix
+    products X(j/N, 0), j = 0 .. N, are made once, by a log-depth scan;
+    X(frac, 0) is one Magnus step of length frac - j/N < 1/N from the node
+    j/N below frac, times X(j/N, 0).  That step is shorter than the
+    accepted ones, so its local error is smaller (sixth order), and one of
+    length 0 is I exactly, so a t on a node reads the node.
     """
 
     def __init__(self, m):
         self.m = m
-        self._powers = {0.0: np.identity(2)}  # X(1, 0)^k by k
-        self._frac_maps = {0.0: np.identity(2)}  # X(frac, 0) by frac
+        n = m.steps
+        nodes = np.empty((n + 1, 2, 2))
+        nodes[0] = np.identity(2)
+        nodes[1:] = _step_maps(m.pot, m.lam, np.arange(n) / n, np.full(n, 1.0 / n))
+        d = 1
+        while d < n:  # nodes[j] becomes the product of steps j, j - 1, ..., 1
+            nodes[d:] = nodes[d:] @ nodes[:-d]
+            d *= 2
+        self._nodes = nodes
 
     def __call__(self, t, data):
         """Solution (w, w_t) at each time t >= 0, a float or an array, from
@@ -554,21 +570,29 @@ class Propagator:
         k = np.floor(t + 1e-13)
         frac = t - k
         frac = np.where(frac < 1e-13, 0.0, frac)
-        m = self.m
-        for j in set(k.flat) - self._powers.keys():
-            if j * math.log(m.mu0) > 700.0:
-                raise OverflowError(
-                    "monodromy power overflows at "
-                    f"t={np.extract(k * math.log(m.mu0) > 700.0, t)[0]} (use "
-                    "multi_period_values for mantissa/exponent form)"
-                )
-            self._powers[j] = np.linalg.matrix_power(m.matrix, int(j))
-        for f in set(frac.flat) - self._frac_maps.keys():
-            self._frac_maps[f] = _fundamental(m.pot, [m.lam], f, m.tol)[0]
-        powers = np.array([self._powers[j] for j in k.flat]).reshape(k.shape + (2, 2))
-        maps = np.array([self._frac_maps[f] for f in frac.flat]).reshape(k.shape + (2, 2))
+        m, n = self.m, self.m.steps
+        over = k * math.log(m.mu0) > 700.0
+        if over.any():
+            raise OverflowError(
+                f"monodromy power overflows at t={np.extract(over, t)[0]} (use "
+                "multi_period_values for mantissa/exponent form)")
+        powers = {j: np.linalg.matrix_power(m.matrix, int(j)) for j in set(k.flat)}
+        powers = np.array([powers[j] for j in k.flat]).reshape(k.shape + (2, 2))
+        node = np.floor(frac * n).ravel()
+        maps = (_step_maps(m.pot, m.lam, node / n, frac.ravel() - node / n)
+                @ self._nodes[node.astype(int)]).reshape(k.shape + (2, 2))
         x = maps @ (powers @ np.array([data[1], data[0]], dtype=float))[..., None]
         return x[..., 1, 0][()], x[..., 0, 0][()]
+
+
+def _step_maps(pot, lam, t0, h):
+    """The Magnus step maps X(t0 + h, t0) at one lambda, for arrays t0 and
+    h of one length: shape (len(t0), 2, 2).  h = 0 gives I exactly."""
+    ts = t0[:, None] + h[:, None] * _NODES
+    w = np.empty((6, t0.size, 1))
+    for coef, row in zip(_omega(pot.q(ts), pot.alpha(ts), h), w):
+        _horner(coef, np.array([lam]), row)
+    return _exp(w)[..., 0].transpose(2, 0, 1)
 
 
 def propagate(m, t, data):

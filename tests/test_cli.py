@@ -71,6 +71,17 @@ def test_chart_bytes_repeat_across_processes(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def test_certificate_bytes_repeat_across_processes(tmp_path):
+    """Three separate processes write byte-identical certificates."""
+    for name in ("a", "b", "c"):
+        r = run(["blowup-demo", "--metric", "conformal:alpha=-1", "--delta", "1e-5",
+                 "--out", f"{name}.json"], tmp_path)
+        assert r.returncode == 0, r.stderr
+    a = (tmp_path / "a.json").read_bytes()
+    assert a == (tmp_path / "b.json").read_bytes()
+    assert a == (tmp_path / "c.json").read_bytes()
+
+
 def test_validation_exit_code(tmp_path):
     r = run(["stability-chart", "--epsilon", "1.5", "--out", "x.csv"],
             tmp_path)

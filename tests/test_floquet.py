@@ -244,7 +244,8 @@ def _count_bisections(monkeypatch):
 
 def test_find_good_lambda_is_lazy(pot3, monkeypatch):
     """A witness that passes is the sweep's own map: no monodromy call and
-    no edge bisection, with the bits of monodromy at the witness."""
+    no edge bisection, with the bits and step count of monodromy at the
+    witness."""
     lams = floquet.scan_grid((5.0, 17.0), 400)
     alone = floquet.monodromy(pot3, LAM_WITNESS)
     calls = _count_monodromies(monkeypatch)
@@ -252,7 +253,7 @@ def test_find_good_lambda_is_lazy(pot3, monkeypatch):
     m = floquet.find_good_lambda(pot3, lams)
     assert calls == [] and bisections == []
     assert m.lam == LAM_WITNESS
-    assert m.matrix.tobytes() == alone.matrix.tobytes()
+    assert m.matrix.tobytes() == alone.matrix.tobytes() and m.steps == alone.steps
 
 
 def _good_lambda_from_intervals(intervals, pot, tol=1e-11):
@@ -353,9 +354,9 @@ def test_monodromy_refuses_det_off_one(pot3):
     """det X(1,0) = 1 is checked once, when a Monodromy is made."""
     with pytest.raises(ParameterError, match="determinant"):
         floquet.Monodromy(b11=1.0 + 2e-6, b12=0.0, b21=0.0, b22=1.0,
-                          lam=LAM_WITNESS, pot=pot3, tol=1e-11)
+                          lam=LAM_WITNESS, pot=pot3, tol=1e-11, steps=64)
     floquet.Monodromy(b11=1.0 + 5e-7, b12=0.0, b21=0.0, b22=1.0,
-                      lam=LAM_WITNESS, pot=pot3, tol=1e-11)
+                      lam=LAM_WITNESS, pot=pot3, tol=1e-11, steps=64)
 
 
 def test_multi_period_closed_form(pot3, mono_witness):
@@ -407,50 +408,58 @@ def test_propagate_linearity(pot3, mono_witness):
 
 
 def test_propagator_integrates_with_the_monodromys_pot_and_tol(monkeypatch):
-    """Fractional maps come from m.pot at m.lam and m.tol; nothing else is
-    passed that could disagree with the monodromy's own integration."""
+    """Fractional maps come from m.pot at m.lam on the m.steps accepted
+    steps of the monodromy's own integration, and no step controller runs
+    again: nothing else is passed that could disagree with it."""
     pot = coeffs.HillPotential(coeffs.sqrt_sin(0.3), 2)
     m = floquet.monodromy(pot, 7.25, tol=1e-9)
     seen = []
-    real = floquet._fundamental
+    real = floquet._step_maps
 
-    def recorded(pot, lams, t1, tol):
-        seen.append((pot, list(lams), t1, tol))
-        return real(pot, lams, t1, tol)
+    def recorded(pot, lam, t0, h):
+        seen.append((pot, lam, t0.copy(), h.copy()))
+        return real(pot, lam, t0, h)
 
-    monkeypatch.setattr(floquet, "_fundamental", recorded)
+    def no_controller(*args):
+        raise AssertionError("Propagator ran the step controller")
+
+    monkeypatch.setattr(floquet, "_step_maps", recorded)
+    monkeypatch.setattr(floquet, "_fundamental", no_controller)
     prop = floquet.Propagator(m)
-    prop(2.5, (0.0, 1.0))
-    prop(3.5, (1.0, 0.0))  # the same phase: no second integration
-    prop(4.0, (1.0, 0.0))  # whole periods: the monodromy alone
-    assert seen == [(pot, [7.25], 0.5, 1e-9)]
-    assert seen[0][0] is pot
+    prop(np.array([2.5, 3.3, 4.0]), (0.0, 1.0))
+    assert len(seen) == 2 and all(p is pot and lam == 7.25 for p, lam, _, _ in seen)
+    (_, _, t0, h), (_, _, t0_rest, h_rest) = seen
+    assert np.array_equal(t0, np.arange(m.steps) / m.steps)
+    assert np.all(h == 1.0 / m.steps)
+    # 2.5 and 4.0 are nodes (a step of length 0); 3.3 is one shorter step
+    # past the node below it
+    assert np.all(h_rest[[0, 2]] == 0.0) and 0.0 < h_rest[1] < 1.0 / m.steps
+    assert t0_rest + h_rest == pytest.approx([0.5, 0.3, 0.0], abs=1e-15)
 
 
 def test_propagator_takes_arrays_of_t(mono_witness, monkeypatch):
     """An array of t, here 2-D with t = 0, whole periods and repeated
     phases, gives (w, w_t) shaped like t with the bits of per-element float
-    calls, and integrates each distinct fraction once.  The errors name
-    the first negative t and the first t whose monodromy power overflows."""
+    calls, and runs no step controller; an empty array gives empty
+    arrays.  The errors name the first negative t and the first t whose
+    monodromy power overflows."""
     pot = coeffs.HillPotential(coeffs.sqrt_sin(0.3), 2)
     m = floquet.monodromy(pot, 7.25, tol=1e-9)
     t = np.array([[0.0, 2.0, 2.25, 5.25], [3.0, 0.75, 0.25, 7.75]])
     data = (0.3, -1.2)
-    seen = []
-    real = floquet._fundamental
 
-    def recorded(pot, lams, t1, tol):
-        seen.append(t1)
-        return real(pot, lams, t1, tol)
+    def no_controller(*args):
+        raise AssertionError("Propagator ran the step controller")
 
-    monkeypatch.setattr(floquet, "_fundamental", recorded)
+    monkeypatch.setattr(floquet, "_fundamental", no_controller)
     w, w_t = floquet.Propagator(m)(t, data)
-    assert sorted(seen) == [0.25, 0.75]
     assert w.shape == w_t.shape == t.shape
     for i in np.ndindex(t.shape):
         one = floquet.Propagator(m)(float(t[i]), data)
         assert all(isinstance(v, float) for v in one)
         assert np.array([w[i], w_t[i]]).tobytes() == np.array(one).tobytes()
+    empty = floquet.Propagator(m)(np.array([]), data)
+    assert [v.shape for v in empty] == [(0,), (0,)]
     with pytest.raises(ParameterError, match=r"got -0\.5$"):
         floquet.Propagator(m)(np.array([1.0, -0.5, -2.0]), data)
     t_over = 800.0 / math.log(mono_witness.mu0)
@@ -468,7 +477,7 @@ def shared_propagator(pot3, mono_witness):
        data=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
 def test_propagator_property(pot3, mono_witness, shared_propagator, t, data):
     """X(frac,0) X(1,0)^k x0 against direct integration from t = 0, and a
-    Propagator that has already cached fractional maps against a fresh one."""
+    Propagator that has been called before against a fresh one."""
     w0, w0_t = data
     X = FundamentalPair(pot3, LAM_WITNESS, tol=1e-12).matrix(t)
     w, wt = floquet.propagate(mono_witness, t, data)
@@ -477,8 +486,8 @@ def test_propagator_property(pot3, mono_witness, shared_propagator, t, data):
     for got, (c_wt, c_w) in ((wt, X[0]), (w, X[1])):
         scale = abs(c_wt * w0_t) + abs(c_w * w0)
         assert abs(got - (c_wt * w0_t + c_w * w0)) <= 1e-9 * scale + 1e-12
-    # propagate is a fresh Propagator; the shared one may fill its cache on
-    # the first call and reads it on the second
+    # propagate is a fresh Propagator; the shared one keeps no state
+    # between calls
     assert shared_propagator(t, data) == (w, wt)
     assert shared_propagator(t, data) == (w, wt)
 
@@ -620,20 +629,42 @@ def test_magnus_matches_reference_kernel(pot3, steps):
     reference kernel over 1000 lambda: within 1e-13 (1 + |entry|)."""
     lams = np.linspace(0.1, 60.0, 1000)
     want = magnus_reference.magnus(pot3, lams, 1.0, steps)
-    got = floquet._magnus(pot3, lams, 1.0, steps)
+    got = floquet._magnus(pot3, lams, steps)
     assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
 
 
+def _map(prop, t):
+    """X(t, 0) as prop reads it: its columns are the solutions from the data
+    (w, w_t) = (0, 1) and (1, 0), each as (w_t, w)."""
+    (w_a, wt_a), (w_b, wt_b) = prop(t, (0.0, 1.0)), prop(t, (1.0, 0.0))
+    return np.array([[wt_a, wt_b], [w_a, w_b]])
+
+
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
-@given(lam=st.floats(0.1, 60.0, exclude_min=True, exclude_max=True),
-       t1=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+@given(n=st.sampled_from([2, 3]),
+       lam=st.floats(0.1, 60.0, exclude_min=True, exclude_max=True),
+       t1=st.floats(0.0, 3.0, exclude_min=True, exclude_max=True),
        tol=_TOLS)
-def test_fractional_map_property(pot3, lam, t1, tol):
-    """X(t1, 0) inside the period, as Propagator reads it, agrees with the
+def test_fractional_map_property(b05, n, lam, t1, tol):
+    """X(t1, 0) over three periods, as Propagator reads it, agrees with the
     DOP853 oracle within 100 times its error estimate."""
-    X = floquet._fundamental(pot3, [lam], t1, tol)[0]
-    ref = FundamentalPair(pot3, lam, tol=1e-12).matrix(t1)
+    pot = coeffs.HillPotential(b05, n)
+    X = _map(floquet.Propagator(floquet.monodromy(pot, lam, tol)), t1)
+    ref = FundamentalPair(pot, lam, tol=1e-12).matrix(t1)
     assert np.max(np.abs(X - ref)) <= 100.0 * tol * (1.0 + np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("k", [0, 4])
+@pytest.mark.parametrize("tol", [1e-11, 1e-9])
+def test_fractional_map_meets_the_power_at_the_period(pot3, tol, k):
+    """Just before t = k + 1 the fractional path (node N - 1 and a step of
+    nearly 1/N) and at t = k + 1 the power path (X(1, 0)^(k + 1)) agree
+    within 100 tol (1 + max|X(1, 0)^(k + 1)|)."""
+    m = floquet.monodromy(pot3, LAM_WITNESS, tol)
+    prop = floquet.Propagator(m)
+    before, at = _map(prop, k + 1 - 2e-13), _map(prop, k + 1.0)
+    assert np.array_equal(at, np.linalg.matrix_power(m.matrix, k + 1))
+    assert np.max(np.abs(before - at)) <= 100.0 * tol * (1.0 + np.max(np.abs(at)))
 
 
 def _count_magnus(monkeypatch):
@@ -641,9 +672,9 @@ def _count_magnus(monkeypatch):
     calls = []
     magnus = floquet._magnus
 
-    def counted(pot, lams, t1, steps):
+    def counted(pot, lams, steps):
         calls.append((steps, np.size(lams)))
-        return magnus(pot, lams, t1, steps)
+        return magnus(pot, lams, steps)
 
     monkeypatch.setattr(floquet, "_magnus", counted)
     return calls
