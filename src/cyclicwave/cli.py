@@ -30,7 +30,7 @@ from .errors import (
     ResolutionError,
     SingularMetricError,
 )
-from .output import csv_text, write_atomic
+from .output import write_atomic, write_table
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -265,7 +265,8 @@ def stability_chart(**p):
     lams = floquet.scan_grid((p["lambda_min"], p["lambda_max"]), p["grid"])
     traces = floquet.trace_curve(pot, lams, p["tol"])
     intervals = floquet.instability_intervals(pot, lams, traces, p["tol"])
-    floquet.export_stability_chart(p["out"], lams, traces)
+    write_table(p["out"], ("lambda", "trace", "abs_trace", "class"),
+                lams, traces, np.abs(traces), floquet.trace_class(traces))
     sidecar = os.path.splitext(p["out"])[0] + ".json"
     write_atomic(sidecar, json.dumps({
         "coefficient": "constant" if p["constant_b"] else "sqrt-sin",
@@ -301,7 +302,8 @@ def geodesic(**p):
     v0 = d / math.sqrt(speed2)
     samples = geometry.geodesic_full(metric, u0, v0, p["s_max"], tol=p["tol"],
                                      n_samples=p["samples"])
-    geometry.export_path_csv(p["out"], samples, metric.m)
+    header = ["s"] + [f"{v}{i}" for v in ("u", "du") for i in range(1, metric.m + 1)]
+    write_table(p["out"], header, *np.array([[s, *u, *du] for s, u, du in samples]).T)
 
 
 @main.command("noc")
@@ -366,7 +368,8 @@ def blowup_demo(**p):
     if p["simulate"] == "yes":
         grid, u0, u1 = blowup.torus_scenario(cert)
         result = pdesim.evolve_nonlinear(cert.m.pot, grid, u0, u1, cert.tp)
-        pdesim.export_manifest(os.path.splitext(p["out"])[0] + ".sim.json", result, grid)
+        write_atomic(os.path.splitext(p["out"])[0] + ".sim.json",
+                     json.dumps(result.manifest(grid), indent=2))
 
 
 @main.command("simulate")
@@ -412,8 +415,7 @@ def simulate(**p):
             raise ParameterError(f"--u1-val must be finite, got {p['u1_val']}")
         samples = pdesim.evolve_uniform(
             pot, f, p["u0_val"], p["u1_val"], p["t_end"], tol=p["tol"])
-        rows = [[f"{t:.17g}", f"{u:.17g}"] for t, u in samples]
-        write_atomic(p["out"], csv_text([["t", "u"]] + rows))
+        write_table(p["out"], ("t", "u"), *np.array(samples).T)
         return
 
     if not (math.isfinite(p["offset"]) and math.isfinite(p["amplitude"])):
@@ -432,8 +434,9 @@ def simulate(**p):
         _check_inside(domain, float(v0.min()), float(v0.max()), "the data")
         tp = transform.build_transform(f, domain=domain)
         result = pdesim.evolve_nonlinear(pot, grid, v0, v1, tp)
-    pdesim.export_snapshot_csv(p["out"], grid, result.snapshots[-1])
-    pdesim.export_manifest(os.path.splitext(p["out"])[0] + ".json", result, grid)
+    write_table(p["out"], ("x", "u"), x, result.snapshots[-1][1])
+    write_atomic(os.path.splitext(p["out"])[0] + ".json",
+                 json.dumps(result.manifest(grid), indent=2))
 
 
 if __name__ == "__main__":

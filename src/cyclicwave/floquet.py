@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExhaustedSearchError, IntegrationFailure, ParameterError
-from .output import csv_text, write_atomic
 
 _B21_MIN = 1e-6
 _NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)  # Gauss nodes
@@ -67,7 +66,7 @@ class Monodromy:
     @functools.cached_property
     def kind(self):
         """'stable', 'unstable' or 'boundary': the trace's class, made once."""
-        return str(_trace_class(self.trace))
+        return str(trace_class(self.trace))
 
     @property
     def mu0(self):
@@ -335,7 +334,7 @@ def monodromy(pot, lam, tol=1e-11):
                      pot=pot, tol=tol, steps=int(steps[0]))
 
 
-def _trace_class(tr):
+def trace_class(tr):
     """'boundary', 'unstable' or 'stable': the class of each monodromy trace
     in tr, as an array of the shape of tr."""
     mag = np.abs(tr)
@@ -602,12 +601,3 @@ def propagate(m, t, data):
     times at one lambda should keep a Propagator instead.
     """
     return Propagator(m)(t, data)
-
-
-def export_stability_chart(path, lams, traces):
-    """Write the stability chart CSV: lambda,trace,abs_trace,class."""
-    rows = [["lambda", "trace", "abs_trace", "class"]]
-    for lam, tr, kind in zip(lams.tolist(), traces.tolist(), _trace_class(traces).tolist()):
-        text = f"{tr:.17g}"
-        rows.append([f"{lam:.17g}", text, text.lstrip("-"), kind])
-    write_atomic(path, csv_text(rows))

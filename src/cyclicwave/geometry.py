@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import IntegrationFailure, ParameterError, SingularMetricError
 from .floquet import check_tol
-from .output import csv_text, write_atomic
 
 _FD_STEP = 1e-4
 _CHART_BOUND = 1e6
@@ -215,9 +214,12 @@ def geodesic_full(M, u0, v0, s_max, tol=1e-10, n_samples=200):
     """Integrate the full geodesic system from (u0, v0) over [0, s_max].
 
     Returns [(s, u, udot), ...] at n_samples equally spaced s.  ParameterError
-    unless tol lies in [1e-13, 1e-6].  IntegrationFailure when the solver
-    fails or the path leaves the chart bound |u^i| < 1e6 before s_max.
+    unless 0 < s_max < inf and tol lies in [1e-13, 1e-6].  IntegrationFailure
+    when the solver fails or the path leaves the chart bound |u^i| < 1e6
+    before s_max.
     """
+    if not 0.0 < s_max < math.inf:
+        raise ParameterError(f"s_max must lie in (0, inf), got {s_max!r}")
     check_tol(tol)
     from scipy.integrate import solve_ivp
 
@@ -252,11 +254,3 @@ def geodesic_full(M, u0, v0, s_max, tol=1e-10, n_samples=200):
         (float(s), sol.y[:m, i].copy(), sol.y[m:, i].copy())
         for i, s in enumerate(sol.t)
     ]
-
-
-def export_path_csv(path, samples, m):
-    """CSV export: s,u1,...,um,du1,...,dum (17 significant digits)."""
-    header = ["s"] + [f"u{i+1}" for i in range(m)] + [f"du{i+1}" for i in range(m)]
-    rows = [[f"{x:.17g}" for x in (s, *u.tolist(), *du.tolist())]
-            for s, u, du in samples]
-    write_atomic(path, csv_text([header] + rows))

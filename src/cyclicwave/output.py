@@ -1,9 +1,9 @@
-"""Atomic file output shared by every exporter and the CLI."""
+"""Atomic file output: the CLI's one file writer and its one table layout."""
 
-import csv
-import io
 import os
 import tempfile
+
+import numpy as np
 
 
 def write_atomic(path, text):
@@ -26,8 +26,15 @@ def write_atomic(path, text):
         raise
 
 
-def csv_text(rows):
-    """CSV text of rows of strings, with the csv module's \\r\\n line ends."""
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
+def write_table(path, header, *columns):
+    """Write a CSV table: the header row, then one row per entry of the
+    equal-length columns, each line ended by \\r\\n (RFC 4180).
+
+    A float column's cells have 17 significant digits, so they read back
+    bit for bit; any other column is written as given.  No cell may hold a
+    comma, a quote or a line break: nothing is quoted.
+    """
+    cells = [[f"{x:.17g}" for x in col.tolist()] if col.dtype.kind == "f" else col.tolist()
+             for col in map(np.asarray, columns)]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
+    write_atomic(path, "\r\n".join(lines) + "\r\n")

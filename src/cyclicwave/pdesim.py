@@ -14,7 +14,6 @@ transformed field G(u) and stops when it approaches a finite endpoint (the
 proof-side blow-up mechanism), not when u itself looks large.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,6 @@ import numpy as np
 
 from .errors import IntegrationFailure, ParameterError
 from .floquet import check_tol
-from .output import csv_text, write_atomic
 
 _U_CAP = 1e8
 _ENDPOINT_FRACTION = 1e-3
@@ -305,14 +303,3 @@ def evolve_uniform(pot, f, u0, u1, t_end, tol=1e-11):
     if sol.status == 1 and sol.t_events[0].size:
         out.append((float(sol.t_events[0][0]), float(sol.y_events[0][0][0])))
     return out
-
-
-def export_snapshot_csv(path, grid, snapshot):
-    """Snapshot CSV: x,u."""
-    t, u = snapshot
-    rows = [[f"{x:.17g}", f"{val:.17g}"] for x, val in zip(grid.axis(), u)]
-    write_atomic(path, csv_text([["x", "u"]] + rows))
-
-
-def export_manifest(path, result, grid):
-    write_atomic(path, json.dumps(result.manifest(grid), indent=2))

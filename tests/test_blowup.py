@@ -767,7 +767,7 @@ def test_certify_classes_the_good_lambda_once(pot3, tp1, monkeypatch):
     """Monodromy.kind is made once per Monodromy: the M scan's
     multi_period_values reads the good lambda's class, made by the
     search, at every M without recomputing it."""
-    classes = _count_calls(monkeypatch, floquet, "_trace_class")
+    classes = _count_calls(monkeypatch, floquet, "trace_class")
     cert = blowup.certify_blowup(tp1, pot3, (0.1, 60.0), 1e-5)
     assert cert.plan.M == 100 and len(classes) <= 2
 

@@ -463,12 +463,17 @@ def test_geodesic_needs_two_samples(tmp_path, capsys, monkeypatch, samples):
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("s_max", ["0", "-1"])
+@pytest.mark.parametrize("s_max", ["0", "-1", "nan", "inf"])
 def test_geodesic_s_max_must_be_positive(tmp_path, capsys, monkeypatch, s_max):
+    """click's range refuses 0 and -1 before geodesic_full runs; it lets nan
+    and inf through, and geodesic_full refuses them before the solver runs."""
     monkeypatch.chdir(tmp_path)
+    past_click = s_max in ("nan", "inf")
+    work = "scipy.integrate.solve_ivp" if past_click else "cyclicwave.geometry.geodesic_full"
     err = _exit_before_work(_ARGS["geodesic"] + ["--s-max", s_max],
-                            "geodesic", monkeypatch, capsys)
-    assert err["error"] == "ParameterError" and "--s-max" in err["message"]
+                            "geodesic", monkeypatch, capsys, work=work)
+    message = f"s_max must lie in (0, inf), got {s_max}" if past_click else "--s-max"
+    assert err["error"] == "ParameterError" and message in err["message"]
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -305,6 +305,14 @@ def test_geodesic_full_tol_checked_before_work(no_ode_solve):
                                np.zeros(2), np.ones(2), 3.0, tol=0.0)
 
 
+@pytest.mark.parametrize("s_max", [0.0, -1.0, math.nan, math.inf])
+def test_geodesic_full_s_max_checked_before_work(no_ode_solve, s_max):
+    """A nan or infinite s_max would reach the solver: it is refused first."""
+    with pytest.raises(ParameterError, match=r"s_max must lie in \(0, inf\)"):
+        geometry.geodesic_full(geometry.conformal_power(-1.0, (2, 2)),
+                               np.zeros(2), np.ones(2), s_max)
+
+
 def test_reduced_matches_full():
     """The scalar reduced equation x'' + f(x) x'^2 = 0 reproduces the full
     geodesic along a distinguished line."""

@@ -337,20 +337,23 @@ def test_gridspec_validation():
         pdesim.GridSpec(L=-1.0, points=64)
 
 
-def test_exports(tmp_path, pot3):
+def test_exports(tmp_path, monkeypatch):
+    """`cyclicwave simulate` writes the last snapshot as x,u and the run's
+    manifest beside it."""
     import csv as csvmod
     import json
 
-    grid = _grid(64, t_end=0.5, dt_frac=0.2)
-    x = grid.axis()
-    res = pdesim.evolve_linear(pot3, grid, np.cos(x), np.zeros_like(x))
-    snap_path = tmp_path / "snap.csv"
-    pdesim.export_snapshot_csv(str(snap_path), grid, res.snapshots[-1])
-    rows = list(csvmod.reader(snap_path.open()))
+    from cyclicwave import cli
+
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main.main(args=["simulate", "--mode", "linear", "--epsilon", "0.5",
+                            "--points", "64", "--t-end", "0.5", "--amplitude", "1",
+                            "--out", "snap.csv"], prog_name="cyclicwave")
+    assert exc.value.code == 0
+    rows = list(csvmod.reader((tmp_path / "snap.csv").open()))
     assert rows[0] == ["x", "u"]
-    assert len(rows) == 1 + grid.points
-    man_path = tmp_path / "run.json"
-    pdesim.export_manifest(str(man_path), res, grid)
-    man = json.loads(man_path.read_text())
+    assert len(rows) == 1 + 64
+    man = json.loads((tmp_path / "snap.json").read_text())
     assert man["termination"] == "completed"
     assert man["grid"]["points"] == 64
