@@ -477,22 +477,16 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
     # the one a call at that M alone gives
     g0s = tp.G(np.array([float(M) ** (-S) for M in range(1, M_max + 1)]))
 
-    def growth_ok(M):
-        """True when |A M^-S W(M)| can reach from G(M^-S) to the endpoint."""
-        vals = floquet.multi_period_values(m, M)
-        if vals.W == 0.0:
-            return False, vals, None
-        term_log10 = -S * math.log10(M) + math.log10(abs(vals.W)) + vals.log10_scale
-        g0 = float(g0s[M - 1])
-        return term_log10 >= math.log10(abs(target - g0)), vals, g0
-
     # ascending scan: neither growth nor smallness is assumed monotone in M;
     # on the phi-skip path an M whose floor already exceeds delta is skipped
-    deficit = plan = small = floor = None
+    plan = small = floor = vals = None
     for M in range(1, M_max + 1):
-        ok, vals, g0 = growth_ok(M)
-        if not ok:
-            deficit = (M, vals)
+        # growth holds when |A M^-S W(M)| can reach from G(M^-S) to the endpoint
+        vals = floquet.multi_period_values(m, M)
+        g0 = float(g0s[M - 1])
+        if vals.W == 0.0 or not (
+                -S * math.log10(M) + math.log10(abs(vals.W)) + vals.log10_scale
+                >= math.log10(abs(target - g0))):
             continue
         plan = BlowupPlan(n, m.lam, S, M, A=direction * math.copysign(1.0, vals.W))
         # phi_bound grows with M^-S, so once the data are on the phi-skip
@@ -511,7 +505,7 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
         if plan is None:
             raise ExhaustedSearchError(
                 f"growth never reaches the endpoint for M <= {M_max}",
-                best=deficit,
+                best=(M_max, vals),
             )
         # plan is the last M where growth holds
         small = plan_smallness(plan, tp) if small is None else small
@@ -523,10 +517,9 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
     # v(t, 0) at every half-integer time in one call, then first crossing
     v = exact_local_solution(plan, tp, m)
     origin = np.zeros(n)
-    margin = abs(target) * 1e-9
-    crossed = (lambda val: val >= target - margin) if direction > 0 else (
-        lambda val: val <= target + margin
-    )
+    # one signed test for both directions: negation is exact
+    level = direction * target - abs(target) * 1e-9
+    crossed = lambda val: direction * val >= level
     times = np.arange(2 * plan.M + 1) / 2.0
     trajectory = list(zip(times.tolist(), v(times, origin).tolist()))
     hit = next((t for t, val in trajectory if crossed(val)), None)
@@ -542,7 +535,7 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
         ends = np.linspace(lo, hi, 65)
         i = int(np.argmax(np.append(crossed(v(ends[1:-1], origin)), True)))
         lo, hi = float(ends[i]), float(ends[i + 1])
-    # vals and g0 are the accepted M's, from its growth check
+    # vals and g0 are the accepted M's
     predicted = g0 + plan.A * plan.amplitude * vals.W * 10.0**vals.log10_scale
     return BlowupCertificate(
         plan=plan, m=m, tp=tp, smallness=small, delta=delta, t_star=hi,

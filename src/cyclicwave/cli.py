@@ -199,13 +199,6 @@ def coefficient_from_flags(constant_b, epsilon):
     return coeffs.sqrt_sin(epsilon)
 
 
-def _check_inside(domain, lo, hi, what):
-    """ParameterError unless [lo, hi] lies strictly inside f's domain."""
-    if not domain[0] < lo <= hi < domain[1]:
-        raise ParameterError(f"{what} must lie strictly inside f's domain "
-                             f"{domain}, got [{lo!r}, {hi!r}]")
-
-
 class _JsonErrorGroup(click.Group):
     """A click group that maps every failure, usage errors (bad flag
     values, unknown or missing options) included, to its exit code and one
@@ -215,9 +208,11 @@ class _JsonErrorGroup(click.Group):
     def invoke(self, ctx):
         # click parses the subcommand's options inside Group.invoke, so an
         # interrupt there is caught here too, before click echoes a blank
-        # line and aborts
+        # line and aborts; numpy's floating-point warnings would write to
+        # stderr beside the one JSON line, and change no value
         try:
-            return super().invoke(ctx)
+            with np.errstate(all="ignore"):
+                return super().invoke(ctx)
         except NotApplicableError as exc:
             _fail(EXIT_NOC_HOLDS, exc)
         except NotDistinguishedError as exc:
@@ -410,11 +405,10 @@ def simulate(**p):
     f, domain = parse_family(p["f_spec"], F_FAMILIES, "f")
 
     if p["mode"] == "uniform":
-        _check_inside(domain, p["u0_val"], p["u0_val"], "--u0-val")
         if not math.isfinite(p["u1_val"]):
             raise ParameterError(f"--u1-val must be finite, got {p['u1_val']}")
         samples = pdesim.evolve_uniform(
-            pot, f, p["u0_val"], p["u1_val"], p["t_end"], tol=p["tol"])
+            pot, (f, domain), p["u0_val"], p["u1_val"], p["t_end"], tol=p["tol"])
         write_table(p["out"], ("t", "u"), *np.array(samples).T)
         return
 
@@ -431,7 +425,10 @@ def simulate(**p):
     if p["mode"] == "linear":
         result = pdesim.evolve_linear(pot, grid, v0, v1)
     else:
-        _check_inside(domain, float(v0.min()), float(v0.max()), "the data")
+        lo, hi = float(v0.min()), float(v0.max())
+        if not domain[0] < lo <= hi < domain[1]:
+            raise ParameterError(f"the data must lie strictly inside f's domain "
+                                 f"{domain}, got [{lo!r}, {hi!r}]")
         tp = transform.build_transform(f, domain=domain)
         result = pdesim.evolve_nonlinear(pot, grid, v0, v1, tp)
     write_table(p["out"], ("x", "u"), x, result.snapshots[-1][1])

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import IntegrationFailure, ParameterError
 from .floquet import check_tol
+from .transform import EDGE_FLOOR
 
 _U_CAP = 1e8
 _ENDPOINT_FRACTION = 1e-3
@@ -68,7 +69,7 @@ def max_b(b):
 class SimResult:
     snapshots: list  # [(t, field values), ...] strictly increasing t
     diagnostics: dict
-    termination: str  # completed | blowup_detected | cfl_violation
+    termination: str  # completed | blowup_detected
 
     def manifest(self, grid):
         return {
@@ -271,25 +272,42 @@ def evolve_nonlinear(pot, grid, u0, u1, v_guard, n_snapshots=64):
                      termination="blowup_detected" if stopped else "completed")
 
 
-def evolve_uniform(pot, f, u0, u1, t_end, tol=1e-11):
+def evolve_uniform(pot, ray, u0, u1, t_end, tol=1e-11):
     """Spatially uniform solution: u'' - n(b'/b)u' + f(u)(u')^2 = 0, with b
-    and n those of the HillPotential pot.
+    and n those of the HillPotential pot and ray = (f, domain).
 
     Returns [(t, u(t)), ...] at 400 equally spaced t; truncates (with the
-    last finite sample) if u leaves the invertibility domain, i.e. blows
-    up.  ParameterError unless tol lies in [1e-13, 1e-6] and t_end is
-    finite; IntegrationFailure when the solver fails before t_end.
+    last finite sample) if u blows up past |u| = 1e8 or comes within
+    EDGE_FLOOR (1 + |edge|) of a finite edge of f's domain.  ParameterError
+    unless tol lies in [1e-13, 1e-6], t_end is finite and u0 lies inside
+    that floor; IntegrationFailure when the solver fails before t_end or
+    u'' is not finite.
     """
     check_tol(tol)
     if not math.isfinite(t_end):
         raise ParameterError(f"t_end must be finite, got {t_end}")
+    f, domain = ray
+    edges = [(sign, e, EDGE_FLOOR * (1.0 + abs(e)))
+             for sign, e in zip((1.0, -1.0), domain) if math.isfinite(e)]
+
+    def room(u):
+        """How far u lies inside the floors of f's finite domain edges."""
+        return min((sign * (u - e) - floor for sign, e, floor in edges), default=math.inf)
+
+    if not room(u0) > 0.0:
+        raise ParameterError(f"u0={u0!r} must lie inside f's domain {domain}, "
+                             f"farther than {EDGE_FLOOR:g} (1 + |edge|) from its edges")
     from scipy.integrate import solve_ivp
 
     def rhs(t, y):
-        return [y[1], pot.n * pot.b.d1(t) / pot.b.eval(t) * y[1] - f(y[0]) * y[1] ** 2]
+        slope = pot.n * pot.b.d1(t) / pot.b.eval(t) * y[1] - f(y[0]) * y[1] ** 2
+        if not math.isfinite(slope):
+            raise IntegrationFailure(f"uniform integration failed: u'' is not "
+                                     f"finite at t={t!r}, u={float(y[0])!r}")
+        return [y[1], slope]
 
     def escape(t, y):
-        return _U_CAP - abs(y[0])
+        return min(_U_CAP - abs(y[0]), room(y[0]))
 
     escape.terminal = True
     sol = solve_ivp(

@@ -28,6 +28,7 @@ _DEG = 32  # Chebyshev degree of every panel interpolant
 _S_REACH = 1e9  # farthest |s| at which G and H evaluate
 _MIN_WIDTH = 1e-6  # nodes round in |s|: a narrower panel cannot meet tol
 _ENDPOINT_S_MAX = 1e6  # |s| to which endpoints() integrates before its tail
+EDGE_FLOOR = 2e-9  # panels and uniform runs end EDGE_FLOOR (1 + |edge|) before an edge
 # Relative clamp width for inverting G near a finite endpoint.  It must
 # exceed the endpoint tail-extrapolation error (~1e-10), otherwise the
 # clamped level can lie beyond every panel and H fails.
@@ -66,7 +67,7 @@ class _Side:
             w = self.width
             if math.isfinite(self.edge):
                 dist = abs(self.edge) - s0
-                if dist <= 2e-9 * (1.0 + abs(self.edge)):  # relative floor
+                if dist <= EDGE_FLOOR * (1.0 + abs(self.edge)):
                     self.terminated = "domain"
                     return
                 w = min(w, 0.5 * dist)
@@ -298,41 +299,27 @@ def _side_exponent(side, s_max):
     """(p, excess): the exponent of F on one side, and how far it lies on
     the integrable side of -1.
 
-    excess > 0 iff int F converges on that side.  At a finite domain edge F
-    behaves like dist^p, so excess = p + 1; in the tail F behaves like s^p,
-    so excess = -1 - p.  A side whose F or G overflowed diverges outright:
+    p is the least-squares log-log slope of Phi against the distance to the
+    side's end: at 33 points over [s_max/100, s_max] in the tail, where F
+    behaves like s^p and excess = -1 - p, or at 25 distances from 1e-8 to
+    1e-2 (relative to max(1, |edge|)) from a finite domain edge, where F
+    behaves like dist^p and excess = p + 1.  excess > 0 iff int F converges
+    on that side.  A side whose F or G overflowed diverges outright:
     p = inf, excess = -inf.
     """
     side.reach(s_max)
     if side.terminated in ("overflow", "g-cap"):
         return math.inf, -math.inf
     if side.terminated == "domain":
-        p = _local_exponent(side)
-        return p, p + 1.0
-    p = _tail_exponent(side, s_max)
-    return p, -1.0 - p
-
-
-def _tail_exponent(side, s_hi):
-    """Log-log slope of F over [s_hi/100, s_hi] on one side, from 33 points."""
-    ss = np.logspace(math.log10(s_hi) - 2.0, math.log10(s_hi), 33)
-    side.reach(s_hi)
-    phi, _ = side.eval(ss)
-    return _slope(np.log(ss), phi)
-
-
-def _local_exponent(side):
-    """Exponent of F in distance to the finite edge (integrability probe),
-    fitted at 25 distances from 1e-8 to 1e-2 (relative to max(1, |edge|)).
-
-    Distances are measured from the true domain edge, not the integration
-    frontier (which stops a small floor short of the edge); anchoring at the
-    frontier would bias the smallest probes and flatten the fitted slope.
-    """
-    edge_abs = abs(side.edge)
-    d = np.logspace(-8, -2, 25) * max(1.0, edge_abs)
-    phi, _ = side.eval(edge_abs - d)
-    return _slope(np.log(d), phi)
+        # distances from the true domain edge, not the integration frontier
+        # (which stops a small floor short of the edge): anchoring at the
+        # frontier would bias the smallest probes and flatten the slope
+        d = np.logspace(-8, -2, 25) * max(1.0, abs(side.edge))
+        s = abs(side.edge) - d
+    else:
+        s = d = np.logspace(math.log10(s_max) - 2.0, math.log10(s_max), 33)
+    p = _slope(np.log(d), side.eval(s)[0])
+    return p, (-1.0 - p if side.terminated is None else p + 1.0)
 
 
 def _slope(x, y):

@@ -28,6 +28,10 @@ def periodic_integral(g, t):
     return k * period + rest
 
 
+# the domain of an (f, domain) pair whose f is defined for every real u
+WHOLE_LINE = (-math.inf, math.inf)
+
+
 def f_ray(t):
     """Log-derivative of h along the diagonal ray of the reference
     conformal metric (alpha = -1, two quadratic powers)."""

@@ -14,7 +14,7 @@ from scipy.integrate import solve_ivp
 from cyclicwave import blowup, coeffs, floquet, geometry, pdesim, transform
 from cyclicwave.errors import NotApplicableError
 
-from conftest import LAM_WITNESS, f_ray, gaussian_curvature, periodic_integral
+from conftest import LAM_WITNESS, WHOLE_LINE, f_ray, gaussian_curvature, periodic_integral
 from dop853_reference import FundamentalPair
 from printed_q import q_variant
 
@@ -268,14 +268,14 @@ def test_criterion_9_uniform_solutions(b05, pot3):
     """Linear uniform v(t) = b(0)^{-3} int_0^t b^3 to 1e-8 on [0, 20]; the
     alpha = -1 transformed uniform u blows up at the frozen crossing time
     where the integral reaches pi/(2 sqrt 2)."""
-    res = pdesim.evolve_uniform(pot3, lambda u: np.zeros_like(u),
+    res = pdesim.evolve_uniform(pot3, (lambda u: np.zeros_like(u), WHOLE_LINE),
                                 0.0, 1.0, 20.0, tol=1e-13)
     b0 = float(b05.eval(0.0))
     for t, u in res[::20]:
         ref = periodic_integral(lambda s: float(b05.eval(s)) ** 3, t) / b0 ** 3
         assert abs(u - ref) < 1e-8
 
-    res_nl = pdesim.evolve_uniform(pot3, f_ray, 0.0, 1.0, 2.0, tol=1e-12)
+    res_nl = pdesim.evolve_uniform(pot3, (f_ray, WHOLE_LINE), 0.0, 1.0, 2.0, tol=1e-12)
     t_last, u_last = res_nl[-1]
     assert abs(u_last) > 1e7
     assert t_last == pytest.approx(T_CROSS, abs=1e-6)

@@ -840,7 +840,7 @@ def _bisected_t_star(cert):
     return hi
 
 
-def test_t_star_newton_matches_bisection(certified):
+def test_t_star_matches_bisection(certified):
     """The section search's t_star is within the stopping width
     1e-12 max(1, t*) of bisection's, has crossed, and one width earlier has
     not: the first crossing.  The whole certificate runs the step

@@ -18,13 +18,14 @@ CLI = [sys.executable, "-m", "cyclicwave.cli"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run(args, cwd, env_extra=None, command=CLI):
+def run(args, cwd, env_extra=None, command=CLI, timeout=None):
+    """The CLI in a subprocess; subprocess.TimeoutExpired past timeout s."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(command + args, cwd=cwd, env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def chart_args(out, extra=()):
@@ -554,20 +555,23 @@ _EX2 = ["--f", "example2:ell=4", "--epsilon", "0.5", "--t-end", "0.5", "--out", 
      _MARCH, "domain"),
     (["simulate", "--mode", "uniform", "--u0-val", "-2"] + _EX2,
      "scipy.integrate.solve_ivp", "domain"),
+    (["simulate", "--mode", "uniform", "--u0-val", "-0.9999999985"] + _EX2,
+     "scipy.integrate.solve_ivp", "domain"),
     (["simulate", "--mode", "uniform", "--epsilon", "0.5", "--u1-val", "nan",
       "--out", "x.csv"], "scipy.integrate.solve_ivp", "--u1-val"),
     (["simulate", "--mode", "uniform", "--epsilon", "0.5", "--u1-val", "inf",
       "--out", "x.csv"], "scipy.integrate.solve_ivp", "--u1-val"),
 ], ids=["points-0", "n-0", "n-negative", "uniform-n-0", "offset-outside-domain",
-        "amplitude-outside-domain", "uniform-outside-domain", "uniform-u1-nan",
-        "uniform-u1-inf"])
+        "amplitude-outside-domain", "uniform-outside-domain", "uniform-within-edge-floor",
+        "uniform-u1-nan", "uniform-u1-inf"])
 def test_simulate_invalid_setup_exit_2_before_work(tmp_path, capsys, monkeypatch,
                                                    args, work, named):
     """--points 0 ended in a ZeroDivisionError traceback, n < 1 ran the wave
     operator of no spatial dimension, data outside (-1, inf), the domain
     of example2, were evolved, and a non-finite --u1-val reached scipy's
     solver: each exits 2 before the stepper or the ODE solver starts, and
-    writes no file."""
+    writes no file.  So does a uniform start within the floor 2e-9 (1 + 1)
+    of example2's edge, where a run would end at once."""
     monkeypatch.chdir(tmp_path)
     err = _exit_before_work(args, "simulate", monkeypatch, capsys, work=work)
     assert err["error"] == "ParameterError"
@@ -821,6 +825,43 @@ def test_simulate_uniform(tmp_path):
     assert rows[0] == ["t", "u"]
     # this run crosses the finite endpoint: last value is huge
     assert abs(float(rows[-1][1])) > 1e6
+
+
+@pytest.mark.parametrize("u1", ["-5", "-50"])
+@pytest.mark.parametrize("ell", ["0.5", "1", "1.75"])
+def test_simulate_uniform_stops_at_domain_edge(tmp_path, ell, u1):
+    """example2's domain is u > -1, and G's endpoint lies at that edge.  A
+    uniform run heading there hung (ell = 0.5), or warned and stepped
+    across it (ell = 1.75) or stalled at it (ell = 1).  It ends, exit 0,
+    once u comes within the floor 2e-9 (1 + 1) of the edge, with every u
+    inside the domain."""
+    r = run(["simulate", "--mode", "uniform", "--epsilon", "0.5", "--u1-val", u1,
+             "--f", f"example2:ell={ell}", "--out", "u.csv"], tmp_path, timeout=20)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
+    u = [float(row[1]) for row in list(csv.reader((tmp_path / "u.csv").open()))[1:]]
+    assert len(u) < 400
+    assert all(x > -1.0 for x in u)
+    assert u[-1] <= -1.0 + 4e-9
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--mode", "uniform", "--epsilon", "0.5", "--u1-val", "1e300",
+     "--out", "x.csv"],
+    ["geodesic", "--metric", "conformal:alpha=1e300", "--out", "x.csv"],
+    ["blowup-demo", "--metric", "conformal:alpha=1e300", "--out", "x.json"],
+], ids=["uniform-u1-1e300", "geodesic-alpha-1e300", "blowup-alpha-1e300"])
+def test_overflowing_inputs_exit_3_with_one_line(tmp_path, args):
+    """u1 = 1e300 overflows u1^2, so the slope is 0 inf = nan and scipy's
+    first step size nan: the run never returned.  alpha = 1e300 makes the
+    metric singular, and numpy's warnings came before the JSON line.  Each
+    exits 3 with exactly one stderr line, and writes nothing."""
+    r = run(args, tmp_path, timeout=20)
+    assert r.returncode == 3, r.stderr
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1, r.stderr
+    json.loads(lines[0])
+    assert not any(tmp_path.iterdir())
 
 
 def test_simulate_level_beyond_g_reach_exit_3(tmp_path):

@@ -10,7 +10,7 @@ from cyclicwave.errors import IntegrationFailure, ParameterError
 
 import rk4_reference
 import spectral_reference
-from conftest import f_ray, periodic_integral
+from conftest import WHOLE_LINE, f_ray, periodic_integral
 
 # Crossing time of int_0^t b^3 = pi/(2 sqrt 2) for b = sqrt(1+0.5 sin 2 pi t),
 # computed by quadrature + root bracketing (regression constant).
@@ -56,7 +56,7 @@ def test_plane_wave_matches_mode_ode(b05, pot3):
 
 
 def test_uniform_linear_quadrature(b05, pot3):
-    res = pdesim.evolve_uniform(pot3, lambda u: np.zeros_like(u),
+    res = pdesim.evolve_uniform(pot3, (lambda u: np.zeros_like(u), WHOLE_LINE),
                                 0.0, 1.0, 20.0, tol=1e-13)
     for t, u in res[::40]:
         ref = periodic_integral(lambda s: float(b05.eval(s)) ** 3, t)
@@ -64,7 +64,7 @@ def test_uniform_linear_quadrature(b05, pot3):
 
 
 def test_uniform_nonlinear_blowup_time(pot3):
-    res = pdesim.evolve_uniform(pot3, f_ray, 0.0, 1.0, 2.0, tol=1e-12)
+    res = pdesim.evolve_uniform(pot3, (f_ray, WHOLE_LINE), 0.0, 1.0, 2.0, tol=1e-12)
     t_last, u_last = res[-1]
     assert abs(u_last) > 1e7
     assert t_last == pytest.approx(T_CROSS, abs=1e-6)
@@ -77,13 +77,13 @@ def test_uniform_failed_integration_raises(pot3):
         return math.nan if u > 0.3 else 0.0
 
     with pytest.raises(IntegrationFailure):
-        pdesim.evolve_uniform(pot3, f_nan, 0.0, 1.0, 2.0)
+        pdesim.evolve_uniform(pot3, (f_nan, WHOLE_LINE), 0.0, 1.0, 2.0)
 
 
 def test_uniform_tol_checked_before_work(no_ode_solve, pot3):
     """evolve_uniform checks tol as the CLI does, before the solver runs."""
     with pytest.raises(ParameterError, match=r"tol must lie in \[1e-13, 1e-6\]"):
-        pdesim.evolve_uniform(pot3, f_ray, 0.0, 1.0, 2.0, tol=0.0)
+        pdesim.evolve_uniform(pot3, (f_ray, WHOLE_LINE), 0.0, 1.0, 2.0, tol=0.0)
 
 
 def test_uniform_matches_grid_run(b05, pot3, tp1):
