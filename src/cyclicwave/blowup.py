@@ -250,32 +250,6 @@ def _shell_unit(n):
     return (2.0 * np.pi) ** -n * (2.0 * np.pi * (n - 1))
 
 
-def radial_pair_floor(head, lam, s, n):
-    """A lower bound floor(scale, R) on radial_pair_norm(scale head,
-    +-scale hat, lam, s, R, n), where head is the radial_head of hat and
-    s is an integer >= 0: the phi-skip case of plan_smallness.
-
-    It is radial_pair_norm's own sum with (1 + rho^2)^{s+1} >= 1 dropped,
-    the cross term (>= 0) dropped, and the sphere mean of
-    (1 + lam + rho^2 + 2 sqrt(lam) rho cos theta)^s bounded below by
-    (1 + lam)^s: the mean's sum (_sphere_mean_weight) is at least its
-    j = 0 term, since a = 1 + lam + rho^2 >= 1 + lam.  With rho_k = k step
-    and step = pi / (8R), what is left is
-        floor = scale step^{n/2} sqrt(C) (sqrt(unit) + sqrt(unit/2 (1 + lam)^s)),
-    C = sum_k w_k head_k^2 k^{n-1} with w the Simpson pattern [1, 4, 2,
-    ..., 4, 1] / 3, computed here once.
-    """
-    k = np.arange(head.size, dtype=float)
-    c = float(_simpson_weights(head.size, 1.0) @ (head * head * k ** (n - 1)))
-    unit = _shell_unit(n)
-    root = math.sqrt(c) * (math.sqrt(unit) + math.sqrt(unit / 2.0 * (1.0 + lam) ** s))
-
-    def floor(scale, R):
-        return scale * (np.pi / (_RADIAL_PAD * R)) ** (n / 2.0) * root
-
-    return floor
-
-
 def radial_pair_norm(h0, h1, lam, s, R, n):
     """H^{s+1} x H^s norm sum for (g0(|x|), g1(|x|) cos(x.y)) on R^n, n = 2
     or 3.
@@ -288,17 +262,12 @@ def radial_pair_norm(h0, h1, lam, s, R, n):
     transform directly, the modulated g1 via the average of (1 + |xi|^2)^s
     over spheres (the shift by +-y enters through its exact binomial sum,
     _sphere_mean_weight); the hat-g1(|xi-y|) hat-g1(|xi+y|) cross term is
-    bounded by max|hat g1| times the same quadrature and added.
-
-    The cross-term supremum is 1.5 max|hat g1| from the last grid point at
-    or below |y| onward, or over the top sixteenth of the grid when |y|
-    lies beyond it.
+    bounded by 1.5 max|hat g1| (from _far_index on) times the same
+    quadrature and added.
     """
     step = np.pi / (_RADIAL_PAD * R)
     # the cross term's far factor (below) reads the whole transform
-    k_far = int(math.sqrt(lam) / step)
-    far = h1[k_far:] if k_far < h1.size else h1[-h1.size // 16 :]
-    far_sup = 1.5 * float(np.max(np.abs(far)))
+    far_sup = 1.5 * float(np.max(np.abs(h1[_far_index(lam, R, h1.size):])))
     rho, h1 = step * np.arange(h0.size), h1[: h0.size]
     weights = _simpson_weights(h0.size, step)
 
@@ -323,6 +292,41 @@ def radial_pair_norm(h0, h1, lam, s, R, n):
     return math.sqrt(norm0_sq) + math.sqrt(main + cross_bound)
 
 
+def _far_index(lam, R, size):
+    """The cross term's far factor starts at the last rho_k = pi k / (8R)
+    <= sqrt(lam), or the top sixteenth past the transform's `size`."""
+    k = int(math.sqrt(lam) / (np.pi / (_RADIAL_PAD * R)))
+    return k if k < size else size - size // 16
+
+
+@functools.cache
+def _skip_polynomial(n, lam, s):
+    """radial_pair_norm's g0, g1 and cross sums on the phi-skip path as
+    polynomials in x = M^-4 (coefficient columns), made once per (n, lam,
+    s), and the suffix maximum of |chi_hat|.  rho_k^2 = (k pi/16)^2 x, so
+    (1 + rho^2)^{s+1} and the sphere mean sum_i C(s, 2i) c_i (1 + lam +
+    rho^2)^{s-2i} (4 lam rho^2)^i expand in x, and the coefficient of x^j
+    multiplies sum_k w_k k^{n-1} (k pi/16)^{2j} head_k^2 (or |head_k|)."""
+    from numpy.polynomial import Polynomial
+
+    # the sphere mean of (1 + beta cos theta)^s has C(s, 2i) c_i at beta^{2i}
+    moments = _sphere_mean_weight(s, 1.0, Polynomial([0.0, 1.0]), n).trim().coef[::2]
+    hat = _chi_hat(n, 0)
+    head = radial_head(hat)
+    k = np.arange(head.size, dtype=float)
+    w = _simpson_weights(head.size, 1.0) * k ** (n - 1)
+    powers = ((k * np.pi / 16.0) ** 2) ** np.arange(int(s) + 2)[:, None]
+    # np.sum's pairwise order keeps each sum within about an eps of exact
+    sq = (powers * (w * head * head)).sum(axis=1)
+    ab = (powers * np.abs(w * head)).sum(axis=1)
+    shift, mod = Polynomial([1.0 + lam, 1.0]), Polynomial([0.0, 4.0 * lam])
+    ang = sum(coef * shift ** int(s - 2 * i) * mod**i for i, coef in enumerate(moments))
+    ang = np.append(ang.coef, 0.0)  # a zero top coefficient leaves Horner's rule exact
+    grow = Polynomial([1.0, 1.0]) ** int(s + 1)
+    far = np.maximum.accumulate(np.abs(hat)[::-1])[::-1]
+    return np.stack([grow.coef * sq, ang * sq, ang * ab], axis=1), far
+
+
 def plan_smallness(plan, tp, s=_SOBOLEV_ORDER):
     """||u0||_{H^{s+1}} + ||u1||_{H^s} of the plan's data
     (g0(|x|), g1(|x|) cos(x.y)), for n = 2 or 3.
@@ -331,22 +335,32 @@ def plan_smallness(plan, tp, s=_SOBOLEV_ORDER):
     its transform is M^-S M^{2n} times chi's on the M = 1 grid, made once
     per process (_chi_hat).  g1 = A g0 exp(-Phi(g0)) takes A times that
     transform when tp.phi_bound proves |Phi(g0)| <= 2^-60, which makes the
-    factor 1 to a relative 1e-18 (f(0) = 0 and M large enough).  Otherwise
-    exp(-Phi(M^-S c)) = sum_k a_k T_k(2c - 1) in c = chi (_exp_phi_series),
-    and g1's transform is A M^-S M^{2n} sum_k a_k times the cached
-    transforms of chi T_k(2 chi - 1).
+    factor 1 to a relative 1e-18 (f(0) = 0 and M large enough), and the
+    smallness is M^{n-S} (pi/16)^{n/2} (sqrt(unit a) + sqrt(unit/2 b + unit
+    1.5 far_M c)), unit = (2 pi)^-n |S^{n-1}|, with _skip_polynomial's a, b,
+    c at x = M^-4 and far_M its maximum from _far_index on.  That falls with
+    M, as S > 2n and no coefficient is negative, except where far_M rises:
+    once at most, where _far_index passes the transform's end (M = 45 at the
+    reference lambda, n = 3).  Otherwise exp(-Phi(M^-S c)) = sum_k a_k
+    T_k(2c - 1) in c = chi (_exp_phi_series), and g1's transform is
+    A M^-S M^{2n} sum_k a_k times the cached transforms of chi T_k(2 chi - 1).
     """
+    from numpy.polynomial.polynomial import polyval
+
     n = plan.n
     if n not in (2, 3):
         raise ParameterError(f"radial smallness is for n = 2 or 3, got n = {n}")
-    scale = plan.hat_scale
+    scale, R = plan.hat_scale, plan.support_radius
     if tp.phi_bound(plan.amplitude) <= _PHI_SKIP:
-        h1 = plan.A * scale * _chi_hat(n, 0)
-    else:
-        series = _exp_phi_series(tp, plan.amplitude)
-        h1 = plan.A * scale * sum(a * _chi_hat(n, k) for k, a in enumerate(series))
+        coefs, far = _skip_polynomial(n, plan.lam, s)
+        a, b, c = polyval(float(plan.M) ** -4, coefs)
+        unit, far_M = _shell_unit(n), 1.5 * float(far[_far_index(plan.lam, R, far.size)])
+        root = math.sqrt(unit * a) + math.sqrt(unit / 2.0 * b + unit * far_M * c)
+        return scale * (np.pi / (_RADIAL_PAD * R)) ** (n / 2.0) * root
+    series = _exp_phi_series(tp, plan.amplitude)
+    h1 = plan.A * scale * sum(a * _chi_hat(n, k) for k, a in enumerate(series))
     h0 = scale * radial_head(_chi_hat(n, 0))
-    return radial_pair_norm(h0, h1, plan.lam, s, plan.support_radius, n)
+    return radial_pair_norm(h0, h1, plan.lam, s, R, n)
 
 
 # ---------------------------------------------------------------------------
@@ -428,27 +442,24 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
     """Find the smallest M whose plan both stays under delta and crosses.
 
     The good lambda is find_good_lambda's on the 400-point grid of
-    lam_range.  M runs up from 1 and the first M at which the growth
-    reaches the endpoint and the smallness (plan_smallness) is at most
-    delta is taken.  Neither is assumed monotone in M: smallness is
-    computed at every M where growth holds, until one passes, except where
-    the data are on the phi-skip path and radial_pair_floor's lower bound
-    already exceeds delta (1 + 1e-9); a failed search computes it at the
-    last M where growth holds.  G(M^-S) for every M <= M_max comes from
-    one call to tp.G before the scan.  t_star is the first
-    crossing of the endpoint (within 1e-9 |b_G|) by v(t, 0) of
-    exact_local_solution: the first crossed half-integer t of the
-    trajectory brackets it with t - 1/2, and each pass of a section search
-    evaluates v at the 63 inner points of 64 equal parts of the bracket in
-    one call and keeps the part that ends at the first crossed one, until
-    the bracket is below 1e-12 max(1, t_star); t_star is its crossed end.
-    S defaults to 2n + 1/2.  The BlowupCertificate
-    carries the good lambda's Monodromy and tp itself.
+    lam_range.  M runs up from 1 and the first M at which the growth reaches
+    the endpoint and the smallness (plan_smallness) is at most delta is
+    taken.  Neither is assumed monotone in M: the smallness is computed at
+    every M where growth holds, until one passes, and a failed search
+    reports the last one.  G(M^-S) for every M <= M_max comes from one call
+    to tp.G before the scan.  t_star is the first crossing of the endpoint
+    (within 1e-9 |b_G|) by v(t, 0) of exact_local_solution: the first
+    crossed half-integer t of the trajectory brackets it with t - 1/2, and
+    each pass of a section search evaluates v at the 63 inner points of 64
+    equal parts of the bracket in one call and keeps the part that ends at
+    the first crossed one, until the bracket is below 1e-12 max(1, t_star);
+    t_star is its crossed end.  S defaults to 2n + 1/2.  The
+    BlowupCertificate carries the good lambda's Monodromy and tp itself.
     Raises ParameterError, before any work, unless delta is positive and
-    finite, S finite and above 2n, and n at most 3; NotApplicableError when the
-    transform has no finite endpoint (so this construction certifies
-    nothing), ExhaustedSearchError when no M <= M_max works,
-    ResolutionError from plan_smallness.
+    finite, S finite and above 2n, and n at most 3; NotApplicableError when
+    the transform has no finite endpoint (so this construction certifies
+    nothing), ExhaustedSearchError when no M <= M_max works, ResolutionError
+    from plan_smallness.
     """
     n = pot.n
     if S is None:
@@ -477,9 +488,7 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
     # the one a call at that M alone gives
     g0s = tp.G(np.array([float(M) ** (-S) for M in range(1, M_max + 1)]))
 
-    # ascending scan: neither growth nor smallness is assumed monotone in M;
-    # on the phi-skip path an M whose floor already exceeds delta is skipped
-    plan = small = floor = vals = None
+    plan = small = vals = None
     for M in range(1, M_max + 1):
         # growth holds when |A M^-S W(M)| can reach from G(M^-S) to the endpoint
         vals = floquet.multi_period_values(m, M)
@@ -489,15 +498,6 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
                 >= math.log10(abs(target - g0))):
             continue
         plan = BlowupPlan(n, m.lam, S, M, A=direction * math.copysign(1.0, vals.W))
-        # phi_bound grows with M^-S, so once the data are on the phi-skip
-        # path (floor made) every larger M is too
-        if floor is not None or tp.phi_bound(plan.amplitude) <= _PHI_SKIP:
-            if floor is None:  # radial_head raises here as plan_smallness would
-                floor = radial_pair_floor(radial_head(_chi_hat(n, 0)), m.lam,
-                                          _SOBOLEV_ORDER, n)
-            if floor(plan.hat_scale, plan.support_radius) > delta * (1.0 + 1e-9):
-                small = None
-                continue
         small = plan_smallness(plan, tp)
         if small <= delta:
             break
@@ -507,8 +507,7 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
                 f"growth never reaches the endpoint for M <= {M_max}",
                 best=(M_max, vals),
             )
-        # plan is the last M where growth holds
-        small = plan_smallness(plan, tp) if small is None else small
+        # plan and small are the last M's where growth holds
         raise ExhaustedSearchError(
             f"smallness {small!r} at M={plan.M} still exceeds "
             f"delta={delta!r}", best=(plan.M, small)

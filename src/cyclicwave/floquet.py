@@ -259,15 +259,18 @@ def _exp(w):
     (Moler & Van Loan, SIAM Review 45, 2003).  They run on u = C - 1, so C
     keeps its distance from 1 to full relative precision and no C + 1
     cancels near C = -1.  j is chosen per element, and det = C^2 - delta S^2
-    is 1 to rounding.  A non-finite delta gives non-finite entries.
+    is 1 to rounding.  A non-finite delta or |delta| >= 2^57 gives nan entries.
     """
     p, q, r, S, delta, u = w
     np.multiply(p, p, out=delta)
     np.multiply(q, r, out=u)
     delta += u
-    j = None
+    top = 0  # doublings
     if not np.abs(delta, out=u).max(initial=0.0) <= 2.0**-7:  # nan takes this branch too
         j = np.maximum(np.frexp(delta)[1] + 8, 0) >> 1  # |delta| < 2^e, e - 2j <= -7
+        top = min(int(j.max()), 32)  # j > 32: |delta| >= 2^57, whose angle keeps no digit
+        if top == 32:
+            delta[j > 32] = np.nan
         np.ldexp(delta, -2 * j, out=delta)
     np.multiply(delta, _COSH[-1], out=u)
     for ck in _COSH[-2::-1]:
@@ -278,13 +281,12 @@ def _exp(w):
         S += ck
         S *= delta
     S += _SINH[0]
-    if j is not None:
-        for i in range(int(j.max())):
-            now = j > i
-            C = u + 1.0
-            np.multiply(2.0 * delta, S * S, out=u, where=now)
-            np.multiply(S, C, out=S, where=now)
-            np.multiply(delta, 4.0, out=delta, where=now)
+    for i in range(top):
+        now = j > i
+        C = u + 1.0
+        np.multiply(2.0 * delta, S * S, out=u, where=now)
+        np.multiply(S, C, out=S, where=now)
+        np.multiply(delta, 4.0, out=delta, where=now)
     u += 1.0  # C
     q *= S
     r *= S

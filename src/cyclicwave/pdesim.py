@@ -280,8 +280,8 @@ def evolve_uniform(pot, ray, u0, u1, t_end, tol=1e-11):
     last finite sample) if u blows up past |u| = 1e8 or comes within
     EDGE_FLOOR (1 + |edge|) of a finite edge of f's domain.  ParameterError
     unless tol lies in [1e-13, 1e-6], t_end is finite and u0 lies inside
-    that floor; IntegrationFailure when the solver fails before t_end or
-    u'' is not finite.
+    that floor and that cap; IntegrationFailure when the solver fails
+    before t_end or u'' is not finite.
     """
     check_tol(tol)
     if not math.isfinite(t_end):
@@ -290,13 +290,16 @@ def evolve_uniform(pot, ray, u0, u1, t_end, tol=1e-11):
     edges = [(sign, e, EDGE_FLOOR * (1.0 + abs(e)))
              for sign, e in zip((1.0, -1.0), domain) if math.isfinite(e)]
 
-    def room(u):
-        """How far u lies inside the floors of f's finite domain edges."""
-        return min((sign * (u - e) - floor for sign, e, floor in edges), default=math.inf)
+    def escape(t, y):
+        """How far u = y[0] lies inside |u| < 1e8 and the floors of f's
+        finite domain edges."""
+        u = y[0]
+        return min([_U_CAP - abs(u)] + [sign * (u - e) - floor for sign, e, floor in edges])
 
-    if not room(u0) > 0.0:
-        raise ParameterError(f"u0={u0!r} must lie inside f's domain {domain}, "
-                             f"farther than {EDGE_FLOOR:g} (1 + |edge|) from its edges")
+    escape.terminal = True
+    if not escape(0.0, [u0]) > 0.0:  # the event fires only on a sign change
+        raise ParameterError(f"u0={u0!r} must have |u0| < {_U_CAP:g} and lie inside f's "
+                             f"domain {domain}, over {EDGE_FLOOR:g} (1 + |edge|) from its edges")
     from scipy.integrate import solve_ivp
 
     def rhs(t, y):
@@ -306,10 +309,6 @@ def evolve_uniform(pot, ray, u0, u1, t_end, tol=1e-11):
                                      f"finite at t={t!r}, u={float(y[0])!r}")
         return [y[1], slope]
 
-    def escape(t, y):
-        return min(_U_CAP - abs(y[0]), room(y[0]))
-
-    escape.terminal = True
     sol = solve_ivp(
         rhs, (0.0, t_end), [float(u0), float(u1)], method="DOP853",
         rtol=tol, atol=tol, t_eval=np.linspace(0.0, t_end, 400),

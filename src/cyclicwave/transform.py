@@ -179,6 +179,11 @@ class TransformPair:
         self._pos.reach(16.0)
         self._neg.reach(16.0)
         self._endpoints = None
+        from numpy.polynomial.chebyshev import chebval
+
+        s0, s1, _, _, mphi, _ = self._pos.panels[0]  # phi_bound's panel
+        self._markov = (s1 - s0, abs(float(chebval(-1.0, mphi))),
+                        float(np.arange(mphi.size) ** 2.0 @ np.abs(mphi)))
 
     def Phi(self, s):
         """int_0^s f(r) dr."""
@@ -196,15 +201,10 @@ class TransformPair:
         Markov's bound |T_j'| <= j^2 gives |m(x)| <= |m(-1)| + (2 amp / w)
         sum_j j^2 |m_j| on [0, amp].
         """
-        from numpy.polynomial.chebyshev import chebval
-
-        s0, s1, _, _, mphi, _ = self._pos.panels[0]
-        w = s1 - s0
+        w, m0, markov = self._markov
         if amp > w:
             return math.inf
-        j2 = np.arange(mphi.size) ** 2.0
-        slope = 2.0 * amp / w * float(j2 @ np.abs(mphi))
-        return amp * (abs(float(chebval(-1.0, mphi))) + slope)
+        return amp * (m0 + 2.0 * amp / w * markov)
 
     def _on_sides(self, s, reach, which):
         """Phi (which=0) or G (which=1) at s, extending to |s| <= reach."""

@@ -673,29 +673,55 @@ def test_certify_exhausted_search_reports_best(pot3, tp1):
     assert info.value.best[0] == 3
 
 
+def _skip_plans(tp, n, S, lam, Ms):
+    """The plans of the Ms on the phi-skip path, with either sign A."""
+    plans = [blowup.BlowupPlan(n, lam, S, int(M), A=(-1) ** int(M)) for M in Ms]
+    return [plan for plan in plans if tp.phi_bound(plan.amplitude) <= blowup._PHI_SKIP]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("s_above", [0.5, 2.0], ids=["S=2n+0.5", "S=2n+2"])
 @pytest.mark.parametrize("lam", [LAM_WITNESS, 42.0], ids=["first", "second"])
-def test_smallness_floor_is_below_plan_smallness(tp1, n, s_above, lam):
-    """radial_pair_floor bounds plan_smallness from below, at every M on the
-    phi-skip path up to 256 and at 1000, 4096 and 1e4 .. 1e7, with either
-    sign A; it drops only terms that are small there, so it stays within
-    1e-4 of it.  lam lies in the first and the second reference
-    instability interval.  Past M = 256 the two agree to rounding: the
-    sphere mean's sum has no negative term, so it does not cancel as b/a
-    falls (its largest is 1e-12 at M = 1e7), and the bound holds to 4 eps
-    at every M."""
-    floor = blowup.radial_pair_floor(blowup.radial_head(blowup._chi_hat(n, 0)),
-                                     lam, 3.0, n)
-    big = [1000, 4096, 10**4, 10**5, 10**6, 10**7]
-    plans = [blowup.BlowupPlan(n, lam, 2 * n + s_above, M, A=(-1) ** M)
-             for M in list(range(1, 257)) + big]
-    plans = [plan for plan in plans if tp1.phi_bound(plan.amplitude) <= blowup._PHI_SKIP]
-    assert plans[-len(big) - 1].M == 256 and len(plans) > 100
-    for plan in plans:
-        exact = blowup.plan_smallness(plan, tp1)
-        low = floor(plan.hat_scale, plan.support_radius)
-        assert exact * (1.0 - 1e-4) <= low <= exact * (1.0 + 4.0 * EPS), plan.M
+def test_skip_polynomial_matches_direct_sum(tp1, monkeypatch, n, s_above, lam):
+    """On the phi-skip path plan_smallness's polynomial in M^-4 is
+    radial_pair_norm's direct sum over chi's scaled transform to 8 eps, for
+    s = 0, 3 and 7, at the first phi-skip M and 40 log-spaced M up to 1e9.
+    lam lies in the first and the second reference instability interval.
+    chi's transform has a far factor near 1e-15 of its peak, which leaves
+    the cross term below rounding, so the check runs again with a decaying
+    tail of 1e-3 of the peak added past the cut, where only it reads."""
+    first = _skip_plans(tp1, n, 2 * n + s_above, lam, range(1, 257))[0].M
+    Ms = np.unique(np.round(np.geomspace(first, 1e9, 40)))
+    chi = blowup._chi_hat(n, 0)
+    cut = blowup.radial_head(chi).size
+    k = np.arange(chi.size - cut)
+    tail = chi.copy()
+    tail[cut:] += 1e-3 * np.max(np.abs(chi)) * np.exp(-k / 4096.0)
+    try:
+        for hat in (chi, tail):
+            monkeypatch.setattr(blowup, "_chi_hat", lambda *args: hat)
+            blowup._skip_polynomial.cache_clear()
+            for s in (0.0, 3.0, 7.0):
+                for plan in _skip_plans(tp1, n, 2 * n + s_above, lam, Ms):
+                    scale, R = plan.hat_scale, plan.support_radius
+                    direct = blowup.radial_pair_norm(scale * blowup.radial_head(hat),
+                                                     plan.A * scale * hat, lam, s, R, n)
+                    got = blowup.plan_smallness(plan, tp1, s)
+                    assert abs(got - direct) <= 8.0 * EPS * direct, (s, plan.M)
+    finally:
+        blowup._skip_polynomial.cache_clear()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("lam", [LAM_WITNESS, 42.0], ids=["first", "second"])
+def test_skip_smallness_falls_strictly_with_m(tp1, n, lam):
+    """The smallness falls at every phi-skip M up to 4096, also where the
+    cross term's far index passes the end of the transform (M = 45 in the
+    first interval, 32 in the second)."""
+    plans = _skip_plans(tp1, n, 2 * n + 0.5, lam, range(1, 4097))
+    assert plans[0].M == {2: 113, 3: 27}[n] and plans[-1].M == 4096
+    small = [blowup.plan_smallness(plan, tp1) for plan in plans]
+    assert all(b < a for a, b in zip(small, small[1:]))
 
 
 def _sphere_mean_oracle(s, a, b, n):
@@ -744,23 +770,32 @@ def _count_calls(monkeypatch, owner, name):
     return firsts
 
 
-@pytest.mark.parametrize("delta, M, small", [(1e-5, 100, 9.829764928615337e-06),
-                                             (1e-6, 193, 9.842208139262331e-07)],
-                         ids=["1e-05-100", "1e-06-193"])
-def test_certify_computes_smallness_only_where_it_can_pass(pot3, tp1, monkeypatch,
-                                                           delta, M, small):
-    """The M scan runs plan_smallness only where the floor is at most delta:
-    at most twice per certificate, the last at the certified M, which with
-    its smallness is the full scan's (regression constants).  The witness
-    passes, so its map is the sweep's: no monodromy call and no edge
-    bisection."""
+@pytest.mark.parametrize("delta, M_max, M, small", [
+    (1e-5, 256, 100, 9.829764928615337e-06),
+    (1e-6, 256, 193, 9.842208139262333e-07),
+    (1e-12, 40, 40, 0.0002414650356514646),
+], ids=["1e-05-100", "1e-06-193", "exhausted-40"])
+def test_phi_skip_scan_makes_no_direct_sum(pot3, tp1, monkeypatch, delta, M_max,
+                                           M, small):
+    """Growth first holds at M = 35, on the phi-skip path, so the M scan
+    computes the smallness at every M from there, by the polynomial alone:
+    no radial_pair_norm call.  It keeps the certified M and its smallness
+    (regression constants), or, exhausted, reports the last M's.  For the
+    certificates the witness passes, so its map is the sweep's: no
+    monodromy call and no edge bisection."""
     plans = _count_calls(monkeypatch, blowup, "plan_smallness")
+    sums = _count_calls(monkeypatch, blowup, "radial_pair_norm")
     monodromies = _count_calls(monkeypatch, floquet, "monodromy")
     bisections = _count_calls(monkeypatch, floquet, "instability_intervals")
-    cert = blowup.certify_blowup(tp1, pot3, (0.1, 60.0), delta)
-    assert (cert.plan.M, cert.smallness) == (M, small)
-    assert 1 <= len(plans) <= 2 and plans[-1] == cert.plan
-    assert monodromies == [] and bisections == []
+    if M < M_max:
+        cert = blowup.certify_blowup(tp1, pot3, (0.1, 60.0), delta)
+        assert (cert.plan.M, cert.smallness) == (M, small)
+        assert monodromies == [] and bisections == []
+    else:
+        with pytest.raises(ExhaustedSearchError) as info:
+            blowup.certify_blowup(tp1, pot3, (5.0, 17.0), delta, M_max=M_max)
+        assert info.value.best == (M, small)
+    assert plans[0].M == 35 and plans[-1].M == M and sums == []
 
 
 def test_certify_classes_the_good_lambda_once(pot3, tp1, monkeypatch):
@@ -772,21 +807,11 @@ def test_certify_classes_the_good_lambda_once(pot3, tp1, monkeypatch):
     assert cert.plan.M == 100 and len(classes) <= 2
 
 
-def test_exhausted_scan_computes_smallness_at_the_last_m(pot3, tp1, monkeypatch):
-    """With every M below the floor's reach, the failed search computes the
-    smallness it reports once, at the last M where growth holds."""
-    plans = _count_calls(monkeypatch, blowup, "plan_smallness")
-    with pytest.raises(ExhaustedSearchError) as info:
-        blowup.certify_blowup(tp1, pot3, (5.0, 17.0), 1e-12, M_max=40)
-    assert [plan.M for plan in plans] == [40]
-    assert info.value.best == (40, blowup.plan_smallness(plans[0], tp1))
-
-
 # (n, delta): M, smallness and predicted_v_M of certify_blowup(tp1,
 # sqrt-sin 0.5, (0.1, 60), delta) with one G call per M (regression
 # constants), and t_star of the bisection that the section search replaced.
 CERTIFIED = {
-    (3, 1e-3): (35, 0.00038753003459878247, 1.7391866930778275, 32.10653022007318),
+    (3, 1e-3): (35, 0.00038753003459878236, 1.7391866930778275, 32.10653022007318),
     (3, 1e-5): (100, 9.829764928615337e-06, 4.6961555099254194e+19, 39.34250890635303),
     (2, 1e-3): (87, 0.0009887876095654735, 39916.262041163944, 54.332152357237646),
 }

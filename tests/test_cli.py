@@ -540,6 +540,8 @@ def test_non_finite_inputs_exit_2_before_work(tmp_path, capsys, monkeypatch,
 
 
 _EX2 = ["--f", "example2:ell=4", "--epsilon", "0.5", "--t-end", "0.5", "--out", "x.csv"]
+_UNI1 = ["simulate", "--mode", "uniform", "--epsilon", "0.5", "--f", "example1:alpha=-1",
+         "--u1-val", "1", "--out", "x.csv"]
 
 
 @pytest.mark.parametrize("args, work, named", [
@@ -561,9 +563,11 @@ _EX2 = ["--f", "example2:ell=4", "--epsilon", "0.5", "--t-end", "0.5", "--out", 
       "--out", "x.csv"], "scipy.integrate.solve_ivp", "--u1-val"),
     (["simulate", "--mode", "uniform", "--epsilon", "0.5", "--u1-val", "inf",
       "--out", "x.csv"], "scipy.integrate.solve_ivp", "--u1-val"),
+    (_UNI1 + ["--u0-val", "2e8"], "scipy.integrate.solve_ivp", "|u0| < 1e+08"),
+    (_UNI1 + ["--u0-val", "-1e8"], "scipy.integrate.solve_ivp", "|u0| < 1e+08"),
 ], ids=["points-0", "n-0", "n-negative", "uniform-n-0", "offset-outside-domain",
         "amplitude-outside-domain", "uniform-outside-domain", "uniform-within-edge-floor",
-        "uniform-u1-nan", "uniform-u1-inf"])
+        "uniform-u1-nan", "uniform-u1-inf", "uniform-u0-past-cap", "uniform-u0-at-cap"])
 def test_simulate_invalid_setup_exit_2_before_work(tmp_path, capsys, monkeypatch,
                                                    args, work, named):
     """--points 0 ended in a ZeroDivisionError traceback, n < 1 ran the wave
@@ -571,7 +575,9 @@ def test_simulate_invalid_setup_exit_2_before_work(tmp_path, capsys, monkeypatch
     of example2, were evolved, and a non-finite --u1-val reached scipy's
     solver: each exits 2 before the stepper or the ODE solver starts, and
     writes no file.  So does a uniform start within the floor 2e-9 (1 + 1)
-    of example2's edge, where a run would end at once."""
+    of example2's edge, where a run would end at once, and one at or past
+    the escape cap |u| = 1e8, which a run at 2e8 never noticed (exit 0 with
+    all 400 samples) and one at -1e8 ended after 2."""
     monkeypatch.chdir(tmp_path)
     err = _exit_before_work(args, "simulate", monkeypatch, capsys, work=work)
     assert err["error"] == "ParameterError"

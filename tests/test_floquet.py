@@ -617,6 +617,27 @@ def test_exp_of_non_finite_delta_is_non_finite(bad):
         assert np.array_equal(got[:, :, i], _exp(p[i:i + 1], q[i:i + 1], r[i:i + 1])[:, :, 0])
 
 
+def test_exp_past_resolvable_angle_is_nan():
+    """A step with |delta| >= 2^57 turns through an angle sqrt|delta| that
+    its doublings resolve to no digit: its entries are nan (finite and
+    meaningless at delta = -2^200 before), while its neighbour at -2^56
+    keeps the finite entries it has alone."""
+    p, q, r = np.zeros(3), -np.ones(3), np.array([2.0**200, 2.0**57, 2.0**56])  # delta = -r
+    got = _exp(p, q, r)
+    assert np.all(np.isnan(got[:, :, :2]))
+    assert np.all(np.isfinite(got[:, :, 2]))
+    assert np.array_equal(got[:, :, 2], _exp(p[2:], q[2:], r[2:])[:, :, 0])
+
+
+def test_lambda_past_the_step_cap_fails_with_its_message(pot3):
+    """lambda = 1e60, whose steps all have |delta| >= 2^57, still fails at
+    the step cap, naming the cap, tol and lambda."""
+    with pytest.raises(IntegrationFailure) as info:
+        floquet.monodromy(pot3, 1e60)
+    assert str(info.value) == (f"{floquet._MAX_STEPS} Magnus steps leave X(1, 0) "
+                               f"above tol=1e-11 at lambda 1e+60")
+
+
 def test_product_tree_is_the_reference_tree():
     """The pairwise tree in its buffers multiplies exactly as the reference
     tree: same pairs, same order of terms, the same bits."""
