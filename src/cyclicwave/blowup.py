@@ -373,7 +373,8 @@ def exact_local_solution(plan, tp, m):
     v(t,x) = G(M^-S) + A M^-S W(t) (b(t)/b(0))^{n/2} cos(x.y), valid for
     0 <= t <= M and |x| <= M^{3/2} (so the cutoff edge cannot interfere).
     W(t) solves the Hill system through a floquet.Propagator of the
-    monodromy m, whose lambda and n must be the plan's; m.pot supplies b.
+    monodromy m (whole periods by floquet.periods, as certify_blowup's
+    W(M)), whose lambda and n must be the plan's; m.pot supplies b.
     Returns a callable v(t, x) for an array of t with one point x, or one
     t with an array of points, that checks the region once per call and
     raises ParameterError (naming the first t outside) beyond it.
@@ -413,7 +414,7 @@ class BlowupCertificate:
     smallness: float
     delta: float
     t_star: float
-    predicted_v_M: float  # closed-form v(M, 0)
+    predicted_v_M: float  # v(M, 0) from the scan's W(M) = 10^e w (floquet.periods)
     trajectory: list  # [(t, v(t, 0)), ...] at integer and half-integer t
 
     def to_json(self):
@@ -487,17 +488,17 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
     # G(M^-S) for every M in one call; G is elementwise, so each value is
     # the one a call at that M alone gives
     g0s = tp.G(np.array([float(M) ** (-S) for M in range(1, M_max + 1)]))
+    # W(M) = 10^e w for every M in one call, the W of the trajectory too
+    ws, _, es = floquet.periods(m, np.arange(1, M_max + 1), (0.0, 1.0))
 
-    plan = small = vals = None
+    plan = small = None
     for M in range(1, M_max + 1):
         # growth holds when |A M^-S W(M)| can reach from G(M^-S) to the endpoint
-        vals = floquet.multi_period_values(m, M)
-        g0 = float(g0s[M - 1])
-        if vals.W == 0.0 or not (
-                -S * math.log10(M) + math.log10(abs(vals.W)) + vals.log10_scale
-                >= math.log10(abs(target - g0))):
+        w, e, g0 = float(ws[M - 1]), int(es[M - 1]), float(g0s[M - 1])
+        if w == 0.0 or not (-S * math.log10(M) + math.log10(abs(w)) + e
+                            >= math.log10(abs(target - g0))):
             continue
-        plan = BlowupPlan(n, m.lam, S, M, A=direction * math.copysign(1.0, vals.W))
+        plan = BlowupPlan(n, m.lam, S, M, A=direction * math.copysign(1.0, w))
         small = plan_smallness(plan, tp)
         if small <= delta:
             break
@@ -505,7 +506,7 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
         if plan is None:
             raise ExhaustedSearchError(
                 f"growth never reaches the endpoint for M <= {M_max}",
-                best=(M_max, vals),
+                best=(M_max, math.log10(abs(ws[-1])) + int(es[-1]) if M_max >= 1 else None),
             )
         # plan and small are the last M's where growth holds
         raise ExhaustedSearchError(
@@ -534,8 +535,8 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
         ends = np.linspace(lo, hi, 65)
         i = int(np.argmax(np.append(crossed(v(ends[1:-1], origin)), True)))
         lo, hi = float(ends[i]), float(ends[i + 1])
-    # vals and g0 are the accepted M's
-    predicted = g0 + plan.A * plan.amplitude * vals.W * 10.0**vals.log10_scale
+    # w, e and g0 are the accepted M's
+    predicted = g0 + plan.A * plan.amplitude * w * 10.0**e
     return BlowupCertificate(
         plan=plan, m=m, tp=tp, smallness=small, delta=delta, t_star=hi,
         predicted_v_M=predicted, trajectory=trajectory,

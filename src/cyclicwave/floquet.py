@@ -10,7 +10,8 @@ many steps as its Richardson error estimate predicts it needs.  Every
 stage is elementwise in lambda, so a lambda's map does not depend on how
 a scan is batched, bit for bit.  A map X(t, 0) inside the period
 (Propagator) comes from the same N accepted steps: their prefix products,
-then one shorter step.
+then one shorter step.  Whole periods have one form (periods):
+X(1,0)^k x0 from Cayley-Hamilton, with a base-10 exponent past a float.
 """
 
 import functools
@@ -485,67 +486,61 @@ def find_good_lambda(pot, lams, tol=1e-11):
     )
 
 
-@dataclass(frozen=True)
-class MultiPeriodValues:
-    """Closed-form solution values after M periods.
+def periods(m, k, data):
+    """X(1, 0)^k x0 = 10^e (w_t, w) for whole k >= 0 (an array) and x0 =
+    (w0_t, w0) from data (w0, w0_t), floats or shaped like k: arrays
+    (w, w_t, e) shaped like k.
 
-    Actual values are W * 10**log10_scale and V * 10**log10_scale;
-    log10_scale is nonzero only when the plain floats would overflow.
+    det X = 1 gives X^k = (a_k X - a_{k-1} I) / delta by Cayley-Hamilton,
+    a_k = mu^k - mu^-k, delta = mu - 1/mu, mu = m.expanding (Magnus &
+    Winkler, Hill's Equation, 1966), with one scalar mu^k per distinct k.
+    e = floor(k log10 mu0) once k ln mu0 > 700, else 0; there the mu^-k
+    terms drop, and 10^-e mu^k comes from the float mu^k up to k ln mu0 =
+    709, then from 10^(k log10 mu0 - e), with an error like k log10 mu0 eps.
+    k = 0 gives the data exactly, for any m.  ParameterError unless every k
+    is whole and >= 0, and before any work when a k >= 1 meets an m whose
+    kind is not 'unstable' (no real multipliers).
     """
-
-    W: float
-    V: float
-    log10_scale: float = 0.0
-
-
-def multi_period_values(m, M):
-    """W(M) and V(M) for the fundamental pair, from the monodromy matrix.
-
-    Derived from the eigendecomposition of X(1,0) with multipliers mu,
-    1/mu:
-
-        W(M) = b21 (mu^M - mu^-M) / (mu - 1/mu)
-        V(M) = (mu^M (b22 - 1/mu) - mu^-M (b22 - mu)) / (mu - 1/mu)
-
-    At M = 1 they reduce to W(1) = b21 and V(1) = b22.
-    """
-    M = int(M)
-    if M < 1:
-        raise ParameterError(f"M must be a positive integer, got {M}")
+    k = np.asarray(k, dtype=float)
+    w0, w0_t = (np.broadcast_to(np.asarray(d, dtype=float), k.shape) for d in data)
+    whole = (k >= 0.0) & (k == np.floor(k))
+    if not whole.all():
+        raise ParameterError(f"periods need whole k >= 0, got {np.extract(~whole, k)[0]}")
+    past = k >= 1.0
+    if not past.any():
+        return np.array(w0), np.array(w0_t), np.zeros(k.shape, dtype=int)
     if m.kind != "unstable":
-        raise ParameterError("multi-period closed forms require an unstable lambda")
-    mu = m.expanding
-    if abs(m.b21) == 0.0 or abs(m.b22 - 1.0 / mu) == 0.0:
-        raise ParameterError("closed forms require b21 != 0 and b22 != 1/mu")
+        raise ParameterError(f"k={np.extract(past, k)[0]} periods need real multipliers, "
+                             f"and the monodromy at lambda={m.lam!r} is {m.kind}")
+    mu, ln_mu = m.expanding, math.log(m.mu0)
+    ks, inv = np.unique(k, return_inverse=True)
+    coef = []  # (a_k, a_{k-1}, e) per distinct k
+    for j in ks.astype(int).tolist():
+        e = math.floor(j * math.log10(m.mu0)) if j * ln_mu > 700.0 else 0
+        if j * ln_mu < 709.0:  # a_k as written, over 10^e
+            muk, muk1 = mu**j, mu ** (j - 1)
+            coef.append(((muk - 1.0 / muk) / 10.0**e, (muk1 - 1.0 / muk1) / 10.0**e, e))
+        else:
+            s = m.sign**j * 10.0 ** (j * math.log10(m.mu0) - e)
+            coef.append((s, s / mu, e))
+    ak, ak1, e = np.array(coef).T[:, inv.ravel()].reshape((3,) + k.shape)
     delta = mu - 1.0 / mu
-    if M * math.log(m.mu0) > 700.0:
-        # overflow guard: drop the mu^-M terms (relatively ~ mu^-2M) and
-        # return mantissa/exponent form
-        e = M * math.log10(m.mu0)
-        efrac = e - math.floor(e)
-        s = m.sign**M * 10.0**efrac
-        return MultiPeriodValues(
-            W=m.b21 * s / delta,
-            V=(m.b22 - 1.0 / mu) * s / delta,
-            log10_scale=math.floor(e),
-        )
-    muM = mu**M
-    W = m.b21 * (muM - 1.0 / muM) / delta
-    V = (muM * (m.b22 - 1.0 / mu) - (m.b22 - mu) / muM) / delta
-    return MultiPeriodValues(W=W, V=V)
+    w = np.where(past, (ak * (m.b21 * w0_t + m.b22 * w0) - ak1 * w0) / delta, w0)
+    w_t = np.where(past, (ak * (m.b11 * w0_t + m.b12 * w0) - ak1 * w0_t) / delta, w0_t)
+    return w, w_t, e.astype(int)
 
 
 class Propagator:
     """Solutions of the Hill system at m.lam from any data at t = 0.
 
     x(t) = X(frac, 0) X(1, 0)^k x0 with t = k + frac: the integer periods
-    are a power of the monodromy m, and X(frac, 0) comes from the m.steps
-    equal Magnus steps that made m, on m.pot at m.lam.  Their prefix
-    products X(j/N, 0), j = 0 .. N, are made once, by a log-depth scan;
-    X(frac, 0) is one Magnus step of length frac - j/N < 1/N from the node
-    j/N below frac, times X(j/N, 0).  That step is shorter than the
-    accepted ones, so its local error is smaller (sixth order), and one of
-    length 0 is I exactly, so a t on a node reads the node.
+    are periods(m, k, data), and X(frac, 0) comes from the m.steps equal
+    Magnus steps that made m, on m.pot at m.lam.  Their prefix products
+    X(j/N, 0), j = 0 .. N, are made once, by a log-depth scan; X(frac, 0)
+    is one Magnus step of length frac - j/N < 1/N from the node j/N below
+    frac, times X(j/N, 0).  That step is shorter than the accepted ones, so
+    its local error is smaller (sixth order), and one of length 0 is I
+    exactly, so a t on a node reads the node.
     """
 
     def __init__(self, m):
@@ -562,8 +557,10 @@ class Propagator:
 
     def __call__(self, t, data):
         """Solution (w, w_t) at each time t >= 0, a float or an array, from
-        data (w0, w0_t), both shaped like t.  The products are stacked, so
-        every entry has the bits of a call at its t alone."""
+        data (w0, w0_t), both shaped like t: X(frac, 0) times periods' state,
+        times 10.0**e; OverflowError names the first t past a float.  The
+        products are stacked, so every entry has the bits of a call at its t
+        alone."""
         t = np.asarray(t, dtype=float)
         if not (t >= 0.0).all():
             raise ParameterError(
@@ -571,19 +568,18 @@ class Propagator:
         k = np.floor(t + 1e-13)
         frac = t - k
         frac = np.where(frac < 1e-13, 0.0, frac)
+        w, w_t, e = periods(self.m, k, data)
         m, n = self.m, self.m.steps
-        over = k * math.log(m.mu0) > 700.0
-        if over.any():
-            raise OverflowError(
-                f"monodromy power overflows at t={np.extract(over, t)[0]} (use "
-                "multi_period_values for mantissa/exponent form)")
-        powers = {j: np.linalg.matrix_power(m.matrix, int(j)) for j in set(k.flat)}
-        powers = np.array([powers[j] for j in k.flat]).reshape(k.shape + (2, 2))
         node = np.floor(frac * n).ravel()
         maps = (_step_maps(m.pot, m.lam, node / n, frac.ravel() - node / n)
                 @ self._nodes[node.astype(int)]).reshape(k.shape + (2, 2))
-        x = maps @ (powers @ np.array([data[1], data[0]], dtype=float))[..., None]
-        return x[..., 1, 0][()], x[..., 0, 0][()]
+        x = (maps @ np.stack([w_t, w], axis=-1)[..., None])[..., 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = x * 10.0 ** e[..., None]
+        over = ~np.isfinite(x).all(axis=-1)
+        if over.any():
+            raise OverflowError(f"the solution overflows a float at t={np.extract(over, t)[0]}")
+        return x[..., 1][()], x[..., 0][()]
 
 
 def _step_maps(pot, lam, t0, h):
@@ -599,7 +595,7 @@ def _step_maps(pot, lam, t0, h):
 def propagate(m, t, data):
     """Solution (w, w_t) at time t >= 0 from data (w0, w0_t) at t = 0.
 
-    One evaluation of a fresh Propagator(m); callers that evaluate many
-    times at one lambda should keep a Propagator instead.
+    A fresh Propagator(m), whole periods by periods, at t; callers that
+    evaluate many times at one lambda should keep one instead.
     """
     return Propagator(m)(t, data)

@@ -1,6 +1,6 @@
 """The Hill system's fundamental matrix from scipy's DOP853, independent
 of floquet's Magnus propagator.  Tests compare monodromy, trace_curve,
-Propagator and the multi-period closed forms against it.
+Propagator and the whole periods of floquet.periods against it.
 """
 from scipy.integrate import solve_ivp
 

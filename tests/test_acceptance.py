@@ -65,9 +65,11 @@ def test_criterion_3_multi_period_closed_forms(pot3):
     at the witness lambda."""
     m = floquet.monodromy(pot3, LAM_WITNESS, tol=1e-12)
     pair = FundamentalPair(pot3, LAM_WITNESS, tol=1e-12)
-    vals = floquet.multi_period_values(m, 10)
-    assert vals.W == pytest.approx(pair.W(10.0), rel=1e-8)
-    assert vals.V == pytest.approx(pair.V(10.0), rel=1e-8)
+    # W and V are the w of X(1,0)^10 x0 from the data (w, w_t) = (0, 1) and (1, 0)
+    (W, V), _, e = floquet.periods(m, [10, 10], ([0.0, 1.0], [1.0, 0.0]))
+    assert e.tolist() == [0, 0]
+    assert W == pytest.approx(pair.W(10.0), rel=1e-8)
+    assert V == pytest.approx(pair.V(10.0), rel=1e-8)
 
 
 def _substitution_residual(pot, qfun, lam, w0, wt0):

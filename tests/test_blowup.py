@@ -509,8 +509,8 @@ def test_local_solution_initial_values(local_solution, tp1):
 def test_local_solution_multi_period_value(local_solution, tp1, pot3):
     plan, sol = local_solution
     m = floquet.monodromy(pot3, LAM_WITNESS, tol=1e-12)
-    W_M = floquet.multi_period_values(m, plan.M).W
-    expect = float(tp1.G(plan.amplitude)) + plan.A * plan.amplitude * W_M
+    (W_M,), _, (e,) = floquet.periods(m, [plan.M], (0.0, 1.0))
+    expect = float(tp1.G(plan.amplitude)) + plan.A * plan.amplitude * W_M * 10.0**e
     assert sol(float(plan.M), np.zeros(3)) == pytest.approx(expect, rel=1e-9)
 
 
@@ -670,7 +670,11 @@ def test_certify_exhausted_search_reports_best(pot3, tp1):
     with pytest.raises(ExhaustedSearchError) as info:
         blowup.certify_blowup(tp1, pot3, (5.0, 17.0), 1e-3, M_max=3)
     assert "growth never reaches" in str(info.value)
-    assert info.value.best[0] == 3
+    # (M_max, log10|W(M_max)|): a plain tuple of the last M's growth
+    m = floquet.find_good_lambda(pot3, floquet.scan_grid((5.0, 17.0), 400))
+    (w,), _, _ = floquet.periods(m, [3], (0.0, 1.0))
+    assert info.value.best == (3, math.log10(abs(w)))
+    assert type(info.value.best[1]) is float
 
 
 def _skip_plans(tp, n, S, lam, Ms):
@@ -799,9 +803,9 @@ def test_phi_skip_scan_makes_no_direct_sum(pot3, tp1, monkeypatch, delta, M_max,
 
 
 def test_certify_classes_the_good_lambda_once(pot3, tp1, monkeypatch):
-    """Monodromy.kind is made once per Monodromy: the M scan's
-    multi_period_values reads the good lambda's class, made by the
-    search, at every M without recomputing it."""
+    """Monodromy.kind is made once per Monodromy: the M scan's periods
+    call and every Propagator call read the good lambda's class, made by
+    the search, without recomputing it."""
     classes = _count_calls(monkeypatch, floquet, "trace_class")
     cert = blowup.certify_blowup(tp1, pot3, (0.1, 60.0), 1e-5)
     assert cert.plan.M == 100 and len(classes) <= 2
@@ -891,8 +895,8 @@ def test_m_scan_makes_one_g_call(certified, monkeypatch):
     assert (cert.plan.M, cert.smallness, cert.predicted_v_M) == (M, small, predicted)
     plan = cert.plan
     g0 = cert.tp.G(np.array([M ** -plan.S]))[0]
-    vals = floquet.multi_period_values(cert.m, M)
-    assert cert.predicted_v_M == g0 + plan.A * plan.amplitude * vals.W * 10.0**vals.log10_scale
+    (w,), _, (e,) = floquet.periods(cert.m, [M], (0.0, 1.0))
+    assert cert.predicted_v_M == g0 + plan.A * plan.amplitude * w * 10.0**int(e)
 
     sizes = []
     real = transform.TransformPair.G
@@ -905,6 +909,20 @@ def test_m_scan_makes_one_g_call(certified, monkeypatch):
     again = blowup.certify_blowup(cert.tp, cert.m.pot, (0.1, 60.0), key[1])
     assert sizes == [256, 1]  # the M scan's one call, then exact_local_solution's
     assert again.t_star == cert.t_star and again.plan.M == M
+
+
+def test_trajectory_reads_the_scans_w(certified):
+    """One W(M): the Propagator at t = M gives, bit for bit, the W(M) =
+    10^e w of the M scan's periods call, which the growth test reads, and
+    predicted_v_M is G(M^-S) + A M^-S times it."""
+    key, cert, _ = certified
+    plan = cert.plan
+    ws, _, es = floquet.periods(cert.m, np.arange(1, 257), (0.0, 1.0))
+    W = ws[plan.M - 1] * 10.0 ** int(es[plan.M - 1])
+    got = floquet.Propagator(cert.m)(float(plan.M), (0.0, 1.0))[0]
+    assert np.float64(got).tobytes() == np.float64(W).tobytes()
+    g0 = cert.tp.G(np.array([plan.M ** -plan.S]))[0]
+    assert cert.predicted_v_M == g0 + plan.A * plan.amplitude * got
 
 
 def test_trajectory_is_one_array_call(certified, monkeypatch):

@@ -360,31 +360,72 @@ def test_monodromy_refuses_det_off_one(pot3):
 
 
 def test_multi_period_closed_form(pot3, mono_witness):
-    """W(10), V(10) from the multiplier closed forms against direct
-    10-period integration of the fundamental pair."""
+    """W(10) and V(10), the w of periods from the data (w, w_t) = (0, 1)
+    and (1, 0), against direct 10-period integration of the fundamental
+    pair."""
     pair = FundamentalPair(pot3, LAM_WITNESS, tol=1e-12)
-    vals = floquet.multi_period_values(mono_witness, 10)
-    assert vals.log10_scale == 0.0
-    assert vals.W == pytest.approx(pair.W(10.0), rel=1e-8)
-    assert vals.V == pytest.approx(pair.V(10.0), rel=1e-8)
+    (W, V), _, e = floquet.periods(mono_witness, [10, 10], ([0.0, 1.0], [1.0, 0.0]))
+    assert e.tolist() == [0, 0]
+    assert W == pytest.approx(pair.W(10.0), rel=1e-8)
+    assert V == pytest.approx(pair.V(10.0), rel=1e-8)
 
 
 def test_multi_period_m1_reduction(mono_witness):
-    vals = floquet.multi_period_values(mono_witness, 1)
-    assert vals.W == pytest.approx(mono_witness.b21, rel=1e-12)
-    assert vals.V == pytest.approx(mono_witness.b22, rel=1e-12)
+    """One period is X(1, 0) itself; k = 0 gives the data bit for bit, at
+    any lambda, and k >= 1 is refused where the multipliers are not real."""
+    (W, V), (W_t, V_t), _ = floquet.periods(mono_witness, [1, 1], ([0.0, 1.0], [1.0, 0.0]))
+    assert [W, V, W_t, V_t] == pytest.approx(
+        [mono_witness.b21, mono_witness.b22, mono_witness.b11, mono_witness.b12], rel=1e-12)
+    stable = floquet.monodromy(coeffs.HillPotential(coeffs.sqrt_sin(0.3), 2), 7.25, tol=1e-9)
+    data = (np.array([0.3, -0.0, 1e-300]), np.array([-1.2, 5.0, -0.0]))
+    for m in (mono_witness, stable):
+        w, w_t, e = floquet.periods(m, np.zeros(3), data)
+        assert np.array([w, w_t]).tobytes() == np.array(data).tobytes()
+        assert e.tolist() == [0, 0, 0]
+    with pytest.raises(ParameterError, match=r"^k=2\.0 periods .* is stable$"):
+        floquet.periods(stable, [0, 2, 3], (0.0, 1.0))
+    with pytest.raises(ParameterError, match=r"got 1\.5$"):
+        floquet.periods(mono_witness, [1, 1.5, -1], (0.0, 1.0))
 
 
 def test_multi_period_overflow_guard(mono_witness):
-    vals = floquet.multi_period_values(mono_witness, 3000)
-    assert vals.log10_scale > 0.0
-    assert math.isfinite(vals.W) and math.isfinite(vals.V)
-    # reconstructed magnitude: log10|W(3000)| = log10|W| + scale
-    mu0 = mono_witness.mu0
-    expect = 3000.0 * math.log10(mu0) + math.log10(
-        abs(mono_witness.b21) / (mu0 - 1.0 / mu0))
-    got = math.log10(abs(vals.W)) + vals.log10_scale
-    assert got == pytest.approx(expect, abs=1e-6)
+    """Past k ln mu0 > 700, W(k) = 10^e w with a finite w: at k = 3000 its
+    magnitude is the closed form's; at every k with 700 < k ln mu0 < 709,
+    where the plain floats exist too, w 10^e is the unscaled closed form
+    b21 (mu^k - mu^-k) / (mu - 1/mu) within 4 ulp."""
+    m = mono_witness
+    (W, V), _, (e, _) = floquet.periods(m, [3000, 3000], ([0.0, 1.0], [1.0, 0.0]))
+    assert e > 0 and math.isfinite(W) and math.isfinite(V)
+    # reconstructed magnitude: log10|W(3000)| = log10|w| + e
+    mu0 = m.mu0
+    expect = 3000.0 * math.log10(mu0) + math.log10(abs(m.b21) / (mu0 - 1.0 / mu0))
+    assert math.log10(abs(W)) + e == pytest.approx(expect, abs=1e-6)
+
+    ks = np.arange(math.floor(700.0 / math.log(mu0)) + 1, math.ceil(709.0 / math.log(mu0)))
+    assert ks.size > 5 and ks[0] * math.log(mu0) > 700.0 > (ks[0] - 1) * math.log(mu0)
+    w, _, e = floquet.periods(m, ks, (0.0, 1.0))
+    mu, plain = m.expanding, []
+    for k in ks.tolist():
+        muk = mu**k
+        plain.append(m.b21 * (muk - 1.0 / muk) / (mu - 1.0 / mu))
+    assert np.all(e > 300)
+    assert np.all(np.abs(w * 10.0**e - plain) <= 4.0 * np.spacing(np.abs(plain)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_periods_stay_near_matrix_power(b05, n):
+    """Every X(1, 0)^k of periods, up to the last k with k ln mu0 <= 700
+    (882 at n = 3, 1774 at n = 2), lies within 6 k eps max|X^k| of numpy's
+    matrix_power at the reference good lambda (measured: 5.42 at k = 880,
+    n = 3): the Cayley-Hamilton coefficients carry mu's rounding k times."""
+    m = floquet.find_good_lambda(coeffs.HillPotential(b05, n), floquet.scan_grid((0.1, 60.0), 400))
+    ks = np.arange(1, math.floor(700.0 / math.log(m.mu0)) + 1)
+    assert ks[-1] == {2: 1774, 3: 882}[n]
+    (W, V), (W_t, V_t), e = floquet.periods(m, np.stack([ks, ks]), ([[0.0], [1.0]], [[1.0], [0.0]]))
+    assert not e.any()
+    for k, X in zip(ks.tolist(), np.array([[W_t, V_t], [W, V]]).transpose(2, 0, 1)):
+        power = np.linalg.matrix_power(m.matrix, k)
+        assert np.max(np.abs(X - power)) <= 6.0 * k * np.finfo(float).eps * np.max(np.abs(power))
 
 
 def test_propagate_matches_direct(pot3, mono_witness):
@@ -410,60 +451,80 @@ def test_propagate_linearity(pot3, mono_witness):
 def test_propagator_integrates_with_the_monodromys_pot_and_tol(monkeypatch):
     """Fractional maps come from m.pot at m.lam on the m.steps accepted
     steps of the monodromy's own integration, and no step controller runs
-    again: nothing else is passed that could disagree with it."""
+    again: nothing else is passed that could disagree with it.  At the
+    stable lambda 7.25 that holds in the first period, and a t past it is
+    refused before any step; at the unstable 10.0, past it too."""
     pot = coeffs.HillPotential(coeffs.sqrt_sin(0.3), 2)
-    m = floquet.monodromy(pot, 7.25, tol=1e-9)
-    seen = []
     real = floquet._step_maps
-
-    def recorded(pot, lam, t0, h):
-        seen.append((pot, lam, t0.copy(), h.copy()))
-        return real(pot, lam, t0, h)
 
     def no_controller(*args):
         raise AssertionError("Propagator ran the step controller")
 
-    monkeypatch.setattr(floquet, "_step_maps", recorded)
+    ms = [floquet.monodromy(pot, lam, tol=1e-9) for lam in (7.25, 10.0)]
+    assert [m.kind for m in ms] == ["stable", "unstable"]
     monkeypatch.setattr(floquet, "_fundamental", no_controller)
-    prop = floquet.Propagator(m)
-    prop(np.array([2.5, 3.3, 4.0]), (0.0, 1.0))
-    assert len(seen) == 2 and all(p is pot and lam == 7.25 for p, lam, _, _ in seen)
-    (_, _, t0, h), (_, _, t0_rest, h_rest) = seen
-    assert np.array_equal(t0, np.arange(m.steps) / m.steps)
-    assert np.all(h == 1.0 / m.steps)
-    # 2.5 and 4.0 are nodes (a step of length 0); 3.3 is one shorter step
-    # past the node below it
-    assert np.all(h_rest[[0, 2]] == 0.0) and 0.0 < h_rest[1] < 1.0 / m.steps
-    assert t0_rest + h_rest == pytest.approx([0.5, 0.3, 0.0], abs=1e-15)
+    for m, t in zip(ms, ([0.5, 0.3, 0.0], [2.5, 3.3, 4.0])):
+        seen = []
+
+        def recorded(pot, lam, t0, h):
+            seen.append((pot, lam, t0.copy(), h.copy()))
+            return real(pot, lam, t0, h)
+
+        monkeypatch.setattr(floquet, "_step_maps", recorded)
+        prop = floquet.Propagator(m)
+        prop(np.array(t), (0.0, 1.0))
+        assert len(seen) == 2 and all(p is pot and lam == m.lam for p, lam, _, _ in seen)
+        (_, _, t0, h), (_, _, t0_rest, h_rest) = seen
+        assert np.array_equal(t0, np.arange(m.steps) / m.steps)
+        assert np.all(h == 1.0 / m.steps)
+        # 0.5 and 0.0 (2.5 and 4.0) are nodes (a step of length 0); 0.3 (3.3)
+        # is one shorter step past the node below it
+        assert np.all(h_rest[[0, 2]] == 0.0) and 0.0 < h_rest[1] < 1.0 / m.steps
+        assert t0_rest + h_rest == pytest.approx([0.5, 0.3, 0.0], abs=1e-15)
+    prop = floquet.Propagator(ms[0])
+    seen.clear()
+    with pytest.raises(ParameterError, match=r"^k=2\.0 periods"):
+        prop(np.array([0.5, 2.5, 3.3]), (0.0, 1.0))
+    assert seen == []
 
 
 def test_propagator_takes_arrays_of_t(mono_witness, monkeypatch):
     """An array of t, here 2-D with t = 0, whole periods and repeated
-    phases, gives (w, w_t) shaped like t with the bits of per-element float
-    calls, and runs no step controller; an empty array gives empty
-    arrays.  The errors name the first negative t and the first t whose
-    monodromy power overflows."""
+    phases, and data of floats or shaped like t, gives (w, w_t) shaped like
+    t with the bits of per-element float calls, and runs no step
+    controller; an empty array gives empty arrays.  At the stable lambda
+    7.25 the array stays in the first period, and a t past it is refused,
+    naming its whole periods; at the unstable 10.0 it runs to 7.75.  The
+    errors name the first negative t and the first t whose value is not a
+    finite float."""
     pot = coeffs.HillPotential(coeffs.sqrt_sin(0.3), 2)
-    m = floquet.monodromy(pot, 7.25, tol=1e-9)
-    t = np.array([[0.0, 2.0, 2.25, 5.25], [3.0, 0.75, 0.25, 7.75]])
+    stable, unstable = (floquet.monodromy(pot, lam, tol=1e-9) for lam in (7.25, 10.0))
     data = (0.3, -1.2)
 
     def no_controller(*args):
         raise AssertionError("Propagator ran the step controller")
 
     monkeypatch.setattr(floquet, "_fundamental", no_controller)
-    w, w_t = floquet.Propagator(m)(t, data)
-    assert w.shape == w_t.shape == t.shape
-    for i in np.ndindex(t.shape):
-        one = floquet.Propagator(m)(float(t[i]), data)
-        assert all(isinstance(v, float) for v in one)
-        assert np.array([w[i], w_t[i]]).tobytes() == np.array(one).tobytes()
-    empty = floquet.Propagator(m)(np.array([]), data)
+    for m, t in ((stable, [[0.0, 0.5, 0.25, 0.125], [0.0, 0.75, 0.25, 0.75]]),
+                 (unstable, [[0.0, 2.0, 2.25, 5.25], [3.0, 0.75, 0.25, 7.75]])):
+        t = np.array(t)
+        # data of floats, then data shaped like t, an entry's own per t
+        for d in (data, (0.3 + t, -1.2 - t)):
+            w, w_t = floquet.Propagator(m)(t, d)
+            assert w.shape == w_t.shape == t.shape
+            for i in np.ndindex(t.shape):
+                one_d = tuple(np.broadcast_to(x, t.shape)[i] for x in d)
+                one = floquet.Propagator(m)(float(t[i]), one_d)
+                assert all(isinstance(v, float) for v in one)
+                assert np.array([w[i], w_t[i]]).tobytes() == np.array(one).tobytes()
+    with pytest.raises(ParameterError, match=r"^k=2\.0 periods .* is stable$"):
+        floquet.Propagator(stable)(np.array([0.5, 2.25, 5.0]), data)
+    empty = floquet.Propagator(stable)(np.array([]), data)
     assert [v.shape for v in empty] == [(0,), (0,)]
     with pytest.raises(ParameterError, match=r"got -0\.5$"):
-        floquet.Propagator(m)(np.array([1.0, -0.5, -2.0]), data)
+        floquet.Propagator(stable)(np.array([1.0, -0.5, -2.0]), data)
     t_over = 800.0 / math.log(mono_witness.mu0)
-    with pytest.raises(OverflowError, match=rf"at t={t_over + 0.5} "):
+    with pytest.raises(OverflowError, match=rf"at t={t_over + 0.5}$"):
         floquet.Propagator(mono_witness)(np.array([1.0, t_over + 0.5, 2 * t_over]), data)
 
 
@@ -672,9 +733,17 @@ def _map(prop, t):
        tol=_TOLS)
 def test_fractional_map_property(b05, n, lam, t1, tol):
     """X(t1, 0) over three periods, as Propagator reads it, agrees with the
-    DOP853 oracle within 10 times its error estimate."""
+    DOP853 oracle within 10 times its error estimate.  Where the lambda is
+    not unstable, X(t1, 0) is refused past the first period, and t1 / 4,
+    inside it, is checked instead."""
     pot = coeffs.HillPotential(b05, n)
-    X = _map(floquet.Propagator(floquet.monodromy(pot, lam, tol)), t1)
+    prop = floquet.Propagator(floquet.monodromy(pot, lam, tol))
+    if prop.m.kind != "unstable":
+        if t1 >= 1.0:
+            with pytest.raises(ParameterError, match="periods need real multipliers"):
+                _map(prop, t1)
+        t1 /= 4.0
+    X = _map(prop, t1)
     ref = FundamentalPair(pot, lam, tol=_ORACLE_TOL).matrix(t1)
     assert np.max(np.abs(X - ref)) <= 10.0 * tol * (1.0 + np.max(np.abs(ref)))
 
@@ -683,12 +752,15 @@ def test_fractional_map_property(b05, n, lam, t1, tol):
 @pytest.mark.parametrize("tol", [1e-11, 1e-9])
 def test_fractional_map_meets_the_power_at_the_period(pot3, tol, k):
     """Just before t = k + 1 the fractional path (node N - 1 and a step of
-    nearly 1/N) and at t = k + 1 the power path (X(1, 0)^(k + 1)) agree
-    within 100 tol (1 + max|X(1, 0)^(k + 1)|)."""
+    nearly 1/N) and at t = k + 1 the power path (X(1, 0)^(k + 1), by
+    periods) agree within 100 tol (1 + max|X(1, 0)^(k + 1)|).  The power is
+    numpy's matrix_power within 6 (k + 1) eps max|X^(k + 1)| (at most 2.3
+    here)."""
     m = floquet.monodromy(pot3, LAM_WITNESS, tol)
     prop = floquet.Propagator(m)
     before, at = _map(prop, k + 1 - 2e-13), _map(prop, k + 1.0)
-    assert np.array_equal(at, np.linalg.matrix_power(m.matrix, k + 1))
+    power = np.linalg.matrix_power(m.matrix, k + 1)
+    assert np.max(np.abs(at - power)) <= 6.0 * (k + 1) * np.finfo(float).eps * np.max(np.abs(power))
     assert np.max(np.abs(before - at)) <= 100.0 * tol * (1.0 + np.max(np.abs(at)))
 
 
