@@ -76,7 +76,7 @@ class BlowupPlan:
     A: float = 1.0
 
     def __post_init__(self):
-        if self.M < 1 or self.M != int(self.M):
+        if not (self.M >= 1 and float(self.M).is_integer()):
             raise ParameterError(f"M must be a positive integer, got {self.M}")
         if not self.S > 2 * self.n:
             raise ParameterError(
@@ -174,22 +174,17 @@ def _simpson_weights(n, h):
     return w * (h / 3.0)
 
 
-def _sphere_mean_weight(s, a, bcoef, n):
-    """Average of (a + b cos theta)^s over the unit sphere S^{n-1}, theta
-    the angle to a fixed axis, for integer s >= 0 (else ParameterError)
-    and a >= b >= 0: a^s sum_j C(s, 2j) c_j (b/a)^{2j} by Horner's rule,
-    with c_j = 1 3 ... (2j-1) / (n (n+2) ... (n+2j-2)) the sphere mean of
-    cos^{2j} theta: 1/(2j+1) for n = 3, C(2j, j)/4^j for n = 2 (Folland,
-    Amer. Math. Monthly 108, 2001).  No term is negative, so nothing
-    cancels, and the sum is at least its j = 0 term a^s.
-    """
+def _sphere_mean_weight(s, n):
+    """The moments C(s, 2j) c_j, j <= s/2, of the mean of (1 + beta cos
+    theta)^s over S^{n-1} (theta the angle to an axis) at beta^{2j}, for
+    integer s >= 0 (else ParameterError): c_j = 1 3 ... (2j-1) / (n (n+2)
+    ... (n+2j-2)), the mean of cos^{2j} theta, is 1/(2j+1) for n = 3 and
+    C(2j, j)/4^j for n = 2 (Folland, Amer. Math. Monthly 108, 2001).  None
+    is negative, so nothing cancels."""
     if not (s >= 0 and float(s).is_integer()):
         raise ParameterError(f"the sphere mean needs an integer s >= 0, got {s}")
-    total, ratio_sq = 0.0, (bcoef / a) ** 2
-    for j in range(int(s) // 2, -1, -1):
-        coef = math.comb(int(s), 2 * j) * math.prod(range(1, 2 * j, 2))
-        total = total * ratio_sq + coef / math.prod(range(n, n + 2 * j, 2))
-    return a**s * total
+    return [math.comb(int(s), 2 * j) * math.prod(range(1, 2 * j, 2))
+            / math.prod(range(n, n + 2 * j, 2)) for j in range(int(s) // 2 + 1)]
 
 
 def radial_head(hat):
@@ -246,13 +241,60 @@ def _exp_phi_series(tp, amp):
 
 
 def _shell_unit(n):
-    """(2 pi)^-n |S^{n-1}|, with |S^1| = 2 pi and |S^2| = 4 pi."""
+    """(2 pi)^-n |S^{n-1}|, with |S^1| = 2 pi and |S^2| = 4 pi: the radial
+    smallness is for n = 2 or 3, and any other n is a ParameterError."""
+    if n not in (2, 3):
+        raise ParameterError(f"radial smallness is for n = 2 or 3, got n = {n}")
     return (2.0 * np.pi) ** -n * (2.0 * np.pi * (n - 1))
+
+
+@functools.cache
+def _sum_weights(size, n, lam, s):
+    """_pair_sums' factors, which no profile enters, once per (size, n, lam,
+    s): w_k k^{n-1}, the rows (k pi/16)^{2j}, j <= s + 1, and the s + 2
+    coefficients in x of (1 + rho^2)^{s+1} and of the sphere mean
+    sum_i C(s, 2i) c_i (1 + lam + rho^2)^{s-2i} (4 lam rho^2)^i."""
+    from numpy.polynomial import Polynomial
+
+    moments = _sphere_mean_weight(s, n)
+    k = np.arange(size, dtype=float)
+    w = _simpson_weights(size, 1.0) * k ** (n - 1)
+    powers = ((k * np.pi / 16.0) ** 2) ** np.arange(int(s) + 2)[:, None]
+    shift, mod = Polynomial([1.0 + lam, 1.0]), Polynomial([0.0, 4.0 * lam])
+    ang = sum(coef * shift ** int(s - 2 * i) * mod**i for i, coef in enumerate(moments))
+    ang = np.append(ang.coef, 0.0)  # a zero top coefficient leaves Horner's rule exact
+    return w, powers, (Polynomial([1.0, 1.0]) ** int(s + 1)).coef, ang
+
+
+def _pair_sums(h0, h1, lam, s, n):
+    """radial_pair_norm's g0, g1 and cross sums as polynomials in x = (2/R)^2
+    (columns a, b, c), with rho_k^2 = (k pi/16)^2 x: the coefficient of x^j
+    is the moment sum_k w_k k^{n-1} (k pi/16)^{2j} of h0_k^2 (h1_k^2, |h1_k|)
+    up to h0's length, the cut, times the x^j coefficient of (1 +
+    rho^2)^{s+1} (of the sphere mean); no term is negative."""
+    w, powers, grow, ang = _sum_weights(h0.size, n, lam, s)
+    h1 = h1[: h0.size]
+    # np.sum's pairwise order keeps each sum within about an eps of exact
+    sq0 = (powers * (w * h0 * h0)).sum(axis=1)
+    sq1 = (powers * (w * h1 * h1)).sum(axis=1)
+    ab1 = (powers * np.abs(w * h1)).sum(axis=1)
+    return np.stack([grow * sq0, ang * sq1, ang * ab1], axis=1)
+
+
+def _pair_norm(coefs, x, far, scale, unit, R, n):
+    """scale (pi/8R)^{n/2} (sqrt(unit a) + sqrt(unit/2 b + unit 1.5 far c)),
+    _pair_sums' a, b, c at x: the norm sum for transforms scale h0, scale h1,
+    far the maximum of |h1| from _far_index on, unit = _shell_unit(n)."""
+    from numpy.polynomial.polynomial import polyval
+
+    a, b, c = polyval(x, coefs)
+    root = math.sqrt(unit * a) + math.sqrt(unit / 2.0 * b + unit * (1.5 * far) * c)
+    return scale * (np.pi / (_RADIAL_PAD * R)) ** (n / 2.0) * root
 
 
 def radial_pair_norm(h0, h1, lam, s, R, n):
     """H^{s+1} x H^s norm sum for (g0(|x|), g1(|x|) cos(x.y)) on R^n, n = 2
-    or 3.
+    or 3 (else ParameterError).
 
     |y|^2 = lam; both fields are supported in |x| <= R.  h0 is g0's
     radial_head, whose length sets the cut of every rho integral, and h1
@@ -262,34 +304,13 @@ def radial_pair_norm(h0, h1, lam, s, R, n):
     transform directly, the modulated g1 via the average of (1 + |xi|^2)^s
     over spheres (the shift by +-y enters through its exact binomial sum,
     _sphere_mean_weight); the hat-g1(|xi-y|) hat-g1(|xi+y|) cross term is
-    bounded by 1.5 max|hat g1| (from _far_index on) times the same
-    quadrature and added.
+    bounded by 1.5 max|hat g1| (from _far_index on), as one of |xi -+ y|
+    is at least |y|, times the same quadrature and added.  The quadratures
+    are _pair_sums' polynomials in x = (2/R)^2, read by _pair_norm.
     """
-    step = np.pi / (_RADIAL_PAD * R)
-    # the cross term's far factor (below) reads the whole transform
-    far_sup = 1.5 * float(np.max(np.abs(h1[_far_index(lam, R, h1.size):])))
-    rho, h1 = step * np.arange(h0.size), h1[: h0.size]
-    weights = _simpson_weights(h0.size, step)
-
-    def shell(v):
-        """v rho^{n-1}, one factor of rho at a time (the frozen n = 3 order)."""
-        for _ in range(n - 1):
-            v = v * rho
-        return v
-
     unit = _shell_unit(n)
-    # ||u0||_{s+1}^2 = (2pi)^-n |S^{n-1}| Int (1+rho^2)^{s+1} h0^2 rho^{n-1} d rho
-    norm0_sq = unit * float(weights @ shell((1.0 + rho * rho) ** (s + 1.0) * h0 * h0))
-    # ||u1||_s^2: hat u1(xi) = (h1(|xi - y|) + h1(|xi + y|)) / 2
-    ang = _sphere_mean_weight(s, 1.0 + lam + rho * rho, 2.0 * math.sqrt(lam) * rho, n)
-    # the two |h1(|xi -+ y|)|^2/4 terms are equal by symmetry; each gives
-    # (1/4) Int h1(r)^2 |S^{n-1}| r^{n-1} ang(r) dr after the sphere average
-    main = unit / 2.0 * float(weights @ (shell(h1 * h1) * ang))
-    # cross term 2 h1(|xi-y|) h1(|xi+y|)/4: at every xi one of |xi -+ y| is
-    # >= |y|, so that factor is bounded by the hat-g1 supremum beyond |y|
-    # (with a safety factor); the other integrates against the weight
-    cross_bound = unit * far_sup * float(weights @ (shell(np.abs(h1)) * ang))
-    return math.sqrt(norm0_sq) + math.sqrt(main + cross_bound)
+    far = float(np.max(np.abs(h1[_far_index(lam, R, h1.size):])))
+    return _pair_norm(_pair_sums(h0, h1, lam, s, n), (2.0 / R) ** 2, far, 1.0, unit, R, n)
 
 
 def _far_index(lam, R, size):
@@ -301,66 +322,43 @@ def _far_index(lam, R, size):
 
 @functools.cache
 def _skip_polynomial(n, lam, s):
-    """radial_pair_norm's g0, g1 and cross sums on the phi-skip path as
-    polynomials in x = M^-4 (coefficient columns), made once per (n, lam,
-    s), and the suffix maximum of |chi_hat|.  rho_k^2 = (k pi/16)^2 x, so
-    (1 + rho^2)^{s+1} and the sphere mean sum_i C(s, 2i) c_i (1 + lam +
-    rho^2)^{s-2i} (4 lam rho^2)^i expand in x, and the coefficient of x^j
-    multiplies sum_k w_k k^{n-1} (k pi/16)^{2j} head_k^2 (or |head_k|)."""
-    from numpy.polynomial import Polynomial
-
-    # the sphere mean of (1 + beta cos theta)^s has C(s, 2i) c_i at beta^{2i}
-    moments = _sphere_mean_weight(s, 1.0, Polynomial([0.0, 1.0]), n).trim().coef[::2]
+    """_pair_sums of chi's transform on the phi-skip path, made once per
+    (n, lam, s), and the suffix maximum of |chi_hat| for the far factor."""
     hat = _chi_hat(n, 0)
     head = radial_head(hat)
-    k = np.arange(head.size, dtype=float)
-    w = _simpson_weights(head.size, 1.0) * k ** (n - 1)
-    powers = ((k * np.pi / 16.0) ** 2) ** np.arange(int(s) + 2)[:, None]
-    # np.sum's pairwise order keeps each sum within about an eps of exact
-    sq = (powers * (w * head * head)).sum(axis=1)
-    ab = (powers * np.abs(w * head)).sum(axis=1)
-    shift, mod = Polynomial([1.0 + lam, 1.0]), Polynomial([0.0, 4.0 * lam])
-    ang = sum(coef * shift ** int(s - 2 * i) * mod**i for i, coef in enumerate(moments))
-    ang = np.append(ang.coef, 0.0)  # a zero top coefficient leaves Horner's rule exact
-    grow = Polynomial([1.0, 1.0]) ** int(s + 1)
-    far = np.maximum.accumulate(np.abs(hat)[::-1])[::-1]
-    return np.stack([grow.coef * sq, ang * sq, ang * ab], axis=1), far
+    return _pair_sums(head, head, lam, s, n), np.maximum.accumulate(np.abs(hat)[::-1])[::-1]
 
 
 def plan_smallness(plan, tp, s=_SOBOLEV_ORDER):
     """||u0||_{H^{s+1}} + ||u1||_{H^s} of the plan's data
-    (g0(|x|), g1(|x|) cos(x.y)), for n = 2 or 3.
+    (g0(|x|), g1(|x|) cos(x.y)), for n = 2 or 3 (else ParameterError, before
+    any transform).
 
     g0 = M^-S chi(r / M^2) is sampled at r / M^2 = 2j/4096 for every M, so
     its transform is M^-S M^{2n} times chi's on the M = 1 grid, made once
     per process (_chi_hat).  g1 = A g0 exp(-Phi(g0)) takes A times that
     transform when tp.phi_bound proves |Phi(g0)| <= 2^-60, which makes the
-    factor 1 to a relative 1e-18 (f(0) = 0 and M large enough), and the
-    smallness is M^{n-S} (pi/16)^{n/2} (sqrt(unit a) + sqrt(unit/2 b + unit
-    1.5 far_M c)), unit = (2 pi)^-n |S^{n-1}|, with _skip_polynomial's a, b,
-    c at x = M^-4 and far_M its maximum from _far_index on.  That falls with
-    M, as S > 2n and no coefficient is negative, except where far_M rises:
-    once at most, where _far_index passes the transform's end (M = 45 at the
-    reference lambda, n = 3).  Otherwise exp(-Phi(M^-S c)) = sum_k a_k
-    T_k(2c - 1) in c = chi (_exp_phi_series), and g1's transform is
-    A M^-S M^{2n} sum_k a_k times the cached transforms of chi T_k(2 chi - 1).
+    factor 1 to a relative 1e-18 (f(0) = 0 and M large enough); otherwise
+    exp(-Phi(M^-S c)) = sum_k a_k T_k(2c - 1) in c = chi (_exp_phi_series),
+    and g1's transform is A M^-S M^{2n} sum_k a_k times the cached
+    transforms of chi T_k(2 chi - 1).  Either way the smallness is
+    M^{n-S} (pi/16)^{n/2} (sqrt(unit a) + sqrt(unit/2 b + unit 1.5 far_M c)),
+    unit = (2 pi)^-n |S^{n-1}|, with _pair_sums' a, b, c of the M = 1
+    transforms at x = M^-4 = (2/R)^2 and far_M their far factor
+    (_pair_norm).  On the phi-skip path they are chi's, made once per (n,
+    lam, s), so it falls with M (S > 2n, no coefficient negative) except
+    where far_M rises: once at most, where _far_index passes the
+    transform's end (M = 45 at the reference lambda, n = 3).
     """
-    from numpy.polynomial.polynomial import polyval
-
-    n = plan.n
-    if n not in (2, 3):
-        raise ParameterError(f"radial smallness is for n = 2 or 3, got n = {n}")
-    scale, R = plan.hat_scale, plan.support_radius
+    n, lam, R, scale = plan.n, plan.lam, plan.support_radius, plan.hat_scale
+    unit = _shell_unit(n)  # refuses any n but 2 and 3 before a transform
     if tp.phi_bound(plan.amplitude) <= _PHI_SKIP:
-        coefs, far = _skip_polynomial(n, plan.lam, s)
-        a, b, c = polyval(float(plan.M) ** -4, coefs)
-        unit, far_M = _shell_unit(n), 1.5 * float(far[_far_index(plan.lam, R, far.size)])
-        root = math.sqrt(unit * a) + math.sqrt(unit / 2.0 * b + unit * far_M * c)
-        return scale * (np.pi / (_RADIAL_PAD * R)) ** (n / 2.0) * root
+        coefs, far = _skip_polynomial(n, lam, s)
+        far = float(far[_far_index(lam, R, far.size)])
+        return _pair_norm(coefs, float(plan.M) ** -4, far, scale, unit, R, n)
     series = _exp_phi_series(tp, plan.amplitude)
-    h1 = plan.A * scale * sum(a * _chi_hat(n, k) for k, a in enumerate(series))
-    h0 = scale * radial_head(_chi_hat(n, 0))
-    return radial_pair_norm(h0, h1, plan.lam, s, R, n)
+    h1 = plan.A * sum(a * _chi_hat(n, k) for k, a in enumerate(series))
+    return scale * radial_pair_norm(radial_head(_chi_hat(n, 0)), h1, lam, s, R, n)
 
 
 # ---------------------------------------------------------------------------

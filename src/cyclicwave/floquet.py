@@ -497,15 +497,15 @@ def periods(m, k, data):
     e = floor(k log10 mu0) once k ln mu0 > 700, else 0; there the mu^-k
     terms drop, and 10^-e mu^k comes from the float mu^k up to k ln mu0 =
     709, then from 10^(k log10 mu0 - e), with an error like k log10 mu0 eps.
-    k = 0 gives the data exactly, for any m.  ParameterError unless every k
-    is whole and >= 0, and before any work when a k >= 1 meets an m whose
-    kind is not 'unstable' (no real multipliers).
+    k = 0 gives the data exactly, for any m.  ParameterError, before any
+    work, unless every k is whole with 0 <= k < 2^63 (so finite), and when
+    a k >= 1 meets an m whose kind is not 'unstable' (no real multipliers).
     """
     k = np.asarray(k, dtype=float)
     w0, w0_t = (np.broadcast_to(np.asarray(d, dtype=float), k.shape) for d in data)
-    whole = (k >= 0.0) & (k == np.floor(k))
+    whole = (k >= 0.0) & (k < 2.0**63) & (k == np.floor(k))
     if not whole.all():
-        raise ParameterError(f"periods need whole k >= 0, got {np.extract(~whole, k)[0]}")
+        raise ParameterError(f"periods need whole 0 <= k < 2^63, got {np.extract(~whole, k)[0]}")
     past = k >= 1.0
     if not past.any():
         return np.array(w0), np.array(w0_t), np.zeros(k.shape, dtype=int)
@@ -566,9 +566,9 @@ class Propagator:
             raise ParameterError(
                 f"propagate requires t >= 0, got {np.extract(~(t >= 0.0), t)[0]}")
         k = np.floor(t + 1e-13)
+        w, w_t, e = periods(self.m, k, data)  # refuses an infinite t's k
         frac = t - k
         frac = np.where(frac < 1e-13, 0.0, frac)
-        w, w_t, e = periods(self.m, k, data)
         m, n = self.m, self.m.steps
         node = np.floor(frac * n).ravel()
         maps = (_step_maps(m.pot, m.lam, node / n, frac.ravel() - node / n)

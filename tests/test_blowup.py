@@ -12,6 +12,7 @@ from cyclicwave import blowup, coeffs, floquet, transform
 from cyclicwave.errors import (ExhaustedSearchError, NotApplicableError,
                                ParameterError, ResolutionError)
 
+import smallness_reference
 from conftest import LAM_WITNESS, f_ray
 
 # Frozen n=1 smallness values of the FFT oracle (S=3, lam = LAM_WITNESS,
@@ -131,8 +132,9 @@ def test_plan_invariants():
     for S in (5.0, math.nan):  # S must exceed 2n
         with pytest.raises(ParameterError):
             blowup.BlowupPlan(3, LAM_WITNESS, S, 4)
-    with pytest.raises(ParameterError):
-        blowup.BlowupPlan(3, LAM_WITNESS, 6.5, 0)
+    for M in (0, 2.5, math.inf, math.nan):  # M must be a positive integer
+        with pytest.raises(ParameterError, match="M must be a positive integer"):
+            blowup.BlowupPlan(3, LAM_WITNESS, 6.5, M)
     with pytest.raises(ParameterError):
         blowup.BlowupPlan(3, LAM_WITNESS, 6.5, 4, 0.5)
 
@@ -360,7 +362,8 @@ def test_radial_smallness_fallback_transforms_g1(n, lam, M, f, monkeypatch):
     f(0) != 0, or n = 2, whose M^-4.5 leaves Phi(g0) above 2^-60), g1's
     transform is the Chebyshev series over the cached chi terms: no g1
     transform is made, and the series is within 1e-15 of the peak of a
-    direct transform of g1."""
+    direct transform of g1.  The smallness is the direct sum over rho
+    (smallness_reference) to 8 eps at s = 0, 3 and 7."""
     tp = transform.TransformPair(f)
     plan = blowup.BlowupPlan(n, lam, 2 * n + 0.5, M)
     assert tp.phi_bound(plan.amplitude) > blowup._PHI_SKIP
@@ -368,8 +371,8 @@ def test_radial_smallness_fallback_transforms_g1(n, lam, M, f, monkeypatch):
     direct = blowup._radial_hat(g1, plan.support_radius, n)[1]
     for k in range(blowup._exp_phi_series(tp, plan.amplitude).size):
         blowup._chi_hat(n, k)
-    radial_hat, pair_norm, profiles, h1s = (blowup._radial_hat,
-                                            blowup.radial_pair_norm, [], [])
+    radial_hat, pair_sums, profiles, h1s = (blowup._radial_hat,
+                                            blowup._pair_sums, [], [])
 
     def counted_hat(g, R, n):
         profiles.append(g)
@@ -377,13 +380,19 @@ def test_radial_smallness_fallback_transforms_g1(n, lam, M, f, monkeypatch):
 
     def kept_h1(h0, h1, *args):
         h1s.append(h1)
-        return pair_norm(h0, h1, *args)
+        return pair_sums(h0, h1, *args)
 
     monkeypatch.setattr(blowup, "_radial_hat", counted_hat)
-    monkeypatch.setattr(blowup, "radial_pair_norm", kept_h1)
+    monkeypatch.setattr(blowup, "_pair_sums", kept_h1)
     blowup.plan_smallness(plan, tp)
     assert profiles == [] and len(h1s) == 1
-    assert np.max(np.abs(h1s[0] - direct)) <= 1e-15 * np.max(np.abs(direct))
+    head = blowup.radial_head(blowup._chi_hat(n, 0))
+    h0, h1 = plan.hat_scale * head, plan.hat_scale * h1s[0]
+    assert np.max(np.abs(h1 - direct)) <= 1e-15 * np.max(np.abs(direct))
+    for s in (0.0, 3.0, 7.0):
+        got = blowup.plan_smallness(plan, tp, s)
+        ref = smallness_reference.pair_norm(h0, h1, lam, s, plan.support_radius, n)
+        assert abs(got - ref) <= 8.0 * EPS * ref, s
 
 
 def test_phi_bound_covers_sampled_phi(tp1):
@@ -451,6 +460,26 @@ def test_radial_pair_norm_unresolved_spectrum_raises():
     with pytest.raises(ResolutionError):
         blowup.radial_pair_norm(blowup.radial_head(hat), hat, LAM_WITNESS,
                                 3.0, 10.0, 3)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_radial_smallness_refuses_n_other_than_2_or_3(tp1, monkeypatch, n):
+    """The radial path has the shell |S^{n-1}| only for n = 2 and 3:
+    radial_pair_norm refuses n = 1 (where it read 0.0 on a Gaussian) and
+    n = 4 (where it read 101.75, with |S^3| taken as 6 pi), and
+    plan_smallness refuses them before any transform."""
+    hat = blowup._radial_hat(lambda r: np.exp(-r * r / 2.0), 14.0, 3)[1]
+    with pytest.raises(ParameterError, match=f"n = 2 or 3, got n = {n}"):
+        blowup.radial_pair_norm(blowup.radial_head(hat), hat, 16.0, 3.0, 14.0, n)
+
+    def no_transform(*args):
+        raise AssertionError("a transform ran before n was checked")
+
+    monkeypatch.setattr(blowup, "_chi_hat", no_transform)
+    monkeypatch.setattr(blowup, "_skip_polynomial", no_transform)
+    for M in (1, 100):  # the series path and the phi-skip path
+        with pytest.raises(ParameterError, match=f"n = 2 or 3, got n = {n}"):
+            blowup.plan_smallness(blowup.BlowupPlan(n, LAM_WITNESS, 2 * n + 0.5, M), tp1)
 
 
 def test_n1_smallness_regression(tp1):
@@ -687,9 +716,10 @@ def _skip_plans(tp, n, S, lam, Ms):
 @pytest.mark.parametrize("s_above", [0.5, 2.0], ids=["S=2n+0.5", "S=2n+2"])
 @pytest.mark.parametrize("lam", [LAM_WITNESS, 42.0], ids=["first", "second"])
 def test_skip_polynomial_matches_direct_sum(tp1, monkeypatch, n, s_above, lam):
-    """On the phi-skip path plan_smallness's polynomial in M^-4 is
-    radial_pair_norm's direct sum over chi's scaled transform to 8 eps, for
-    s = 0, 3 and 7, at the first phi-skip M and 40 log-spaced M up to 1e9.
+    """On the phi-skip path plan_smallness's polynomial in M^-4 is the
+    direct sum over rho (smallness_reference) of chi's scaled transform to
+    8 eps, for s = 0, 3 and 7, at the first phi-skip M and 40 log-spaced M
+    up to 1e9.
     lam lies in the first and the second reference instability interval.
     chi's transform has a far factor near 1e-15 of its peak, which leaves
     the cross term below rounding, so the check runs again with a decaying
@@ -708,8 +738,8 @@ def test_skip_polynomial_matches_direct_sum(tp1, monkeypatch, n, s_above, lam):
             for s in (0.0, 3.0, 7.0):
                 for plan in _skip_plans(tp1, n, 2 * n + s_above, lam, Ms):
                     scale, R = plan.hat_scale, plan.support_radius
-                    direct = blowup.radial_pair_norm(scale * blowup.radial_head(hat),
-                                                     plan.A * scale * hat, lam, s, R, n)
+                    direct = smallness_reference.pair_norm(
+                        scale * blowup.radial_head(hat), plan.A * scale * hat, lam, s, R, n)
                     got = blowup.plan_smallness(plan, tp1, s)
                     assert abs(got - direct) <= 8.0 * EPS * direct, (s, plan.M)
     finally:
@@ -746,11 +776,14 @@ def _sphere_mean_oracle(s, a, b, n):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("s", [0, 1, 2, 3, 4, 7])
 def test_sphere_mean_weight_matches_mpmath(n, s):
-    """The binomial sum is the sphere mean to 4 eps for b/a from 1e-14 to
-    0.99: no term is negative, so nothing cancels as b/a falls."""
+    """The binomial sum over the moment list, a^s sum_j m_j (b/a)^{2j} by
+    Horner's rule, is the sphere mean to 4 eps for b/a from 1e-14 to 0.99:
+    no term is negative, so nothing cancels as b/a falls."""
+    from numpy.polynomial.polynomial import polyval
+
     a = np.full(40, 1.0 + LAM_WITNESS)
     b = a * np.logspace(-14.0, math.log10(0.99), 40)
-    got = blowup._sphere_mean_weight(float(s), a, b, n)
+    got = a**s * polyval((b / a) ** 2, blowup._sphere_mean_weight(float(s), n))
     ref = np.array([_sphere_mean_oracle(s, x, y, n) for x, y in zip(a, b)])
     assert np.all(np.abs(got - ref) <= 4.0 * EPS * ref)
 
@@ -758,7 +791,7 @@ def test_sphere_mean_weight_matches_mpmath(n, s):
 @pytest.mark.parametrize("s", [2.5, -1.0])
 def test_sphere_mean_weight_refuses_non_integer_order(s):
     with pytest.raises(ParameterError, match="integer s >= 0"):
-        blowup._sphere_mean_weight(s, np.array([2.0]), np.array([1.0]), 3)
+        blowup._sphere_mean_weight(s, 3)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -817,7 +850,7 @@ def test_certify_classes_the_good_lambda_once(pot3, tp1, monkeypatch):
 CERTIFIED = {
     (3, 1e-3): (35, 0.00038753003459878236, 1.7391866930778275, 32.10653022007318),
     (3, 1e-5): (100, 9.829764928615337e-06, 4.6961555099254194e+19, 39.34250890635303),
-    (2, 1e-3): (87, 0.0009887876095654735, 39916.262041163944, 54.332152357237646),
+    (2, 1e-3): (87, 0.0009887876095654737, 39916.262041163944, 54.332152357237646),
 }
 
 

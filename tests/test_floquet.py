@@ -1,5 +1,6 @@
 """Monodromy, multiplier and multi-period propagation checks."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -372,7 +373,9 @@ def test_multi_period_closed_form(pot3, mono_witness):
 
 def test_multi_period_m1_reduction(mono_witness):
     """One period is X(1, 0) itself; k = 0 gives the data bit for bit, at
-    any lambda, and k >= 1 is refused where the multipliers are not real."""
+    any lambda, and k >= 1 is refused where the multipliers are not real.
+    A k that is not whole, not finite or at least 2^63 (where astype(int)
+    wraps) is refused before any work, at any lambda."""
     (W, V), (W_t, V_t), _ = floquet.periods(mono_witness, [1, 1], ([0.0, 1.0], [1.0, 0.0]))
     assert [W, V, W_t, V_t] == pytest.approx(
         [mono_witness.b21, mono_witness.b22, mono_witness.b11, mono_witness.b12], rel=1e-12)
@@ -386,6 +389,10 @@ def test_multi_period_m1_reduction(mono_witness):
         floquet.periods(stable, [0, 2, 3], (0.0, 1.0))
     with pytest.raises(ParameterError, match=r"got 1\.5$"):
         floquet.periods(mono_witness, [1, 1.5, -1], (0.0, 1.0))
+    for bad in (math.inf, math.nan, 1e300, 2.0**63):
+        for m in (mono_witness, stable):
+            with pytest.raises(ParameterError, match=rf"0 <= k < 2\^63, got {re.escape(str(bad))}$"):
+                floquet.periods(m, [1.0, bad], (0.0, 1.0))
 
 
 def test_multi_period_overflow_guard(mono_witness):
@@ -523,6 +530,9 @@ def test_propagator_takes_arrays_of_t(mono_witness, monkeypatch):
     assert [v.shape for v in empty] == [(0,), (0,)]
     with pytest.raises(ParameterError, match=r"got -0\.5$"):
         floquet.Propagator(stable)(np.array([1.0, -0.5, -2.0]), data)
+    # an infinite t has infinitely many whole periods: refused, not an IndexError
+    with pytest.raises(ParameterError, match=r"got inf$"):
+        floquet.Propagator(mono_witness)(np.array([1.0, math.inf]), data)
     t_over = 800.0 / math.log(mono_witness.mu0)
     with pytest.raises(OverflowError, match=rf"at t={t_over + 0.5}$"):
         floquet.Propagator(mono_witness)(np.array([1.0, t_over + 0.5, 2 * t_over]), data)
