@@ -16,6 +16,7 @@ located on the actual fundamental solution.
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +117,7 @@ class BlowupPlan:
 
 def _radial_hat(g, R, n):
     """Fourier transform g_hat(rho) of the radial field g(|x|) on R^n, for
-    n = 2 or 3.
+    n = 2 or 3; any other n is a ParameterError (_shell_unit).
 
     g is supported in [0, R] and sampled at steps h = R / 4096, zero-padded
     to [0, 8R], so g_hat lands on rho_k = pi k / (8R), k = 0 .. 8*4096 - 1.
@@ -133,6 +134,7 @@ def _radial_hat(g, R, n):
     integrand (Trefethen & Weideman, SIAM Review 56, 2014).
     Returns (rho, g_hat).
     """
+    _shell_unit(n)
     size = _RADIAL_PAD * _RADIAL_STEPS
     h = R / _RADIAL_STEPS
     rho = np.pi / (_RADIAL_PAD * R) * np.arange(size)
@@ -455,10 +457,10 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
     t_star is its crossed end.  S defaults to 2n + 1/2.  The
     BlowupCertificate carries the good lambda's Monodromy and tp itself.
     Raises ParameterError, before any work, unless delta is positive and
-    finite, S finite and above 2n, and n at most 3; NotApplicableError when
-    the transform has no finite endpoint (so this construction certifies
-    nothing), ExhaustedSearchError when no M <= M_max works, ResolutionError
-    from plan_smallness.
+    finite, S finite and above 2n, M_max a positive integer and n at most
+    3; NotApplicableError when the transform has no finite endpoint (so
+    this construction certifies nothing), ExhaustedSearchError when no
+    M <= M_max works, ResolutionError from plan_smallness.
     """
     n = pot.n
     if S is None:
@@ -467,6 +469,8 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
         raise ParameterError(f"delta must be positive and finite, got {delta}")
     if not 2 * n < S < math.inf:
         raise ParameterError(f"decay exponent S={S} must be finite and exceed 2n={2 * n}")
+    if not (isinstance(M_max, numbers.Integral) and M_max >= 1):
+        raise ParameterError(f"M_max must be a positive integer, got {M_max!r}")
     if n > 3:
         raise ParameterError(f"blow-up certificates are for n <= 3, got n = {n}")
     target = tp.endpoints().target
@@ -504,7 +508,7 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
         if plan is None:
             raise ExhaustedSearchError(
                 f"growth never reaches the endpoint for M <= {M_max}",
-                best=(M_max, math.log10(abs(ws[-1])) + int(es[-1]) if M_max >= 1 else None),
+                best=(M_max, math.log10(abs(ws[-1])) + int(es[-1])),
             )
         # plan and small are the last M's where growth holds
         raise ExhaustedSearchError(

@@ -374,52 +374,51 @@ def scan_instability(pot, lambda_range, grid_points, tol=1e-11):
 
 
 def instability_intervals(pot, lams, traces, tol=1e-11):
-    """Intervals of a scan from its grid (scan_grid) and the traces on it.
+    """Intervals of a scan from its grid (scan_grid) and the traces on it:
+    one per run of grid points with |trace| > 2 (_runs), whose witness is
+    the run's first maximum of |trace|.
 
     Only the bisection probes at the interval edges are integrated here, so
     a caller that also needs the grid traces evaluates the grid once.  Each
-    edge is bisected on |trace| > 2 until every bracket is below
-    (hi - lo) / len(lams) * 1e-3 wide.  One trace_curve call takes the
+    edge inside the grid is bisected on |trace| > 2 until every bracket is
+    below (hi - lo) / len(lams) * 1e-3 wide.  One trace_curve call takes the
     midpoints of the next _LEVELS levels of every edge's bisection tree
     (_bisection_tree), and the walk down it picks the same midpoints as
     one call per level would, so the edges are bisection's, bit for bit:
     a lambda's trace does not depend on its batch.
     """
-    lo, hi = float(lams[0]), float(lams[-1])
-    unstable = np.abs(traces) > 2.0
-    # the class flips between lams[i] and lams[i + 1] for each i in flips
-    flips = np.flatnonzero(unstable[1:] != unstable[:-1])
-    inner = flips + ~unstable[flips]  # the grid index on the unstable side
+    mag = np.abs(traces)
+    runs = _runs(mag)
+    inner = runs - [0, 1]  # the run's grid index at each edge
+    outer = runs - [1, 0]  # its stable neighbour, -1 or len(lams) past the grid
+    cut = (outer >= 0) & (outer < lams.size)  # the edges inside the grid
     # bisect every edge as one batch, a on its stable side, bnd on the other
-    a, bnd = lams[flips + unstable[flips]], lams[inner]
-    width = (hi - lo) / lams.size * 1e-3
-    cols, level = np.arange(flips.size), 0
-    while flips.size and np.max(np.abs(bnd - a)) > width:
+    a, bnd = lams[outer[cut]], lams[inner[cut]]
+    width = (lams[-1] - lams[0]) / lams.size * 1e-3
+    cols, level = np.arange(a.size), 0
+    while a.size and np.max(np.abs(bnd - a)) > width:
         if level == 0:  # trace the next _LEVELS levels of every edge's tree at once
             tree = _bisection_tree(a, bnd)
             inside = np.abs(trace_curve(pot, tree.ravel(), tol)).reshape(tree.shape) > 2.0
-            node = np.zeros(flips.size, dtype=int)
+            node = np.zeros(a.size, dtype=int)
         mid, ins = tree[node, cols], inside[node, cols]  # mid == 0.5 * (a + bnd)
         bnd = np.where(ins, mid, bnd)
         a = np.where(ins, a, mid)
         node = 2 * node + 2 - ins  # the child whose bracket is the new (a, bnd)
         level = (level + 1) % _LEVELS
-
-    # the edges in order: start, end, start, end, ...
-    edges = ([lo] if unstable[0] else []) + bnd.tolist() + ([hi] if unstable[-1] else [])
+    edges = lams[inner]  # an edge at an end of the grid is that end
+    edges[cut] = bnd
+    witnesses = [i + int(np.argmax(mag[i:j])) for i, j in runs]
     return [InstabilityInterval(lambda_lo=lam_lo, lambda_hi=lam_hi,
-                                max_abs_trace=float(np.abs(traces[k])),
-                                witness_lambda=float(lams[k]))
-            for lam_lo, lam_hi, k in zip(edges[0::2], edges[1::2], _witnesses(traces))]
+                                max_abs_trace=float(mag[k]), witness_lambda=float(lams[k]))
+            for (lam_lo, lam_hi), k in zip(edges.tolist(), witnesses)]
 
 
-def _witnesses(traces):
-    """The grid index of each instability interval's witness, in order:
-    the maximum of |trace| over each run of grid points with |trace| > 2."""
-    mag = np.abs(traces)
-    unstable = np.concatenate([[False], mag > 2.0, [False]])
-    runs = np.flatnonzero(unstable[1:] != unstable[:-1]).reshape(-1, 2)  # [start, stop)
-    return [i + int(np.argmax(mag[i:j])) for i, j in runs]
+def _runs(traces):
+    """The [start, stop) grid indices of each run of grid points with
+    |trace| > 2, in order, as an array of shape (runs, 2)."""
+    unstable = np.concatenate([[False], np.abs(traces) > 2.0, [False]])
+    return np.flatnonzero(unstable[1:] != unstable[:-1]).reshape(-1, 2)
 
 
 def _bisection_tree(a, bnd):
@@ -439,47 +438,39 @@ def _bisection_tree(a, bnd):
 
 
 def find_good_lambda(pot, lams, tol=1e-11):
-    """The Monodromy of a lambda interior to an instability interval of the
-    scan grid lams (scan_grid) whose kind is 'unstable', with |b21| > 1e-6
-    and |b22 - 1/mu| > 1e-6 (mu the signed expanding multiplier).
+    """The Monodromy of a grid point of the scan grid lams (scan_grid)
+    whose kind is 'unstable', with |b21| > 1e-6 and |b22 - 1/mu| > 1e-6
+    (mu the signed expanding multiplier).
 
     One _fundamental sweep maps the grid, and each run of grid points with
-    |trace| > 2 is an interval.  Per interval the candidates are its
-    witness (the run's maximum of |trace|, _witnesses), then its midpoint.
-    A witness's Monodromy is its map and step count from the sweep, those of
-    monodromy(pot, witness, tol): a map does not depend on its batch.  The
-    edges are bisected (instability_intervals, every edge in one pass)
-    only once a witness is rejected, and each candidate is tried only once
-    every earlier one has been rejected.  b21 vanishes at the one
-    Dirichlet eigenvalue in each interval, so a witness fails the b21 test
-    only next to that zero, and the midpoint is the second try.  The
-    passing candidate's lambda is m.lam.  ExhaustedSearchError when no
-    grid point is unstable or no candidate passes.
+    |trace| > 2 (_runs) lies in one instability interval.  The runs are
+    tried in order, and a run's points by decreasing |trace|, ties in grid
+    order, so its witness (instability_intervals') comes first.  A point's
+    Monodromy is its map and step count from the sweep, those of
+    monodromy(pot, lam, tol): a map does not depend on its batch.  b21
+    vanishes only at the one Dirichlet eigenvalue in each interval (Magnus
+    & Winkler, Hill's Equation, 1966), so a witness fails the b21 test only
+    next to that zero, and the run's next point is the next try.  The
+    first point that passes is returned; its lambda is m.lam.
+    ExhaustedSearchError when no grid point is unstable or none passes,
+    with best the largest |b21| over the points tried.
     """
     maps, steps = _fundamental(pot, lams, tol)
-    traces = maps[:, 0, 0] + maps[:, 1, 1]
-    witnesses = _witnesses(traces)
-    if not witnesses:
+    mag = np.abs(maps[:, 0, 0] + maps[:, 1, 1])
+    runs = _runs(mag)
+    if not runs.size:
         raise ExhaustedSearchError("no instability interval in the requested range", best=None)
-
-    def candidates():
-        intervals = None
-        for r, k in enumerate(witnesses):
-            (b11, b12), (b21, b22) = maps[k]
-            yield Monodromy(b11=b11, b12=b12, b21=b21, b22=b22, lam=float(lams[k]),
-                            pot=pot, tol=tol, steps=int(steps[k]))
-            if intervals is None:
-                intervals = instability_intervals(pot, lams, traces, tol)
-            iv = intervals[r]
-            yield monodromy(pot, 0.5 * (iv.lambda_lo + iv.lambda_hi), tol)
-
     best_b21 = 0.0
-    for m in candidates():
-        if m.kind != "unstable":
-            continue
-        best_b21 = max(best_b21, abs(m.b21))
-        if abs(m.b21) > _B21_MIN and abs(m.b22 - 1.0 / m.expanding) > 1e-6:
-            return m
+    for i, j in runs:
+        for k in i + np.argsort(-mag[i:j], kind="stable"):
+            (b11, b12), (b21, b22) = maps[k]
+            m = Monodromy(b11=b11, b12=b12, b21=b21, b22=b22, lam=float(lams[k]),
+                          pot=pot, tol=tol, steps=int(steps[k]))
+            if m.kind != "unstable":
+                continue
+            best_b21 = max(best_b21, abs(m.b21))
+            if abs(m.b21) > _B21_MIN and abs(m.b22 - 1.0 / m.expanding) > 1e-6:
+                return m
     raise ExhaustedSearchError(
         f"no sample passed the b21/b22 conditions (max |b21| found: {best_b21!r})",
         best=best_b21,

@@ -482,6 +482,14 @@ def test_radial_smallness_refuses_n_other_than_2_or_3(tp1, monkeypatch, n):
             blowup.plan_smallness(blowup.BlowupPlan(n, LAM_WITNESS, 2 * n + 0.5, M), tp1)
 
 
+@pytest.mark.parametrize("n", [1, 4])
+def test_radial_hat_refuses_n_other_than_2_or_3(n):
+    """The radial transform is n = 2's or n = 3's: any other n is refused,
+    where it used to return n = 3's transform bit for bit."""
+    with pytest.raises(ParameterError, match=f"n = 2 or 3, got n = {n}"):
+        blowup._radial_hat(lambda r: np.exp(-r * r / 2.0), 14.0, n)
+
+
 def test_n1_smallness_regression(tp1):
     """The FFT oracle on 4096 points keeps its frozen n = 1 values."""
     for M, val in N1_SMALLNESS.items():
@@ -639,6 +647,17 @@ def test_certify_refuses_n_above_3_before_work(b05, tp1, monkeypatch):
     monkeypatch.setattr(floquet, "_fundamental", no_sweep)
     with pytest.raises(ParameterError, match="n = 4"):
         blowup.certify_blowup(tp1, coeffs.HillPotential(b05, 4), (5.0, 17.0), 1e-3)
+
+
+@pytest.mark.parametrize("M_max", [0, -3, 2.5, math.nan])
+def test_certify_checks_m_max_before_work(pot3, tp1, monkeypatch, M_max):
+    """M_max must be a positive integer: 0 and -3 used to run the lambda
+    sweep and then report growth never reaching the endpoint for M <= M_max,
+    and 2.5 and nan to run it and then raise TypeError."""
+    sweeps = _count_calls(monkeypatch, floquet, "_fundamental")
+    with pytest.raises(ParameterError, match="M_max must be a positive integer"):
+        blowup.certify_blowup(tp1, pot3, (5.0, 17.0), 1e-3, M_max=M_max)
+    assert sweeps == []
 
 
 def test_certificate_json(pot3, tp1):

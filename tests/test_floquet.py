@@ -219,50 +219,55 @@ def test_find_good_lambda(pot3):
     assert m.pot is pot3 and m.tol == 1e-11
 
 
-def _count_monodromies(monkeypatch):
-    lams = []
-    real = floquet.monodromy
-
-    def counted(pot, lam, tol=1e-11):
-        lams.append(lam)
-        return real(pot, lam, tol)
-
-    monkeypatch.setattr(floquet, "monodromy", counted)
-    return lams
-
-
-def _count_bisections(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """The argument tuples of the calls to floquet.<name>, in order."""
     calls = []
-    real = floquet.instability_intervals
+    real = getattr(floquet, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(floquet, "instability_intervals", counted)
+    monkeypatch.setattr(floquet, name, counted)
     return calls
 
 
 def test_find_good_lambda_is_lazy(pot3, monkeypatch):
-    """A witness that passes is the sweep's own map: no monodromy call and
-    no edge bisection, with the bits and step count of monodromy at the
-    witness."""
+    """A witness that passes is the sweep's own map: one _fundamental call,
+    no monodromy call and no edge bisection, with the bits and step count
+    of monodromy at the witness."""
     lams = floquet.scan_grid((5.0, 17.0), 400)
     alone = floquet.monodromy(pot3, LAM_WITNESS)
-    calls = _count_monodromies(monkeypatch)
-    bisections = _count_bisections(monkeypatch)
+    sweeps = _count_calls(monkeypatch, "_fundamental")
+    calls = _count_calls(monkeypatch, "monodromy")
+    bisections = _count_calls(monkeypatch, "instability_intervals")
     m = floquet.find_good_lambda(pot3, lams)
-    assert calls == [] and bisections == []
+    assert len(sweeps) == 1 and calls == [] and bisections == []
     assert m.lam == LAM_WITNESS
     assert m.matrix.tobytes() == alone.matrix.tobytes() and m.steps == alone.steps
 
 
-def _good_lambda_from_intervals(intervals, pot, tol=1e-11):
-    """The search as it ran on scan_instability's intervals: per interval
-    monodromy at the witness, then at the midpoint, the first that passes."""
+def _candidate_order(intervals, lams, traces):
+    """The grid indices of each interval's grid points (scan_instability's
+    intervals), interval by interval, each interval's by decreasing |trace|
+    with ties in grid order."""
+    mag = np.abs(traces)
+    order = []
     for iv in intervals:
-        for lam in (iv.witness_lambda, 0.5 * (iv.lambda_lo + iv.lambda_hi)):
-            m = floquet.monodromy(pot, lam, tol)
+        inside = np.flatnonzero((lams >= iv.lambda_lo) & (lams <= iv.lambda_hi))
+        order += sorted(inside.tolist(), key=lambda k: -mag[k])
+    return order
+
+
+def _good_lambda_from_intervals(intervals, lams, pot, tol=1e-11):
+    """The search on scan_instability's intervals, one monodromy call per
+    grid point: per interval its grid points by decreasing |trace| of their
+    own maps, the first that passes."""
+    for iv in intervals:
+        inside = lams[(lams >= iv.lambda_lo) & (lams <= iv.lambda_hi)]
+        ms = sorted((floquet.monodromy(pot, lam, tol) for lam in inside),
+                    key=lambda m: -abs(m.trace))
+        for m in ms:
             if m.kind == "unstable" and abs(m.b21) > 1e-6 \
                     and abs(m.b22 - 1.0 / m.expanding) > 1e-6:
                 return m
@@ -274,11 +279,11 @@ _KIND = floquet.Monodromy.kind.func  # the class rule, read before any patch
 
 def _rejecting_kind(monkeypatch, rejected):
     """Monodromy.kind reads 'stable' for the first `rejected` reads; the
-    lambdas it is read at, in order."""
+    Monodromies it is read on, in order."""
     seen = []
 
     def rejecting(m):
-        seen.append(m.lam)
+        seen.append(m)
         if len(seen) <= rejected:
             return "stable"
         return _KIND(m)
@@ -287,42 +292,66 @@ def _rejecting_kind(monkeypatch, rejected):
     return seen
 
 
-@pytest.mark.parametrize("rejected", [1, 2])
-def test_find_good_lambda_tries_witness_then_midpoint(pot3, monkeypatch, rejected):
-    """An interval's candidates are its witness, then its midpoint, and
-    nothing else: with the witness rejected the midpoint is integrated
-    next; with both rejected the next candidate is the second interval's
-    witness, from the sweep.  The first candidate not rejected passes, and
-    the edges are bisected once, all of them in one pass."""
+@pytest.mark.parametrize("rejected", [1, 2, "first run"])
+def test_find_good_lambda_tries_run_points_by_abs_trace(pot3, monkeypatch, rejected):
+    """An interval's candidates are its grid points by decreasing |trace|,
+    the witness first, and the next interval's follow once all of them are
+    rejected.  Each candidate is the sweep's map, with the bits and step
+    count of monodromy at its lambda: one _fundamental call, no monodromy
+    call and no edge bisection, whichever candidate passes.  The first
+    candidate not rejected passes."""
     lams = floquet.scan_grid((0.1, 60.0), 400)
-    first, second = floquet.scan_instability(pot3, (0.1, 60.0), 400)
-    order = [first.witness_lambda, 0.5 * (first.lambda_lo + first.lambda_hi),
-             second.witness_lambda]
+    intervals = floquet.scan_instability(pot3, (0.1, 60.0), 400)
+    order = _candidate_order(intervals, lams, floquet.trace_curve(pot3, lams))
+    first = [k for k in order if intervals[0].lambda_lo <= lams[k] <= intervals[0].lambda_hi]
+    assert len(intervals) == 2 and len(first) > 2
+    assert lams[order[0]] == intervals[0].witness_lambda
+    assert lams[order[len(first)]] == intervals[1].witness_lambda
+    if rejected == "first run":
+        rejected = len(first)
     seen = _rejecting_kind(monkeypatch, rejected)
-    calls = _count_monodromies(monkeypatch)
-    bisections = _count_bisections(monkeypatch)
+    sweeps = _count_calls(monkeypatch, "_fundamental")
+    calls = _count_calls(monkeypatch, "monodromy")
+    bisections = _count_calls(monkeypatch, "instability_intervals")
     m = floquet.find_good_lambda(pot3, lams)
-    assert seen == order[:rejected + 1]
-    assert calls == [order[1]]  # the witnesses are the sweep's maps
-    assert len(bisections) == 1
-    assert m.lam == order[rejected]
+    assert [c.lam for c in seen] == lams[order[:rejected + 1]].tolist()
+    assert len(sweeps) == 1 and calls == [] and bisections == []
+    assert m is seen[-1] and m.lam == lams[order[rejected]]
+    monkeypatch.undo()
+    for c in seen:
+        alone = floquet.monodromy(pot3, c.lam)
+        assert c.matrix.tobytes() == alone.matrix.tobytes() and c.steps == alone.steps
 
 
 @pytest.mark.parametrize("rejected", [0, 1, 2])
 def test_find_good_lambda_keeps_the_interval_search_bits(pot3, monkeypatch, rejected):
     """The Monodromy is the one the search on scan_instability's intervals
-    finds, monodromy call by monodromy call, bit for bit: a witness's map
-    from the sweep is its map alone, and a midpoint comes from the same
-    bisected edges."""
+    finds, monodromy call by monodromy call, bit for bit: a grid point's map
+    from the sweep is its map alone, and the runs of the sweep are the
+    grid points inside the bisected intervals."""
     lams = floquet.scan_grid((0.1, 60.0), 400)
     _rejecting_kind(monkeypatch, rejected)
     got = floquet.find_good_lambda(pot3, lams)
     intervals = floquet.scan_instability(pot3, (0.1, 60.0), 400)
     _rejecting_kind(monkeypatch, rejected)
-    ref = _good_lambda_from_intervals(intervals, pot3)
-    assert (got.b11, got.b12, got.b21, got.b22, got.lam) \
-        == (ref.b11, ref.b12, ref.b21, ref.b22, ref.lam)
+    ref = _good_lambda_from_intervals(intervals, lams, pot3)
+    assert (got.b11, got.b12, got.b21, got.b22, got.lam, got.steps) \
+        == (ref.b11, ref.b12, ref.b21, ref.b22, ref.lam, ref.steps)
     assert got.pot is ref.pot and got.tol == ref.tol
+
+
+def test_find_good_lambda_reports_the_largest_b21(pot3, monkeypatch):
+    """With no grid point passing the b21 test, the search ends in
+    ExhaustedSearchError whose best is the largest |b21| over the sweep's
+    unstable points."""
+    lams = floquet.scan_grid((0.1, 60.0), 400)
+    maps = floquet._fundamental(pot3, lams, 1e-11)[0]
+    unstable = floquet.trace_class(maps[:, 0, 0] + maps[:, 1, 1]) == "unstable"
+    monkeypatch.setattr(floquet, "_B21_MIN", 1e300)
+    with pytest.raises(ExhaustedSearchError, match="no sample passed the b21/b22") as info:
+        floquet.find_good_lambda(pot3, lams)
+    assert unstable.any()
+    assert info.value.best == np.max(np.abs(maps[unstable, 1, 0]))
 
 
 def test_find_good_lambda_without_an_unstable_point(pot3):
