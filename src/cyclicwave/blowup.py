@@ -457,10 +457,11 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
     t_star is its crossed end.  S defaults to 2n + 1/2.  The
     BlowupCertificate carries the good lambda's Monodromy and tp itself.
     Raises ParameterError, before any work, unless delta is positive and
-    finite, S finite and above 2n, M_max a positive integer and n at most
-    3; NotApplicableError when the transform has no finite endpoint (so
-    this construction certifies nothing), ExhaustedSearchError when no
-    M <= M_max works, ResolutionError from plan_smallness.
+    finite, S finite and above 2n, M_max a positive integer, n at most 3
+    and lam_range a scan_grid range (0 < lo < hi < inf); NotApplicableError
+    when the transform has no finite endpoint (so this construction
+    certifies nothing), ExhaustedSearchError when no M <= M_max works,
+    ResolutionError from plan_smallness.
     """
     n = pot.n
     if S is None:
@@ -473,6 +474,7 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
         raise ParameterError(f"M_max must be a positive integer, got {M_max!r}")
     if n > 3:
         raise ParameterError(f"blow-up certificates are for n <= 3, got n = {n}")
+    lams = floquet.scan_grid(lam_range, 400)
     target = tp.endpoints().target
     if target is None:
         raise NotApplicableError(
@@ -486,7 +488,7 @@ def certify_blowup(tp, pot, lam_range, delta, S=None, M_max=256, tol=1e-11):
             "n = 1 has no instability interval for any b or lambda range: "
             "the trace is 2 cos(sqrt(lambda) int_0^1 b), never above 2 in "
             "absolute value", best=None)
-    m = floquet.find_good_lambda(pot, floquet.scan_grid(lam_range, 400), tol=tol)
+    m = floquet.find_good_lambda(pot, lams, tol=tol)
     # G(M^-S) for every M in one call; G is elementwise, so each value is
     # the one a call at that M alone gives
     g0s = tp.G(np.array([float(M) ** (-S) for M in range(1, M_max + 1)]))

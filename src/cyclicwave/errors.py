@@ -35,7 +35,3 @@ class ExhaustedSearchError(CyclicWaveError, RuntimeError):
 
 class NotApplicableError(CyclicWaveError, RuntimeError):
     """The requested construction does not apply to these inputs."""
-
-
-class EndpointProximityWarning(UserWarning):
-    """Inverse-transform evaluation was clamped near a finite endpoint."""

@@ -14,12 +14,11 @@ Each side of 0 holds Phi and G as Chebyshev panels, G in mean-value form
 import functools
 import json
 import math
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import EndpointProximityWarning, ParameterError, QuadratureError
+from .errors import ParameterError, QuadratureError
 from .floquet import check_tol
 
 _PHI_CAP = 690.0  # exp overflow guard
@@ -29,10 +28,6 @@ _S_REACH = 1e9  # farthest |s| at which G and H evaluate
 _MIN_WIDTH = 1e-6  # nodes round in |s|: a narrower panel cannot meet tol
 _ENDPOINT_S_MAX = 1e6  # |s| to which endpoints() integrates before its tail
 EDGE_FLOOR = 2e-9  # panels and uniform runs end EDGE_FLOOR (1 + |edge|) before an edge
-# Relative clamp width for inverting G near a finite endpoint.  It must
-# exceed the endpoint tail-extrapolation error (~1e-10), otherwise the
-# clamped level can lie beyond every panel and H fails.
-_ENDPOINT_CLAMP = 1e-8
 
 
 class _Side:
@@ -218,22 +213,13 @@ class TransformPair:
         return out if out.ndim else float(out)
 
     def H(self, v):
-        """Inverse of G; clamps near finite endpoints with a warning, and
-        raises QuadratureError for a level beyond G's last panel."""
+        """G^-1 on G's panels, which reach |u| = 1e9 or a finite domain edge;
+        QuadratureError for a level past them, at the endpoint or beyond."""
         v = float(v)
         if v == 0.0:
             return 0.0
-        ep = self.endpoints()
-        side, end, finite = ((self._pos, ep.b, ep.b_finite) if v > 0
-                             else (self._neg, ep.a, ep.a_finite))
-        g = abs(v)
-        if finite:
-            lim = abs(end) - _ENDPOINT_CLAMP * max(1.0, abs(end))
-            if g >= lim:
-                warnings.warn(f"H({v!r}) clamped near finite endpoint {end!r}",
-                              EndpointProximityWarning)
-                g = lim
-        return side.direction * side.invert(g)
+        side = self._pos if v > 0 else self._neg
+        return side.direction * side.invert(abs(v))
 
     def endpoints(self):
         """Limits of G at the domain ends, with finiteness flags and bounds."""
@@ -266,7 +252,10 @@ def _one_endpoint(side, s_max):
 
     Uses the integral to s_max plus a power-law tail extrapolation; the
     reported bound is the difference between the extrapolations anchored at
-    s_max and s_max/2.
+    s_max and s_max/2.  At a finite domain edge the extrapolation is the
+    sliver T = F d/(p + 1) past the frontier, and the bound is the difference
+    between slivers anchored at d and 2d plus T |p - p'|/(p + 1), the
+    sliver's change with its exponent, with p' fitted 10x farther out.
     """
     p, excess = _side_exponent(side, s_max)
     if excess <= 0.0:
@@ -280,7 +269,9 @@ def _one_endpoint(side, s_max):
         # redo the correction anchored at twice the distance for an error bar
         phi_h, g_h = side.eval(np.array([s_edge - d]))
         tail_h = math.exp(min(phi_h[0], _PHI_CAP)) * 2.0 * d / excess
-        err = abs((abs(g_edge) + tail) - (abs(g_h[0]) + tail_h)) + 1e-12
+        p_far = _side_exponent(side, s_max, farther=10.0)[0]
+        err = (abs((abs(g_edge) + tail) - (abs(g_h[0]) + tail_h))
+               + tail * abs(p - p_far) / excess + 1e-12)
         return abs(g_edge) + tail, True, err
 
     def extrapolate(s, p):
@@ -295,17 +286,17 @@ def _one_endpoint(side, s_max):
     return full, True, err
 
 
-def _side_exponent(side, s_max):
+def _side_exponent(side, s_max, farther=1.0):
     """(p, excess): the exponent of F on one side, and how far it lies on
     the integrable side of -1.
 
     p is the least-squares log-log slope of Phi against the distance to the
     side's end: at 33 points over [s_max/100, s_max] in the tail, where F
     behaves like s^p and excess = -1 - p, or at 25 distances from 1e-8 to
-    1e-2 (relative to max(1, |edge|)) from a finite domain edge, where F
-    behaves like dist^p and excess = p + 1.  excess > 0 iff int F converges
-    on that side.  A side whose F or G overflowed diverges outright:
-    p = inf, excess = -inf.
+    1e-2 (relative to max(1, |edge|), times farther) from a finite domain
+    edge, where F behaves like dist^p and excess = p + 1.  excess > 0 iff
+    int F converges on that side.  A side whose F or G overflowed diverges
+    outright: p = inf, excess = -inf.
     """
     side.reach(s_max)
     if side.terminated in ("overflow", "g-cap"):
@@ -314,7 +305,7 @@ def _side_exponent(side, s_max):
         # distances from the true domain edge, not the integration frontier
         # (which stops a small floor short of the edge): anchoring at the
         # frontier would bias the smallest probes and flatten the slope
-        d = np.logspace(-8, -2, 25) * max(1.0, abs(side.edge))
+        d = np.logspace(-8, -2, 25) * farther * max(1.0, abs(side.edge))
         s = abs(side.edge) - d
     else:
         s = d = np.logspace(math.log10(s_max) - 2.0, math.log10(s_max), 33)

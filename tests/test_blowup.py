@@ -660,6 +660,18 @@ def test_certify_checks_m_max_before_work(pot3, tp1, monkeypatch, M_max):
     assert sweeps == []
 
 
+@pytest.mark.parametrize("lam_range", [(17.0, 5.0), (0.0, 5.0)],
+                         ids=["reversed", "zero-lo"])
+def test_certify_checks_lam_range_before_work(pot3, tp1, monkeypatch, lam_range):
+    """A lambda range that is no scan_grid range is refused before any work:
+    it used to be checked only inside the sweep, after endpoints() ran."""
+    ends = _count_calls(monkeypatch, transform.TransformPair, "endpoints")
+    sweeps = _count_calls(monkeypatch, floquet, "_fundamental")
+    with pytest.raises(ParameterError, match="lambda range must satisfy"):
+        blowup.certify_blowup(tp1, pot3, lam_range, 1e-3)
+    assert ends == [] and sweeps == []
+
+
 def test_certificate_json(pot3, tp1):
     import json
 

@@ -37,7 +37,7 @@ def chart_args(out, extra=()):
 def test_stability_chart_outputs(tmp_path):
     r = run(chart_args("chart.csv"), tmp_path)
     assert r.returncode == 0, r.stderr
-    rows = list(csv.reader((tmp_path / "chart.csv").open()))
+    rows = list(csv.reader((tmp_path / "chart.csv").read_text().splitlines()))
     assert rows[0] == ["lambda", "trace", "abs_trace", "class"]
     assert len(rows) == 201
     side = json.loads((tmp_path / "chart.json").read_text())
@@ -54,7 +54,7 @@ def test_chart_csv_and_sidecar_share_one_sweep(tmp_path):
              "--out", "chart.csv"], tmp_path)
     assert r.returncode == 0, r.stderr
     rows = {float(lam): float(atr) for lam, _, atr, _ in
-            list(csv.reader((tmp_path / "chart.csv").open()))[1:]}
+            list(csv.reader((tmp_path / "chart.csv").read_text().splitlines()))[1:]}
     side = json.loads((tmp_path / "chart.json").read_text())
     assert side["intervals"]
     for iv in side["intervals"]:
@@ -367,7 +367,7 @@ def test_geodesic_matches_closed_form(tmp_path):
              "--u0", "0,0", "--direction", "1,1", "--s-max", "3",
              "--out", "geo.csv"], tmp_path)
     assert r.returncode == 0, r.stderr
-    rows = list(csv.reader((tmp_path / "geo.csv").open()))
+    rows = list(csv.reader((tmp_path / "geo.csv").read_text().splitlines()))
     header, body = rows[0], rows[1:]
     assert header[0] == "s"
     for row in body[:: len(body) // 10]:
@@ -393,7 +393,7 @@ def test_geodesic_leaving_the_chart_exit_3(tmp_path):
     assert not (tmp_path / "full.csv").exists()
     r = run(args + ["--s-max", "0.9", "--out", "short.csv"], tmp_path)
     assert r.returncode == 0, r.stderr
-    rows = list(csv.reader((tmp_path / "short.csv").open()))
+    rows = list(csv.reader((tmp_path / "short.csv").read_text().splitlines()))
     assert len(rows) == 201 and float(rows[-1][0]) == 0.9
 
 
@@ -827,7 +827,7 @@ def test_simulate_uniform(tmp_path):
              "--f", "example1:alpha=-1", "--t-end", "2", "--u0-val", "0",
              "--u1-val", "1", "--out", "u.csv"], tmp_path)
     assert r.returncode == 0, r.stderr
-    rows = list(csv.reader((tmp_path / "u.csv").open()))
+    rows = list(csv.reader((tmp_path / "u.csv").read_text().splitlines()))
     assert rows[0] == ["t", "u"]
     # this run crosses the finite endpoint: last value is huge
     assert abs(float(rows[-1][1])) > 1e6
@@ -845,7 +845,8 @@ def test_simulate_uniform_stops_at_domain_edge(tmp_path, ell, u1):
              "--f", f"example2:ell={ell}", "--out", "u.csv"], tmp_path, timeout=20)
     assert r.returncode == 0, r.stderr
     assert r.stderr == ""
-    u = [float(row[1]) for row in list(csv.reader((tmp_path / "u.csv").open()))[1:]]
+    rows = list(csv.reader((tmp_path / "u.csv").read_text().splitlines()))
+    u = [float(row[1]) for row in rows[1:]]
     assert len(u) < 400
     assert all(x > -1.0 for x in u)
     assert u[-1] <= -1.0 + 4e-9

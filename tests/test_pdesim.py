@@ -351,7 +351,7 @@ def test_exports(tmp_path, monkeypatch):
                             "--points", "64", "--t-end", "0.5", "--amplitude", "1",
                             "--out", "snap.csv"], prog_name="cyclicwave")
     assert exc.value.code == 0
-    rows = list(csvmod.reader((tmp_path / "snap.csv").open()))
+    rows = list(csvmod.reader((tmp_path / "snap.csv").read_text().splitlines()))
     assert rows[0] == ["x", "u"]
     assert len(rows) == 1 + 64
     man = json.loads((tmp_path / "snap.json").read_text())

@@ -1,5 +1,6 @@
 """Integral transform, inverse, endpoints and convergence classifier."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from cyclicwave import geometry, transform
 from cyclicwave.cli import F_FAMILIES
-from cyclicwave.errors import ParameterError
+from cyclicwave.errors import ParameterError, QuadratureError
 
 import transform_reference
 from conftest import f_ray
@@ -47,9 +48,9 @@ def test_g_is_increasing_and_odd_for_even_weight(tp1):
 
 
 # |u| <= 1e5 keeps G(u) = atan(sqrt2 u)/sqrt2 at least 1/(2|u|) = 5e-6 from
-# its endpoint, far from where H clamps (|u| near 4.5e7).  Near the endpoint
-# H = G^-1 amplifies the rounding of v by dH/dv = 1 + 2u^2, a relative error
-# of about 2|u| eps, so from |u| ~ 1e6 on, 1e-10 is out of reach.
+# its endpoint.  Near the endpoint H = G^-1 amplifies the rounding of v by
+# dH/dv = 1 + 2u^2, a relative error of about 2|u| eps, so from |u| ~ 1e6 on,
+# 1e-10 is out of reach.
 _U = st.floats(-1e5, 1e5)
 
 
@@ -120,13 +121,15 @@ def test_endpoints_half_line_domain():
             assert ep.a == pytest.approx(-2.0 / (2.0 - ell), abs=1e-5)
 
 
-@pytest.mark.parametrize("ell", [0.5, 0.75])
+@pytest.mark.parametrize("ell", [0.5, 0.75, 0.9, 0.95])
 def test_half_plane_ray_endpoint_within_error_bar(ell):
     """The vertical ray of halfplane:ell has F = (1 + s)^-ell on (-1, inf),
     so G's lower endpoint is -1/(1 - ell).  With the ray's exact edge -1
     the endpoint lies within its own error bar; a bisected edge one ulp
     short of -1 put it 3.7e-12 (ell = 0.5) and 9.7e-10 (ell = 0.75) off,
-    outside a_err."""
+    outside a_err.  At ell = 0.9 and 0.95 the fitted exponent's error
+    dominates (9.75e-10 and 1.43e-8 off), which a bar anchored on one
+    exponent missed (3.62e-10 and 2.02e-9)."""
     f, domain = geometry.half_plane_power(ell).ray(np.array([0.0, 1.0]))
     ep = transform.TransformPair(f, domain=domain).endpoints()
     assert ep.a_finite
@@ -161,17 +164,25 @@ def test_noc_holds_requires_both_sides():
     assert mixed.holds == "no"
 
 
-def test_h_clamps_near_endpoint(tp1):
-    with pytest.warns(transform.EndpointProximityWarning):
-        u = tp1.H(B_G_REF * (1.0 - 1e-15))
-    assert math.isfinite(u)
+@pytest.mark.parametrize("v", [B_G_REF * (1.0 - 1e-15), B_G_REF * 1.5,
+                               -B_G_REF * 1.5],
+                         ids=["at-endpoint", "past-endpoint", "past-lower-endpoint"])
+def test_h_refuses_level_past_panels(tp1, v):
+    """A level G's panels do not reach, at the endpoint or beyond it, is a
+    QuadratureError that names the level; H used to warn and invert a level
+    a relative 1e-8 inside the endpoint instead."""
+    with pytest.raises(QuadratureError, match=re.escape(repr(v))):
+        tp1.H(v)
 
 
-def test_h_clamps_out_of_range(tp1):
-    with pytest.warns(transform.EndpointProximityWarning):
-        u = tp1.H(B_G_REF * 1.5)
-    assert math.isfinite(u)
-    assert tp1.G(u) == pytest.approx(B_G_REF, abs=1e-6)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_h_exact_next_to_endpoint(tp1, sign):
+    """1e-9 inside the endpoint, where G(u) = v at |u| = 5e8, H inverts G
+    exactly: it used to return |u| = 4.5e7, whose G falls 1.01e-8 short."""
+    v = sign * (B_G_REF - 1e-9)
+    u = tp1.H(v)
+    assert tp1.G(u) == v
+    assert abs(u) == pytest.approx(5e8, rel=1e-6)
 
 
 def test_tol_checked_before_work():
